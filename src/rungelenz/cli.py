@@ -192,6 +192,8 @@ def _cmd_compute(args, parser) -> int:
         elif kind == "beta":
             _emit_value(args, kind, beta(args.n, args.l, args.m))
         elif kind == "pbar":
+            if args.n < 1:
+                raise DomainError(f"n = {args.n} must be positive")
             row = [p_bar(args.n, args.l_init, lp) for lp in range(args.n)]
             if args.format == "json":
                 print(json.dumps({"kind": kind, "n": args.n, "l_init": args.l_init,

@@ -34,7 +34,10 @@ class HalfInt:
             return cls(2 * value)
         if isinstance(value, str):
             return cls.parse(value)
-        fr = Fraction(value)
+        try:
+            fr = Fraction(value)
+        except (ValueError, OverflowError) as exc:  # NaN, +-inf
+            raise DomainError(f"{value!r} is not finite") from exc
         if fr.denominator not in (1, 2):
             raise DomainError(f"{value!r} is not an integer or half-integer")
         return cls(int(fr * 2))

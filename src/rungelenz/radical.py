@@ -260,6 +260,25 @@ def render_exact(value) -> str:
     return "".join(parts)
 
 
+def _is_squarefree(d: int) -> bool:
+    """Whether no prime square divides d >= 1.
+
+    Trial division stops at the cube root of what is left: the rest then has
+    at most two prime factors, so it is squarefree unless it is a square.
+    Radicands the package renders have small prime factors and stop early;
+    a prime near 1e18 costs about 5e5 trial divisions.
+    """
+    p = 2
+    while p * p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return False
+        p += 1 if p == 2 else 2
+    root = isqrt(d)
+    return d == 1 or root * root != d
+
+
 def parse_exact(text: str) -> RadicalSum:
     """Parse the exact-value grammar back into a RadicalSum."""
     s = text.strip()
@@ -277,17 +296,19 @@ def parse_exact(text: str) -> RadicalSum:
             raise ExactParseError(f"bad exact-value term {chunk!r} in {text!r}")
         if m.group("num") is not None:
             d = 1
-            c = Fraction(int(m.group("num")), int(m.group("den")))
+            num, den = int(m.group("num")), int(m.group("den"))
         else:
             d = int(m.group("rad"))
-            c = Fraction(int(m.group("rnum")), int(m.group("rden")))
+            num, den = int(m.group("rnum")), int(m.group("rden"))
             if m.group("neg"):
-                c = -c
+                num = -num
             if d < 1:
                 raise ExactParseError(f"radicand must be positive in {chunk!r}")
-            root = isqrt(d)
-            if d > 1 and root * root == d:
-                raise ExactParseError(f"radicand {d} is a perfect square")
+            if not _is_squarefree(d):
+                raise ExactParseError(f"radicand {d} is not squarefree")
+        if den == 0:
+            raise ExactParseError(f"zero denominator in {chunk!r}")
+        c = Fraction(num, den)
         c *= outer_sign
         if d in terms:
             raise ExactParseError(f"radicand {d} repeated in {text!r}")

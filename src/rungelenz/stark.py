@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, sin
+from math import cos, isfinite, sin
 
 from .basis import b_matrix, q_values
 from .errors import DomainError, InternalConsistencyError
@@ -22,6 +22,16 @@ from .radical import RadicalSum, render_exact
 from .wigner import _sixj_twice, _threejm_twice
 
 P_AGREEMENT_TOL = 1e-12
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise DomainError(f"n = {n} must be positive")
+
+
+def _check_chi(chi: float) -> None:
+    if not isfinite(chi):
+        raise DomainError(f"chi = {chi} must be finite")
 
 
 def c_coefficient(n: int, q: int, l: int, m: int) -> RadicalSum:
@@ -177,6 +187,7 @@ def p_transition(n: int, l: int, lp: int, chi: float) -> float:
     """
     if not (0 <= l <= n - 1 and 0 <= lp <= n - 1):
         raise DomainError(f"need 0 <= l, l' <= n-1, got l={l}, l'={lp}, n={n}")
+    _check_chi(chi)
     spectral = _p_spectral(n, l, lp, chi)
     quadruple = _p_herrick(n, l, lp, chi)
     if abs(spectral - quadruple) > P_AGREEMENT_TOL:
@@ -237,11 +248,72 @@ class TransitionTable:
 
 
 def pbar_table(n: int) -> TransitionTable:
+    _check_n(n)
     rows = tuple(tuple(p_bar(n, l, lp) for lp in range(n)) for l in range(n))
     return TransitionTable(n, "pbar", rows)
 
 
+def _phase_norm(a, b, cosq, sinq) -> float:
+    """|sum_q a_q b_q e^(i q chi)|^2, summed in the order _p_spectral uses."""
+    re = im = 0.0
+    for x, y, c, s in zip(a, b, cosq, sinq):
+        w = x * y
+        if w != 0.0:
+            re += w * c
+            im += w * s
+    return re * re + im * im
+
+
 def p_table(n: int, chi: float) -> TransitionTable:
-    rows = tuple(tuple(p_transition(n, l, lp, chi) for lp in range(n))
-                 for l in range(n))
+    """P(l, l'; chi) for every l, l' of the manifold, one pass per m-block.
+
+    Block m contributes |U_m[l, l']|^2 with U_m = B^T diag(e^(i q chi)) B; the
+    contributions are added with m ascending and divided by 2l+1, as
+    _p_spectral does, so every entry equals p_transition's bit for bit.
+    In place of p_transition's quadruple cosine sum, two guards run over the
+    whole table (InternalConsistencyError on failure): every row of every U_m
+    has unit norm, and every entry agrees to P_AGREEMENT_TOL with the C route
+    (2l'+1) sum_m |sum_q C_l C_l' e^(i q chi)|^2, which is the quadruple sum
+    factored by cos(a - b) = cos a cos b + sin a sin b.
+    """
+    _check_n(n)
+    _check_chi(chi)
+    phase = {q: (cos(chi * q), sin(chi * q)) for q in range(-(n - 1), n)}
+    spectral = [[0.0] * n for _ in range(n)]
+    c_route = [[0.0] * n for _ in range(n)]
+    for m in range(-(n - 1), n):
+        am = abs(m)
+        qs = q_values(n, m)
+        cosq = [phase[q][0] for q in qs]
+        sinq = [phase[q][1] for q in qs]
+        b_cols = list(zip(*_b_float_block(n, m)))
+        c_cols = [[_c_float(n, q, l, m) for q in qs] for l in range(am, n)]
+        norms = [0.0] * (n - am)
+        # x * y == y * x in binary64, so U_m is symmetric to the last bit
+        # and each pair is summed once for both entries
+        for i in range(n - am):
+            for j in range(i, n - am):
+                u = _phase_norm(b_cols[j], b_cols[i], cosq, sinq)
+                h = _phase_norm(c_cols[i], c_cols[j], cosq, sinq)
+                spectral[am + i][am + j] += u
+                c_route[am + i][am + j] += h
+                norms[i] += u
+                if j != i:
+                    spectral[am + j][am + i] += u
+                    c_route[am + j][am + i] += h
+                    norms[j] += u
+        for i, norm in enumerate(norms):
+            if abs(norm - 1.0) > P_AGREEMENT_TOL:
+                raise InternalConsistencyError(
+                    f"U_m(chi={chi}) is not unitary at n={n}, m={m}: "
+                    f"row l={am + i} has norm^2 {norm}")
+    rows = tuple(tuple(x / (2 * l + 1) for x in row)
+                 for l, row in enumerate(spectral))
+    for l, row in enumerate(rows):
+        for lp, p in enumerate(row):
+            other = (2 * lp + 1) * c_route[l][lp]
+            if abs(p - other) > P_AGREEMENT_TOL:
+                raise InternalConsistencyError(
+                    f"P({l},{lp};chi={chi}) routes disagree at n={n}: "
+                    f"{p} vs {other}")
     return TransitionTable(n, "p", rows, chi=chi)

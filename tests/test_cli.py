@@ -179,6 +179,17 @@ class TestCompute:
             main(["compute", "bcoeff", "1", "0", "0", "5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "p", "5", "1", "2", "nan"],
+        ["compute", "p", "5", "1", "2", "inf"],
+        ["compute", "pbar", "0"],
+        ["compute", "pbar", "-2"],
+    ])
+    def test_non_finite_chi_and_empty_manifold_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
 
 class TestEnvironment:
     def test_factorial_limit_env_override(self):
@@ -189,6 +200,12 @@ class TestEnvironment:
             env=child_env(RUNGELENZ_FACTORIAL_LIMIT="4"))
         assert proc.returncode != 0
         assert "RUNGELENZ_FACTORIAL_LIMIT" in proc.stderr
+
+    def test_python_dash_m(self):
+        proc = subprocess.run([sys.executable, "-m", "rungelenz", "table1"],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert "46/1" in proc.stdout
 
     def test_console_entry_point(self):
         """The ``rungelenz`` script declared in ``[project.scripts]`` runs

@@ -41,6 +41,12 @@ class TestHalfInt:
         assert b < a
         assert str(a) == "3/2" and str(HalfInt(4)) == "2"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_is_domain_error(self, value):
+        with pytest.raises(DomainError):
+            HalfInt.from_value(value)
+        assert HalfInt(2) != value
+
     def test_integer_access(self):
         assert HalfInt(4).as_int() == 2
         with pytest.raises(DomainError):
@@ -275,7 +281,18 @@ class TestExactGrammar:
     @pytest.mark.parametrize("bad", [
         "", "1", "1/2 + 1/3", "sqrt(2)", "(1/2)*sqrt(4)", "(1/2)*sqrt(-3)",
         "1/2 + (1/3)*sqrt(2) + (1/5)*sqrt(2)", "0/2",
+        "1/0", "-3/0", "(1/0)*sqrt(2)", "(1/2)*sqrt(8)", "(1/2)*sqrt(12)",
+        "1/3 + (1/5)*sqrt(50)",
     ])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ExactParseError):
             parse_exact(bad)
+
+    @given(st.integers(min_value=2, max_value=10**6))
+    def test_parse_accepts_exactly_squarefree_radicands(self, d):
+        text = f"(1/1)*sqrt({d})"
+        if all(e == 1 for e in factorize(d).values()):
+            assert parse_exact(text).terms() == [(d, Fraction(1))]
+        else:
+            with pytest.raises(ExactParseError):
+                parse_exact(text)

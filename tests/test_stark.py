@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from rungelenz.errors import DomainError
+from rungelenz import stark
+from rungelenz.errors import DomainError, InternalConsistencyError
 from rungelenz.stark import (
     TransitionTable,
     c_coefficient,
@@ -221,3 +222,58 @@ class TestTables:
             TransitionTable(2, "pbar", ((Fraction(3, 2), Fraction(0)),) * 2)
         with pytest.raises(DomainError):
             TransitionTable(2, "nope", ((Fraction(1, 2), Fraction(1, 2)),) * 2)
+
+
+_SEEDED = random.Random(31)
+TABLE_CHIS = (0.0, 0.7, math.pi) + tuple(_SEEDED.uniform(-20, 20) for _ in range(3))
+
+
+class TestPTable:
+    @pytest.mark.parametrize("chi", TABLE_CHIS)
+    def test_entries_equal_p_transition_exactly(self, chi):
+        # one pass per m-block sums in _p_spectral's order: bit-identical
+        for n in range(1, 9):
+            entries = p_table(n, chi).entries
+            for l in range(n):
+                for lp in range(n):
+                    assert entries[l][lp] == p_transition(n, l, lp, chi)
+
+    def test_rows_sum_to_one_at_larger_n(self):
+        table = p_table(20, 2.9)
+        for row in table.entries:
+            assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
+
+    def test_perturbed_c_route_is_caught(self, monkeypatch):
+        real = stark._c_float
+
+        def perturbed(n, q, l, m):
+            value = real(n, q, l, m)
+            return value * 1.001 if (q, l, m) == (1, 2, 0) else value
+
+        monkeypatch.setattr(stark, "_c_float", perturbed)
+        with pytest.raises(InternalConsistencyError, match="routes disagree"):
+            p_table(4, 0.7)
+
+    def test_non_unitary_block_is_caught(self, monkeypatch):
+        real = stark._b_float_block
+
+        def scaled(n, m):
+            return tuple(tuple(1.01 * x for x in row) for row in real(n, m))
+
+        monkeypatch.setattr(stark, "_b_float_block", scaled)
+        with pytest.raises(InternalConsistencyError, match="not unitary"):
+            p_table(4, 0.7)
+
+    @pytest.mark.parametrize("chi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_chi_rejected(self, chi):
+        with pytest.raises(DomainError):
+            p_table(3, chi)
+        with pytest.raises(DomainError):
+            p_transition(3, 1, 2, chi)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_non_positive_n_rejected(self, n):
+        with pytest.raises(DomainError):
+            p_table(n, 0.7)
+        with pytest.raises(DomainError):
+            pbar_table(n)
