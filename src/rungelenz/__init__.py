@@ -52,7 +52,7 @@ from .operators import (
     word_apply,
 )
 from .pfrational import FactorialTable, PFRational, pf_factorial, sqrt_extract
-from .radical import RadicalSum, SqrtRational, parse_exact, render_exact
+from .radical import RadicalSum, parse_exact, render_exact
 from .stark import (
     TransitionTable,
     c_coefficient,
@@ -68,7 +68,6 @@ from .stark import (
 from .sumrules import (
     SumRuleReport,
     az_moment_generic,
-    beta_form_terms,
     l2_power_moment,
     sum_rule_az,
     sum_rule_l2,

@@ -16,7 +16,7 @@ from math import exp
 
 from .errors import DomainError
 from .pfrational import PFRational, default_table
-from .radical import RadicalSum, SqrtRational
+from .radical import RadicalSum, dot
 from .wigner import _neg1, _threejm_twice
 
 
@@ -110,10 +110,7 @@ class ManifoldState:
         return self.coeffs[i]
 
     def norm_squared(self) -> RadicalSum:
-        total = RadicalSum.zero()
-        for c in self.coeffs:
-            total = total + c * c
-        return total
+        return dot(self.coeffs, self.coeffs)
 
 
 def unit_spherical(label: SphericalLabel) -> ManifoldState:
@@ -144,7 +141,7 @@ def b_coeff(p: ParabolicLabel, l: int) -> RadicalSum:
     n, m, q = p.n, p.m, p.q
     sym = _threejm_twice(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
     phase = _neg1(p.n2 + (m - abs(m)) // 2 + l)
-    root = SqrtRational(1, PFRational.from_int(2 * l + 1)).to_radical_sum()
+    root = RadicalSum.from_sqrt(2 * l + 1)
     return sym * root * phase
 
 
@@ -154,7 +151,7 @@ def b_coeff_regge(p: ParabolicLabel, l: int) -> RadicalSum:
     n, m, q = p.n, p.m, p.q
     sym = _threejm_twice(n - 1 + m, n - 1 - m, 2 * l, -q, q, 0)
     phase = _neg1(p.n2 + (m - abs(m)) // 2 + l)
-    root = SqrtRational(1, PFRational.from_int(2 * l + 1)).to_radical_sum()
+    root = RadicalSum.from_sqrt(2 * l + 1)
     return sym * root * phase
 
 
@@ -198,7 +195,7 @@ def b_coeff_3f2(p: ParabolicLabel, l: int) -> RadicalSum:
     radicand = (PFRational.from_int(2 * l + 1) * fp(l + m) * fp(n1 + m) * fp(n2 + m)
                 / (fp(n1) * fp(n2) * fp(l - m) * fp(n - l - 1) * fp(n + l)))
     prefactor = (fp(n - m - 1) / fp(m)).value
-    root = SqrtRational(1, radicand).to_radical_sum()
+    root = RadicalSum.from_sqrt(radicand)
     return root * (series * prefactor * _neg1(l - m))
 
 
@@ -223,14 +220,14 @@ def b_special(p: ParabolicLabel, which: str) -> RadicalSum:
         radicand = (fp(2 * l + 1) * fp(n1 + l) * fp(n2 + l) * fp(n - l - 1)
                     / (fp(n1) * fp(n2) * fp(n + l)))
         scale = Fraction(1, default_table().factorial_int(l))
-        return SqrtRational(1, radicand).to_radical_sum() * scale
+        return RadicalSum.from_sqrt(radicand) * scale
     if which == "n-1":
         l = n - 1
         _check_l(p, l)
         radicand = (fp(n1 + n2) * fp(n1 + n2 + 2 * m)
                     / (fp(n1) * fp(n2) * fp(2 * n - 2) * fp(n1 + m) * fp(n2 + m)))
         scale = Fraction(default_table().factorial_int(n - 1)) * _neg1(n2)
-        return SqrtRational(1, radicand).to_radical_sum() * scale
+        return RadicalSum.from_sqrt(radicand) * scale
     # which == "n-2"
     l = n - 2
     if n1 + n2 < 1:
@@ -242,7 +239,7 @@ def b_special(p: ParabolicLabel, which: str) -> RadicalSum:
                 * fp(n1 + n2 + 2 * m - 1)
                 / (fp(n1) * fp(n2) * fp(2 * n - 2) * fp(n1 + m) * fp(n2 + m)))
     scale = Fraction((n1 - n2) * default_table().factorial_int(n - 1)) * _neg1(n2)
-    return SqrtRational(1, radicand).to_radical_sum() * scale
+    return RadicalSum.from_sqrt(radicand) * scale
 
 
 def b_squared_asymptotic(n: int, l: int) -> float:
@@ -274,15 +271,8 @@ def to_spherical(state: ManifoldState) -> ManifoldState:
     if state.basis != "parabolic":
         raise DomainError("to_spherical expects a parabolic-basis state")
     B = b_matrix(state.n, state.m)
-    out = []
-    for col in range(state.dim):
-        acc = RadicalSum.zero()
-        for row in range(state.dim):
-            c = state.coeffs[row]
-            if not c.is_zero:
-                acc = acc + c * B[row][col]
-        out.append(acc)
-    return ManifoldState("spherical", state.n, state.m, tuple(out))
+    out = tuple(dot(state.coeffs, col) for col in zip(*B))
+    return ManifoldState("spherical", state.n, state.m, out)
 
 
 def to_parabolic(state: ManifoldState) -> ManifoldState:
@@ -290,15 +280,8 @@ def to_parabolic(state: ManifoldState) -> ManifoldState:
     if state.basis != "spherical":
         raise DomainError("to_parabolic expects a spherical-basis state")
     B = b_matrix(state.n, state.m)
-    out = []
-    for row in range(state.dim):
-        acc = RadicalSum.zero()
-        for col in range(state.dim):
-            c = state.coeffs[col]
-            if not c.is_zero:
-                acc = acc + c * B[row][col]
-        out.append(acc)
-    return ManifoldState("parabolic", state.n, state.m, tuple(out))
+    out = tuple(dot(state.coeffs, row) for row in B)
+    return ManifoldState("parabolic", state.n, state.m, out)
 
 
 def hypergeometric_sign_survey(n_max: int) -> dict:

@@ -29,12 +29,28 @@ from .wigner import clebsch_gordan, wigner_3jm, wigner_6j
 TABLE1_PARAMS = ParabolicLabel(n1=3, n2=1, m=4)  # the n=9 worked example
 
 
+class _NegativeNumber:
+    """Stands in for argparse's negative-number pattern: -p/q, or any
+    negative number float() accepts (-2, -0.5, -1e-3, -inf, -nan)."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        if not text.startswith("-"):
+            return False
+        if re.fullmatch(r"-\d+/\d+", text):
+            return True
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
-    # let negative half-integers like -1/2 pass as positionals
+    # let negative numbers like -1/2 or -inf pass as positionals
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+        self._negative_number_matcher = _NegativeNumber
 
 
 def _table1_reports() -> list:

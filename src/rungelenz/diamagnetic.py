@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .basis import ParabolicLabel, q_values, unit_parabolic
 from .errors import DomainError
-from .operators import OperatorExpression, word_apply
+from .operators import OperatorExpression, expression_apply
 from .radical import RadicalSum, render_exact
 
 
@@ -115,22 +115,14 @@ Matrix = tuple[tuple[RadicalSum, ...], ...]
 def _expression_matrix(expr: OperatorExpression, n: int, m: int) -> Matrix:
     """Columns are images of the parabolic basis states (m-preserving words)."""
     upper = n - abs(m) - 1
-    dim = upper + 1
-    cols: list[list[RadicalSum]] = []
-    for n1 in range(dim):
+    cols = []
+    for n1 in range(upper + 1):
         start = unit_parabolic(ParabolicLabel(n1, upper - n1, m))
-        acc = [RadicalSum.zero()] * dim
-        for coeff, word in expr.terms:
-            res = word_apply(word, start)
-            if res.is_zero:
-                continue
-            if res.m != m:
-                raise DomainError("expression does not preserve m")
-            for i, c in enumerate(res.coeffs):
-                if not c.is_zero:
-                    acc[i] = acc[i] + c * coeff
-        cols.append(acc)
-    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+        image = expression_apply(expr, start)
+        if image.m != m:
+            raise DomainError("expression does not preserve m")
+        cols.append(image.coeffs)
+    return tuple(zip(*cols))
 
 
 @dataclass(frozen=True)
@@ -159,10 +151,7 @@ class OperatorMatrix:
                    for i in range(d) for j in range(i + 1, d))
 
     def trace(self) -> RadicalSum:
-        total = RadicalSum.zero()
-        for i in range(self.dim):
-            total = total + self.entries[i][i]
-        return total
+        return sum((row[i] for i, row in enumerate(self.entries)), RadicalSum.zero())
 
     def to_json(self) -> str:
         return json.dumps({

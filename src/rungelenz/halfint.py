@@ -92,7 +92,10 @@ class HalfInt:
         return self.twice == other.twice
 
     def __lt__(self, other) -> bool:
-        other = HalfInt.from_value(other)
+        try:
+            other = HalfInt.from_value(other)
+        except (DomainError, TypeError, ValueError):
+            return NotImplemented
         return self.twice < other.twice
 
     def __hash__(self):

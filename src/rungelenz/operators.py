@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .basis import ManifoldState, ParabolicLabel, SphericalLabel, spherical_ls
 from .errors import DomainError, InternalConsistencyError
-from .radical import RadicalSum, sqrt_int
+from .radical import RadicalSum, dot
 
 GENERATORS = ("j1z", "j2z", "j1plus", "j1minus", "j2plus", "j2minus")
 
@@ -63,18 +63,8 @@ Matrix = tuple[tuple[RadicalSum, ...], ...]
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    dim = len(a)
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = RadicalSum.zero()
-            for k in range(dim):
-                if not a[i][k].is_zero and not b[k][j].is_zero:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    cols = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def _identity(dim: int) -> Matrix:
@@ -183,7 +173,8 @@ def generator_apply(gen: str, state: ManifoldState) -> ManifoldState:
                 f"{gen} maps (n={n}, m={m}, q={q}) outside the manifold with "
                 f"nonvanishing coefficient")
         new_n1 = (new_upper + new_q) // 2
-        out[new_n1] = out[new_n1] + c * sqrt_int(rad, ladder_sign) * Fraction(1, 2)
+        root = RadicalSum.from_sqrt(rad, ladder_sign)
+        out[new_n1] = out[new_n1] + c * root * Fraction(1, 2)
     if target_exists:
         return ManifoldState("parabolic", n, new_m, tuple(out))
     # every amplitude vanished at the boundary; stay in the source block
@@ -242,7 +233,9 @@ def expression_apply(expr: OperatorExpression, state: ManifoldState) -> Manifold
         res = word_apply(word, state)
         if res.is_zero:
             continue
-        acc = blocks.setdefault(res.m, [RadicalSum.zero()] * res.dim)
+        acc = blocks.get(res.m)
+        if acc is None:
+            acc = blocks[res.m] = [RadicalSum.zero()] * res.dim
         for i, c in enumerate(res.coeffs):
             if not c.is_zero:
                 acc[i] = acc[i] + c * coeff

@@ -10,74 +10,7 @@ from fractions import Fraction
 from math import gcd, isqrt, sqrt
 
 from .errors import DomainError, ExactParseError
-from .pfrational import PFRational, factorize, sqrt_extract
-
-
-class SqrtRational:
-    """sign * sqrt(radicand) with a nonnegative prime-factored radicand."""
-
-    __slots__ = ("sign", "radicand")
-
-    def __init__(self, sign: int, radicand: PFRational):
-        if sign not in (-1, 0, 1):
-            raise DomainError(f"sign must be -1, 0 or 1, got {sign}")
-        if radicand.sign < 0:
-            raise DomainError("SqrtRational radicand must be nonnegative")
-        if radicand.is_zero:
-            sign = 0
-        elif sign == 0:
-            radicand = PFRational.zero()
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "radicand", radicand)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SqrtRational is immutable")
-
-    @classmethod
-    def zero(cls) -> "SqrtRational":
-        return cls(0, PFRational.zero())
-
-    @classmethod
-    def from_fraction(cls, value, sign: int = 1) -> "SqrtRational":
-        """sign * sqrt(value) for a nonnegative rational value."""
-        fr = Fraction(value)
-        if fr < 0:
-            raise DomainError("radicand must be nonnegative")
-        return cls(sign if fr != 0 else 0, PFRational.from_fraction(fr))
-
-    def square(self) -> PFRational:
-        if self.sign == 0:
-            return PFRational.zero()
-        return self.radicand
-
-    def __mul__(self, other: "SqrtRational") -> "SqrtRational":
-        if not isinstance(other, SqrtRational):
-            return NotImplemented
-        return SqrtRational(self.sign * other.sign, self.radicand * other.radicand)
-
-    def __neg__(self) -> "SqrtRational":
-        return SqrtRational(-self.sign, self.radicand)
-
-    def to_radical_sum(self) -> "RadicalSum":
-        if self.sign == 0:
-            return RadicalSum.zero()
-        rational, d = sqrt_extract(self.radicand)
-        return RadicalSum({d: self.sign * rational.value})
-
-    def to_float(self) -> float:
-        """Binary64 shadow; diagnostics only."""
-        return self.sign * sqrt(self.radicand.to_float())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SqrtRational):
-            return NotImplemented
-        return self.sign == other.sign and self.radicand == other.radicand
-
-    def __hash__(self):
-        return hash((self.sign, self.radicand))
-
-    def __repr__(self) -> str:
-        return f"SqrtRational({self.sign}, {self.radicand!r})"
+from .pfrational import PFRational, sqrt_extract
 
 
 def _combine_radicands(d1: int, d2: int) -> tuple[int, int]:
@@ -120,18 +53,26 @@ class RadicalSum:
 
     @classmethod
     def from_sqrt(cls, value, sign: int = 1) -> "RadicalSum":
-        """sign * sqrt(value) for a nonnegative rational with small factors.
+        """sign * sqrt(value) for a nonnegative int, Fraction or PFRational.
 
-        Factors value by trial division, so this is meant for hand-sized
-        inputs (weights such as sqrt((2l+1)(2l-3))); coupling coefficients
-        keep their radicands prime-factored from construction instead.
+        Ints and Fractions are factored by trial division, so they are meant
+        for hand-sized inputs (weights such as sqrt((2l+1)(2l-3))); coupling
+        coefficients pass their radicands prime-factored from construction.
         """
-        fr = Fraction(value)
-        if fr < 0:
+        if sign not in (-1, 0, 1):
+            raise DomainError(f"sign must be -1, 0 or 1, got {sign}")
+        if isinstance(value, int):
+            radicand = PFRational.from_int(value)
+        elif isinstance(value, PFRational):
+            radicand = value
+        else:
+            radicand = PFRational.from_fraction(value)
+        if radicand.sign < 0:
             raise DomainError("radicand must be nonnegative")
-        if fr == 0 or sign == 0:
+        if radicand.sign == 0 or sign == 0:
             return cls.zero()
-        return SqrtRational(sign, PFRational.from_fraction(fr)).to_radical_sum()
+        rational, d = sqrt_extract(radicand)
+        return cls({d: sign * rational.value})
 
     # -- queries ------------------------------------------------------
 
@@ -226,11 +167,21 @@ def _coerce(value) -> "RadicalSum":
     return NotImplemented
 
 
+def dot(xs, ys) -> RadicalSum:
+    """sum_i xs[i] * ys[i] over RadicalSums, skipping exact zeros."""
+    total = RadicalSum.zero()
+    for x, y in zip(xs, ys):
+        if x._terms and y._terms:
+            total = total + x * y
+    return total
+
+
 # -- fixed text grammar ----------------------------------------------
 #
 #   value  := '0/1' | term (' + ' term | ' - ' term)*
 #   term   := ['-'] p '/' q  |  ['-'] '(' p '/' q ')' '*sqrt(' d ')'
 #
+# Radicands d are squarefree and > 1 (a rational is only ever spelled p/q).
 # Terms appear with radicands strictly increasing; the leading '-' is only
 # ever on the first term. parse_exact(render_exact(x)) == x bit-exactly.
 
@@ -302,8 +253,8 @@ def parse_exact(text: str) -> RadicalSum:
             num, den = int(m.group("rnum")), int(m.group("rden"))
             if m.group("neg"):
                 num = -num
-            if d < 1:
-                raise ExactParseError(f"radicand must be positive in {chunk!r}")
+            if d < 2:
+                raise ExactParseError(f"radicand must exceed 1 in {chunk!r}")
             if not _is_squarefree(d):
                 raise ExactParseError(f"radicand {d} is not squarefree")
         if den == 0:
@@ -320,12 +271,3 @@ def parse_exact(text: str) -> RadicalSum:
         raise ExactParseError(f"zero must be written '0/1', got {text!r}")
     return value
 
-
-def sqrt_int(k: int, sign: int = 1) -> RadicalSum:
-    """sign * sqrt(k) for a small nonnegative integer k."""
-    if k < 0:
-        raise DomainError("radicand must be nonnegative")
-    if k == 0 or sign == 0:
-        return RadicalSum.zero()
-    rational, d = sqrt_extract(PFRational(1, factorize(k)) if k > 1 else PFRational.one())
-    return RadicalSum({d: sign * rational.value})

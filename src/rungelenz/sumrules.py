@@ -1,10 +1,12 @@
 """Exact evaluation of the Runge-Lenz sum rules and generic A_z / L^2 moments.
 
-Each rule is evaluated on a canonical route built from the beta coefficients
-(equivalently, the A_z matrix elements); the explicit weight-ratio forms as
-printed in the source material are re-derived verbatim and diffed against the
-canonical value, so suspected misprints surface as reported discrepancies,
-never as silent corrections.
+Every A_z^k rule and moment has one canonical route: the contraction
+<p| A_z^k |p> = B . (A_z^k) . B of the state's B row with the A_z power
+matrix built from the beta coefficients. The L^2 rule sums B^2(l) l(l+1).
+For k = 2, 3, 4 the explicit weight-ratio forms as printed in the source
+material are re-derived verbatim and diffed against the canonical value, so
+suspected misprints surface as reported discrepancies, never as silent
+corrections.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .operators import (
     l_squared_expression,
 )
 from .pfrational import PFRational
-from .radical import RadicalSum, SqrtRational, render_exact
+from .radical import RadicalSum, dot, render_exact
 
 AZ_MOMENT_POWER_BOUND = 8
 L2_MOMENT_POWER_BOUND = 4
@@ -99,13 +101,6 @@ class SumRuleReport:
         return out
 
 
-def _b_or_zero(p: ParabolicLabel, l: int) -> RadicalSum:
-    """B(l), with indices outside the manifold defined as zero."""
-    if not abs(p.m) <= l <= p.n - 1:
-        return RadicalSum.zero()
-    return b_coeff(p, l)
-
-
 def sum_rule_l2(p: ParabolicLabel) -> SumRuleReport:
     """sum_l B^2(l) l(l+1) = [n^2 - 1 + m^2 - (n1-n2)^2] / 2."""
     lhs = RadicalSum.zero()
@@ -116,66 +111,11 @@ def sum_rule_l2(p: ParabolicLabel) -> SumRuleReport:
     return SumRuleReport("l2", p.n, p.m, p.n1, p.n2, 1, lhs, rhs)
 
 
-def beta_form_terms(p: ParabolicLabel, power: int) -> dict[tuple[int, int], RadicalSum]:
-    """The canonical LHS of the A_z^power rule, term by (l, l') pair.
-
-    Terms are the beta-coefficient chains; grouping matches the contraction
-    v . A_z^power . v entry for entry.
-    """
-    if power not in (2, 3, 4):
-        raise DomainError(f"beta-form chains are spelled out for powers 2-4, got {power}")
-    n, m = p.n, p.m
-
-    # negative chain indices only occur next to an exactly vanishing partner;
-    # zero is the uniform out-of-range value
-    def bsq(l: int) -> Fraction:
-        return beta_squared(n, l, m) if l >= 0 else Fraction(0)
-
-    def chain(*ls: int) -> RadicalSum:
-        acc = RadicalSum.from_rational(1)
-        for l in ls:
-            if l < 0:
-                return RadicalSum.zero()
-            acc = acc * beta(n, l, m)
-        return acc
-
-    terms: dict[tuple[int, int], RadicalSum] = {}
-    for l in spherical_ls(n, m):
-        B_l = b_coeff(p, l)
-        if power == 2:
-            pieces = [
-                (l - 2, chain(l, l - 1)),
-                (l, RadicalSum.from_rational(bsq(l) + bsq(l + 1))),
-                (l + 2, chain(l + 1, l + 2)),
-            ]
-        elif power == 3:
-            pieces = [
-                (l - 3, chain(l - 2, l - 1, l)),
-                (l - 1, chain(l) * (bsq(l - 1) + bsq(l) + bsq(l + 1))),
-                (l + 1, chain(l + 1) * (bsq(l) + bsq(l + 1) + bsq(l + 2))),
-                (l + 3, chain(l + 1, l + 2, l + 3)),
-            ]
-        else:
-            diag = (bsq(l + 1) * (bsq(l) + bsq(l + 1) + bsq(l + 2))
-                    + bsq(l) * (bsq(l - 1) + bsq(l) + bsq(l + 1)))
-            pieces = [
-                (l - 4, chain(l - 3, l - 2, l - 1, l)),
-                (l - 2, chain(l - 1, l) * (bsq(l - 2) + bsq(l - 1) + bsq(l) + bsq(l + 1))),
-                (l, RadicalSum.from_rational(diag)),
-                (l + 2, chain(l + 1, l + 2) * (bsq(l) + bsq(l + 1) + bsq(l + 2) + bsq(l + 3))),
-                (l + 4, chain(l + 1, l + 2, l + 3, l + 4)),
-            ]
-        for lp, weight in pieces:
-            if weight.is_zero:
-                continue
-            Bp = _b_or_zero(p, lp)
-            if Bp.is_zero:
-                continue
-            term = B_l * Bp * weight
-            if not term.is_zero:
-                key = (lp, l)
-                terms[key] = terms.get(key, RadicalSum.zero()) + term
-    return terms
+def _az_contraction(p: ParabolicLabel, power: int) -> RadicalSum:
+    """<p| A_z^power |p> = v . (M v), v the B row of p, M = A_z^power."""
+    v = b_matrix(p.n, p.m)[p.n1]
+    M = az_power_matrix(p.n, p.m, power)
+    return dot(v, [dot(row, v) for row in M])
 
 
 def _sqrt_of_int_product(factors: list[int]) -> RadicalSum | None:
@@ -191,7 +131,7 @@ def _sqrt_of_int_product(factors: list[int]) -> RadicalSum | None:
         pf = pf * PFRational.from_int(f)
     if product_sign < 0:
         return None
-    return SqrtRational(1, pf).to_radical_sum()
+    return RadicalSum.from_sqrt(pf)
 
 
 def _printed_ratio_sqrt(numerators: list[int], denominators: list[int]) -> RadicalSum | None:
@@ -323,18 +263,17 @@ def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, 
 
 
 def sum_rule_az(p: ParabolicLabel, power: int) -> SumRuleReport:
-    """The A_z^power rule, power in {2, 3, 4}.
+    """The A_z^power rule, power in {2, 3, 4} (the powers with a printed form).
 
-    Canonical route: the beta-form chains; RHS = (n1-n2)^power. Printed route:
-    the explicit weight-ratio form, against its own printed RHS (which for
-    power 3 is (n2-n1)^3; both statements are consistent, the sign being the
+    Canonical route: the contraction v . A_z^power . v shared with
+    az_moment_generic; RHS = (n1-n2)^power. Printed route: the explicit
+    weight-ratio form, against its own printed RHS (which for power 3 is
+    (n2-n1)^3; both statements are consistent, the sign being the
     (-1)^(l+l') phase between B-products and bare-3jm products).
     """
     if power not in (2, 3, 4):
         raise DomainError(f"power must be 2, 3 or 4, got {power}")
-    lhs = RadicalSum.zero()
-    for term in beta_form_terms(p, power).values():
-        lhs = lhs + term
+    lhs = _az_contraction(p, power)
     rhs = Fraction(p.q**power)
     printed_lhs, note = _printed_az_form(p, power)
     printed_rhs = Fraction((p.n2 - p.n1) ** power)
@@ -353,16 +292,7 @@ def az_moment_generic(p: ParabolicLabel, power: int,
         raise DomainError("power must be >= 0")
     if power > bound:
         raise DomainError(f"power {power} exceeds the configured bound {bound}")
-    n, m = p.n, p.m
-    v = b_matrix(n, m)[p.n1]
-    M = az_power_matrix(n, m, power)
-    lhs = RadicalSum.zero()
-    for i in range(len(v)):
-        if v[i].is_zero:
-            continue
-        for j in range(len(v)):
-            if not M[i][j].is_zero and not v[j].is_zero:
-                lhs = lhs + v[i] * M[i][j] * v[j]
+    lhs = _az_contraction(p, power)
     rhs = Fraction(p.q**power)
     return SumRuleReport("az-moment", p.n, p.m, p.n1, p.n2, power, lhs, rhs)
 

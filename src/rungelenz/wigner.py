@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DomainError, ReggeInadmissibleError
 from .halfint import HalfInt, twice
 from .pfrational import PFRational, default_table
-from .radical import RadicalSum, SqrtRational
+from .radical import RadicalSum
 
 
 def _neg1(k: int) -> int:
@@ -165,7 +165,7 @@ def _racah_3jm(tj1: int, tj2: int, tj3: int,
                 * fp((tj2 + tm2) // 2) * fp((tj2 - tm2) // 2)
                 * fp((tj3 + tm3) // 2) * fp((tj3 - tm3) // 2))
     phase = _neg1((tj1 - tj2 - tm3) // 2)
-    root = SqrtRational(1, radicand).to_radical_sum()
+    root = RadicalSum.from_sqrt(radicand)
     return root * (total * phase)
 
 
@@ -189,7 +189,7 @@ def clebsch_gordan(j1, m1, j2, m2, j3, m3) -> RadicalSum:
     if sym.is_zero:
         return sym
     phase = _neg1((tj1 - tj2 + tm3) // 2)
-    root = SqrtRational(1, PFRational.from_int(tj3 + 1)).to_radical_sum()
+    root = RadicalSum.from_sqrt(tj3 + 1)
     return sym * root * phase
 
 
@@ -258,7 +258,7 @@ def _racah_6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> RadicalSu
         total += Fraction(_neg1(tk // 2) * num, den)
     if total == 0:
         return RadicalSum.zero()
-    return SqrtRational(1, radicand).to_radical_sum() * total
+    return RadicalSum.from_sqrt(radicand) * total
 
 
 def regge_transform(args: ThreeJmArgs) -> ThreeJmArgs:

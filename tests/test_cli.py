@@ -1,5 +1,6 @@
 """Command-line surface: exit-status discipline, formats, arg parsing."""
 import csv
+import hashlib
 import io
 import json
 import os
@@ -190,6 +191,18 @@ class TestCompute:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("chi", ["-inf", "-nan"])
+    def test_negative_non_finite_chi_reaches_the_finite_check(self, capsys, chi):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "p", "5", "1", "2", chi])
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_negative_exponent_chi_is_positional(self, capsys):
+        code, out = run_cli(capsys, "compute", "p", "5", "1", "2", "-1e-3")
+        assert code == 0
+        assert 0.0 <= float(out) <= 1.0
+
 
 class TestEnvironment:
     def test_factorial_limit_env_override(self):
@@ -232,3 +245,44 @@ class TestEnvironment:
             proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             assert "46/1" in proc.stdout
+
+
+class TestGoldenOutput:
+    """Byte-identical CLI output: sha256 of stdout, pinned from a known-good
+    build. A digest changes only when the output contract changes; never
+    re-record one to make a refactor pass."""
+
+    VERIFY_ARGV = ("verify", "--max-n", "6", "--powers", "1,2,3,4,5,6,7,8",
+                   "--format", "json")
+    VERIFY_SHA256 = "2356170e01a0870607e34078838435d3fb56ede28ba9da842096b016a92e761a"
+    # over the concatenated `compute <kind> n m` outputs, m ascending
+    MATRIX_SHA256 = {
+        ("h1", 1): "3290d5b86dab6281aa114734625c825285291ece95ddb7ed938d6df7e29ebd0e",
+        ("h1", 2): "45cced3250dd3233ec1121168f808df83357a1cf23c40ce5a7a326be2c73980e",
+        ("h1", 3): "6ea30eebc82ec2c355878d8261dd133798ffe929db0bf72758114c730fb912e1",
+        ("h1", 4): "54f8e2ebfacbf9c3cd0f4fec50f5c4a0f98e7c3a8fab86ba35130ce61d13a189",
+        ("h1", 5): "d8f31b8af3549e76ea22653624d062de08b6010f84cde981ced47b41b67e49cd",
+        ("h2", 1): "52144fa4375878f08059731b3cd1064d446164da7cbc2ecd87b7f186ec256d43",
+        ("h2", 2): "b77e0f1b77d36b11c74815bc7a16df11fec851672d1445b3c735d1ebb5b93e90",
+        ("h2", 3): "7b7b53fc3537157885c1e4ddea1388bd2382aeddbf9e1376840461d03d56b52a",
+        ("h2", 4): "82b0799c9a4474bb5458f08fec9f8c2198c2685c389bdb8555f2b5037e937d69",
+        ("h2", 5): "cf75ec2a83dd008abaa5bc1020a6a431bb4a2a3a1596344b1f05c88c83394628",
+    }
+
+    @staticmethod
+    def sha256(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_verify_json(self, capsys):
+        code, out = run_cli(capsys, *self.VERIFY_ARGV)
+        assert code == 0
+        assert self.sha256(out) == self.VERIFY_SHA256
+
+    @pytest.mark.parametrize("kind,n", sorted(MATRIX_SHA256))
+    def test_diamagnetic_matrices(self, capsys, kind, n):
+        outs = []
+        for m in range(-(n - 1), n):
+            code, out = run_cli(capsys, "compute", kind, str(n), str(m))
+            assert code == 0
+            outs.append(out)
+        assert self.sha256("".join(outs)) == self.MATRIX_SHA256[kind, n]

@@ -84,6 +84,15 @@ class TestH1:
             assert h1_matrix(n, m).trace().is_rational
 
 
+    def test_expression_must_preserve_m(self):
+        from rungelenz.diamagnetic import _expression_matrix
+        from rungelenz.operators import OperatorExpression
+
+        shift = OperatorExpression.build((1, ("j1plus",)))
+        with pytest.raises(DomainError, match="does not preserve m"):
+            _expression_matrix(shift, 3, 0)
+
+
 class TestH2:
     def test_single_state_scalar(self):
         mat = h2_matrix(1, 0)

@@ -15,7 +15,7 @@ from rungelenz.pfrational import (
     pf_factorial,
     sqrt_extract,
 )
-from rungelenz.radical import RadicalSum, SqrtRational, parse_exact, render_exact
+from rungelenz.radical import RadicalSum, parse_exact, render_exact
 
 
 class TestHalfInt:
@@ -46,6 +46,8 @@ class TestHalfInt:
         with pytest.raises(DomainError):
             HalfInt.from_value(value)
         assert HalfInt(2) != value
+        with pytest.raises(TypeError):
+            HalfInt(2) < value
 
     def test_integer_access(self):
         assert HalfInt(4).as_int() == 2
@@ -148,25 +150,30 @@ class TestSqrtExtract:
         assert part.value**2 * d == value
 
 
-class TestSqrtRational:
+class TestFromSqrt:
     def test_square(self):
-        s = SqrtRational.from_fraction(Fraction(3, 5), sign=-1)
-        assert s.square().value == Fraction(3, 5)
-        assert s.to_radical_sum().to_float() == pytest.approx(-math.sqrt(0.6))
+        s = RadicalSum.from_sqrt(Fraction(3, 5), sign=-1)
+        assert s * s == RadicalSum.from_rational(Fraction(3, 5))
+        assert s.to_float() == pytest.approx(-math.sqrt(0.6))
 
     @given(st.fractions(min_value=Fraction(0), max_value=Fraction(100),
                         max_denominator=30),
            st.fractions(min_value=Fraction(0), max_value=Fraction(100),
                         max_denominator=30))
     def test_mul_matches_square(self, a, b):
-        sa, sb = SqrtRational.from_fraction(a), SqrtRational.from_fraction(b)
-        prod = sa * sb
-        assert prod.square().value == a * b
-        assert prod.to_radical_sum() == sa.to_radical_sum() * sb.to_radical_sum()
+        sa, sb = RadicalSum.from_sqrt(a), RadicalSum.from_sqrt(b)
+        assert sa * sb == RadicalSum.from_sqrt(a * b)
+
+    @given(st.integers(min_value=0, max_value=10**4))
+    def test_int_and_factored_inputs_agree(self, k):
+        want = RadicalSum.from_sqrt(Fraction(k))
+        assert RadicalSum.from_sqrt(k) == want
+        assert RadicalSum.from_sqrt(PFRational.from_int(k)) == want
 
     def test_negative_radicand_rejected(self):
-        with pytest.raises(DomainError):
-            SqrtRational.from_fraction(-1)
+        for value in (-1, Fraction(-1, 3), PFRational.from_int(-6)):
+            with pytest.raises(DomainError):
+                RadicalSum.from_sqrt(value)
 
 
 def rs(x):
@@ -282,7 +289,7 @@ class TestExactGrammar:
         "", "1", "1/2 + 1/3", "sqrt(2)", "(1/2)*sqrt(4)", "(1/2)*sqrt(-3)",
         "1/2 + (1/3)*sqrt(2) + (1/5)*sqrt(2)", "0/2",
         "1/0", "-3/0", "(1/0)*sqrt(2)", "(1/2)*sqrt(8)", "(1/2)*sqrt(12)",
-        "1/3 + (1/5)*sqrt(50)",
+        "1/3 + (1/5)*sqrt(50)", "(1/2)*sqrt(1)", "(1/2)*sqrt(0)",
     ])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ExactParseError):

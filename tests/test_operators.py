@@ -117,7 +117,9 @@ class TestAzPowers:
 
     def test_power_three_chains_match_expansion(self):
         # <l-3|A_z^3|l> = beta(l-2) beta(l-1) beta(l),
-        # <l-1|A_z^3|l> = beta(l) [beta^2(l-1) + beta^2(l) + beta^2(l+1)]
+        # <l-1|A_z^3|l> = beta(l) [beta^2(l-1) + beta^2(l) + beta^2(l+1)];
+        # <l-2|A_z^2|l> = beta(l-1) beta(l), and the A_z^4 entries
+        # l -> l-4, l-2, l, l+2, l+4 as the beta chains of the power-4 rule
         n, m = 9, 2
         M = az_power_matrix(n, m, 3)
         am = abs(m)
@@ -130,6 +132,32 @@ class TestAzPowers:
                 bracket = (beta_squared(n, l - 1, m) + beta_squared(n, l, m)
                            + beta_squared(n, l + 1, m))
                 assert M[i - 1][i] == beta(n, l, m) * bracket
+
+        def b(*chain):
+            out = RadicalSum.from_rational(1)
+            for l in chain:
+                out = out * beta(n, l, m)
+            return out
+
+        def bsq(*chain):
+            return sum(beta_squared(n, l, m) for l in chain)
+
+        M2 = az_power_matrix(n, m, 2)
+        M4 = az_power_matrix(n, m, 4)
+        top = n - 1
+        for i, l in enumerate(ls):
+            if l - 4 >= am:
+                assert M4[i - 4][i] == b(l - 3, l - 2, l - 1, l)
+            if l - 2 >= am:
+                assert M2[i - 2][i] == b(l - 1, l)
+                assert M4[i - 2][i] == b(l - 1, l) * bsq(l - 2, l - 1, l, l + 1)
+            diag = (bsq(l + 1) * bsq(l, l + 1, l + 2)
+                    + bsq(l) * bsq(l - 1, l, l + 1))
+            assert M4[i][i] == RadicalSum.from_rational(diag)
+            if l + 2 <= top:
+                assert M4[i + 2][i] == b(l + 1, l + 2) * bsq(l, l + 1, l + 2, l + 3)
+            if l + 4 <= top:
+                assert M4[i + 4][i] == b(l + 1, l + 2, l + 3, l + 4)
 
     def test_bandwidth_and_parity_pattern(self):
         n, m = 9, 0

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from rungelenz.basis import ParabolicLabel, b_matrix
+from rungelenz.basis import ParabolicLabel, b_matrix, spherical_ls
 from rungelenz.errors import DomainError
-from rungelenz.operators import az_power_matrix
+from rungelenz.operators import az_power_matrix, beta, beta_squared
 from rungelenz.radical import RadicalSum, parse_exact
 from rungelenz.sumrules import (
     az_moment_generic,
-    beta_form_terms,
     l2_power_moment,
     sum_rule_az,
     sum_rule_l2,
@@ -24,6 +23,49 @@ def all_labels(n):
         upper = n - abs(m) - 1
         for n1 in range(upper + 1):
             yield ParabolicLabel(n1, upper - n1, m)
+
+
+def beta_chains(n, m, power):
+    """The A_z^power entries <l'|A_z^power|l> as beta-coefficient chains, keyed (l', l)."""
+
+    def bsq(*ls):
+        return sum((beta_squared(n, l, m) if l >= 0 else Fraction(0)) for l in ls)
+
+    def chain(*ls):
+        acc = RadicalSum.from_rational(1)
+        for l in ls:
+            if l < 0:
+                return RadicalSum.zero()
+            acc = acc * beta(n, l, m)
+        return acc
+
+    out = {}
+    for l in spherical_ls(n, m):
+        if power == 2:
+            pieces = [
+                (l - 2, chain(l, l - 1)),
+                (l, RadicalSum.from_rational(bsq(l, l + 1))),
+                (l + 2, chain(l + 1, l + 2)),
+            ]
+        elif power == 3:
+            pieces = [
+                (l - 3, chain(l - 2, l - 1, l)),
+                (l - 1, chain(l) * bsq(l - 1, l, l + 1)),
+                (l + 1, chain(l + 1) * bsq(l, l + 1, l + 2)),
+                (l + 3, chain(l + 1, l + 2, l + 3)),
+            ]
+        else:
+            diag = bsq(l + 1) * bsq(l, l + 1, l + 2) + bsq(l) * bsq(l - 1, l, l + 1)
+            pieces = [
+                (l - 4, chain(l - 3, l - 2, l - 1, l)),
+                (l - 2, chain(l - 1, l) * bsq(l - 2, l - 1, l, l + 1)),
+                (l, RadicalSum.from_rational(diag)),
+                (l + 2, chain(l + 1, l + 2) * bsq(l, l + 1, l + 2, l + 3)),
+                (l + 4, chain(l + 1, l + 2, l + 3, l + 4)),
+            ]
+        for lp, weight in pieces:
+            out[(lp, l)] = weight
+    return out
 
 
 class TestWorkedExample:
@@ -151,12 +193,12 @@ class TestGenericMoments:
             v = b_matrix(n, m)[p.n1]
             for power in (2, 3, 4):
                 M = az_power_matrix(n, m, power)
-                chains = beta_form_terms(p, power)
+                chains = beta_chains(n, m, power)
                 for i in range(len(v)):
                     for j in range(len(v)):
                         contraction = v[i] * M[i][j] * v[j]
-                        chain = chains.get((i + am, j + am), RadicalSum.zero())
-                        assert contraction == chain, (p, power, i, j)
+                        weight = chains.get((i + am, j + am), RadicalSum.zero())
+                        assert contraction == v[i] * weight * v[j], (p, power, i, j)
 
 
 class TestL2Moments:
