@@ -188,14 +188,18 @@ def h2_symmetry_report(n: int, m: int) -> list[dict]:
     per-monomial contributions to both sides; empty when symmetric."""
     mat = h2_matrix(n, m)
     failures = []
+    parts = None  # per-monomial matrices, built at the first asymmetric entry
     qs = mat.qs()
     for i in range(mat.dim):
         for j in range(i + 1, mat.dim):
             if mat.entries[i][j] == mat.entries[j][i]:
                 continue
+            if parts is None:
+                parts = [(label, _expression_matrix(
+                    OperatorExpression.build(*words), n, m))
+                    for label, words in _h2_monomials(n)]
             contributions = []
-            for label, words in _h2_monomials(n):
-                part = _expression_matrix(OperatorExpression.build(*words), n, m)
+            for label, part in parts:
                 if part[i][j] != part[j][i]:
                     contributions.append({
                         "monomial": label,

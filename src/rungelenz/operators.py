@@ -4,6 +4,12 @@ A_z acts tridiagonally on the spherical basis through the beta coefficients;
 on the parabolic basis it is diagonal with eigenvalue q = n1 - n2. The ladder
 generators shift the pair (m, q) by one unit each: coefficients vanish exactly
 at the manifold boundary, which is enforced, not assumed.
+
+Every generator maps a parabolic basis state to at most one basis state, so a
+generator word is walked on basis states with plain integers: the image of
+|n1, m> is one basis state times +-(integer) * sqrt(squarefree) / 2^len.
+generator_apply, word_apply, expression_apply and expression_expectation are
+linear sums of those images, built into one RadicalSum per output entry.
 """
 from __future__ import annotations
 
@@ -13,7 +19,8 @@ from functools import lru_cache
 
 from .basis import ManifoldState, ParabolicLabel, SphericalLabel, spherical_ls
 from .errors import DomainError, InternalConsistencyError
-from .radical import RadicalSum, dot
+from .pfrational import PFRational, sqrt_extract
+from .radical import RadicalSum, _combine_radicands, dot
 
 GENERATORS = ("j1z", "j2z", "j1plus", "j1minus", "j2plus", "j2minus")
 
@@ -34,6 +41,7 @@ def beta_squared(n: int, l: int, m: int) -> Fraction:
     return Fraction(num, 4 * l * l - 1)
 
 
+@lru_cache(maxsize=None)
 def beta(n: int, l: int, m: int) -> RadicalSum:
     """The off-diagonal A_z matrix element between adjacent-l states."""
     return RadicalSum.from_sqrt(beta_squared(n, l, m))
@@ -125,61 +133,115 @@ def _ladder_radicand(gen: str, n: int, m: int, q: int) -> int:
     return (tj + mu2) * (tj - mu2 + 2)  # j2minus
 
 
+@lru_cache(maxsize=None)
+def _split_radicand(rad: int) -> tuple[int, int]:
+    """sqrt(rad) = a * sqrt(d) with d squarefree, for a positive int rad."""
+    rational, d = sqrt_extract(PFRational.from_int(rad))
+    return rational.value.numerator, d
+
+
+def _word_image(gens: tuple[str, ...], n: int, m: int,
+                n1: int) -> tuple[int, int, int, Fraction] | None:
+    """The word (rightmost generator first) on the basis state |n1, m>.
+
+    Every generator maps a basis state to one basis state, so the image is
+    c * sqrt(d) |n1', m'>; returns (m', n1', d, c), or None when it vanishes.
+    The walk keeps an integer numerator, the count of halves and a squarefree
+    radicand. A negative radicand, or a nonvanishing step that leaves the
+    manifold, is a bug and halts with InternalConsistencyError.
+    """
+    num, d, halves = 1, 1, 0
+    for gen in reversed(gens):
+        if gen == "identity":
+            continue
+        upper = n - abs(m) - 1
+        q = 2 * n1 - upper
+        halves += 1
+        if gen == "j1z":
+            num *= m + q
+        elif gen == "j2z":
+            num *= m - q
+        else:
+            rad = _ladder_radicand(gen, n, m, q)
+            if rad < 0:
+                raise InternalConsistencyError(
+                    f"negative radicand {rad} for {gen} on "
+                    f"(n={n}, m={m}, q={q}): ladder coefficients must vanish "
+                    f"before leaving the manifold")
+            if rad == 0:
+                return None
+            dm, dq, ladder_sign = _LADDER[gen]
+            new_m, new_q = m + dm, q + dq
+            new_upper = n - abs(new_m) - 1
+            if (abs(new_m) > n - 1 or abs(new_q) > new_upper
+                    or (new_upper + new_q) % 2):
+                raise InternalConsistencyError(
+                    f"{gen} maps (n={n}, m={m}, q={q}) outside the manifold with "
+                    f"nonvanishing coefficient")
+            a, r = _split_radicand(rad)
+            g, d = _combine_radicands(d, r)
+            num *= ladder_sign * a * g
+            m, n1 = new_m, (new_upper + new_q) // 2
+        if num == 0:
+            return None
+    return m, n1, d, Fraction(num, 1 << halves)
+
+
+def _word_block(gens: tuple[str, ...], n: int, m: int) -> int:
+    """The m block a word's image lies in, also when the image vanishes.
+
+    A ladder into an existing block moves there; a ladder off the manifold
+    leaves the (zero) image in the block it started from.
+    """
+    for gen in reversed(gens):
+        if gen in _LADDER and abs(m + _LADDER[gen][0]) <= n - 1:
+            m += _LADDER[gen][0]
+    return m
+
+
+def _require_parabolic(state: ManifoldState, caller: str) -> None:
+    if state.basis != "parabolic":
+        raise DomainError(f"{caller} expects a parabolic-basis state")
+
+
+def _apply_words(terms, state: ManifoldState) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """sum_w c_w * w |state> over (c_w, GeneratorWord) pairs, as one term map
+    (radicand -> coefficient) per output basis state, keyed (m', n1')."""
+    words = [(coeff * word.scalar, word.gens) for coeff, word in terms]
+    out: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for n1, c in enumerate(state.coeffs):
+        if c.is_zero:
+            continue
+        c_terms = c.terms()
+        for scale, gens in words:
+            image = _word_image(gens, state.n, state.m, n1)
+            if image is None:
+                continue
+            new_m, new_n1, d, f = image
+            f *= scale
+            acc = out.setdefault((new_m, new_n1), {})
+            for dc, cc in c_terms:
+                g, r = _combine_radicands(dc, d)
+                acc[r] = acc.get(r, 0) + cc * f * g
+    return out
+
+
+def _block_state(n: int, m: int, entries: dict[int, RadicalSum]) -> ManifoldState:
+    coeffs = [RadicalSum.zero()] * (n - abs(m))
+    for n1, value in entries.items():
+        coeffs[n1] = value
+    return ManifoldState("parabolic", n, m, tuple(coeffs))
+
+
 def generator_apply(gen: str, state: ManifoldState) -> ManifoldState:
     """One generator on a parabolic-basis state.
 
     Ladder generators move the state into the (n, m +- 1) block; steps that
-    would exit the manifold carry an exactly vanishing radicand. A negative
-    radicand or an invalid target strictly inside the manifold is a bug and
-    halts with InternalConsistencyError.
+    would exit the manifold carry an exactly vanishing radicand, and when the
+    target block does not exist the zero image stays in the source block.
     """
-    if state.basis != "parabolic":
-        raise DomainError("generator_apply expects a parabolic-basis state")
-    if gen == "identity":
-        return state
-    if gen not in GENERATORS:
-        raise DomainError(f"unknown generator {gen!r}")
-    n, m = state.n, state.m
-    upper = n - abs(m) - 1
-
-    if gen in ("j1z", "j2z"):
-        out = []
-        for n1, c in enumerate(state.coeffs):
-            q = 2 * n1 - upper
-            eig = Fraction(m + q, 2) if gen == "j1z" else Fraction(m - q, 2)
-            out.append(c * eig)
-        return ManifoldState("parabolic", n, m, tuple(out))
-
-    dm, dq, ladder_sign = _LADDER[gen]
-    new_m = m + dm
-    new_upper = n - abs(new_m) - 1
-    target_exists = abs(new_m) <= n - 1
-    out = [RadicalSum.zero()] * (new_upper + 1 if target_exists else 0)
-    for n1, c in enumerate(state.coeffs):
-        if c.is_zero:
-            continue
-        q = 2 * n1 - upper
-        rad = _ladder_radicand(gen, n, m, q)
-        if rad < 0:
-            raise InternalConsistencyError(
-                f"negative radicand {rad} for {gen} on "
-                f"(n={n}, m={m}, q={q}): ladder coefficients must vanish "
-                f"before leaving the manifold")
-        if rad == 0:
-            continue
-        new_q = q + dq
-        if not target_exists or abs(new_q) > new_upper or (new_upper + new_q) % 2:
-            raise InternalConsistencyError(
-                f"{gen} maps (n={n}, m={m}, q={q}) outside the manifold with "
-                f"nonvanishing coefficient")
-        new_n1 = (new_upper + new_q) // 2
-        root = RadicalSum.from_sqrt(rad, ladder_sign)
-        out[new_n1] = out[new_n1] + c * root * Fraction(1, 2)
-    if target_exists:
-        return ManifoldState("parabolic", n, new_m, tuple(out))
-    # every amplitude vanished at the boundary; stay in the source block
-    return ManifoldState("parabolic", n, m,
-                         tuple(RadicalSum.zero() for _ in state.coeffs))
+    _require_parabolic(state, "generator_apply")
+    return word_apply(GeneratorWord((gen,)), state)
 
 
 @dataclass(frozen=True)
@@ -217,54 +279,38 @@ class OperatorExpression:
 
 
 def word_apply(word: GeneratorWord, state: ManifoldState) -> ManifoldState:
-    out = state
-    for gen in reversed(word.gens):
-        out = generator_apply(gen, out)
-    if word.scalar != 1:
-        out = ManifoldState(out.basis, out.n, out.m,
-                            tuple(c * word.scalar for c in out.coeffs))
-    return out
+    """The word on a parabolic-basis state, summed over its basis images."""
+    _require_parabolic(state, "word_apply")
+    entries = _apply_words([(1, word)], state)
+    block = _word_block(word.gens, state.n, state.m)
+    return _block_state(state.n, block, {
+        n1: RadicalSum(terms) for (_, n1), terms in entries.items()})
 
 
 def expression_apply(expr: OperatorExpression, state: ManifoldState) -> ManifoldState:
     """Apply the expression; the result must stay within a single (n, m) block."""
-    blocks: dict[int, list[RadicalSum]] = {}
-    for coeff, word in expr.terms:
-        res = word_apply(word, state)
-        if res.is_zero:
-            continue
-        acc = blocks.get(res.m)
-        if acc is None:
-            acc = blocks[res.m] = [RadicalSum.zero()] * res.dim
-        for i, c in enumerate(res.coeffs):
-            if not c.is_zero:
-                acc[i] = acc[i] + c * coeff
-    blocks = {m: cs for m, cs in blocks.items() if any(not c.is_zero for c in cs)}
+    _require_parabolic(state, "expression_apply")
+    blocks: dict[int, dict[int, RadicalSum]] = {}
+    for (m, n1), terms in _apply_words(expr.terms, state).items():
+        value = RadicalSum(terms)
+        if not value.is_zero:
+            blocks.setdefault(m, {})[n1] = value
     if not blocks:
-        return ManifoldState(state.basis, state.n, state.m,
-                             tuple(RadicalSum.zero() for _ in state.coeffs))
+        return _block_state(state.n, state.m, {})
     if len(blocks) > 1:
         raise DomainError(
             f"expression output spans m blocks {sorted(blocks)}; "
             f"apply its words separately")
-    m, coeffs = blocks.popitem()
-    return ManifoldState(state.basis, state.n, m, tuple(coeffs))
+    m, entries = blocks.popitem()
+    return _block_state(state.n, m, entries)
 
 
 def expression_expectation(expr: OperatorExpression, p: ParabolicLabel) -> RadicalSum:
     """<p| expr |p>: the coefficient of |p> in the image of |p>."""
     from .basis import unit_parabolic
 
-    start = unit_parabolic(p)
-    total = RadicalSum.zero()
-    for coeff, word in expr.terms:
-        res = word_apply(word, start)
-        if res.m != p.m:
-            continue
-        c = res.coeffs[p.n1]
-        if not c.is_zero:
-            total = total + c * coeff
-    return total
+    entries = _apply_words(expr.terms, unit_parabolic(p))
+    return RadicalSum(entries.get((p.m, p.n1)))
 
 
 def az_expression() -> OperatorExpression:

@@ -3,6 +3,11 @@
 Everything here is plain Fraction arithmetic over math.factorial: no prime
 factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
+
+The one exception is the dense generator walk at the end, which works on the
+package's ManifoldState and RadicalSum: it is the generator engine's former
+per-generator loop over dense coefficient vectors, kept as the reference for
+the basis-state walk that replaced it.
 """
 from fractions import Fraction
 from math import factorial
@@ -122,3 +127,103 @@ def pair_value_sq(pairs):
         sign *= s
         sq *= q
     return sign, sq
+
+
+# -- dense generator walk ----------------------------------------------
+
+
+def dense_generator_apply(gen, state):
+    """One generator on a parabolic-basis state, one dense RadicalSum vector
+    per step; ladder shifts and radicands come from rungelenz.operators."""
+    from rungelenz import operators
+    from rungelenz.basis import ManifoldState
+    from rungelenz.errors import DomainError, InternalConsistencyError
+    from rungelenz.radical import RadicalSum
+
+    if state.basis != "parabolic":
+        raise DomainError("generator_apply expects a parabolic-basis state")
+    if gen == "identity":
+        return state
+    if gen not in operators.GENERATORS:
+        raise DomainError(f"unknown generator {gen!r}")
+    n, m = state.n, state.m
+    upper = n - abs(m) - 1
+
+    if gen in ("j1z", "j2z"):
+        out = []
+        for n1, c in enumerate(state.coeffs):
+            q = 2 * n1 - upper
+            eig = Fraction(m + q, 2) if gen == "j1z" else Fraction(m - q, 2)
+            out.append(c * eig)
+        return ManifoldState("parabolic", n, m, tuple(out))
+
+    dm, dq, ladder_sign = operators._LADDER[gen]
+    new_m = m + dm
+    new_upper = n - abs(new_m) - 1
+    target_exists = abs(new_m) <= n - 1
+    out = [RadicalSum.zero()] * (new_upper + 1 if target_exists else 0)
+    for n1, c in enumerate(state.coeffs):
+        if c.is_zero:
+            continue
+        q = 2 * n1 - upper
+        rad = operators._ladder_radicand(gen, n, m, q)
+        if rad < 0:
+            raise InternalConsistencyError(
+                f"negative radicand {rad} for {gen} on "
+                f"(n={n}, m={m}, q={q}): ladder coefficients must vanish "
+                f"before leaving the manifold")
+        if rad == 0:
+            continue
+        new_q = q + dq
+        if not target_exists or abs(new_q) > new_upper or (new_upper + new_q) % 2:
+            raise InternalConsistencyError(
+                f"{gen} maps (n={n}, m={m}, q={q}) outside the manifold with "
+                f"nonvanishing coefficient")
+        new_n1 = (new_upper + new_q) // 2
+        root = RadicalSum.from_sqrt(rad, ladder_sign)
+        out[new_n1] = out[new_n1] + c * root * Fraction(1, 2)
+    if target_exists:
+        return ManifoldState("parabolic", n, new_m, tuple(out))
+    # every amplitude vanished at the boundary; stay in the source block
+    return ManifoldState("parabolic", n, m,
+                         tuple(RadicalSum.zero() for _ in state.coeffs))
+
+
+def dense_word_apply(word, state):
+    from rungelenz.basis import ManifoldState
+
+    out = state
+    for gen in reversed(word.gens):
+        out = dense_generator_apply(gen, out)
+    if word.scalar != 1:
+        out = ManifoldState(out.basis, out.n, out.m,
+                            tuple(c * word.scalar for c in out.coeffs))
+    return out
+
+
+def dense_expression_apply(expr, state):
+    from rungelenz.basis import ManifoldState
+    from rungelenz.errors import DomainError
+    from rungelenz.radical import RadicalSum
+
+    blocks = {}
+    for coeff, word in expr.terms:
+        res = dense_word_apply(word, state)
+        if res.is_zero:
+            continue
+        acc = blocks.get(res.m)
+        if acc is None:
+            acc = blocks[res.m] = [RadicalSum.zero()] * res.dim
+        for i, c in enumerate(res.coeffs):
+            if not c.is_zero:
+                acc[i] = acc[i] + c * coeff
+    blocks = {m: cs for m, cs in blocks.items() if any(not c.is_zero for c in cs)}
+    if not blocks:
+        return ManifoldState(state.basis, state.n, state.m,
+                             tuple(RadicalSum.zero() for _ in state.coeffs))
+    if len(blocks) > 1:
+        raise DomainError(
+            f"expression output spans m blocks {sorted(blocks)}; "
+            f"apply its words separately")
+    m, coeffs = blocks.popitem()
+    return ManifoldState(state.basis, state.n, m, tuple(coeffs))

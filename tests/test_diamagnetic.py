@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rungelenz import diamagnetic
 from rungelenz.basis import ParabolicLabel
 from rungelenz.diamagnetic import (
     H2_AUDIT,
@@ -16,8 +17,8 @@ from rungelenz.diamagnetic import (
     h2_matrix,
     h2_symmetry_report,
 )
-from rungelenz.errors import DomainError
-from rungelenz.operators import expression_expectation
+from rungelenz.errors import DomainError, InternalConsistencyError
+from rungelenz.operators import OperatorExpression, expression_expectation
 from rungelenz.radical import RadicalSum, parse_exact
 
 
@@ -70,6 +71,18 @@ class TestH1:
                     b = expression_expectation(h1_invariant_expression(n), p)
                     assert a == b == mat.entries[n1][n1]
 
+    def test_dual_form_disagreement_halts(self, monkeypatch):
+        invariant = diamagnetic.h1_invariant_expression
+
+        def perturbed(n):
+            (scalar, word), *rest = invariant(n).terms
+            assert word.gens == ()
+            return OperatorExpression(((scalar + 1, word), *rest))
+
+        monkeypatch.setattr(diamagnetic, "h1_invariant_expression", perturbed)
+        with pytest.raises(InternalConsistencyError, match="forms disagree"):
+            h1_matrix(3, 0)
+
     def test_parity_conjugation_invariance(self):
         # reflecting q -> -q conjugates H1 into itself
         for n, m in ((5, 0), (6, 1), (6, -2)):
@@ -117,6 +130,36 @@ class TestH2:
                 assert h2_matrix(n, m).is_symmetric(), (n, m)
         assert h2_symmetry_report(6, 0) == []
         assert h2_symmetry_report(5, -1) == []
+
+    def test_report_names_the_asymmetric_monomial(self, monkeypatch):
+        # keep only the j1+^2 j2-^2 half of the squared-ladder monomial: its
+        # part raises q by 4, so it fills the lower band only
+        monomials = diamagnetic._h2_monomials
+        label = "+48 (j1+^2 j2-^2 + j1-^2 j2+^2)"
+
+        def one_sided(n):
+            rows = monomials(n)
+            return [(lab, words[:1] if lab == label else words)
+                    for lab, words in rows]
+
+        built = []
+        expression_matrix = diamagnetic._expression_matrix
+
+        def counting(expr, n, m):
+            built.append(expr)
+            return expression_matrix(expr, n, m)
+
+        monkeypatch.setattr(diamagnetic, "_h2_monomials", one_sided)
+        monkeypatch.setattr(diamagnetic, "_expression_matrix", counting)
+        report = h2_symmetry_report(4, 0)
+        assert [(f["q_row"], f["q_col"]) for f in report] == [(-3, 1), (-1, 3)]
+        for f in report:
+            [entry] = f["monomials"]
+            assert entry["monomial"] == label
+            assert entry["upper"] == "0/1" and entry["lower"] != "0/1"
+            assert f["upper"] != f["lower"]
+        # the full matrix, then each of the 8 monomials once
+        assert len(built) == 1 + len(H2_AUDIT)
 
     def test_bandwidth_two_q_steps(self):
         mat = h2_matrix(8, 1)

@@ -1,4 +1,5 @@
 """A_z action, matrix powers, ladder generators and the expression engine."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,15 @@ from rungelenz.basis import (
     unit_parabolic,
     unit_spherical,
 )
-from rungelenz.errors import DomainError
+from rungelenz import operators
+from rungelenz.diamagnetic import (
+    h1_generator_expression,
+    h1_invariant_expression,
+    h2_expression,
+)
+from rungelenz.errors import DomainError, InternalConsistencyError
 from rungelenz.operators import (
+    GENERATORS,
     GeneratorWord,
     OperatorExpression,
     a_squared_expectation,
@@ -63,6 +71,9 @@ class TestBeta:
     def test_frozen_irrational_value(self):
         assert beta(9, 5, 4) == RadicalSum({154: Fraction(2, 11)})
         assert beta_squared(9, 5, 4) == Fraction(56, 11)
+
+    def test_memoized(self):
+        assert beta(9, 5, 4) is beta(9, 5, 4)
 
     def test_negative_l_rejected(self):
         with pytest.raises(DomainError):
@@ -249,6 +260,89 @@ class TestGenerators:
         expr = OperatorExpression.build((1, ("j1plus",)), (1, ()))
         with pytest.raises(DomainError, match="m blocks"):
             expression_apply(expr, unit_parabolic(ParabolicLabel(1, 1, 0)))
+
+
+def seeded_states(n, m, seed, count=2):
+    """Parabolic states of the (n, m) block with seeded mixed coefficients:
+    zeros, rationals and sums over the radicands 1, 2, 3 and 6."""
+    rng = random.Random(seed)
+    states = []
+    for _ in range(count):
+        coeffs = []
+        for _ in range(n - abs(m)):
+            terms = {d: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for d in rng.sample((1, 2, 3, 6), rng.randint(0, 2))}
+            coeffs.append(RadicalSum(terms))
+        states.append(ManifoldState("parabolic", n, m, tuple(coeffs)))
+    return states
+
+
+def block_states(n, m, seed):
+    upper = n - abs(m) - 1
+    units = [unit_parabolic(ParabolicLabel(n1, upper - n1, m))
+             for n1 in range(upper + 1)]
+    return units + seeded_states(n, m, seed)
+
+
+class TestBasisWalk:
+    """The basis-state walk against the dense per-generator reference walk."""
+
+    EXPRESSIONS = {
+        "h1-generator": h1_generator_expression,
+        "h1-invariant": h1_invariant_expression,
+        "h2": h2_expression,
+        "l-squared": lambda n: l_squared_expression(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPRESSIONS))
+    def test_words_and_expressions_match_dense_walk(self, name):
+        for n in range(1, 7):
+            expr = self.EXPRESSIONS[name](n)
+            for m in range(-(n - 1), n):
+                for state in block_states(n, m, seed=100 * n + m):
+                    for coeff, word in expr.terms:
+                        scaled = GeneratorWord(word.gens, coeff)
+                        for w in (word, scaled):
+                            assert word_apply(w, state) == \
+                                oracles.dense_word_apply(w, state), (n, m, w)
+                    assert expression_apply(expr, state) == \
+                        oracles.dense_expression_apply(expr, state), (n, m)
+
+    def test_single_generators_match_dense_walk(self):
+        for n in range(1, 7):
+            for m in range(-(n - 1), n):
+                for state in block_states(n, m, seed=7 * n + m):
+                    for gen in GENERATORS + ("identity",):
+                        assert generator_apply(gen, state) == \
+                            oracles.dense_generator_apply(gen, state), (n, m, gen)
+
+    def test_zero_image_into_existing_block_lands_there(self):
+        p = ParabolicLabel(2, 0, 1)  # n = 4, top of the j1 ladder
+        out = generator_apply("j1plus", unit_parabolic(p))
+        assert out.is_zero and out.m == 2 and out.dim == 2
+        out = word_apply(GeneratorWord(("j2plus", "j1plus")), unit_parabolic(p))
+        assert out.is_zero and out.m == 3 and out.dim == 1
+
+    def test_zero_image_off_the_manifold_stays_in_source_block(self):
+        p = ParabolicLabel(0, 0, 2)  # n = 3, m = n - 1
+        out = generator_apply("j1plus", unit_parabolic(p))
+        assert out.is_zero and out.m == 2 and out.dim == 1
+        # the zero image walks on from the source block
+        out = word_apply(GeneratorWord(("j1minus", "j1plus")), unit_parabolic(p))
+        assert out.is_zero and out.m == 1 and out.dim == 2
+
+
+class TestLadderGuards:
+    def test_negative_radicand_halts(self, monkeypatch):
+        monkeypatch.setattr(operators, "_ladder_radicand", lambda *args: -1)
+        with pytest.raises(InternalConsistencyError, match="negative radicand -1"):
+            generator_apply("j1plus", unit_parabolic(ParabolicLabel(1, 1, 0)))
+
+    def test_nonvanishing_step_off_the_manifold_halts(self, monkeypatch):
+        # a q shift of 2 lands between the target block's q values
+        monkeypatch.setitem(operators._LADDER, "j1plus", (1, 2, 1))
+        with pytest.raises(InternalConsistencyError, match="outside the manifold"):
+            generator_apply("j1plus", unit_parabolic(ParabolicLabel(1, 1, 0)))
 
 
 class TestLSquared:
