@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -92,10 +93,16 @@ def _sweep_tuples(args, parser) -> list[tuple]:
             parser.error(f"bad power {tok!r}")
     if not powers or any(p < 1 or p > 8 for p in powers):
         parser.error("--powers needs integers in 1..8")
-    if args.min_n > args.max_n or args.max_n < 1:
+    if args.min_n < 1:
+        parser.error(f"--min-n must be >= 1, got {args.min_n}")
+    if args.min_n > args.max_n:
         parser.error("empty n range")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        parser.error(f"--jobs needs an integer in 1..{cpus} (the CPU count), "
+                     f"got {args.jobs}")
     tuples = []
-    for n in range(max(args.min_n, 1), args.max_n + 1):
+    for n in range(args.min_n, args.max_n + 1):
         for m in range(-(n - 1), n):
             if args.m is not None and m != args.m:
                 continue
@@ -254,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "5-8 = generic A_z moments")
     ver.add_argument("--format", choices=("text", "json", "csv"), default="text")
     ver.add_argument("--jobs", type=int, default=1,
-                     help="worker processes; output order is deterministic")
+                     help="worker processes, 1 to the CPU count; output order "
+                          "is deterministic")
 
     comp = sub.add_parser("compute", help="evaluate one quantity")
     kinds = comp.add_subparsers(dest="kind", required=True,

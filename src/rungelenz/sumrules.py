@@ -1,29 +1,35 @@
 """Exact evaluation of the Runge-Lenz sum rules and generic A_z / L^2 moments.
 
-Every A_z^k rule and moment has one canonical route: the contraction
-<p| A_z^k |p> = B . (A_z^k) . B of the state's B row with the A_z power
-matrix built from the beta coefficients. The L^2 rule sums B^2(l) l(l+1).
-For k = 2, 3, 4 the explicit weight-ratio forms as printed in the source
-material are re-derived verbatim and diffed against the canonical value, so
-suspected misprints surface as reported discrepancies, never as silent
-corrections.
+Every rule runs over Q in one rational gauge per (n, m) block: B[n1, l] =
+s (-1)^l sqrt(a(n1) b(l)) r(n1, l) with r the Racah alternating sum of B's
+3jm, and A_z conjugated by diag(sqrt b) is a rational tridiagonal J. Every
+A_z^k rule and moment has one canonical route, the contraction
+<p| A_z^k |p> = a sum_l b rho (J^k rho) with rho = (-1)^l r; the L^2 rule
+sums a b rho^2 l(l+1). Its check is the comparison with the analytic
+right-hand side, plus two gauge guards: J against beta^2 and every B row's
+normalisation. r comes from the Racah sum, never from J's recurrence, so
+J rho = q rho is checked, not built in. For k = 2, 3, 4 the explicit
+weight-ratio forms as printed in the source material are re-derived verbatim
+on monomials c sqrt(d) and diffed against the canonical value, so suspected
+misprints surface as reported discrepancies, never as silent corrections.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .basis import ParabolicLabel, b_coeff, b_matrix, spherical_ls
+from .basis import ParabolicLabel, spherical_ls
 from .errors import DomainError, InternalConsistencyError
 from .operators import (
-    az_power_matrix,
-    beta,
+    _split_radicand,
     beta_squared,
     expression_apply,
     l_squared_expression,
 )
-from .pfrational import PFRational
-from .radical import RadicalSum, dot, render_exact
+from .pfrational import default_table, sqrt_extract
+from .radical import RadicalSum, _combine_radicands, render_exact
+from .wigner import _neg1, _racah_sum
 
 AZ_MOMENT_POWER_BOUND = 8
 L2_MOMENT_POWER_BOUND = 4
@@ -101,179 +107,302 @@ class SumRuleReport:
         return out
 
 
+@dataclass(frozen=True)
+class _AzGauge:
+    """B and A_z of one (n, m) block over Q.
+
+    B[n1, l] = s(n1) (-1)^l sqrt(a(n1) b(l)) r(n1, l), with r the Racah
+    alternating sum of the 3jm in B's definition at its own (uncanonicalised)
+    arguments, a(n1) the product of that 3jm's four m-factorials
+    ((n-1 +- (m -+ q))/2)!, b(l) = (2l+1)(n-1-l)! (l!)^2 (l+m)! (l-m)!/(n+l)!
+    and s(n1) = (-1)^(n2 + (m-|m|)/2 + m). With rho = (-1)^l r, A_z becomes
+    J = D^-1 A_z D, D = diag(sqrt b): rational, tridiagonal, zero diagonal.
+    Entries are indexed by l - |m| and rows by n1.
+    """
+
+    b: tuple[Fraction, ...]
+    up: tuple[Fraction, ...]  # J[l, l+1] = (l+1)((l+1)^2 - m^2)/(2l+1)
+    down: tuple[Fraction, ...]  # J[l+1, l] = J[l, l+1] b(l)/b(l+1)
+    roots: tuple[tuple[Fraction, int], ...]  # sqrt(b(l)/(2l+1)) = u sqrt(e)
+    a: tuple[int, ...]
+    rho: tuple[tuple[Fraction, ...], ...]
+    weights: tuple[tuple[Fraction, ...], ...]  # a(n1) b(l) rho(n1, l)
+    powers: dict[int, tuple[tuple[Fraction, ...], ...]] = field(default_factory=dict)
+    printed: dict[int, list[tuple]] = field(default_factory=dict)
+
+
+def _gauge_entries(n: int, m: int) -> _AzGauge:
+    """The gauge of the (n, m) block, unchecked."""
+    table = default_table()
+    fi, fp = table.factorial_int, table.factorial
+    ls = spherical_ls(n, m)
+    b, roots = [], []
+    for l in ls:
+        c = fp(n - 1 - l) * fp(l) ** 2 * fp(l + m) * fp(l - m) / fp(n + l)
+        u, e = sqrt_extract(c)
+        b.append(c.value * (2 * l + 1))
+        roots.append((u.value, e))
+    up = [Fraction((l + 1) * ((l + 1) ** 2 - m * m), 2 * l + 1) for l in ls[:-1]]
+    down = [j * b[i] / b[i + 1] for i, j in enumerate(up)]
+    upper = n - abs(m) - 1
+    a, rho, weights = [], [], []
+    for n1 in range(upper + 1):
+        q = 2 * n1 - upper
+        a.append(fi((n - 1 + m - q) // 2) * fi((n - 1 - m + q) // 2)
+                 * fi((n - 1 + m + q) // 2) * fi((n - 1 - m - q) // 2))
+        row = tuple(_neg1(l) * _racah_sum(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
+                    for l in ls)
+        rho.append(row)
+        weights.append(tuple(a[-1] * bl * x for bl, x in zip(b, row)))
+    return _AzGauge(tuple(b), tuple(up), tuple(down), tuple(roots), tuple(a),
+                    tuple(rho), tuple(weights))
+
+
+@lru_cache(maxsize=None)
+def _az_gauge(n: int, m: int) -> _AzGauge:
+    """The checked gauge of the (n, m) block.
+
+    J[l, l+1] J[l+1, l] must equal beta^2(n, l+1, m), which ties J's closed
+    form and b's factorials to A_z; every B row must have a sum b rho^2 = 1,
+    which ties a, b and the Racah sums to B. Either failure halts with
+    InternalConsistencyError.
+    """
+    g = _gauge_entries(n, m)
+    for l, j_up, j_down in zip(spherical_ls(n, m), g.up, g.down):
+        if j_up * j_down != beta_squared(n, l + 1, m):
+            raise InternalConsistencyError(
+                f"gauge J[{l}, {l + 1}] J[{l + 1}, {l}] = {j_up * j_down} differs "
+                f"from beta^2 = {beta_squared(n, l + 1, m)} at (n={n}, m={m})")
+    for n1, (a, row) in enumerate(zip(g.a, g.rho)):
+        norm = a * sum(bl * x * x for bl, x in zip(g.b, row))
+        if norm != 1:
+            raise InternalConsistencyError(
+                f"B row n1={n1} of (n={n}, m={m}) has squared norm {norm} "
+                f"in the rational gauge, not 1")
+    return g
+
+
+def _b_squared_sum(p: ParabolicLabel, f) -> Fraction:
+    """sum_l B^2(l) f(l) = a sum_l b(l) rho(l)^2 f(l)."""
+    g = _az_gauge(p.n, p.m)
+    return sum(w * x * f(l) for l, w, x in
+               zip(spherical_ls(p.n, p.m), g.weights[p.n1], g.rho[p.n1]))
+
+
 def sum_rule_l2(p: ParabolicLabel) -> SumRuleReport:
     """sum_l B^2(l) l(l+1) = [n^2 - 1 + m^2 - (n1-n2)^2] / 2."""
-    lhs = RadicalSum.zero()
-    for l in spherical_ls(p.n, p.m):
-        B = b_coeff(p, l)
-        lhs = lhs + B * B * Fraction(l * (l + 1))
+    lhs = RadicalSum.from_rational(_b_squared_sum(p, lambda l: l * (l + 1)))
     rhs = Fraction(p.n**2 - 1 + p.m**2 - p.q**2, 2)
     return SumRuleReport("l2", p.n, p.m, p.n1, p.n2, 1, lhs, rhs)
 
 
-def _az_contraction(p: ParabolicLabel, power: int) -> RadicalSum:
-    """<p| A_z^power |p> = v . (M v), v the B row of p, M = A_z^power."""
-    v = b_matrix(p.n, p.m)[p.n1]
-    M = az_power_matrix(p.n, p.m, power)
-    return dot(v, [dot(row, v) for row in M])
+def _az_contraction(p: ParabolicLabel, power: int) -> Fraction:
+    """<p| A_z^power |p> = a sum_l b(l) rho(l) (J^power rho)(l).
+
+    The block keeps the vectors J^k rho of the label last extended, so the
+    powers of one label apply J once each. They are published as one tuple,
+    so a concurrent caller at worst repeats the work.
+    """
+    g = _az_gauge(p.n, p.m)
+    vecs = g.powers.get(p.n1, (g.rho[p.n1],))
+    if len(vecs) <= power:
+        while len(vecs) <= power:
+            v = vecs[-1]
+            out = [0] * len(v)
+            for i, (j_up, j_down) in enumerate(zip(g.up, g.down)):
+                out[i] += j_up * v[i + 1]
+                out[i + 1] += j_down * v[i]
+            vecs += (tuple(out),)
+        g.powers.clear()
+        g.powers[p.n1] = vecs
+    return sum(w * x for w, x in zip(g.weights[p.n1], vecs[power]))
 
 
-def _sqrt_of_int_product(factors: list[int]) -> RadicalSum | None:
-    """sqrt(prod factors) for small integers; None if the product is negative."""
-    product_sign = 1
-    pf = PFRational.one()
+def _mono(x: tuple, y: tuple) -> tuple:
+    """(c1 sqrt(d1)) (c2 sqrt(d2)) as a monomial (c, d), d squarefree."""
+    g, d = _combine_radicands(x[1], y[1])
+    return x[0] * y[0] * g, d
+
+
+def _sqrt_of_int_product(factors: list[int]) -> tuple[int, int] | None:
+    """sqrt(prod factors) = c sqrt(d) for small integers; (0, 1) at the first
+    zero factor, None if the product is negative."""
+    sign, c, d = 1, 1, 1
     for f in factors:
         if f == 0:
-            return RadicalSum.zero()
+            return 0, 1
         if f < 0:
-            product_sign = -product_sign
-            f = -f
-        pf = pf * PFRational.from_int(f)
-    if product_sign < 0:
-        return None
-    return RadicalSum.from_sqrt(pf)
+            sign, f = -sign, -f
+        root, r = _split_radicand(f)
+        g, d = _combine_radicands(d, r)
+        c *= root * g
+    return (c, d) if sign > 0 else None
 
 
-def _printed_ratio_sqrt(numerators: list[int], denominators: list[int]) -> RadicalSum | None:
-    """sqrt(prod(numerators)/prod(denominators)) evaluated verbatim."""
-    num = _sqrt_of_int_product(numerators)
-    den = _sqrt_of_int_product(denominators)
-    if num is None or den is None:
-        if num is not None and num.is_zero:
-            return RadicalSum.zero()
+def _beta_chain(n: int, m: int, *ls: int) -> tuple:
+    """prod beta(n, l, m) over ls as a monomial; 0 if some l < 0."""
+    acc = (Fraction(1), 1)
+    for l in ls:
+        if l < 0:
+            return 0, 1
+        sq = beta_squared(n, l, m)
+        if not sq:
+            return 0, 1
+        root, r = _split_radicand(sq.numerator * sq.denominator)
+        acc = _mono(acc, (Fraction(root, sq.denominator), r))
+    return acc
+
+
+def _ratio_kernel(wfac: list[int], rnum: list[int], rden: list[int]) -> tuple | None:
+    """A power-2 term's weight sqrt(prod wfac) times its ratio
+    sqrt(prod rnum / prod rden), evaluated verbatim; None if either is not
+    evaluable over the reals. A zero numerator factor makes the ratio 0 even
+    when the denominator product is negative."""
+    weight = _sqrt_of_int_product(wfac)
+    num = _sqrt_of_int_product(rnum)
+    if weight is None or num is None:
         return None
-    if num.is_zero:
+    if num[0] == 0:
         return num
-    # denominators here are nonzero odd integers (4x^2 - 1 products)
-    (d, c), = den.terms()
-    inv = RadicalSum({d: 1 / (c * d)})  # 1/(c sqrt(d)) = sqrt(d)/(c d)
-    return num * inv
+    den = _sqrt_of_int_product(rden)
+    if den is None:
+        return None
+    # denominators here are nonzero odd integers (4x^2 - 1 products):
+    # 1/(c sqrt(d)) = sqrt(d)/(c d)
+    c, d = den
+    return _mono(_mono(weight, num), (Fraction(1, c * d), d))
 
 
-def _threejm_pair(p: ParabolicLabel, l: int, lp: int) -> RadicalSum:
-    """T(l) T(l') with T the bare 3jm of the B definition (lenient zeros)."""
-    from .wigner import _threejm_twice
+def _chain_kernel(wfac: list[int], chain: tuple, scale=1) -> tuple | None:
+    """A power-3/4 term's weight times beta chain times scale; 0 when the chain
+    part vanishes, whatever the weight, and None for a negative weight."""
+    if not chain[0] or not scale:
+        return 0, 1
+    weight = _sqrt_of_int_product(wfac)
+    if weight is None:
+        return None
+    c, d = _mono(weight, chain)
+    return c * scale, d
 
-    n, m, q = p.n, p.m, p.q
-    a = _threejm_twice(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
-    if a.is_zero:
-        return a
-    b = _threejm_twice(n - 1, n - 1, 2 * lp, m - q, m + q, -2 * m)
-    if b.is_zero:
-        return b
-    return a * b
+
+def _printed_terms(g: _AzGauge, n: int, m: int, power: int) -> list[tuple]:
+    """The printed A_z^power form of the (n, m) block as (i, j, c, d, note).
+
+    The bare 3jm of B's definition is T(l) = (-1)^m sqrt(a) r(l) u(l) sqrt(e(l))
+    in the gauge, so every printed term is a rho(l) rho(l') c sqrt(d), with
+    c sqrt(d) the product of the block's monomials (T's u sqrt(e), the weight,
+    ratio and beta chain) and i, j = l - |m|, l' - |m|. A term with a negative
+    radicand as printed carries its note instead; a term that vanishes for
+    every label of the block is left out.
+    """
+    am = abs(m)
+    ls = spherical_ls(n, m)
+
+    def pair(l: int, lp: int) -> tuple:
+        (u, e), (v, f) = g.roots[l - am], g.roots[lp - am]
+        return _mono((_neg1(l + lp) * u, e), (v, f))
+
+    def bsq(l: int) -> Fraction:
+        return beta_squared(n, l, m) if l >= 0 else Fraction(0)
+
+    what = "radicand" if power == 2 else "weight radicand"
+    out = []
+    for l in ls:
+        if power == 2:
+            diag = (Fraction((l * l - m * m) * (n * n - l * l), 4 * l * l - 1)
+                    + Fraction(((l + 1) ** 2 - m * m) * (n * n - (l + 1) ** 2),
+                               4 * (l + 1) ** 2 - 1))
+            pieces = [
+                # (l-2): weight sqrt((2l+1)(2l-3)), denominators (4l^2-1)(4(l-1)^2-1)
+                (l - 2, _ratio_kernel(
+                    [2 * l + 1, 2 * l - 3],
+                    [l * l - m * m, n * n - l * l,
+                     (l - 1) ** 2 - m * m, n * n - (l - 1) ** 2],
+                    [4 * l * l - 1, 4 * (l - 1) ** 2 - 1])),
+                # (l+2): denominators (4l^2-1)(4(l+1)^2-1) as printed -- the
+                # suspected typo; beta_(l+1) beta_(l+2) would need
+                # (4(l+1)^2-1)(4(l+2)^2-1)
+                (l + 2, _ratio_kernel(
+                    [2 * l + 1, 2 * l + 5],
+                    [(l + 2) ** 2 - m * m, n * n - (l + 2) ** 2,
+                     (l + 1) ** 2 - m * m, n * n - (l + 1) ** 2],
+                    [4 * l * l - 1, 4 * (l + 1) ** 2 - 1])),
+            ]
+        elif power == 3:
+            diag = None
+            pieces = [
+                (l - 3, _chain_kernel([2 * l + 1, 2 * l - 5],
+                                      _beta_chain(n, m, l - 2, l - 1, l))),
+                (l - 1, _chain_kernel([4 * l * l - 1], _beta_chain(n, m, l),
+                                      bsq(l - 1) + bsq(l) + bsq(l + 1))),
+                (l + 1, _chain_kernel([2 * l + 1, 2 * l + 3], _beta_chain(n, m, l + 1),
+                                      bsq(l) + bsq(l + 1) + bsq(l + 2))),
+                (l + 3, _chain_kernel([2 * l + 1, 2 * l + 7],
+                                      _beta_chain(n, m, l + 1, l + 2, l + 3))),
+            ]
+        else:
+            diag = (bsq(l + 1) * (bsq(l) + bsq(l + 1) + bsq(l + 2))
+                    + bsq(l) * (bsq(l - 1) + bsq(l) + bsq(l + 1)))
+            pieces = [
+                (l - 4, _chain_kernel([2 * l + 1, 2 * l - 7],
+                                      _beta_chain(n, m, l - 3, l - 2, l - 1, l))),
+                (l - 2, _chain_kernel([2 * l + 1, 2 * l - 3], _beta_chain(n, m, l - 1, l),
+                                      bsq(l - 2) + bsq(l - 1) + bsq(l) + bsq(l + 1))),
+                (l + 2, _chain_kernel([2 * l + 1, 2 * l + 5], _beta_chain(n, m, l + 1, l + 2),
+                                      bsq(l) + bsq(l + 1) + bsq(l + 2) + bsq(l + 3))),
+                (l + 4, _chain_kernel([2 * l + 1, 2 * l + 9],
+                                      _beta_chain(n, m, l + 1, l + 2, l + 3, l + 4))),
+            ]
+        i = l - am
+        if diag is not None:
+            c, d = pair(l, l)
+            out.append((i, i, c * diag * (2 * l + 1), d, None))
+        for lp, kernel in pieces:
+            if lp not in ls:
+                continue
+            if kernel is None:
+                out.append((i, lp - am, 0, 1, f"term (l={l} -> l'={lp}) has a "
+                                              f"negative {what} as printed"))
+            elif kernel[0]:
+                out.append((i, lp - am, *_mono(pair(l, lp), kernel), None))
+    return out
 
 
 def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, str | None]:
     """The explicit weight-ratio LHS exactly as printed; (value, note).
 
     value is None when a term is not evaluable over the reals (negative
-    radicand), which the power-2 form hits through its third-term denominator.
+    radicand), which the power-2 form hits through its third-term denominator;
+    the note names the first such term, in the printed order, whose 3jm pair
+    does not vanish. The label's rho row weights the block's printed terms.
     """
-    n, m = p.n, p.m
-    lhs = RadicalSum.zero()
-
-    def bsq(l: int) -> Fraction:
-        return beta_squared(n, l, m) if l >= 0 else Fraction(0)
-
-    def chain(*ls: int) -> RadicalSum:
-        acc = RadicalSum.from_rational(1)
-        for l in ls:
-            if l < 0:
-                return RadicalSum.zero()
-            acc = acc * beta(n, l, m)
-        return acc
-
-    for l in spherical_ls(n, m):
-        if power == 2:
-            diag = (Fraction((l * l - m * m) * (n * n - l * l), 4 * l * l - 1)
-                    + Fraction(((l + 1) ** 2 - m * m) * (n * n - (l + 1) ** 2),
-                               4 * (l + 1) ** 2 - 1))
-            pair = _threejm_pair(p, l, l)
-            lhs = lhs + pair * (diag * (2 * l + 1))
-            pieces = [
-                # (l-2): weight sqrt((2l+1)(2l-3)), denominators (4l^2-1)(4(l-1)^2-1)
-                (l - 2, [2 * l + 1, 2 * l - 3],
-                 [l * l - m * m, n * n - l * l,
-                  (l - 1) ** 2 - m * m, n * n - (l - 1) ** 2],
-                 [4 * l * l - 1, 4 * (l - 1) ** 2 - 1]),
-                # (l+2): denominators (4l^2-1)(4(l+1)^2-1) as printed -- the
-                # suspected typo; beta_(l+1) beta_(l+2) would need
-                # (4(l+1)^2-1)(4(l+2)^2-1)
-                (l + 2, [2 * l + 1, 2 * l + 5],
-                 [(l + 2) ** 2 - m * m, n * n - (l + 2) ** 2,
-                  (l + 1) ** 2 - m * m, n * n - (l + 1) ** 2],
-                 [4 * l * l - 1, 4 * (l + 1) ** 2 - 1]),
-            ]
-            for lp, wfac, rnum, rden in pieces:
-                pair = _threejm_pair(p, l, lp)
-                if pair.is_zero:
-                    continue
-                weight = _sqrt_of_int_product(wfac)
-                ratio = _printed_ratio_sqrt(rnum, rden)
-                if weight is None or ratio is None:
-                    return None, (f"term (l={l} -> l'={lp}) has a negative "
-                                  f"radicand as printed")
-                lhs = lhs + pair * weight * ratio
-        elif power == 3:
-            pieces = [
-                (l - 3, [2 * l + 1, 2 * l - 5], chain(l - 2, l - 1, l)),
-                (l - 1, [4 * l * l - 1],
-                 chain(l) * (bsq(l - 1) + bsq(l) + bsq(l + 1))),
-                (l + 1, [2 * l + 1, 2 * l + 3],
-                 chain(l + 1) * (bsq(l) + bsq(l + 1) + bsq(l + 2))),
-                (l + 3, [2 * l + 1, 2 * l + 7], chain(l + 1, l + 2, l + 3)),
-            ]
-            for lp, wfac, betas in pieces:
-                if betas.is_zero:
-                    continue
-                pair = _threejm_pair(p, l, lp)
-                if pair.is_zero:
-                    continue
-                weight = _sqrt_of_int_product(wfac)
-                if weight is None:
-                    return None, (f"term (l={l} -> l'={lp}) has a negative "
-                                  f"weight radicand as printed")
-                lhs = lhs + pair * weight * betas
-        else:
-            diag = (bsq(l + 1) * (bsq(l) + bsq(l + 1) + bsq(l + 2))
-                    + bsq(l) * (bsq(l - 1) + bsq(l) + bsq(l + 1)))
-            pair = _threejm_pair(p, l, l)
-            lhs = lhs + pair * (diag * (2 * l + 1))
-            pieces = [
-                (l - 4, [2 * l + 1, 2 * l - 7], chain(l - 3, l - 2, l - 1, l)),
-                (l - 2, [2 * l + 1, 2 * l - 3],
-                 chain(l - 1, l) * (bsq(l - 2) + bsq(l - 1) + bsq(l) + bsq(l + 1))),
-                (l + 2, [2 * l + 1, 2 * l + 5],
-                 chain(l + 1, l + 2) * (bsq(l) + bsq(l + 1) + bsq(l + 2) + bsq(l + 3))),
-                (l + 4, [2 * l + 1, 2 * l + 9], chain(l + 1, l + 2, l + 3, l + 4)),
-            ]
-            for lp, wfac, betas in pieces:
-                if betas.is_zero:
-                    continue
-                pair = _threejm_pair(p, l, lp)
-                if pair.is_zero:
-                    continue
-                weight = _sqrt_of_int_product(wfac)
-                if weight is None:
-                    return None, (f"term (l={l} -> l'={lp}) has a negative "
-                                  f"weight radicand as printed")
-                lhs = lhs + pair * weight * betas
-    return lhs, None
+    g = _az_gauge(p.n, p.m)
+    terms = g.printed.get(power)
+    if terms is None:
+        terms = g.printed[power] = _printed_terms(g, p.n, p.m, power)
+    rho = g.rho[p.n1]
+    acc: dict[int, Fraction] = {}
+    for i, j, c, d, note in terms:
+        if rho[i] and rho[j]:
+            if note:
+                return None, note
+            acc[d] = acc.get(d, 0) + rho[i] * rho[j] * c
+    a = g.a[p.n1]
+    return RadicalSum({d: c * a for d, c in acc.items()}), None
 
 
 def sum_rule_az(p: ParabolicLabel, power: int) -> SumRuleReport:
     """The A_z^power rule, power in {2, 3, 4} (the powers with a printed form).
 
-    Canonical route: the contraction v . A_z^power . v shared with
-    az_moment_generic; RHS = (n1-n2)^power. Printed route: the explicit
+    Canonical route: the gauge contraction a sum b rho (J^power rho) shared
+    with az_moment_generic; RHS = (n1-n2)^power. Printed route: the explicit
     weight-ratio form, against its own printed RHS (which for power 3 is
     (n2-n1)^3; both statements are consistent, the sign being the
     (-1)^(l+l') phase between B-products and bare-3jm products).
     """
     if power not in (2, 3, 4):
         raise DomainError(f"power must be 2, 3 or 4, got {power}")
-    lhs = _az_contraction(p, power)
+    lhs = RadicalSum.from_rational(_az_contraction(p, power))
     rhs = Fraction(p.q**power)
     printed_lhs, note = _printed_az_form(p, power)
     printed_rhs = Fraction((p.n2 - p.n1) ** power)
@@ -287,12 +416,12 @@ def sum_rule_az(p: ParabolicLabel, power: int) -> SumRuleReport:
 
 def az_moment_generic(p: ParabolicLabel, power: int,
                       bound: int = AZ_MOMENT_POWER_BOUND) -> SumRuleReport:
-    """<p| A_z^power |p> = (n1-n2)^power through the B-vector contraction."""
+    """<p| A_z^power |p> = (n1-n2)^power through the gauge contraction."""
     if power < 0:
         raise DomainError("power must be >= 0")
     if power > bound:
         raise DomainError(f"power {power} exceeds the configured bound {bound}")
-    lhs = _az_contraction(p, power)
+    lhs = RadicalSum.from_rational(_az_contraction(p, power))
     rhs = Fraction(p.q**power)
     return SumRuleReport("az-moment", p.n, p.m, p.n1, p.n2, power, lhs, rhs)
 
@@ -316,10 +445,7 @@ def l2_power_moment(p: ParabolicLabel, power: int,
         state = expression_apply(expr, state)
     engine = state.coeffs[p.n1]
 
-    direct = Fraction(0)
-    for l in spherical_ls(p.n, p.m):
-        B = b_coeff(p, l)
-        direct += (B * B).as_fraction() * Fraction(l * (l + 1)) ** power
+    direct = _b_squared_sum(p, lambda l: Fraction(l * (l + 1)) ** power)
     if not engine.is_rational or engine.as_fraction() != direct:
         raise InternalConsistencyError(
             f"(L^2)^{power} engine expectation {engine} differs from the "

@@ -2,8 +2,9 @@
 
 Evaluation uses the Racah single-sum formulas: the square-root prefactor is
 assembled from prime-factored factorials (so radicands never need factoring)
-and the alternating sum is accumulated as an exact Fraction. Every value has
-the shape (rational) * sqrt(rational) and is returned as a one-term RadicalSum.
+and the alternating sum is summed in integers over one common denominator
+into an exact Fraction. Every value has the shape (rational) *
+sqrt(rational) and is returned as a one-term RadicalSum.
 
 The memo caches key on symmetry-reduced arguments; cached entries are
 immutable and recomputation is idempotent, so racing threads at worst repeat
@@ -137,25 +138,37 @@ def _threejm_twice(tj1: int, tj2: int, tj3: int,
     return cached * phase if phase == -1 else cached
 
 
+def _racah_sum(tj1: int, tj2: int, tj3: int,
+               tm1: int, tm2: int, tm3: int) -> Fraction:
+    """The alternating sum of the Racah 3jm formula, on twice-valued args.
+
+    sum_k (-1)^k / [k! (j1+j2-j3-k)! (j1-m1-k)! (j2+m2-k)! (j3-j2+m1+k)!
+    (j3-j1-m2+k)!], summed in integers over the product of the largest
+    factorial in each slot: consecutive terms differ by a rational factor, so
+    every term is an integer over that one denominator.
+    """
+    fi = default_table().factorial_int
+    a, b, c = (tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    d, e = (tj3 - tj2 + tm1) // 2, (tj3 - tj1 - tm2) // 2
+    k0, k1 = max(0, -d, -e), min(a, b, c)
+    if k0 > k1:
+        return Fraction(0)
+    den = fi(k1) * fi(a - k0) * fi(b - k0) * fi(c - k0) * fi(d + k1) * fi(e + k1)
+    term = (fi(k1) // fi(k0)) * (fi(d + k1) // fi(d + k0)) * (fi(e + k1) // fi(e + k0))
+    total = 0
+    for k in range(k0, k1 + 1):
+        total += -term if k & 1 else term
+        term = term * (a - k) * (b - k) * (c - k) // ((k + 1) * (d + k + 1) * (e + k + 1))
+    return Fraction(total, den)
+
+
 def _racah_3jm(tj1: int, tj2: int, tj3: int,
                tm1: int, tm2: int, tm3: int) -> RadicalSum:
-    table = default_table()
-    fi = table.factorial_int
-
-    kmin = max(0, -(tj3 - tj2 + tm1), -(tj3 - tj1 - tm2))
-    kmax = min(tj1 + tj2 - tj3, tj1 - tm1, tj2 + tm2)
-    total = Fraction(0)
-    for tk in range(kmin, kmax + 1, 2):
-        den = (fi(tk // 2)
-               * fi((tj1 + tj2 - tj3 - tk) // 2)
-               * fi((tj1 - tm1 - tk) // 2)
-               * fi((tj2 + tm2 - tk) // 2)
-               * fi((tj3 - tj2 + tm1 + tk) // 2)
-               * fi((tj3 - tj1 - tm2 + tk) // 2))
-        total += Fraction(_neg1(tk // 2), den)
+    total = _racah_sum(tj1, tj2, tj3, tm1, tm2, tm3)
     if total == 0:
         return RadicalSum.zero()
 
+    table = default_table()
     fp = table.factorial
     radicand = (fp((tj1 + tj2 - tj3) // 2)
                 * fp((tj1 - tj2 + tj3) // 2)

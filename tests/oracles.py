@@ -4,10 +4,12 @@ Everything here is plain Fraction arithmetic over math.factorial: no prime
 factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
 
-The one exception is the dense generator walk at the end, which works on the
-package's ManifoldState and RadicalSum: it is the generator engine's former
-per-generator loop over dense coefficient vectors, kept as the reference for
-the basis-state walk that replaced it.
+There are two exceptions, both former package routes kept as the reference
+for what replaced them: the dense generator walk, which works on the
+package's ManifoldState and RadicalSum (the generator engine's per-generator
+loop over dense coefficient vectors, replaced by the basis-state walk), and
+the printed A_z^2,3,4 forms over RadicalSum at the end (replaced by the
+monomial route in sumrules).
 """
 from fractions import Fraction
 from math import factorial
@@ -227,3 +229,160 @@ def dense_expression_apply(expr, state):
             f"apply its words separately")
     m, coeffs = blocks.popitem()
     return ManifoldState(state.basis, state.n, m, tuple(coeffs))
+
+
+# -- the printed A_z^2,3,4 forms over RadicalSum ---------------------------
+#
+# The printed-form route as it stood before it moved to per-label 3jm rows
+# and monomial products, kept verbatim (only its package imports are
+# spelled out) as the reference the monomial route must reproduce value for
+# value and note for note.
+
+from rungelenz.basis import ParabolicLabel, spherical_ls  # noqa: E402
+from rungelenz.operators import beta, beta_squared  # noqa: E402
+from rungelenz.pfrational import PFRational  # noqa: E402
+from rungelenz.radical import RadicalSum  # noqa: E402
+
+
+def _sqrt_of_int_product(factors: list[int]) -> RadicalSum | None:
+    """sqrt(prod factors) for small integers; None if the product is negative."""
+    product_sign = 1
+    pf = PFRational.one()
+    for f in factors:
+        if f == 0:
+            return RadicalSum.zero()
+        if f < 0:
+            product_sign = -product_sign
+            f = -f
+        pf = pf * PFRational.from_int(f)
+    if product_sign < 0:
+        return None
+    return RadicalSum.from_sqrt(pf)
+
+
+def _printed_ratio_sqrt(numerators: list[int], denominators: list[int]) -> RadicalSum | None:
+    """sqrt(prod(numerators)/prod(denominators)) evaluated verbatim."""
+    num = _sqrt_of_int_product(numerators)
+    den = _sqrt_of_int_product(denominators)
+    if num is None or den is None:
+        if num is not None and num.is_zero:
+            return RadicalSum.zero()
+        return None
+    if num.is_zero:
+        return num
+    # denominators here are nonzero odd integers (4x^2 - 1 products)
+    (d, c), = den.terms()
+    inv = RadicalSum({d: 1 / (c * d)})  # 1/(c sqrt(d)) = sqrt(d)/(c d)
+    return num * inv
+
+
+def _threejm_pair(p: ParabolicLabel, l: int, lp: int) -> RadicalSum:
+    """T(l) T(l') with T the bare 3jm of the B definition (lenient zeros)."""
+    from rungelenz.wigner import _threejm_twice
+
+    n, m, q = p.n, p.m, p.q
+    a = _threejm_twice(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
+    if a.is_zero:
+        return a
+    b = _threejm_twice(n - 1, n - 1, 2 * lp, m - q, m + q, -2 * m)
+    if b.is_zero:
+        return b
+    return a * b
+
+
+def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, str | None]:
+    """The explicit weight-ratio LHS exactly as printed; (value, note).
+
+    value is None when a term is not evaluable over the reals (negative
+    radicand), which the power-2 form hits through its third-term denominator.
+    """
+    n, m = p.n, p.m
+    lhs = RadicalSum.zero()
+
+    def bsq(l: int) -> Fraction:
+        return beta_squared(n, l, m) if l >= 0 else Fraction(0)
+
+    def chain(*ls: int) -> RadicalSum:
+        acc = RadicalSum.from_rational(1)
+        for l in ls:
+            if l < 0:
+                return RadicalSum.zero()
+            acc = acc * beta(n, l, m)
+        return acc
+
+    for l in spherical_ls(n, m):
+        if power == 2:
+            diag = (Fraction((l * l - m * m) * (n * n - l * l), 4 * l * l - 1)
+                    + Fraction(((l + 1) ** 2 - m * m) * (n * n - (l + 1) ** 2),
+                               4 * (l + 1) ** 2 - 1))
+            pair = _threejm_pair(p, l, l)
+            lhs = lhs + pair * (diag * (2 * l + 1))
+            pieces = [
+                # (l-2): weight sqrt((2l+1)(2l-3)), denominators (4l^2-1)(4(l-1)^2-1)
+                (l - 2, [2 * l + 1, 2 * l - 3],
+                 [l * l - m * m, n * n - l * l,
+                  (l - 1) ** 2 - m * m, n * n - (l - 1) ** 2],
+                 [4 * l * l - 1, 4 * (l - 1) ** 2 - 1]),
+                # (l+2): denominators (4l^2-1)(4(l+1)^2-1) as printed -- the
+                # suspected typo; beta_(l+1) beta_(l+2) would need
+                # (4(l+1)^2-1)(4(l+2)^2-1)
+                (l + 2, [2 * l + 1, 2 * l + 5],
+                 [(l + 2) ** 2 - m * m, n * n - (l + 2) ** 2,
+                  (l + 1) ** 2 - m * m, n * n - (l + 1) ** 2],
+                 [4 * l * l - 1, 4 * (l + 1) ** 2 - 1]),
+            ]
+            for lp, wfac, rnum, rden in pieces:
+                pair = _threejm_pair(p, l, lp)
+                if pair.is_zero:
+                    continue
+                weight = _sqrt_of_int_product(wfac)
+                ratio = _printed_ratio_sqrt(rnum, rden)
+                if weight is None or ratio is None:
+                    return None, (f"term (l={l} -> l'={lp}) has a negative "
+                                  f"radicand as printed")
+                lhs = lhs + pair * weight * ratio
+        elif power == 3:
+            pieces = [
+                (l - 3, [2 * l + 1, 2 * l - 5], chain(l - 2, l - 1, l)),
+                (l - 1, [4 * l * l - 1],
+                 chain(l) * (bsq(l - 1) + bsq(l) + bsq(l + 1))),
+                (l + 1, [2 * l + 1, 2 * l + 3],
+                 chain(l + 1) * (bsq(l) + bsq(l + 1) + bsq(l + 2))),
+                (l + 3, [2 * l + 1, 2 * l + 7], chain(l + 1, l + 2, l + 3)),
+            ]
+            for lp, wfac, betas in pieces:
+                if betas.is_zero:
+                    continue
+                pair = _threejm_pair(p, l, lp)
+                if pair.is_zero:
+                    continue
+                weight = _sqrt_of_int_product(wfac)
+                if weight is None:
+                    return None, (f"term (l={l} -> l'={lp}) has a negative "
+                                  f"weight radicand as printed")
+                lhs = lhs + pair * weight * betas
+        else:
+            diag = (bsq(l + 1) * (bsq(l) + bsq(l + 1) + bsq(l + 2))
+                    + bsq(l) * (bsq(l - 1) + bsq(l) + bsq(l + 1)))
+            pair = _threejm_pair(p, l, l)
+            lhs = lhs + pair * (diag * (2 * l + 1))
+            pieces = [
+                (l - 4, [2 * l + 1, 2 * l - 7], chain(l - 3, l - 2, l - 1, l)),
+                (l - 2, [2 * l + 1, 2 * l - 3],
+                 chain(l - 1, l) * (bsq(l - 2) + bsq(l - 1) + bsq(l) + bsq(l + 1))),
+                (l + 2, [2 * l + 1, 2 * l + 5],
+                 chain(l + 1, l + 2) * (bsq(l) + bsq(l + 1) + bsq(l + 2) + bsq(l + 3))),
+                (l + 4, [2 * l + 1, 2 * l + 9], chain(l + 1, l + 2, l + 3, l + 4)),
+            ]
+            for lp, wfac, betas in pieces:
+                if betas.is_zero:
+                    continue
+                pair = _threejm_pair(p, l, lp)
+                if pair.is_zero:
+                    continue
+                weight = _sqrt_of_int_product(wfac)
+                if weight is None:
+                    return None, (f"term (l={l} -> l'={lp}) has a negative "
+                                  f"weight radicand as printed")
+                lhs = lhs + pair * weight * betas
+    return lhs, None

@@ -127,6 +127,32 @@ class TestVerify:
             main(["verify", "--max-n", "3", "--powers", "1,banana"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-n", "3", "--jobs", jobs])
+        assert exc.value.code == 2
+
+    def test_jobs_above_cpu_count_is_usage_error(self, monkeypatch, capsys):
+        # checked before any pool starts: a patched CPU count keeps it small
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-n", "3", "--jobs", "4"])
+        assert exc.value.code == 2
+        assert "1..3" in capsys.readouterr().err
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: 1 CPU
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-n", "3", "--jobs", "2"])
+        assert exc.value.code == 2
+        code, _ = run_cli(capsys, "verify", "--max-n", "2", "--jobs", "1")
+        assert code == 0
+
+    @pytest.mark.parametrize("min_n", ["0", "-4"])
+    def test_min_n_below_one_is_usage_error(self, min_n):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-n", "3", "--min-n", min_n])
+        assert exc.value.code == 2
+
 
 class TestCompute:
     def test_3j_half_integers_decimal_and_fraction(self, capsys):
@@ -163,6 +189,14 @@ class TestCompute:
                             "--format", "json")
         payload = json.loads(out)
         assert float(payload["value"]) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("argv", [("h1", "3", "5"), ("h2", "3", "-4"),
+                                      ("h1", "0", "0")])
+    def test_block_outside_manifold_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_h1_matrix_json(self, capsys):
         code, out = run_cli(capsys, "compute", "h1", "2", "0")
@@ -255,6 +289,10 @@ class TestGoldenOutput:
     VERIFY_ARGV = ("verify", "--max-n", "6", "--powers", "1,2,3,4,5,6,7,8",
                    "--format", "json")
     VERIFY_SHA256 = "2356170e01a0870607e34078838435d3fb56ede28ba9da842096b016a92e761a"
+    # n <= 9 holds 198 printed-form mismatches and 40 not-evaluable notes
+    VERIFY9_ARGV = ("verify", "--max-n", "9", "--powers", "1,2,3,4,5,6,7,8",
+                    "--format", "json")
+    VERIFY9_SHA256 = "bf40e6d9667e20799cf749e1b7c32661a579fd492b34f38ee528bc18b0cddeb6"
     # over the concatenated `compute <kind> n m` outputs, m ascending
     MATRIX_SHA256 = {
         ("h1", 1): "3290d5b86dab6281aa114734625c825285291ece95ddb7ed938d6df7e29ebd0e",
@@ -277,6 +315,15 @@ class TestGoldenOutput:
         code, out = run_cli(capsys, *self.VERIFY_ARGV)
         assert code == 0
         assert self.sha256(out) == self.VERIFY_SHA256
+
+    def test_verify_json_printed_forms(self, capsys):
+        code, out = run_cli(capsys, *self.VERIFY9_ARGV)
+        assert code == 0
+        printed = [r["printed"]["verdict"] for r in json.loads(out)["reports"]
+                   if "printed" in r]
+        assert printed.count("mismatch") == 198
+        assert printed.count("not-evaluable") == 40
+        assert self.sha256(out) == self.VERIFY9_SHA256
 
     @pytest.mark.parametrize("kind,n", sorted(MATRIX_SHA256))
     def test_diamagnetic_matrices(self, capsys, kind, n):

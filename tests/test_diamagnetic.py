@@ -106,6 +106,18 @@ class TestH1:
             _expression_matrix(shift, 3, 0)
 
 
+class TestBlockRange:
+    @pytest.mark.parametrize("n, m", [(3, 5), (3, -3), (0, 0), (-2, 0)])
+    def test_blocks_outside_the_manifold_rejected(self, n, m):
+        for build in (h1_matrix, h2_matrix, h2_symmetry_report):
+            with pytest.raises(DomainError, match="not a block"):
+                build(n, m)
+
+    def test_edge_blocks_accepted(self):
+        assert h1_matrix(3, -2).dim == h2_matrix(3, 2).dim == 1
+        assert h2_symmetry_report(1, 0) == []
+
+
 class TestH2:
     def test_single_state_scalar(self):
         mat = h2_matrix(1, 0)

@@ -1,11 +1,15 @@
 """Sum-rule evaluations, generic moments, and printed-form discrepancy reports."""
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from rungelenz.basis import ParabolicLabel, b_matrix, spherical_ls
-from rungelenz.errors import DomainError
+import oracles
+from rungelenz import sumrules
+from rungelenz.basis import ParabolicLabel, b_coeff, b_matrix, spherical_ls
+from rungelenz.cli import main
+from rungelenz.errors import DomainError, InternalConsistencyError
 from rungelenz.operators import az_power_matrix, beta, beta_squared
 from rungelenz.radical import RadicalSum, parse_exact
 from rungelenz.sumrules import (
@@ -157,6 +161,112 @@ class TestPrintedForms:
         for p in (TABLE1, ParabolicLabel(2, 1, 1)):
             r = sum_rule_az(p, 4)
             assert r.printed_verdict == "exact-match"
+
+
+class TestPrintedRouteOracle:
+    def test_matches_the_radicalsum_route(self):
+        # value and note, including the first offending (l, l') of a
+        # not-evaluable form, equal the former RadicalSum route's
+        notes = 0
+        for n in range(1, 9):
+            for p in all_labels(n):
+                for power in (2, 3, 4):
+                    got = sumrules._printed_az_form(p, power)
+                    assert got == oracles._printed_az_form(p, power), (p, power)
+                    notes += got[1] is not None
+        assert notes > 0
+
+
+@pytest.fixture
+def fresh_gauge():
+    sumrules._az_gauge.cache_clear()
+    yield
+    sumrules._az_gauge.cache_clear()
+
+
+class TestRationalGauge:
+    def test_ties_to_b_coeff(self):
+        # B[n1, l] = s (-1)^l sqrt(a b) r: sign and square, exactly
+        for n in range(1, 11):
+            for m in range(-(n - 1), n):
+                g = sumrules._az_gauge(n, m)
+                upper = n - abs(m) - 1
+                for n1 in range(upper + 1):
+                    p = ParabolicLabel(n1, upper - n1, m)
+                    s = -1 if (p.n2 + (m - abs(m)) // 2 + m) % 2 else 1
+                    for i, l in enumerate(spherical_ls(n, m)):
+                        B = b_coeff(p, l)
+                        rho = g.rho[n1][i]
+                        assert g.a[n1] * g.b[i] * rho * rho == (B * B).as_fraction()
+                        want = 0 if B.is_zero else (1 if B.terms()[0][1] > 0 else -1)
+                        assert (s * rho > 0) - (s * rho < 0) == want, (p, l)
+
+    def test_rows_come_from_the_racah_sum(self, monkeypatch, fresh_gauge):
+        calls = []
+        real = sumrules._racah_sum
+        monkeypatch.setattr(sumrules, "_racah_sum",
+                            lambda *t: calls.append(t) or real(*t))
+        sumrules._az_gauge(4, 1)
+        assert len(calls) == 9  # one per (n1, l) of the 3 x 3 block
+
+    def test_j_guard_is_live(self, monkeypatch, fresh_gauge):
+        real = sumrules._gauge_entries
+
+        def perturbed(n, m):
+            g = real(n, m)
+            up = list(g.up)
+            up[1] *= Fraction(1001, 1000)
+            return dataclasses.replace(g, up=tuple(up))
+
+        monkeypatch.setattr(sumrules, "_gauge_entries", perturbed)
+        with pytest.raises(InternalConsistencyError, match=r"gauge J\[1, 2\]"):
+            sum_rule_az(ParabolicLabel(1, 1, 0), 2)
+
+    def test_normalisation_guard_is_live(self, monkeypatch, fresh_gauge):
+        real = sumrules._gauge_entries
+
+        def scaled(n, m):
+            g = real(n, m)
+            b = list(g.b)
+            b[2] *= 2
+            return dataclasses.replace(g, b=tuple(b))
+
+        monkeypatch.setattr(sumrules, "_gauge_entries", scaled)
+        with pytest.raises(InternalConsistencyError, match="squared norm"):
+            sum_rule_l2(ParabolicLabel(1, 2, 0))
+
+    @staticmethod
+    def perturb_racah(monkeypatch, factor):
+        """Scale the Racah sum at l = 1 of the (n, m) = (4, 0), n1 = 1 row."""
+        real = sumrules._racah_sum
+
+        def perturbed(*t):
+            value = real(*t)
+            return value * factor if t == (3, 3, 2, 1, -1, 0) else value
+
+        monkeypatch.setattr(sumrules, "_racah_sum", perturbed)
+
+    def test_negated_racah_entry_is_a_mismatch(self, monkeypatch, capsys,
+                                               fresh_gauge):
+        # the row stays normalised, so only the A_z rules can see it
+        self.perturb_racah(monkeypatch, -1)
+        code = main(["verify", "--max-n", "4", "--min-n", "4", "--m", "0",
+                     "--n1", "1", "--powers", "1,2,3,4", "--format", "json"])
+        verdicts = [r["verdict"] for r in json.loads(capsys.readouterr().out)["reports"]]
+        assert code == 1
+        assert verdicts[0] == "exact-match" and "mismatch" in verdicts[1:]
+
+    def test_scaled_racah_entry_trips_the_normalisation(self, monkeypatch,
+                                                        fresh_gauge):
+        self.perturb_racah(monkeypatch, 2)
+        with pytest.raises(InternalConsistencyError, match="B row n1=1 of"):
+            sum_rule_l2(ParabolicLabel(1, 2, 0))
+
+    def test_powers_beyond_the_default_bound(self):
+        for power in (9, 12):
+            assert az_moment_generic(TABLE1, power, bound=power).ok
+        # a lower power after a higher one reuses the label's vectors
+        assert az_moment_generic(TABLE1, 3).lhs == RadicalSum.from_rational(8)
 
 
 class TestGenericMoments:
