@@ -1,23 +1,25 @@
 """Parabolic <-> spherical basis machinery within one hydrogenic n-manifold.
 
-The canonical route for the transformation coefficient B(l) is a single 3jm
-symbol times sqrt(2l+1) and a phase; it covers signed m uniformly. The
-hypergeometric route and the fixed-l closed forms are independent oracles,
-restricted to m >= 0 as printed, and agree with the canonical route in square;
-their overall sign differs by the global factor measured by
-hypergeometric_sign_survey.
+B(l) = <n l m | n1 n2 m> and its bare 3jm C are read from one cached block per
+(n, m), built over Q from the Racah sums of that 3jm (b_block); b_coeff,
+b_matrix, the Stark module's C and float tables and the sum-rule gauge all
+read it, and its build checks that every B row is normalised. The Regge
+partner, hypergeometric route and fixed-l closed forms are independent
+oracles, the last two restricted to m >= 0 as printed; they agree with the
+block in square, and the sign of the hypergeometric route differs by the
+global factor measured by hypergeometric_sign_survey.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import exp
+from functools import cached_property, lru_cache
+from math import exp, sqrt
 
-from .errors import DomainError
-from .pfrational import PFRational, default_table
-from .radical import RadicalSum, dot
-from .wigner import _neg1, _threejm_twice
+from .errors import DomainError, InternalConsistencyError
+from .pfrational import PFRational, default_table, sqrt_extract
+from .radical import RadicalSum, _mono, dot
+from .wigner import _neg1, _racah_sum, _threejm_twice
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,104 @@ def unit_parabolic(label: ParabolicLabel) -> ManifoldState:
     return ManifoldState("parabolic", label.n, label.m, tuple(coeffs))
 
 
+# -- the B/C block of one (n, m) ----------------------------------------
+
+@dataclass(frozen=True)
+class BBlock:
+    """B and its bare 3jm C over one (n, m) block, in a rational gauge.
+
+    C(q, l, m) = 3jm((n-1)/2 (n-1)/2 l; (m-q)/2 (m+q)/2 -m)
+    = (-1)^m sqrt(a(n1)) r(n1, l) u(l) sqrt(e(l)), with r the Racah
+    alternating sum of that 3jm at its own (uncanonicalised) arguments, a(n1)
+    the product of its four m-factorials and u sqrt(e) = sqrt(b(l)/(2l+1)),
+    b(l) = (2l+1)(n-1-l)! (l!)^2 (l+m)! (l-m)!/(n+l)!. So B[n1, l] =
+    s(n1) (-1)^l sqrt(a b) r with s(n1) = (-1)^(n2 + (m-|m|)/2 + m); rho =
+    (-1)^l r. Rows are indexed by n1 (q increasing), entries by l - |m|. C's
+    monomials (c, d) = c sqrt(d), the floats of C and B (each rounded from its
+    own monomial) and C^2 are built on first use.
+    """
+
+    n: int
+    m: int
+    a: tuple[int, ...]
+    b: tuple[Fraction, ...]
+    roots: tuple[tuple[Fraction, int], ...]  # sqrt(b(l)/(2l+1)) = u sqrt(e)
+    rho: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def c_monomials(self) -> tuple[tuple[tuple[Fraction, int], ...], ...]:
+        ls = spherical_ls(self.n, self.m)
+        out = []
+        for a, row in zip(self.a, self.rho):
+            (ea, ua), = RadicalSum.from_sqrt(a).terms()
+            out.append(tuple(_mono((_neg1(self.m + l) * ua * x, ea), root)
+                             for l, x, root in zip(ls, row, self.roots)))
+        return tuple(out)
+
+    def b_monomials(self) -> list[list[tuple[Fraction, int]]]:
+        """B's monomials, B = (-1)^(n2 + (m-|m|)/2 + l) sqrt(2l+1) C; not kept."""
+        ls = spherical_ls(self.n, self.m)
+        roots = [RadicalSum.from_sqrt(2 * l + 1).terms()[0] for l in ls]
+        upper, m = self.n - abs(self.m) - 1, self.m
+        return [[_mono((_neg1(upper - n1 + (m - abs(m)) // 2 + l) * c, d), (u, e))
+                 for l, (c, d), (e, u) in zip(ls, row, roots)]
+                for n1, row in enumerate(self.c_monomials)]
+
+    @cached_property
+    def b_floats(self) -> tuple[tuple[float, ...], ...]:
+        return _floats(self.b_monomials())
+
+    @cached_property
+    def c_floats(self) -> tuple[tuple[float, ...], ...]:
+        return _floats(self.c_monomials)
+
+    @cached_property
+    def c_squared(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(c * c * d for c, d in row) for row in self.c_monomials)
+
+
+def _floats(monomials) -> tuple[tuple[float, ...], ...]:
+    """c sqrt(d) per entry, rounded as RadicalSum.to_float rounds one term."""
+    return tuple(tuple(float(c) * sqrt(d) for c, d in row) for row in monomials)
+
+
+def _block_entries(n: int, m: int) -> BBlock:
+    """The block of (n, m), unchecked."""
+    table = default_table()
+    fi, fp = table.factorial_int, table.factorial
+    ls = spherical_ls(n, m)
+    b, roots = [], []
+    for l in ls:
+        c = fp(n - 1 - l) * fp(l) ** 2 * fp(l + m) * fp(l - m) / fp(n + l)
+        u, e = sqrt_extract(c)
+        b.append(c.value * (2 * l + 1))
+        roots.append((u.value, e))
+    a, rho = [], []
+    for q in q_values(n, m):
+        a.append(fi((n - 1 + m - q) // 2) * fi((n - 1 - m + q) // 2)
+                 * fi((n - 1 + m + q) // 2) * fi((n - 1 - m - q) // 2))
+        rho.append(tuple(_neg1(l) * _racah_sum(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
+                         for l in ls))
+    return BBlock(n, m, tuple(a), tuple(b), tuple(roots), tuple(rho))
+
+
+@lru_cache(maxsize=None)
+def b_block(n: int, m: int) -> BBlock:
+    """The checked block of (n, m); needs the factorial table up to (2n-1)!.
+
+    Every B row must have a sum_l b rho^2 = 1, which ties a, b and the Racah
+    sums to B and C; a failure halts with InternalConsistencyError.
+    """
+    blk = _block_entries(n, m)
+    for n1, (a, row) in enumerate(zip(blk.a, blk.rho)):
+        norm = a * sum(bl * x * x for bl, x in zip(blk.b, row))
+        if norm != 1:
+            raise InternalConsistencyError(
+                f"B row n1={n1} of (n={n}, m={m}) has squared norm {norm} "
+                f"in the rational gauge, not 1")
+    return blk
+
+
 # -- the transformation coefficient in its three forms -----------------
 
 def _check_l(p: ParabolicLabel, l: int) -> None:
@@ -136,13 +236,9 @@ def _check_l(p: ParabolicLabel, l: int) -> None:
 
 
 def b_coeff(p: ParabolicLabel, l: int) -> RadicalSum:
-    """B(l): <n l m | n1 n2 m> via the single-3jm definition."""
+    """B(l): <n l m | n1 n2 m>, read from the (n, m) block."""
     _check_l(p, l)
-    n, m, q = p.n, p.m, p.q
-    sym = _threejm_twice(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
-    phase = _neg1(p.n2 + (m - abs(m)) // 2 + l)
-    root = RadicalSum.from_sqrt(2 * l + 1)
-    return sym * root * phase
+    return b_matrix(p.n, p.m)[p.n1][l - abs(p.m)]
 
 
 def b_coeff_regge(p: ParabolicLabel, l: int) -> RadicalSum:
@@ -258,12 +354,8 @@ def b_squared_asymptotic(n: int, l: int) -> float:
 @lru_cache(maxsize=None)
 def b_matrix(n: int, m: int) -> tuple[tuple[RadicalSum, ...], ...]:
     """Rows indexed by n1 (q increasing), columns by l - |m|."""
-    rows = []
-    upper = n - abs(m) - 1
-    for n1 in range(upper + 1):
-        p = ParabolicLabel(n1, upper - n1, m)
-        rows.append(tuple(b_coeff(p, l) for l in spherical_ls(n, m)))
-    return tuple(rows)
+    return tuple(tuple(RadicalSum({d: c}) for c, d in row)
+                 for row in b_block(n, m).b_monomials())
 
 
 def to_spherical(state: ManifoldState) -> ManifoldState:

@@ -177,13 +177,6 @@ def _cmd_verify(args, parser) -> int:
     return 0 if mismatches == 0 else 1
 
 
-def _half(parser, text: str) -> HalfInt:
-    try:
-        return HalfInt.parse(text)
-    except DomainError as exc:
-        parser.error(str(exc))
-
-
 def _emit_value(args, kind: str, value) -> None:
     if isinstance(value, float):
         rendered = repr(value)
@@ -199,42 +192,39 @@ def _emit_value(args, kind: str, value) -> None:
 
 def _cmd_compute(args, parser) -> int:
     kind = args.kind
-    try:
-        if kind == "3j":
-            value = wigner_3jm(*(_half(parser, a) for a in args.args6))
-            _emit_value(args, kind, value)
-        elif kind == "6j":
-            value = wigner_6j(*(_half(parser, a) for a in args.args6))
-            _emit_value(args, kind, value)
-        elif kind == "cg":
-            value = clebsch_gordan(*(_half(parser, a) for a in args.args6))
-            _emit_value(args, kind, value)
-        elif kind == "bcoeff":
-            p = ParabolicLabel(args.n1, args.n2, args.m)
-            _emit_value(args, kind, b_coeff(p, args.l))
-        elif kind == "beta":
-            _emit_value(args, kind, beta(args.n, args.l, args.m))
-        elif kind == "pbar":
-            if args.n < 1:
-                raise DomainError(f"n = {args.n} must be positive")
-            row = [p_bar(args.n, args.l_init, lp) for lp in range(args.n)]
-            if args.format == "json":
-                print(json.dumps({"kind": kind, "n": args.n, "l_init": args.l_init,
-                                  "row": [render_exact(RadicalSum.from_rational(x))
-                                          for x in row]}))
-            else:
-                for lp, x in enumerate(row):
-                    print(f"l'={lp}: {render_exact(RadicalSum.from_rational(x))}")
-        elif kind == "p":
-            _emit_value(args, kind, p_transition(args.n, args.l, args.lp, args.chi))
-        elif kind == "h1":
-            print(h1_matrix(args.n, args.m).to_json())
-        elif kind == "h2":
-            print(h2_matrix(args.n, args.m).to_json())
-        else:  # pragma: no cover - argparse restricts choices
-            parser.error(f"unknown kind {kind}")
-    except DomainError as exc:
-        parser.error(str(exc))
+    if kind == "3j":
+        value = wigner_3jm(*(HalfInt.parse(a) for a in args.args6))
+        _emit_value(args, kind, value)
+    elif kind == "6j":
+        value = wigner_6j(*(HalfInt.parse(a) for a in args.args6))
+        _emit_value(args, kind, value)
+    elif kind == "cg":
+        value = clebsch_gordan(*(HalfInt.parse(a) for a in args.args6))
+        _emit_value(args, kind, value)
+    elif kind == "bcoeff":
+        p = ParabolicLabel(args.n1, args.n2, args.m)
+        _emit_value(args, kind, b_coeff(p, args.l))
+    elif kind == "beta":
+        _emit_value(args, kind, beta(args.n, args.l, args.m))
+    elif kind == "pbar":
+        if args.n < 1:
+            raise DomainError(f"n = {args.n} must be positive")
+        row = [p_bar(args.n, args.l_init, lp) for lp in range(args.n)]
+        if args.format == "json":
+            print(json.dumps({"kind": kind, "n": args.n, "l_init": args.l_init,
+                              "row": [render_exact(RadicalSum.from_rational(x))
+                                      for x in row]}))
+        else:
+            for lp, x in enumerate(row):
+                print(f"l'={lp}: {render_exact(RadicalSum.from_rational(x))}")
+    elif kind == "p":
+        _emit_value(args, kind, p_transition(args.n, args.l, args.lp, args.chi))
+    elif kind == "h1":
+        print(h1_matrix(args.n, args.m).to_json())
+    elif kind == "h2":
+        print(h2_matrix(args.n, args.m).to_json())
+    else:  # pragma: no cover - argparse restricts choices
+        parser.error(f"unknown kind {kind}")
     return 0
 
 
@@ -303,11 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "table1":
-        return _cmd_table1(args)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    return _cmd_compute(args, parser)
+    try:
+        if args.command == "table1":
+            return _cmd_table1(args)
+        if args.command == "verify":
+            return _cmd_verify(args, parser)
+        return _cmd_compute(args, parser)
+    except DomainError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

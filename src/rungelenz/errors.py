@@ -17,6 +17,10 @@ class FactorialLimitError(DomainError):
             f"or construct a larger FactorialTable)"
         )
 
+    def __reduce__(self):
+        # rebuilt from (needed, limit), so the error survives a process pool
+        return type(self), (self.needed, self.limit)
+
 
 class ReggeInadmissibleError(DomainError):
     """The Regge transform of the given arguments is not a valid symbol."""

@@ -2,9 +2,10 @@
 
 The evolution operator e^(i chi A_z) is never exponentiated numerically:
 within a manifold its matrix elements come spectrally from the exact basis
-change and the integer A_z eigenvalues q. The time-averaged table P-bar is
-fully rational; the oscillatory P at given chi is the module's only floating
-output.
+change and the integer A_z eigenvalues q. B, C, C^2 and the floats of B and C
+are all read from the B/C block of basis.b_block, each float rounded once
+from its exact monomial. The time-averaged table P-bar is fully rational; the
+oscillatory P at given chi is the module's only floating output.
 """
 from __future__ import annotations
 
@@ -13,13 +14,12 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import cos, isfinite, sin
 
-from .basis import b_matrix, q_values
+from .basis import b_block, q_values
 from .errors import DomainError, InternalConsistencyError
 from .radical import RadicalSum, render_exact
-from .wigner import _sixj_twice, _threejm_twice
+from .wigner import _sixj_twice
 
 P_AGREEMENT_TOL = 1e-12
 
@@ -35,32 +35,25 @@ def _check_chi(chi: float) -> None:
 
 
 def c_coefficient(n: int, q: int, l: int, m: int) -> RadicalSum:
-    """C(q l m) = 3jm((n-1)/2 (n-1)/2 l; (m-q)/2 (m+q)/2 -m).
+    """C(q l m) = 3jm((n-1)/2 (n-1)/2 l; (m-q)/2 (m+q)/2 -m), from the block.
 
-    Out-of-range arguments fall under the 3jm selection rules and give zero.
+    Arguments outside the (n, m) block, which the 3jm selection rules send to
+    zero, give zero; it never raises for them.
     """
-    return _threejm_twice(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
-
-
-@lru_cache(maxsize=None)
-def _c_squared(n: int, q: int, l: int, m: int) -> Fraction:
-    value = c_coefficient(n, q, l, m)
-    if value.is_zero:
-        return Fraction(0)
-    (d, c), = value.terms()
-    return c * c * d
+    upper = n - abs(m) - 1
+    if not (abs(m) <= l <= n - 1 and abs(q) <= upper and (q + upper) % 2 == 0):
+        return RadicalSum.zero()
+    c, d = b_block(n, m).c_monomials[(q + upper) // 2][l - abs(m)]
+    return RadicalSum({d: c})
 
 
 def _pbar_double_sum(n: int, l: int, lp: int) -> Fraction:
     total = Fraction(0)
-    for m in range(-(n - 1), n):
-        for q in q_values(n, m):
-            a = _c_squared(n, q, l, m)
-            if a == 0:
-                continue
-            b = _c_squared(n, q, lp, m)
-            if b != 0:
-                total += a * b
+    for m in range(-min(l, lp), min(l, lp) + 1):
+        i, j = l - abs(m), lp - abs(m)
+        for row in b_block(n, m).c_squared:
+            if row[i] and row[j]:
+                total += row[i] * row[j]
     return (2 * lp + 1) * total
 
 
@@ -138,38 +131,30 @@ def closed_form_report(n: int, l_init: int) -> list[dict]:
     return out
 
 
-@lru_cache(maxsize=None)
 def _b_float_block(n: int, m: int) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(x.to_float() for x in row) for row in b_matrix(n, m))
+    return b_block(n, m).b_floats
+
+
+def _c_float_block(n: int, m: int) -> tuple[tuple[float, ...], ...]:
+    return b_block(n, m).c_floats
 
 
 def _p_spectral(n: int, l: int, lp: int, chi: float) -> float:
     total = 0.0
     for m in range(-min(l, lp), min(l, lp) + 1):
-        B = _b_float_block(n, m)
-        am = abs(m)
-        qs = list(q_values(n, m))
-        re = im = 0.0
-        for row, q in enumerate(qs):
-            w = B[row][lp - am] * B[row][l - am]
-            if w != 0.0:
-                re += w * cos(chi * q)
-                im += w * sin(chi * q)
-        total += re * re + im * im
+        B, qs, am = _b_float_block(n, m), q_values(n, m), abs(m)
+        total += _phase_norm([row[lp - am] for row in B], [row[l - am] for row in B],
+                             [cos(chi * q) for q in qs], [sin(chi * q) for q in qs])
     return total / (2 * l + 1)
-
-
-@lru_cache(maxsize=None)
-def _c_float(n: int, q: int, l: int, m: int) -> float:
-    return c_coefficient(n, q, l, m).to_float()
 
 
 def _p_herrick(n: int, l: int, lp: int, chi: float) -> float:
     total = 0.0
     for m in range(-min(l, lp), min(l, lp) + 1):
         qs = list(q_values(n, m))
-        cl = [_c_float(n, q, l, m) for q in qs]
-        clp = [_c_float(n, q, lp, m) for q in qs]
+        C = _c_float_block(n, m)
+        cl = [row[l - abs(m)] for row in C]
+        clp = [row[lp - abs(m)] for row in C]
         for i, q in enumerate(qs):
             for j, qp in enumerate(qs):
                 w = cl[i] * cl[j] * clp[i] * clp[j]
@@ -254,7 +239,7 @@ def pbar_table(n: int) -> TransitionTable:
 
 
 def _phase_norm(a, b, cosq, sinq) -> float:
-    """|sum_q a_q b_q e^(i q chi)|^2, summed in the order _p_spectral uses."""
+    """|sum_q a_q b_q e^(i q chi)|^2, summed in q order."""
     re = im = 0.0
     for x, y, c, s in zip(a, b, cosq, sinq):
         w = x * y
@@ -287,7 +272,7 @@ def p_table(n: int, chi: float) -> TransitionTable:
         cosq = [phase[q][0] for q in qs]
         sinq = [phase[q][1] for q in qs]
         b_cols = list(zip(*_b_float_block(n, m)))
-        c_cols = [[_c_float(n, q, l, m) for q in qs] for l in range(am, n)]
+        c_cols = list(zip(*_c_float_block(n, m)))
         norms = [0.0] * (n - am)
         # x * y == y * x in binary64, so U_m is symmetric to the last bit
         # and each pair is summed once for both entries

@@ -1,14 +1,15 @@
 """Exact evaluation of the Runge-Lenz sum rules and generic A_z / L^2 moments.
 
-Every rule runs over Q in one rational gauge per (n, m) block: B[n1, l] =
+Every rule runs over Q on the rational gauge of basis.b_block: B[n1, l] =
 s (-1)^l sqrt(a(n1) b(l)) r(n1, l) with r the Racah alternating sum of B's
-3jm, and A_z conjugated by diag(sqrt b) is a rational tridiagonal J. Every
-A_z^k rule and moment has one canonical route, the contraction
-<p| A_z^k |p> = a sum_l b rho (J^k rho) with rho = (-1)^l r; the L^2 rule
-sums a b rho^2 l(l+1). Its check is the comparison with the analytic
-right-hand side, plus two gauge guards: J against beta^2 and every B row's
-normalisation. r comes from the Racah sum, never from J's recurrence, so
-J rho = q rho is checked, not built in. For k = 2, 3, 4 the explicit
+3jm, and A_z conjugated by diag(sqrt b) is a rational tridiagonal J, built
+here once per (n, m) block. Every A_z^k rule and moment has one canonical
+route, the contraction <p| A_z^k |p> = a sum_l b rho (J^k rho) with
+rho = (-1)^l r; the L^2 rule sums a b rho^2 l(l+1). Its check is the
+comparison with the analytic right-hand side, plus two gauge guards: J
+against beta^2 (here) and every B row's normalisation (in the block). r
+comes from the Racah sum, never from J's recurrence, so J rho = q rho is
+checked, not built in. For k = 2, 3, 4 the explicit
 weight-ratio forms as printed in the source material are re-derived verbatim
 on monomials c sqrt(d) and diffed against the canonical value, so suspected
 misprints surface as reported discrepancies, never as silent corrections.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import ParabolicLabel, spherical_ls
+from .basis import BBlock, ParabolicLabel, b_block, spherical_ls
 from .errors import DomainError, InternalConsistencyError
 from .operators import (
     _split_radicand,
@@ -27,9 +28,8 @@ from .operators import (
     expression_apply,
     l_squared_expression,
 )
-from .pfrational import default_table, sqrt_extract
-from .radical import RadicalSum, _combine_radicands, render_exact
-from .wigner import _neg1, _racah_sum
+from .radical import RadicalSum, _combine_radicands, _mono, render_exact
+from .wigner import _neg1
 
 AZ_MOMENT_POWER_BOUND = 8
 L2_MOMENT_POWER_BOUND = 4
@@ -109,53 +109,31 @@ class SumRuleReport:
 
 @dataclass(frozen=True)
 class _AzGauge:
-    """B and A_z of one (n, m) block over Q.
+    """A_z of one (n, m) block over Q, on top of the block's B gauge.
 
-    B[n1, l] = s(n1) (-1)^l sqrt(a(n1) b(l)) r(n1, l), with r the Racah
-    alternating sum of the 3jm in B's definition at its own (uncanonicalised)
-    arguments, a(n1) the product of that 3jm's four m-factorials
-    ((n-1 +- (m -+ q))/2)!, b(l) = (2l+1)(n-1-l)! (l!)^2 (l+m)! (l-m)!/(n+l)!
-    and s(n1) = (-1)^(n2 + (m-|m|)/2 + m). With rho = (-1)^l r, A_z becomes
-    J = D^-1 A_z D, D = diag(sqrt b): rational, tridiagonal, zero diagonal.
-    Entries are indexed by l - |m| and rows by n1.
+    With B[n1, l] = s (-1)^l sqrt(a(n1) b(l)) r(n1, l) and rho = (-1)^l r
+    (basis.BBlock), A_z becomes J = D^-1 A_z D, D = diag(sqrt b): rational,
+    tridiagonal, zero diagonal. Entries are indexed by l - |m| and rows by n1.
     """
 
-    b: tuple[Fraction, ...]
+    block: BBlock
     up: tuple[Fraction, ...]  # J[l, l+1] = (l+1)((l+1)^2 - m^2)/(2l+1)
     down: tuple[Fraction, ...]  # J[l+1, l] = J[l, l+1] b(l)/b(l+1)
-    roots: tuple[tuple[Fraction, int], ...]  # sqrt(b(l)/(2l+1)) = u sqrt(e)
-    a: tuple[int, ...]
-    rho: tuple[tuple[Fraction, ...], ...]
     weights: tuple[tuple[Fraction, ...], ...]  # a(n1) b(l) rho(n1, l)
     powers: dict[int, tuple[tuple[Fraction, ...], ...]] = field(default_factory=dict)
     printed: dict[int, list[tuple]] = field(default_factory=dict)
 
 
 def _gauge_entries(n: int, m: int) -> _AzGauge:
-    """The gauge of the (n, m) block, unchecked."""
-    table = default_table()
-    fi, fp = table.factorial_int, table.factorial
-    ls = spherical_ls(n, m)
-    b, roots = [], []
-    for l in ls:
-        c = fp(n - 1 - l) * fp(l) ** 2 * fp(l + m) * fp(l - m) / fp(n + l)
-        u, e = sqrt_extract(c)
-        b.append(c.value * (2 * l + 1))
-        roots.append((u.value, e))
-    up = [Fraction((l + 1) * ((l + 1) ** 2 - m * m), 2 * l + 1) for l in ls[:-1]]
+    """The gauge of the (n, m) block, J unchecked."""
+    blk = b_block(n, m)
+    b = blk.b
+    up = [Fraction((l + 1) * ((l + 1) ** 2 - m * m), 2 * l + 1)
+          for l in spherical_ls(n, m)[:-1]]
     down = [j * b[i] / b[i + 1] for i, j in enumerate(up)]
-    upper = n - abs(m) - 1
-    a, rho, weights = [], [], []
-    for n1 in range(upper + 1):
-        q = 2 * n1 - upper
-        a.append(fi((n - 1 + m - q) // 2) * fi((n - 1 - m + q) // 2)
-                 * fi((n - 1 + m + q) // 2) * fi((n - 1 - m - q) // 2))
-        row = tuple(_neg1(l) * _racah_sum(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
-                    for l in ls)
-        rho.append(row)
-        weights.append(tuple(a[-1] * bl * x for bl, x in zip(b, row)))
-    return _AzGauge(tuple(b), tuple(up), tuple(down), tuple(roots), tuple(a),
-                    tuple(rho), tuple(weights))
+    weights = tuple(tuple(a * bl * x for bl, x in zip(b, row))
+                    for a, row in zip(blk.a, blk.rho))
+    return _AzGauge(blk, tuple(up), tuple(down), weights)
 
 
 @lru_cache(maxsize=None)
@@ -163,9 +141,8 @@ def _az_gauge(n: int, m: int) -> _AzGauge:
     """The checked gauge of the (n, m) block.
 
     J[l, l+1] J[l+1, l] must equal beta^2(n, l+1, m), which ties J's closed
-    form and b's factorials to A_z; every B row must have a sum b rho^2 = 1,
-    which ties a, b and the Racah sums to B. Either failure halts with
-    InternalConsistencyError.
+    form and b's factorials to A_z (the block itself checks every B row's
+    normalisation); a failure halts with InternalConsistencyError.
     """
     g = _gauge_entries(n, m)
     for l, j_up, j_down in zip(spherical_ls(n, m), g.up, g.down):
@@ -173,12 +150,6 @@ def _az_gauge(n: int, m: int) -> _AzGauge:
             raise InternalConsistencyError(
                 f"gauge J[{l}, {l + 1}] J[{l + 1}, {l}] = {j_up * j_down} differs "
                 f"from beta^2 = {beta_squared(n, l + 1, m)} at (n={n}, m={m})")
-    for n1, (a, row) in enumerate(zip(g.a, g.rho)):
-        norm = a * sum(bl * x * x for bl, x in zip(g.b, row))
-        if norm != 1:
-            raise InternalConsistencyError(
-                f"B row n1={n1} of (n={n}, m={m}) has squared norm {norm} "
-                f"in the rational gauge, not 1")
     return g
 
 
@@ -186,7 +157,7 @@ def _b_squared_sum(p: ParabolicLabel, f) -> Fraction:
     """sum_l B^2(l) f(l) = a sum_l b(l) rho(l)^2 f(l)."""
     g = _az_gauge(p.n, p.m)
     return sum(w * x * f(l) for l, w, x in
-               zip(spherical_ls(p.n, p.m), g.weights[p.n1], g.rho[p.n1]))
+               zip(spherical_ls(p.n, p.m), g.weights[p.n1], g.block.rho[p.n1]))
 
 
 def sum_rule_l2(p: ParabolicLabel) -> SumRuleReport:
@@ -204,7 +175,7 @@ def _az_contraction(p: ParabolicLabel, power: int) -> Fraction:
     so a concurrent caller at worst repeats the work.
     """
     g = _az_gauge(p.n, p.m)
-    vecs = g.powers.get(p.n1, (g.rho[p.n1],))
+    vecs = g.powers.get(p.n1, (g.block.rho[p.n1],))
     if len(vecs) <= power:
         while len(vecs) <= power:
             v = vecs[-1]
@@ -216,12 +187,6 @@ def _az_contraction(p: ParabolicLabel, power: int) -> Fraction:
         g.powers.clear()
         g.powers[p.n1] = vecs
     return sum(w * x for w, x in zip(g.weights[p.n1], vecs[power]))
-
-
-def _mono(x: tuple, y: tuple) -> tuple:
-    """(c1 sqrt(d1)) (c2 sqrt(d2)) as a monomial (c, d), d squarefree."""
-    g, d = _combine_radicands(x[1], y[1])
-    return x[0] * y[0] * g, d
 
 
 def _sqrt_of_int_product(factors: list[int]) -> tuple[int, int] | None:
@@ -299,7 +264,7 @@ def _printed_terms(g: _AzGauge, n: int, m: int, power: int) -> list[tuple]:
     ls = spherical_ls(n, m)
 
     def pair(l: int, lp: int) -> tuple:
-        (u, e), (v, f) = g.roots[l - am], g.roots[lp - am]
+        (u, e), (v, f) = g.block.roots[l - am], g.block.roots[lp - am]
         return _mono((_neg1(l + lp) * u, e), (v, f))
 
     def bsq(l: int) -> Fraction:
@@ -380,14 +345,14 @@ def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, 
     terms = g.printed.get(power)
     if terms is None:
         terms = g.printed[power] = _printed_terms(g, p.n, p.m, power)
-    rho = g.rho[p.n1]
+    rho = g.block.rho[p.n1]
     acc: dict[int, Fraction] = {}
     for i, j, c, d, note in terms:
         if rho[i] and rho[j]:
             if note:
                 return None, note
             acc[d] = acc.get(d, 0) + rho[i] * rho[j] * c
-    a = g.a[p.n1]
+    a = g.block.a[p.n1]
     return RadicalSum({d: c * a for d, c in acc.items()}), None
 
 

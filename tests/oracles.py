@@ -4,12 +4,13 @@ Everything here is plain Fraction arithmetic over math.factorial: no prime
 factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
 
-There are two exceptions, both former package routes kept as the reference
+There are three exceptions, all former package routes kept as the reference
 for what replaced them: the dense generator walk, which works on the
 package's ManifoldState and RadicalSum (the generator engine's per-generator
-loop over dense coefficient vectors, replaced by the basis-state walk), and
-the printed A_z^2,3,4 forms over RadicalSum at the end (replaced by the
-monomial route in sumrules).
+loop over dense coefficient vectors, replaced by the basis-state walk), the
+printed A_z^2,3,4 forms over RadicalSum (replaced by the monomial route in
+sumrules), and B(l) by its single-3jm definition at the end (replaced by
+the rational block per (n, m) in basis).
 """
 from fractions import Fraction
 from math import factorial
@@ -386,3 +387,23 @@ def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, 
                                   f"weight radicand as printed")
                 lhs = lhs + pair * weight * betas
     return lhs, None
+
+
+# -- B(l) by its single-3jm definition -------------------------------------
+#
+# The package's B(l) route as it stood before every B and C moved to one
+# rational block per (n, m), kept verbatim (only its package imports are
+# spelled out) as the reference each block entry must equal.
+
+from rungelenz.basis import _check_l  # noqa: E402
+from rungelenz.wigner import _neg1, _threejm_twice  # noqa: E402
+
+
+def b_coeff(p: ParabolicLabel, l: int) -> RadicalSum:
+    """B(l): <n l m | n1 n2 m> via the single-3jm definition."""
+    _check_l(p, l)
+    n, m, q = p.n, p.m, p.q
+    sym = _threejm_twice(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
+    phase = _neg1(p.n2 + (m - abs(m)) // 2 + l)
+    root = RadicalSum.from_sqrt(2 * l + 1)
+    return sym * root * phase

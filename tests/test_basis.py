@@ -24,7 +24,7 @@ from rungelenz.basis import (
     unit_parabolic,
     unit_spherical,
 )
-from rungelenz.errors import DomainError
+from rungelenz.errors import DomainError, FactorialLimitError
 from rungelenz.radical import RadicalSum
 
 
@@ -93,6 +93,19 @@ class TestBCoeff:
                     got = sign_square(b_coeff(p, l))
                     want = oracles.b_sq(n, p.n1, p.n2, p.m, l)
                     assert got == want, (p, l)
+
+    def test_matrix_equals_single_3jm_definition(self):
+        for n in range(1, 11):
+            for p in all_labels(n):
+                row = b_matrix(n, p.m)[p.n1]
+                for l in spherical_ls(n, p.m):
+                    assert row[l - abs(p.m)] == oracles.b_coeff(p, l), (p, l)
+
+    def test_block_needs_factorials_to_2n_minus_1(self):
+        # one 3jm entry needs only (n+l)!, the whole n = 130 block 259!
+        p = ParabolicLabel(0, 128, 1)
+        with pytest.raises(FactorialLimitError, match="need 259!"):
+            b_coeff(p, 1)
 
     def test_regge_route_identical(self):
         for n in range(1, 9):

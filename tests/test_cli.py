@@ -248,6 +248,18 @@ class TestEnvironment:
         assert proc.returncode != 0
         assert "RUNGELENZ_FACTORIAL_LIMIT" in proc.stderr
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_factorial_limit_in_verify_is_usage_error(self, jobs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rungelenz", "verify", "--max-n", "12",
+             "--min-n", "12", "--m", "0", "--n1", "0", "--powers", "1",
+             "--jobs", jobs],
+            capture_output=True, text=True,
+            env=child_env(RUNGELENZ_FACTORIAL_LIMIT="20"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "need 21!" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_python_dash_m(self):
         proc = subprocess.run([sys.executable, "-m", "rungelenz", "table1"],
                               capture_output=True, text=True, env=child_env())
@@ -279,6 +291,34 @@ class TestEnvironment:
             proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             assert "46/1" in proc.stdout
+
+
+class TestBenchTracer:
+    def test_trace_metrics_survive_a_traced_solve(self):
+        """The benchmark's --trace 1 rebinds package names from outside src/;
+        a traced p_table and verify must still yield every per-layer metric
+        the benchmark declares."""
+        root = PYPROJECT.parent
+        names = [layer["name"] for layer in
+                 json.loads((root / "BENCHMARK.json").read_text())["per_layer"]]
+        script = "\n".join([
+            "import json, sys",
+            f"sys.path.insert(0, {str(root / 'bench')!r})",
+            "import tracer",
+            "tr = tracer.install()",
+            "from rungelenz import cli, stark",
+            "stark.p_table(4, 0.7)",
+            "assert cli.main(['verify', '--max-n', '3']) == 0",
+            "print(json.dumps(sorted(tr.metrics(1.0))))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        # trace.overhead_frac is the harness's own, from a traced and an
+        # untraced run
+        assert len(got) == 44
+        assert got == sorted(set(names) - {"trace.overhead_frac"})
 
 
 class TestGoldenOutput:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from rungelenz import stark
+from rungelenz import basis, stark, wigner
 from rungelenz.errors import DomainError, InternalConsistencyError
 from rungelenz.stark import (
     TransitionTable,
@@ -54,6 +54,16 @@ class TestCCoefficient:
                     for q in range(-upper, upper + 1, 2):
                         total += sign_square(c_coefficient(n, q, l, m))[1]
                     assert total * (2 * l + 1) == 1
+
+    def test_equals_the_3jm_kernel(self):
+        # arguments outside the block included: lenient zeros, never raising
+        for n in range(0, 9):
+            for q in range(-n, n + 1):
+                for l in range(-1, n + 1):
+                    for m in range(-n, n + 1):
+                        want = wigner._threejm_twice(n - 1, n - 1, 2 * l,
+                                                     m - q, m + q, -2 * m)
+                        assert c_coefficient(n, q, l, m) == want, (n, q, l, m)
 
     def test_square_relates_to_b(self):
         # C^2 = B^2 / (2l+1)
@@ -244,13 +254,15 @@ class TestPTable:
             assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_perturbed_c_route_is_caught(self, monkeypatch):
-        real = stark._c_float
+        real = stark._c_float_block
 
-        def perturbed(n, q, l, m):
-            value = real(n, q, l, m)
-            return value * 1.001 if (q, l, m) == (1, 2, 0) else value
+        def perturbed(n, m):
+            rows = [list(row) for row in real(n, m)]
+            if m == 0:
+                rows[2][2] *= 1.001  # (q, l) = (1, 2) of the n = 4 block
+            return tuple(tuple(row) for row in rows)
 
-        monkeypatch.setattr(stark, "_c_float", perturbed)
+        monkeypatch.setattr(stark, "_c_float_block", perturbed)
         with pytest.raises(InternalConsistencyError, match="routes disagree"):
             p_table(4, 0.7)
 
@@ -277,3 +289,37 @@ class TestPTable:
             p_table(n, 0.7)
         with pytest.raises(DomainError):
             pbar_table(n)
+
+
+@pytest.fixture
+def fresh_block():
+    caches = (basis.b_block, basis.b_matrix)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+class TestOneBlock:
+    def test_tables_run_without_the_3jm_kernel(self, monkeypatch, fresh_block):
+        def unavailable(*args):
+            raise AssertionError(f"3jm kernel called with {args}")
+
+        wigner.clear_caches()
+        monkeypatch.setattr(wigner, "_racah_3jm", unavailable)
+        basis.b_matrix(6, 1)
+        p_table(6, 0.7)
+        pbar_table(5)
+
+    def test_doubled_racah_entry_trips_the_normalisation(self, monkeypatch,
+                                                         fresh_block):
+        real = basis._racah_sum
+
+        def doubled(*t):
+            value = real(*t)
+            return 2 * value if t == (3, 3, 2, 1, -1, 0) else value
+
+        monkeypatch.setattr(basis, "_racah_sum", doubled)
+        with pytest.raises(InternalConsistencyError, match="squared norm"):
+            p_table(4, 0.7)

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from rungelenz import sumrules
-from rungelenz.basis import ParabolicLabel, b_coeff, b_matrix, spherical_ls
+from rungelenz import basis, sumrules
+from rungelenz.basis import ParabolicLabel, b_matrix, spherical_ls
 from rungelenz.cli import main
 from rungelenz.errors import DomainError, InternalConsistencyError
 from rungelenz.operators import az_power_matrix, beta, beta_squared
@@ -179,23 +179,27 @@ class TestPrintedRouteOracle:
 
 @pytest.fixture
 def fresh_gauge():
-    sumrules._az_gauge.cache_clear()
+    caches = (basis.b_block, basis.b_matrix, sumrules._az_gauge)
+    for cached in caches:
+        cached.cache_clear()
     yield
-    sumrules._az_gauge.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 class TestRationalGauge:
     def test_ties_to_b_coeff(self):
-        # B[n1, l] = s (-1)^l sqrt(a b) r: sign and square, exactly
+        # B[n1, l] = s (-1)^l sqrt(a b) r: sign and square, exactly, against
+        # the single-3jm definition
         for n in range(1, 11):
             for m in range(-(n - 1), n):
-                g = sumrules._az_gauge(n, m)
+                g = basis.b_block(n, m)
                 upper = n - abs(m) - 1
                 for n1 in range(upper + 1):
                     p = ParabolicLabel(n1, upper - n1, m)
                     s = -1 if (p.n2 + (m - abs(m)) // 2 + m) % 2 else 1
                     for i, l in enumerate(spherical_ls(n, m)):
-                        B = b_coeff(p, l)
+                        B = oracles.b_coeff(p, l)
                         rho = g.rho[n1][i]
                         assert g.a[n1] * g.b[i] * rho * rho == (B * B).as_fraction()
                         want = 0 if B.is_zero else (1 if B.terms()[0][1] > 0 else -1)
@@ -203,8 +207,8 @@ class TestRationalGauge:
 
     def test_rows_come_from_the_racah_sum(self, monkeypatch, fresh_gauge):
         calls = []
-        real = sumrules._racah_sum
-        monkeypatch.setattr(sumrules, "_racah_sum",
+        real = basis._racah_sum
+        monkeypatch.setattr(basis, "_racah_sum",
                             lambda *t: calls.append(t) or real(*t))
         sumrules._az_gauge(4, 1)
         assert len(calls) == 9  # one per (n1, l) of the 3 x 3 block
@@ -223,7 +227,7 @@ class TestRationalGauge:
             sum_rule_az(ParabolicLabel(1, 1, 0), 2)
 
     def test_normalisation_guard_is_live(self, monkeypatch, fresh_gauge):
-        real = sumrules._gauge_entries
+        real = basis._block_entries
 
         def scaled(n, m):
             g = real(n, m)
@@ -231,20 +235,20 @@ class TestRationalGauge:
             b[2] *= 2
             return dataclasses.replace(g, b=tuple(b))
 
-        monkeypatch.setattr(sumrules, "_gauge_entries", scaled)
+        monkeypatch.setattr(basis, "_block_entries", scaled)
         with pytest.raises(InternalConsistencyError, match="squared norm"):
             sum_rule_l2(ParabolicLabel(1, 2, 0))
 
     @staticmethod
     def perturb_racah(monkeypatch, factor):
         """Scale the Racah sum at l = 1 of the (n, m) = (4, 0), n1 = 1 row."""
-        real = sumrules._racah_sum
+        real = basis._racah_sum
 
         def perturbed(*t):
             value = real(*t)
             return value * factor if t == (3, 3, 2, 1, -1, 0) else value
 
-        monkeypatch.setattr(sumrules, "_racah_sum", perturbed)
+        monkeypatch.setattr(basis, "_racah_sum", perturbed)
 
     def test_negated_racah_entry_is_a_mismatch(self, monkeypatch, capsys,
                                                fresh_gauge):
