@@ -1,17 +1,18 @@
 """Parabolic <-> spherical basis machinery within one hydrogenic n-manifold.
 
 B(l) = <n l m | n1 n2 m> and its bare 3jm C are read from one cached block per
-(n, m), built over Q from the Racah sums of that 3jm (b_block); b_coeff,
-b_matrix, the Stark module's C and float tables and the sum-rule gauge all
-read it, and its build checks that every B row is normalised. The Regge
-partner, hypergeometric route and fixed-l closed forms are independent
-oracles, the last two restricted to m >= 0 as printed; they agree with the
-block in square, and the sign of the hypergeometric route differs by the
-global factor measured by hypergeometric_sign_survey.
+(n, m), built over Q from the Racah sums of that 3jm (b_block), which also
+holds A_z in that rational gauge (J); b_coeff, b_matrix, the Stark module's C
+and float tables and every sum rule read it, and its build checks that every
+B row is normalised and that J matches beta^2. The Regge partner,
+hypergeometric route and fixed-l closed forms are independent oracles, the
+last two restricted to m >= 0 as printed; they agree with the block in square,
+and the sign of the hypergeometric route differs by the global factor measured
+by hypergeometric_sign_survey.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import exp, sqrt
@@ -129,6 +130,22 @@ def unit_parabolic(label: ParabolicLabel) -> ManifoldState:
     return ManifoldState("parabolic", label.n, label.m, tuple(coeffs))
 
 
+@lru_cache(maxsize=None)
+def beta_squared(n: int, l: int, m: int) -> Fraction:
+    """(n^2-l^2)(l^2-m^2)/(4l^2-1), clamped to 0 outside the manifold.
+
+    The numerator vanishes at l = n and l^2 = m^2; indices beyond those
+    boundaries (where the product goes negative) also give 0, mirroring the
+    vanishing boundary factors in every chain they appear in.
+    """
+    if l < 0:
+        raise DomainError(f"beta needs l >= 0, got {l}")
+    num = (n * n - l * l) * (l * l - m * m)
+    if num <= 0:
+        return Fraction(0)
+    return Fraction(num, 4 * l * l - 1)
+
+
 # -- the B/C block of one (n, m) ----------------------------------------
 
 @dataclass(frozen=True)
@@ -143,7 +160,8 @@ class BBlock:
     s(n1) (-1)^l sqrt(a b) r with s(n1) = (-1)^(n2 + (m-|m|)/2 + m); rho =
     (-1)^l r. Rows are indexed by n1 (q increasing), entries by l - |m|. C's
     monomials (c, d) = c sqrt(d), the floats of C and B (each rounded from its
-    own monomial) and C^2 are built on first use.
+    own monomial) and C^2 are built on first use. A_z in this gauge is
+    J = D^-1 A_z D, D = diag(sqrt b): rational, tridiagonal, bands up and down.
     """
 
     n: int
@@ -152,6 +170,30 @@ class BBlock:
     b: tuple[Fraction, ...]
     roots: tuple[tuple[Fraction, int], ...]  # sqrt(b(l)/(2l+1)) = u sqrt(e)
     rho: tuple[tuple[Fraction, ...], ...]
+    up: tuple[Fraction, ...]  # J[l, l+1] = (l+1)((l+1)^2 - m^2)/(2l+1)
+    down: tuple[Fraction, ...]  # J[l+1, l] = J[l, l+1] b(l)/b(l+1)
+    _j_memo: list = field(default_factory=lambda: [(None, ())], init=False,
+                          compare=False, repr=False)
+
+    def b_j_power_rho(self, n1: int, power: int) -> tuple[Fraction, ...]:
+        """b (J^power rho) of row n1 = (J^T)^power (b rho), as b J is symmetric.
+
+        The block keeps b rho, b J rho, ... of the row last asked for, so the
+        powers of one label take one J^T step each. They are published as one
+        (n1, vectors) tuple, so a concurrent caller at worst repeats the work.
+        """
+        row, vecs = self._j_memo[0]
+        if row != n1:
+            vecs = (tuple(bl * x for bl, x in zip(self.b, self.rho[n1])),)
+        while len(vecs) <= power:
+            v = vecs[-1]
+            out = [0] * len(v)
+            for i, (j_up, j_down) in enumerate(zip(self.up, self.down)):
+                out[i] += j_down * v[i + 1]
+                out[i + 1] += j_up * v[i]
+            vecs += (tuple(out),)
+        self._j_memo[0] = (n1, vecs)
+        return vecs[power]
 
     @cached_property
     def c_monomials(self) -> tuple[tuple[tuple[Fraction, int], ...], ...]:
@@ -207,7 +249,9 @@ def _block_entries(n: int, m: int) -> BBlock:
                  * fi((n - 1 + m + q) // 2) * fi((n - 1 - m - q) // 2))
         rho.append(tuple(_neg1(l) * _racah_sum(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
                          for l in ls))
-    return BBlock(n, m, tuple(a), tuple(b), tuple(roots), tuple(rho))
+    up = tuple(Fraction((l + 1) * ((l + 1) ** 2 - m * m), 2 * l + 1) for l in ls[:-1])
+    down = tuple(j * b[i] / b[i + 1] for i, j in enumerate(up))
+    return BBlock(n, m, tuple(a), tuple(b), tuple(roots), tuple(rho), up, down)
 
 
 @lru_cache(maxsize=None)
@@ -215,8 +259,12 @@ def b_block(n: int, m: int) -> BBlock:
     """The checked block of (n, m); needs the factorial table up to (2n-1)!.
 
     Every B row must have a sum_l b rho^2 = 1, which ties a, b and the Racah
-    sums to B and C; a failure halts with InternalConsistencyError.
+    sums to B and C, and J[l, l+1] J[l+1, l] must equal beta^2(n, l+1, m),
+    which ties J's closed form and b's factorials to A_z; a failure halts with
+    InternalConsistencyError.
     """
+    if n < 1 or abs(m) > n - 1:
+        raise DomainError(f"(n, m) = ({n}, {m}) needs n >= 1 and |m| <= n-1")
     blk = _block_entries(n, m)
     for n1, (a, row) in enumerate(zip(blk.a, blk.rho)):
         norm = a * sum(bl * x * x for bl, x in zip(blk.b, row))
@@ -224,6 +272,11 @@ def b_block(n: int, m: int) -> BBlock:
             raise InternalConsistencyError(
                 f"B row n1={n1} of (n={n}, m={m}) has squared norm {norm} "
                 f"in the rational gauge, not 1")
+    for l, j_up, j_down in zip(spherical_ls(n, m), blk.up, blk.down):
+        if j_up * j_down != beta_squared(n, l + 1, m):
+            raise InternalConsistencyError(
+                f"gauge J[{l}, {l + 1}] J[{l + 1}, {l}] = {j_up * j_down} differs "
+                f"from beta^2 = {beta_squared(n, l + 1, m)} at (n={n}, m={m})")
     return blk
 
 

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from fractions import Fraction
+from itertools import chain
 
 from .basis import ParabolicLabel, b_coeff
 from .diamagnetic import h1_matrix, h2_matrix
@@ -135,44 +136,50 @@ def _verify_worker(task: tuple) -> list[dict]:
 
 
 def _cmd_verify(args, parser) -> int:
-    tasks = _sweep_tuples(args, parser)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            grouped = list(pool.map(_verify_worker, tasks, chunksize=8))
-    else:
-        grouped = [_verify_worker(t) for t in tasks]
-    reports = [r for group in grouped for r in group]
+    """Stream the reports in sweep order; the summary counts them as they pass.
 
-    mismatches = sum(r["verdict"] != "exact-match" for r in reports)
-    warnings = sum(1 for r in reports
-                   if r.get("printed", {}).get("verdict") not in (None, "exact-match"))
+    Nothing is written before the first report exists, so a sweep whose first
+    task fails leaves stdout empty.
+    """
+    tasks = _sweep_tuples(args, parser)
+    out = sys.stdout
+    writer = csv.writer(out)
+    count = mismatches = warnings = 0
+    with ExitStack() as stack:
+        if args.jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            groups = pool.map(_verify_worker, tasks, chunksize=8)
+        else:
+            groups = map(_verify_worker, tasks)
+        for r in chain.from_iterable(groups):
+            q, printed = r["params"], r.get("printed", {}).get("verdict")
+            warn = printed not in (None, "exact-match")
+            if args.format == "json":
+                out.write(',\n' if count else '{\n  "reports": [\n')
+                out.write("    " + json.dumps(r, indent=2).replace("\n", "\n    "))
+            elif args.format == "csv":
+                if not count:
+                    writer.writerow(["rule", "n", "m", "n1", "n2", "p",
+                                     "lhs", "rhs", "verdict", "printed_verdict"])
+                writer.writerow([r["rule"], q["n"], q["m"], q["n1"], q["n2"], q["p"],
+                                 r["lhs"], r["rhs"], r["verdict"], printed or ""])
+            else:
+                line = (f"{r['rule']:<9} n={q['n']:<3} m={q['m']:<3} n1={q['n1']:<3} "
+                        f"n2={q['n2']:<3} p={q['p']} lhs={r['lhs']} rhs={r['rhs']} "
+                        f"[{r['verdict']}]")
+                if warn:
+                    line += f" printed-form:{printed}"
+                print(line)
+            count += 1
+            mismatches += r["verdict"] != "exact-match"
+            warnings += warn
     if args.format == "json":
-        print(json.dumps({"reports": reports,
-                          "summary": {"tuples": len(tasks), "reports": len(reports),
-                                      "mismatches": mismatches,
-                                      "printed_form_warnings": warnings}}, indent=2))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["rule", "n", "m", "n1", "n2", "p",
-                         "lhs", "rhs", "verdict", "printed_verdict"])
-        for r in reports:
-            q = r["params"]
-            writer.writerow([r["rule"], q["n"], q["m"], q["n1"], q["n2"], q["p"],
-                             r["lhs"], r["rhs"], r["verdict"],
-                             r.get("printed", {}).get("verdict", "")])
-        sys.stdout.write(buf.getvalue())
-    else:
-        for r in reports:
-            q = r["params"]
-            line = (f"{r['rule']:<9} n={q['n']:<3} m={q['m']:<3} n1={q['n1']:<3} "
-                    f"n2={q['n2']:<3} p={q['p']} lhs={r['lhs']} rhs={r['rhs']} "
-                    f"[{r['verdict']}]")
-            printed = r.get("printed")
-            if printed and printed["verdict"] != "exact-match":
-                line += f" printed-form:{printed['verdict']}"
-            print(line)
-        print(f"summary: {len(reports)} checks over {len(tasks)} tuples, "
+        summary = {"tuples": len(tasks), "reports": count, "mismatches": mismatches,
+                   "printed_form_warnings": warnings}
+        out.write('\n  ],\n  "summary": '
+                  + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n")
+    elif args.format == "text":
+        print(f"summary: {count} checks over {len(tasks)} tuples, "
               f"{mismatches} mismatches, {warnings} printed-form warnings")
     return 0 if mismatches == 0 else 1
 

@@ -17,28 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import ManifoldState, ParabolicLabel, SphericalLabel, spherical_ls
+from .basis import (ManifoldState, ParabolicLabel, SphericalLabel, beta_squared,
+                    spherical_ls)
 from .errors import DomainError, InternalConsistencyError
 from .pfrational import PFRational, sqrt_extract
 from .radical import RadicalSum, _combine_radicands, dot
 
 GENERATORS = ("j1z", "j2z", "j1plus", "j1minus", "j2plus", "j2minus")
-
-
-@lru_cache(maxsize=None)
-def beta_squared(n: int, l: int, m: int) -> Fraction:
-    """(n^2-l^2)(l^2-m^2)/(4l^2-1), clamped to 0 outside the manifold.
-
-    The numerator vanishes at l = n and l^2 = m^2; indices beyond those
-    boundaries (where the product goes negative) also give 0, mirroring the
-    vanishing boundary factors in every chain they appear in.
-    """
-    if l < 0:
-        raise DomainError(f"beta needs l >= 0, got {l}")
-    num = (n * n - l * l) * (l * l - m * m)
-    if num <= 0:
-        return Fraction(0)
-    return Fraction(num, 4 * l * l - 1)
 
 
 @lru_cache(maxsize=None)

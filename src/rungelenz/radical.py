@@ -189,11 +189,13 @@ def dot(xs, ys) -> RadicalSum:
 #
 # Radicands d are squarefree and > 1 (a rational is only ever spelled p/q).
 # Terms appear with radicands strictly increasing; the leading '-' is only
-# ever on the first term. parse_exact(render_exact(x)) == x bit-exactly.
+# ever on the first term; p/q is in lowest terms, in ASCII digits without
+# leading zeros. parse_exact accepts exactly the strings render_exact makes:
+# parse_exact(render_exact(x)) == x and render_exact(parse_exact(t)) == t.
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<num>-?\d+)/(?P<den>\d+)"
-    r"|(?P<neg>-)?\((?P<rnum>\d+)/(?P<rden>\d+)\)\*sqrt\((?P<rad>\d+)\))$"
+    r"^(?:(?P<num>-?[0-9]+)/(?P<den>[0-9]+)"
+    r"|(?P<neg>-)?\((?P<rnum>[0-9]+)/(?P<rden>[0-9]+)\)\*sqrt\((?P<rad>[0-9]+)\))$"
 )
 
 
@@ -237,7 +239,8 @@ def _is_squarefree(d: int) -> bool:
 
 
 def parse_exact(text: str) -> RadicalSum:
-    """Parse the exact-value grammar back into a RadicalSum."""
+    """Parse the exact-value grammar back into a RadicalSum; any other
+    spelling of a value, even an equal one, raises ExactParseError."""
     s = text.strip()
     if not s:
         raise ExactParseError("empty exact-value string")
@@ -251,29 +254,26 @@ def parse_exact(text: str) -> RadicalSum:
         m = _TERM_RE.match(chunk)
         if not m:
             raise ExactParseError(f"bad exact-value term {chunk!r} in {text!r}")
-        if m.group("num") is not None:
-            d = 1
-            num, den = int(m.group("num")), int(m.group("den"))
-        else:
-            d = int(m.group("rad"))
-            num, den = int(m.group("rnum")), int(m.group("rden"))
-            if m.group("neg"):
-                num = -num
-            if d < 2:
-                raise ExactParseError(f"radicand must exceed 1 in {chunk!r}")
-            if not _is_squarefree(d):
-                raise ExactParseError(f"radicand {d} is not squarefree")
+        try:
+            if m.group("num") is not None:
+                d, num, den = 1, int(m.group("num")), int(m.group("den"))
+            else:
+                d, num, den = (int(m.group(k)) for k in ("rad", "rnum", "rden"))
+        except ValueError:  # more digits than int() converts
+            raise ExactParseError("a number exceeds the interpreter's digit "
+                                  "limit for int conversion") from None
+        if m.group("neg"):
+            num = -num
+        if d == 0 or (d > 1 and not _is_squarefree(d)):
+            raise ExactParseError(f"radicand {d} is not squarefree and positive")
         if den == 0:
             raise ExactParseError(f"zero denominator in {chunk!r}")
-        c = Fraction(num, den)
-        c *= outer_sign
-        if d in terms:
-            raise ExactParseError(f"radicand {d} repeated in {text!r}")
-        if c != 0:
-            terms[d] = c
+        terms[d] = Fraction(num, den) * outer_sign
     value = RadicalSum(terms)
-    if value.is_zero and s != "0/1":
-        # only the canonical zero spelling round-trips
-        raise ExactParseError(f"zero must be written '0/1', got {text!r}")
+    # one value has one spelling: this rejects unreduced fractions, leading
+    # zeros, radicand 1, repeated or unordered radicands and a misplaced sign
+    if render_exact(value) != s:
+        raise ExactParseError(f"{text!r} is not the canonical spelling "
+                              f"{render_exact(value)!r}")
     return value
 

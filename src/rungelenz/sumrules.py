@@ -2,14 +2,13 @@
 
 Every rule runs over Q on the rational gauge of basis.b_block: B[n1, l] =
 s (-1)^l sqrt(a(n1) b(l)) r(n1, l) with r the Racah alternating sum of B's
-3jm, and A_z conjugated by diag(sqrt b) is a rational tridiagonal J, built
-here once per (n, m) block. Every A_z^k rule and moment has one canonical
-route, the contraction <p| A_z^k |p> = a sum_l b rho (J^k rho) with
-rho = (-1)^l r; the L^2 rule sums a b rho^2 l(l+1). Its check is the
-comparison with the analytic right-hand side, plus two gauge guards: J
-against beta^2 (here) and every B row's normalisation (in the block). r
-comes from the Racah sum, never from J's recurrence, so J rho = q rho is
-checked, not built in. For k = 2, 3, 4 the explicit
+3jm, and A_z conjugated by diag(sqrt b) is the block's rational tridiagonal J.
+Every A_z^k rule and moment has one canonical route, the contraction
+<p| A_z^k |p> = a sum_l b rho (J^k rho) with rho = (-1)^l r; the L^2 rule sums
+a b rho^2 l(l+1). Its check is the comparison with the analytic right-hand
+side, plus the block's two gauge guards: J against beta^2 and every B row's
+normalisation. r comes from the Racah sum, never from J's recurrence, so
+J rho = q rho is checked, not built in. For k = 2, 3, 4 the explicit
 weight-ratio forms as printed in the source material are re-derived verbatim
 on monomials c sqrt(d) and diffed against the canonical value, so suspected
 misprints surface as reported discrepancies, never as silent corrections.
@@ -20,19 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import BBlock, ParabolicLabel, b_block, spherical_ls
+from .basis import ParabolicLabel, b_block, beta_squared, spherical_ls
 from .errors import DomainError, InternalConsistencyError
-from .operators import (
-    _split_radicand,
-    beta_squared,
-    expression_apply,
-    l_squared_expression,
-)
+from .operators import _split_radicand, expression_apply, l_squared_expression
 from .radical import RadicalSum, _combine_radicands, _mono, render_exact
 from .wigner import _neg1
-
-AZ_MOMENT_POWER_BOUND = 8
-L2_MOMENT_POWER_BOUND = 4
 
 
 @dataclass
@@ -107,57 +98,11 @@ class SumRuleReport:
         return out
 
 
-@dataclass(frozen=True)
-class _AzGauge:
-    """A_z of one (n, m) block over Q, on top of the block's B gauge.
-
-    With B[n1, l] = s (-1)^l sqrt(a(n1) b(l)) r(n1, l) and rho = (-1)^l r
-    (basis.BBlock), A_z becomes J = D^-1 A_z D, D = diag(sqrt b): rational,
-    tridiagonal, zero diagonal. Entries are indexed by l - |m| and rows by n1.
-    """
-
-    block: BBlock
-    up: tuple[Fraction, ...]  # J[l, l+1] = (l+1)((l+1)^2 - m^2)/(2l+1)
-    down: tuple[Fraction, ...]  # J[l+1, l] = J[l, l+1] b(l)/b(l+1)
-    weights: tuple[tuple[Fraction, ...], ...]  # a(n1) b(l) rho(n1, l)
-    powers: dict[int, tuple[tuple[Fraction, ...], ...]] = field(default_factory=dict)
-    printed: dict[int, list[tuple]] = field(default_factory=dict)
-
-
-def _gauge_entries(n: int, m: int) -> _AzGauge:
-    """The gauge of the (n, m) block, J unchecked."""
-    blk = b_block(n, m)
-    b = blk.b
-    up = [Fraction((l + 1) * ((l + 1) ** 2 - m * m), 2 * l + 1)
-          for l in spherical_ls(n, m)[:-1]]
-    down = [j * b[i] / b[i + 1] for i, j in enumerate(up)]
-    weights = tuple(tuple(a * bl * x for bl, x in zip(b, row))
-                    for a, row in zip(blk.a, blk.rho))
-    return _AzGauge(blk, tuple(up), tuple(down), weights)
-
-
-@lru_cache(maxsize=None)
-def _az_gauge(n: int, m: int) -> _AzGauge:
-    """The checked gauge of the (n, m) block.
-
-    J[l, l+1] J[l+1, l] must equal beta^2(n, l+1, m), which ties J's closed
-    form and b's factorials to A_z (the block itself checks every B row's
-    normalisation); a failure halts with InternalConsistencyError.
-    """
-    g = _gauge_entries(n, m)
-    for l, j_up, j_down in zip(spherical_ls(n, m), g.up, g.down):
-        if j_up * j_down != beta_squared(n, l + 1, m):
-            raise InternalConsistencyError(
-                f"gauge J[{l}, {l + 1}] J[{l + 1}, {l}] = {j_up * j_down} differs "
-                f"from beta^2 = {beta_squared(n, l + 1, m)} at (n={n}, m={m})")
-    return g
-
-
 def _b_squared_sum(p: ParabolicLabel, f) -> Fraction:
     """sum_l B^2(l) f(l) = a sum_l b(l) rho(l)^2 f(l)."""
-    g = _az_gauge(p.n, p.m)
-    return sum(w * x * f(l) for l, w, x in
-               zip(spherical_ls(p.n, p.m), g.weights[p.n1], g.block.rho[p.n1]))
+    blk = b_block(p.n, p.m)
+    return blk.a[p.n1] * sum(w * x * f(l) for l, w, x in zip(
+        spherical_ls(p.n, p.m), blk.b_j_power_rho(p.n1, 0), blk.rho[p.n1]))
 
 
 def sum_rule_l2(p: ParabolicLabel) -> SumRuleReport:
@@ -168,25 +113,10 @@ def sum_rule_l2(p: ParabolicLabel) -> SumRuleReport:
 
 
 def _az_contraction(p: ParabolicLabel, power: int) -> Fraction:
-    """<p| A_z^power |p> = a sum_l b(l) rho(l) (J^power rho)(l).
-
-    The block keeps the vectors J^k rho of the label last extended, so the
-    powers of one label apply J once each. They are published as one tuple,
-    so a concurrent caller at worst repeats the work.
-    """
-    g = _az_gauge(p.n, p.m)
-    vecs = g.powers.get(p.n1, (g.block.rho[p.n1],))
-    if len(vecs) <= power:
-        while len(vecs) <= power:
-            v = vecs[-1]
-            out = [0] * len(v)
-            for i, (j_up, j_down) in enumerate(zip(g.up, g.down)):
-                out[i] += j_up * v[i + 1]
-                out[i + 1] += j_down * v[i]
-            vecs += (tuple(out),)
-        g.powers.clear()
-        g.powers[p.n1] = vecs
-    return sum(w * x for w, x in zip(g.weights[p.n1], vecs[power]))
+    """<p| A_z^power |p> = a sum_l rho(l) b(l) (J^power rho)(l)."""
+    blk = b_block(p.n, p.m)
+    return blk.a[p.n1] * sum(x * y for x, y in
+                             zip(blk.rho[p.n1], blk.b_j_power_rho(p.n1, power)))
 
 
 def _sqrt_of_int_product(factors: list[int]) -> tuple[int, int] | None:
@@ -250,7 +180,8 @@ def _chain_kernel(wfac: list[int], chain: tuple, scale=1) -> tuple | None:
     return c * scale, d
 
 
-def _printed_terms(g: _AzGauge, n: int, m: int, power: int) -> list[tuple]:
+@lru_cache(maxsize=None)
+def _printed_terms(n: int, m: int, power: int) -> tuple[tuple, ...]:
     """The printed A_z^power form of the (n, m) block as (i, j, c, d, note).
 
     The bare 3jm of B's definition is T(l) = (-1)^m sqrt(a) r(l) u(l) sqrt(e(l))
@@ -262,9 +193,10 @@ def _printed_terms(g: _AzGauge, n: int, m: int, power: int) -> list[tuple]:
     """
     am = abs(m)
     ls = spherical_ls(n, m)
+    roots = b_block(n, m).roots
 
     def pair(l: int, lp: int) -> tuple:
-        (u, e), (v, f) = g.block.roots[l - am], g.block.roots[lp - am]
+        (u, e), (v, f) = roots[l - am], roots[lp - am]
         return _mono((_neg1(l + lp) * u, e), (v, f))
 
     def bsq(l: int) -> Fraction:
@@ -330,7 +262,7 @@ def _printed_terms(g: _AzGauge, n: int, m: int, power: int) -> list[tuple]:
                                               f"negative {what} as printed"))
             elif kernel[0]:
                 out.append((i, lp - am, *_mono(pair(l, lp), kernel), None))
-    return out
+    return tuple(out)
 
 
 def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, str | None]:
@@ -341,18 +273,15 @@ def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, 
     the note names the first such term, in the printed order, whose 3jm pair
     does not vanish. The label's rho row weights the block's printed terms.
     """
-    g = _az_gauge(p.n, p.m)
-    terms = g.printed.get(power)
-    if terms is None:
-        terms = g.printed[power] = _printed_terms(g, p.n, p.m, power)
-    rho = g.block.rho[p.n1]
+    blk = b_block(p.n, p.m)
+    rho = blk.rho[p.n1]
     acc: dict[int, Fraction] = {}
-    for i, j, c, d, note in terms:
+    for i, j, c, d, note in _printed_terms(p.n, p.m, power):
         if rho[i] and rho[j]:
             if note:
                 return None, note
             acc[d] = acc.get(d, 0) + rho[i] * rho[j] * c
-    a = g.block.a[p.n1]
+    a = blk.a[p.n1]
     return RadicalSum({d: c * a for d, c in acc.items()}), None
 
 
@@ -379,20 +308,16 @@ def sum_rule_az(p: ParabolicLabel, power: int) -> SumRuleReport:
                          printed_lhs=printed_lhs, printed_rhs=printed_rhs)
 
 
-def az_moment_generic(p: ParabolicLabel, power: int,
-                      bound: int = AZ_MOMENT_POWER_BOUND) -> SumRuleReport:
+def az_moment_generic(p: ParabolicLabel, power: int) -> SumRuleReport:
     """<p| A_z^power |p> = (n1-n2)^power through the gauge contraction."""
     if power < 0:
         raise DomainError("power must be >= 0")
-    if power > bound:
-        raise DomainError(f"power {power} exceeds the configured bound {bound}")
     lhs = RadicalSum.from_rational(_az_contraction(p, power))
     rhs = Fraction(p.q**power)
     return SumRuleReport("az-moment", p.n, p.m, p.n1, p.n2, power, lhs, rhs)
 
 
-def l2_power_moment(p: ParabolicLabel, power: int,
-                    bound: int = L2_MOMENT_POWER_BOUND) -> Fraction:
+def l2_power_moment(p: ParabolicLabel, power: int) -> Fraction:
     """sum_l B^2(l) [l(l+1)]^power, via (L^2)^power in the operator engine.
 
     The engine expectation must equal the explicit spherical-basis sum
@@ -402,8 +327,6 @@ def l2_power_moment(p: ParabolicLabel, power: int,
 
     if power < 1:
         raise DomainError("power must be >= 1")
-    if power > bound:
-        raise DomainError(f"power {power} exceeds the configured bound {bound}")
     expr = l_squared_expression()
     state = unit_parabolic(p)
     for _ in range(power):

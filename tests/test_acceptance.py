@@ -24,7 +24,7 @@ from rungelenz.basis import (
 from rungelenz.diamagnetic import h1_matrix, h2_matrix, h2_symmetry_report
 from rungelenz.operators import az_apply_spherical
 from rungelenz.radical import RadicalSum
-from rungelenz import sumrules
+from rungelenz import basis, sumrules
 from rungelenz.stark import c_coefficient, closed_form_report, p_bar, p_transition
 from rungelenz.sumrules import az_moment_generic, sum_rule_az, sum_rule_l2
 from rungelenz.basis import b_squared_asymptotic
@@ -234,9 +234,8 @@ def test_criterion_10_radical_collapse(sweep12):
             continue
         assert r.printed_lhs is not None and r.printed_lhs.is_rational, r
         assert r.printed_verdict == "exact-match", r
-        g = sumrules._az_gauge(r.n, r.m)
-        rho, am, q = g.block.rho[r.n1], abs(r.m), r.n1 - r.n2
-        for i, j, *_ in g.printed[r.power]:
+        rho, am, q = basis.b_block(r.n, r.m).rho[r.n1], abs(r.m), r.n1 - r.n2
+        for i, j, *_ in sumrules._printed_terms(r.n, r.m, r.power):
             if rho[i] and rho[j]:
                 pair = (c_coefficient(r.n, q, i + am, r.m)
                         * c_coefficient(r.n, q, j + am, r.m))

@@ -10,6 +10,7 @@ from rungelenz.basis import (
     ManifoldState,
     ParabolicLabel,
     SphericalLabel,
+    b_block,
     b_coeff,
     b_coeff_3f2,
     b_coeff_regge,
@@ -26,6 +27,7 @@ from rungelenz.basis import (
 )
 from rungelenz.errors import DomainError, FactorialLimitError
 from rungelenz.radical import RadicalSum
+from rungelenz.stark import c_coefficient
 
 
 def sign_square(value):
@@ -85,6 +87,14 @@ class TestBCoeff:
             b_coeff(p, 3)
         with pytest.raises(DomainError):
             b_coeff(p, 9)
+
+    @pytest.mark.parametrize("n,m", [(3, 5), (3, -3), (0, 0), (-1, 0), (1, 1)])
+    def test_out_of_manifold_block_rejected(self, n, m):
+        for build in (b_block, b_matrix):
+            with pytest.raises(DomainError, match=r"\|m\| <= n-1"):
+                build(n, m)
+        # C is a 3jm, which its selection rules send to zero there
+        assert c_coefficient(n, 0, abs(m), m).is_zero
 
     def test_sweep_against_oracle(self):
         for n in range(1, 8):

@@ -333,6 +333,12 @@ class TestGoldenOutput:
     VERIFY9_ARGV = ("verify", "--max-n", "9", "--powers", "1,2,3,4,5,6,7,8",
                     "--format", "json")
     VERIFY9_SHA256 = "bf40e6d9667e20799cf749e1b7c32661a579fd492b34f38ee528bc18b0cddeb6"
+    # the VERIFY_ARGV sweep in the other formats, and in JSON over two workers
+    VERIFY_FORMAT_SHA256 = {
+        ("text", "1"): "f37e9f2b85535d2a2426fa42736b3a205c0647cfc5e5eb1bd1762c98935f1e53",
+        ("csv", "1"): "c69ba413cbf2fae4e0044bf3b75500886ae69e61e2fc04b61cfc44c3e7bc60b4",
+        ("json", "2"): VERIFY_SHA256,
+    }
     # over the concatenated `compute <kind> n m` outputs, m ascending
     MATRIX_SHA256 = {
         ("h1", 1): "3290d5b86dab6281aa114734625c825285291ece95ddb7ed938d6df7e29ebd0e",
@@ -355,6 +361,13 @@ class TestGoldenOutput:
         code, out = run_cli(capsys, *self.VERIFY_ARGV)
         assert code == 0
         assert self.sha256(out) == self.VERIFY_SHA256
+
+    @pytest.mark.parametrize("fmt,jobs", sorted(VERIFY_FORMAT_SHA256))
+    def test_verify_formats(self, capsys, monkeypatch, fmt, jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, out = run_cli(capsys, *self.VERIFY_ARGV[:-1], fmt, "--jobs", jobs)
+        assert code == 0
+        assert self.sha256(out) == self.VERIFY_FORMAT_SHA256[fmt, jobs]
 
     def test_verify_json_printed_forms(self, capsys):
         code, out = run_cli(capsys, *self.VERIFY9_ARGV)

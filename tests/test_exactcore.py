@@ -255,6 +255,39 @@ class TestRadicalSum:
             RadicalSum({-2: Fraction(1)})
 
 
+# Strings over the exact grammar's alphabet with numbers of at most 12 digits:
+# token soups, terms joined as the grammar joins them, and rendered values
+# with at most one character replaced by a token.
+_DIGITS = st.one_of(st.integers(0, 30).map(str),
+                    st.from_regex(r"[0-9]{1,12}", fullmatch=True))
+_ALPHABET = ["-", "/", "(", ")", "*sqrt(", " + ", " - ", " ", "0", "1", "2", "4"]
+_SIGN = st.sampled_from(["", "-"])
+_TERM = st.one_of(
+    st.builds("{}{}/{}".format, _SIGN, _DIGITS, _DIGITS),
+    st.builds("{}({}/{})*sqrt({})".format, _SIGN, _DIGITS, _DIGITS, _DIGITS))
+_VALUE = st.dictionaries(
+    st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11]),
+    st.fractions(min_value=-999, max_value=999, max_denominator=999),
+    max_size=3).map(RadicalSum)
+
+
+@st.composite
+def _exact_like(draw):
+    kind = draw(st.sampled_from(["soup", "terms", "rendered"]))
+    if kind == "soup":
+        return "".join(draw(st.lists(st.one_of(_DIGITS, st.sampled_from(_ALPHABET)),
+                                     max_size=12)))
+    if kind == "terms":
+        rest = draw(st.lists(st.tuples(st.sampled_from([" + ", " - "]), _TERM),
+                             max_size=3))
+        return draw(_TERM) + "".join(op + t for op, t in rest)
+    text = render_exact(draw(_VALUE))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(_ALPHABET)) + text[i + 1:]
+    return text
+
+
 class TestExactGrammar:
     @pytest.mark.parametrize("value, text", [
         (RadicalSum.zero(), "0/1"),
@@ -294,6 +327,30 @@ class TestExactGrammar:
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ExactParseError):
             parse_exact(bad)
+
+    @pytest.mark.parametrize("bad", [
+        "2/4", "01/2", "-(1/2)*sqrt(02)", "(1/2)*sqrt(3) + (1/2)*sqrt(2)",
+        "(1/2)*sqrt(2) + -1/3", "\u0661/\u0662", "-0/1", "(2/4)*sqrt(2)",
+        "(1/2)*sqrt(1)", "1/2 + (1/3)*sqrt(2) + (1/3)*sqrt(2)",
+    ])
+    def test_parse_rejects_non_canonical_spellings(self, bad):
+        with pytest.raises(ExactParseError):
+            parse_exact(bad)
+
+    def test_parse_rejects_numbers_beyond_the_int_digit_limit(self):
+        digits = "1" + "0" * 5000
+        for text in (f"{digits}/1", f"1/{digits}", f"(1/1)*sqrt({digits})"):
+            with pytest.raises(ExactParseError, match="digit limit"):
+                parse_exact(text)
+
+    @settings(max_examples=300)
+    @given(_exact_like())
+    def test_parse_accepts_exactly_rendered_strings(self, text):
+        try:
+            value = parse_exact(text)
+        except ExactParseError:
+            return
+        assert render_exact(value) == text.strip()
 
     @given(st.integers(min_value=2, max_value=10**6))
     def test_parse_accepts_exactly_squarefree_radicands(self, d):

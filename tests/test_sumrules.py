@@ -179,7 +179,7 @@ class TestPrintedRouteOracle:
 
 @pytest.fixture
 def fresh_gauge():
-    caches = (basis.b_block, basis.b_matrix, sumrules._az_gauge)
+    caches = (basis.b_block, basis.b_matrix, sumrules._printed_terms)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -210,11 +210,11 @@ class TestRationalGauge:
         real = basis._racah_sum
         monkeypatch.setattr(basis, "_racah_sum",
                             lambda *t: calls.append(t) or real(*t))
-        sumrules._az_gauge(4, 1)
+        basis.b_block(4, 1)
         assert len(calls) == 9  # one per (n1, l) of the 3 x 3 block
 
     def test_j_guard_is_live(self, monkeypatch, fresh_gauge):
-        real = sumrules._gauge_entries
+        real = basis._block_entries
 
         def perturbed(n, m):
             g = real(n, m)
@@ -222,7 +222,7 @@ class TestRationalGauge:
             up[1] *= Fraction(1001, 1000)
             return dataclasses.replace(g, up=tuple(up))
 
-        monkeypatch.setattr(sumrules, "_gauge_entries", perturbed)
+        monkeypatch.setattr(basis, "_block_entries", perturbed)
         with pytest.raises(InternalConsistencyError, match=r"gauge J\[1, 2\]"):
             sum_rule_az(ParabolicLabel(1, 1, 0), 2)
 
@@ -268,7 +268,7 @@ class TestRationalGauge:
 
     def test_powers_beyond_the_default_bound(self):
         for power in (9, 12):
-            assert az_moment_generic(TABLE1, power, bound=power).ok
+            assert az_moment_generic(TABLE1, power).ok
         # a lower power after a higher one reuses the label's vectors
         assert az_moment_generic(TABLE1, 3).lhs == RadicalSum.from_rational(8)
 
@@ -286,11 +286,6 @@ class TestGenericMoments:
     def test_worked_example_high_powers(self, power, want):
         r = az_moment_generic(TABLE1, power)
         assert r.lhs == RadicalSum.from_rational(want) and r.ok
-
-    def test_power_bound(self):
-        with pytest.raises(DomainError):
-            az_moment_generic(TABLE1, 9)
-        az_moment_generic(TABLE1, 9, bound=9)
 
     def test_sweep(self):
         for n in range(1, 7):
@@ -325,10 +320,6 @@ class TestL2Moments:
 
     def test_frozen_power_two(self):
         assert l2_power_moment(ParabolicLabel(1, 1, 0), 2) == 24
-
-    def test_power_bound(self):
-        with pytest.raises(DomainError):
-            l2_power_moment(TABLE1, 5)
 
     def test_sweep_powers_two_three(self):
         for n in range(1, 6):
