@@ -59,6 +59,13 @@ class ParabolicLabel:
         return self.n1 - self.n2
 
 
+def check_block(n: int, m: int) -> None:
+    """DomainError unless (n, m) is a block of the manifold."""
+    if n < 1 or abs(m) > n - 1:
+        raise DomainError(f"(n, m) = ({n}, {m}) is not a block of the manifold: "
+                          f"need n >= 1 and |m| <= n-1")
+
+
 def spherical_ls(n: int, m: int) -> range:
     """The l index set of the (n, m) manifold."""
     return range(abs(m), n)
@@ -263,8 +270,7 @@ def b_block(n: int, m: int) -> BBlock:
     which ties J's closed form and b's factorials to A_z; a failure halts with
     InternalConsistencyError.
     """
-    if n < 1 or abs(m) > n - 1:
-        raise DomainError(f"(n, m) = ({n}, {m}) needs n >= 1 and |m| <= n-1")
+    check_block(n, m)
     blk = _block_entries(n, m)
     for n1, (a, row) in enumerate(zip(blk.a, blk.rho)):
         norm = a * sum(bl * x * x for bl, x in zip(blk.b, row))

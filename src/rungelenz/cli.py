@@ -1,9 +1,10 @@
 """Batch command-line surface: compute, verify, reproduce the worked example.
 
 Exit codes: 0 all canonical checks passed, 1 at least one mismatch,
-2 usage error. Printed-form discrepancies are warnings and never affect the
-exit status. Sweeps are merged in parameter order regardless of how many
-worker processes ran them.
+2 usage error, 141 (128 + SIGPIPE) stdout closed by its reader before the
+output was written, which ends the run quietly. Printed-form discrepancies
+are warnings and never affect the exit status. Sweeps are merged in
+parameter order regardless of how many worker processes ran them.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from fractions import Fraction
 from itertools import chain
 
 from .basis import ParabolicLabel, b_coeff
@@ -23,12 +23,13 @@ from .diamagnetic import h1_matrix, h2_matrix
 from .errors import DomainError
 from .halfint import HalfInt
 from .operators import beta
-from .radical import RadicalSum, render_exact
+from .radical import render_exact
 from .stark import p_bar, p_transition
 from .sumrules import az_moment_generic, sum_rule_az, sum_rule_l2
 from .wigner import clebsch_gordan, wigner_3jm, wigner_6j
 
 TABLE1_PARAMS = ParabolicLabel(n1=3, n2=1, m=4)  # the n=9 worked example
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a SIGPIPE kill
 
 
 class _NegativeNumber:
@@ -148,6 +149,8 @@ def _cmd_verify(args, parser) -> int:
     with ExitStack() as stack:
         if args.jobs > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            # runs first on the way out: an early exit computes no more tasks
+            stack.callback(pool.shutdown, cancel_futures=True)
             groups = pool.map(_verify_worker, tasks, chunksize=8)
         else:
             groups = map(_verify_worker, tasks)
@@ -187,8 +190,6 @@ def _cmd_verify(args, parser) -> int:
 def _emit_value(args, kind: str, value) -> None:
     if isinstance(value, float):
         rendered = repr(value)
-    elif isinstance(value, Fraction):
-        rendered = render_exact(RadicalSum.from_rational(value))
     else:
         rendered = render_exact(value)
     if args.format == "json":
@@ -219,11 +220,10 @@ def _cmd_compute(args, parser) -> int:
         row = [p_bar(args.n, args.l_init, lp) for lp in range(args.n)]
         if args.format == "json":
             print(json.dumps({"kind": kind, "n": args.n, "l_init": args.l_init,
-                              "row": [render_exact(RadicalSum.from_rational(x))
-                                      for x in row]}))
+                              "row": [render_exact(x) for x in row]}))
         else:
             for lp, x in enumerate(row):
-                print(f"l'={lp}: {render_exact(RadicalSum.from_rational(x))}")
+                print(f"l'={lp}: {render_exact(x)}")
     elif kind == "p":
         _emit_value(args, kind, p_transition(args.n, args.l, args.lp, args.chi))
     elif kind == "h1":
@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         k = kinds.add_parser(name, help=hlp)
         k.add_argument("n", type=int)
         k.add_argument("m", type=int)
-        k.add_argument("--format", choices=("text", "json"), default="json")
     return parser
 
 
@@ -302,12 +301,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "table1":
-            return _cmd_table1(args)
-        if args.command == "verify":
-            return _cmd_verify(args, parser)
-        return _cmd_compute(args, parser)
+            status = _cmd_table1(args)
+        elif args.command == "verify":
+            status = _cmd_verify(args, parser)
+        else:
+            status = _cmd_compute(args, parser)
+        sys.stdout.flush()
     except DomainError as exc:
         parser.error(str(exc))
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush of what
+        # is still buffered cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basis import ParabolicLabel, q_values, unit_parabolic
+from .basis import ParabolicLabel, check_block, q_values, unit_parabolic
 from .errors import DomainError
 from .operators import OperatorExpression, expression_apply
 from .radical import RadicalSum, render_exact
@@ -112,12 +112,6 @@ def h2_expression(n: int) -> OperatorExpression:
 Matrix = tuple[tuple[RadicalSum, ...], ...]
 
 
-def _check_block(n: int, m: int) -> None:
-    if n < 1 or abs(m) > n - 1:
-        raise DomainError(f"(n, m) = ({n}, {m}) is not a block of the manifold: "
-                          f"need n >= 1 and |m| <= n-1")
-
-
 def _expression_matrix(expr: OperatorExpression, n: int, m: int) -> Matrix:
     """Columns are images of the parabolic basis states (m-preserving words)."""
     upper = n - abs(m) - 1
@@ -175,7 +169,7 @@ def h1_matrix(n: int, m: int) -> OperatorMatrix:
     """
     from .errors import InternalConsistencyError
 
-    _check_block(n, m)
+    check_block(n, m)
     gen = _expression_matrix(h1_generator_expression(n), n, m)
     inv = _expression_matrix(h1_invariant_expression(n), n, m)
     if gen != inv:
@@ -186,7 +180,7 @@ def h1_matrix(n: int, m: int) -> OperatorMatrix:
 
 def h2_matrix(n: int, m: int) -> OperatorMatrix:
     """The second-order operator over the (n, m) block (scale (gamma^2/8)^2 n^6/48)."""
-    _check_block(n, m)
+    check_block(n, m)
     return OperatorMatrix(n, m, "(gamma^2/8)^2*n^6/48",
                           _expression_matrix(h2_expression(n), n, m))
 

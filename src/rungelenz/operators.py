@@ -18,10 +18,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .basis import (ManifoldState, ParabolicLabel, SphericalLabel, beta_squared,
-                    spherical_ls)
+                    spherical_ls, unit_spherical)
 from .errors import DomainError, InternalConsistencyError
 from .pfrational import PFRational, sqrt_extract
-from .radical import RadicalSum, _combine_radicands, dot
+from .radical import RadicalSum, _combine_radicands
 
 GENERATORS = ("j1z", "j2z", "j1plus", "j1minus", "j2plus", "j2minus")
 
@@ -52,40 +52,20 @@ def az_apply_spherical(state: ManifoldState) -> ManifoldState:
     return ManifoldState("spherical", n, m, tuple(out))
 
 
-Matrix = tuple[tuple[RadicalSum, ...], ...]
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in cols) for row in a)
-
-
-def _identity(dim: int) -> Matrix:
-    one = RadicalSum.from_rational(1)
-    zero = RadicalSum.zero()
-    return tuple(tuple(one if i == j else zero for j in range(dim))
-                 for i in range(dim))
-
-
 @lru_cache(maxsize=None)
-def az_power_matrix(n: int, m: int, k: int) -> Matrix:
+def az_power_matrix(n: int, m: int, k: int) -> tuple[tuple[RadicalSum, ...], ...]:
     """<n l' m| A_z^k |n l m> over the manifold; symmetric, bandwidth k,
-    vanishing unless l' - l has the parity of k."""
+    vanishing unless l' - l has the parity of k. Column l is A_z applied k
+    times to |n l m>."""
     if k < 0:
         raise DomainError(f"power k = {k} must be >= 0")
-    dim = n - abs(m)
-    if k == 0:
-        return _identity(dim)
-    if k == 1:
-        ls = list(spherical_ls(n, m))
-        zero = RadicalSum.zero()
-        rows = [[zero] * dim for _ in range(dim)]
-        for i in range(dim - 1):
-            b = beta(n, ls[i] + 1, m)
-            rows[i][i + 1] = b
-            rows[i + 1][i] = b
-        return tuple(tuple(r) for r in rows)
-    return _mat_mul(az_power_matrix(n, m, k - 1), az_power_matrix(n, m, 1))
+    cols = []
+    for l in spherical_ls(n, m):
+        state = unit_spherical(SphericalLabel(n, l, m))
+        for _ in range(k):
+            state = az_apply_spherical(state)
+        cols.append(state.coeffs)
+    return tuple(zip(*cols))
 
 
 # -- parabolic generator engine -----------------------------------------

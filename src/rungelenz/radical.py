@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, sqrt
 
 from .errors import DomainError, ExactParseError
@@ -29,7 +30,8 @@ class RadicalSum:
     """A finite sum sum_i c_i * sqrt(d_i), c_i rational, d_i squarefree positive.
 
     The term map is canonical: no zero coefficients, each radicand stored once,
-    so equal values compare equal structurally. Immutable.
+    so equal values compare equal structurally; a radicand that is not
+    squarefree raises DomainError. Immutable.
     """
 
     __slots__ = ("_terms",)
@@ -39,6 +41,8 @@ class RadicalSum:
         for d, c in (terms or {}).items():
             if d <= 0:
                 raise DomainError(f"radicand {d} must be positive")
+            if d != 1 and not _is_squarefree(d):
+                raise DomainError(f"radicand {d} is not squarefree")
             c = Fraction(c)
             if c != 0:
                 clean[d] = c
@@ -202,7 +206,8 @@ _TERM_RE = re.compile(
 def render_exact(value) -> str:
     """Render a RadicalSum (or rational) in the fixed exact-value grammar."""
     if isinstance(value, (int, Fraction)):
-        value = RadicalSum.from_rational(value)
+        value = Fraction(value)
+        return f"{value.numerator}/{value.denominator}"
     if value.is_zero:
         return "0/1"
     parts: list[str] = []
@@ -219,23 +224,35 @@ def render_exact(value) -> str:
     return "".join(parts)
 
 
+# trial division for squarefreeness stops at this prime bound
+_SQUAREFREE_TRIAL_BOUND = 1 << 20
+
+
+@lru_cache(maxsize=None)
 def _is_squarefree(d: int) -> bool:
     """Whether no prime square divides d >= 1.
 
     Trial division stops at the cube root of what is left: the rest then has
     at most two prime factors, so it is squarefree unless it is a square.
-    Radicands the package renders have small prime factors and stop early;
-    a prime near 1e18 costs about 5e5 trial divisions.
+    Radicands the package builds have small prime factors and stop early.
+    Division stops at _SQUAREFREE_TRIAL_BOUND (about 5e5 steps), so a rest
+    above the bound's cube with no prime factor up to the bound cannot be
+    checked and raises DomainError. Memoised per radicand for RadicalSum.
     """
-    p = 2
-    while p * p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
+    rest, p = d, 2
+    while p * p * p <= rest:
+        if p > _SQUAREFREE_TRIAL_BOUND:
+            raise DomainError(
+                f"radicand {d} leaves a cofactor above {_SQUAREFREE_TRIAL_BOUND}^3 "
+                f"with no prime factor up to {_SQUAREFREE_TRIAL_BOUND}: its "
+                f"squarefreeness cannot be checked")
+        if rest % p == 0:
+            rest //= p
+            if rest % p == 0:
                 return False
         p += 1 if p == 2 else 2
-    root = isqrt(d)
-    return d == 1 or root * root != d
+    root = isqrt(rest)
+    return rest == 1 or root * root != rest
 
 
 def parse_exact(text: str) -> RadicalSum:
@@ -264,12 +281,13 @@ def parse_exact(text: str) -> RadicalSum:
                                   "limit for int conversion") from None
         if m.group("neg"):
             num = -num
-        if d == 0 or (d > 1 and not _is_squarefree(d)):
-            raise ExactParseError(f"radicand {d} is not squarefree and positive")
         if den == 0:
             raise ExactParseError(f"zero denominator in {chunk!r}")
         terms[d] = Fraction(num, den) * outer_sign
-    value = RadicalSum(terms)
+    try:
+        value = RadicalSum(terms)
+    except DomainError as exc:  # a radicand that is 0 or not squarefree
+        raise ExactParseError(str(exc)) from None
     # one value has one spelling: this rejects unreduced fractions, leading
     # zeros, radicand 1, repeated or unordered radicands and a misplaced sign
     if render_exact(value) != s:

@@ -216,7 +216,7 @@ class TransitionTable:
         writer.writerow(["l"] + [f"lp{lp}" for lp in range(self.n)])
         for l, row in enumerate(self.entries):
             if self.kind == "pbar":
-                writer.writerow([l] + [f"{x.numerator}/{x.denominator}" for x in row])
+                writer.writerow([l] + [render_exact(x) for x in row])
             else:
                 writer.writerow([l] + [repr(x) for x in row])
         return buf.getvalue()
@@ -224,8 +224,8 @@ class TransitionTable:
     def to_json(self) -> str:
         payload = {"n": self.n, "kind": self.kind}
         if self.kind == "pbar":
-            payload["entries"] = [[render_exact(RadicalSum.from_rational(x))
-                                   for x in row] for row in self.entries]
+            payload["entries"] = [[render_exact(x) for x in row]
+                                  for row in self.entries]
         else:
             payload["chi"] = self.chi
             payload["entries"] = [list(row) for row in self.entries]

@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .basis import ParabolicLabel, b_block, beta_squared, spherical_ls
 from .errors import DomainError, InternalConsistencyError
 from .operators import _split_radicand, expression_apply, l_squared_expression
-from .radical import RadicalSum, _combine_radicands, _mono, render_exact
+from .radical import RadicalSum, _mono, render_exact
 from .wigner import _neg1
 
 
@@ -120,18 +121,14 @@ def _az_contraction(p: ParabolicLabel, power: int) -> Fraction:
 
 
 def _sqrt_of_int_product(factors: list[int]) -> tuple[int, int] | None:
-    """sqrt(prod factors) = c sqrt(d) for small integers; (0, 1) at the first
-    zero factor, None if the product is negative."""
-    sign, c, d = 1, 1, 1
-    for f in factors:
-        if f == 0:
-            return 0, 1
-        if f < 0:
-            sign, f = -sign, -f
-        root, r = _split_radicand(f)
-        g, d = _combine_radicands(d, r)
-        c *= root * g
-    return (c, d) if sign > 0 else None
+    """sqrt(prod factors) = c sqrt(d) for small integers; (0, 1) if the
+    product is zero, None if it is negative."""
+    product = prod(factors)
+    if product < 0:
+        return None
+    if product == 0:
+        return 0, 1
+    return _split_radicand(product)
 
 
 def _beta_chain(n: int, m: int, *ls: int) -> tuple:

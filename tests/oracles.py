@@ -4,13 +4,14 @@ Everything here is plain Fraction arithmetic over math.factorial: no prime
 factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
 
-There are three exceptions, all former package routes kept as the reference
+There are four exceptions, all former package routes kept as the reference
 for what replaced them: the dense generator walk, which works on the
 package's ManifoldState and RadicalSum (the generator engine's per-generator
 loop over dense coefficient vectors, replaced by the basis-state walk), the
 printed A_z^2,3,4 forms over RadicalSum (replaced by the monomial route in
-sumrules), and B(l) by its single-3jm definition at the end (replaced by
-the rational block per (n, m) in basis).
+sumrules), B(l) by its single-3jm definition (replaced by the rational block
+per (n, m) in basis), and at the end the dense A_z^k matrix products
+(replaced by the A_z action applied k times).
 """
 from fractions import Fraction
 from math import factorial
@@ -407,3 +408,50 @@ def b_coeff(p: ParabolicLabel, l: int) -> RadicalSum:
     phase = _neg1(p.n2 + (m - abs(m)) // 2 + l)
     root = RadicalSum.from_sqrt(2 * l + 1)
     return sym * root * phase
+
+
+# -- A_z^k as dense products of the beta tridiagonal matrix -------------------
+#
+# The package's az_power_matrix as it stood before it became the A_z action
+# applied k times, kept verbatim (only its package imports are spelled out)
+# as the reference every power must equal.
+
+from functools import lru_cache  # noqa: E402
+
+from rungelenz.errors import DomainError  # noqa: E402
+from rungelenz.radical import dot  # noqa: E402
+
+Matrix = tuple[tuple[RadicalSum, ...], ...]
+
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
+
+
+def _identity(dim: int) -> Matrix:
+    one = RadicalSum.from_rational(1)
+    zero = RadicalSum.zero()
+    return tuple(tuple(one if i == j else zero for j in range(dim))
+                 for i in range(dim))
+
+
+@lru_cache(maxsize=None)
+def az_power_matrix(n: int, m: int, k: int) -> Matrix:
+    """<n l' m| A_z^k |n l m> over the manifold; symmetric, bandwidth k,
+    vanishing unless l' - l has the parity of k."""
+    if k < 0:
+        raise DomainError(f"power k = {k} must be >= 0")
+    dim = n - abs(m)
+    if k == 0:
+        return _identity(dim)
+    if k == 1:
+        ls = list(spherical_ls(n, m))
+        zero = RadicalSum.zero()
+        rows = [[zero] * dim for _ in range(dim)]
+        for i in range(dim - 1):
+            b = beta(n, ls[i] + 1, m)
+            rows[i][i + 1] = b
+            rows[i + 1][i] = b
+        return tuple(tuple(r) for r in rows)
+    return _mat_mul(az_power_matrix(n, m, k - 1), az_power_matrix(n, m, 1))

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -191,7 +192,9 @@ class TestCompute:
         assert float(payload["value"]) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("argv", [("h1", "3", "5"), ("h2", "3", "-4"),
-                                      ("h1", "0", "0")])
+                                      ("h1", "0", "0"),
+                                      # h1/h2 always print JSON
+                                      ("h1", "4", "1", "--format", "text")])
     def test_block_outside_manifold_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(["compute", *argv])
@@ -259,6 +262,30 @@ class TestEnvironment:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert "need 21!" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_closed_stdout_exits_quietly(self, jobs):
+        """A reader that closes stdout after one line ends the sweep with
+        status 141 and no traceback. The sweep up to n = 40 takes minutes;
+        under --jobs 2 its pending tasks are cancelled, not computed."""
+        code = ("import os, sys; os.cpu_count = lambda: 2; "
+                "from rungelenz.cli import main; sys.exit(main())")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "verify", "--max-n", "40",
+             "--format", "text", "--jobs", jobs],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+            start_new_session=True)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:  # on a timeout, the pool workers must not outlive the test
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert first.startswith(b"l2 ")
+        assert b"Traceback" not in err, err.decode()
+        assert proc.returncode == 141
 
     def test_python_dash_m(self):
         proc = subprocess.run([sys.executable, "-m", "rungelenz", "table1"],

@@ -1,5 +1,6 @@
 """Prime-factored rationals, radicals and the exact-value text grammar."""
 import math
+import threading
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,11 @@ def root(x, sign=1):
 
 
 class TestRadicalSum:
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_constructor_rejects_radicand_that_is_not_squarefree(self, d):
+        with pytest.raises(DomainError, match="not squarefree"):
+            RadicalSum({d: 1})
+
     def test_add_cancellation(self):
         assert root(2) + root(2, -1) == RadicalSum.zero()
 
@@ -351,6 +357,23 @@ class TestExactGrammar:
         except ExactParseError:
             return
         assert render_exact(value) == text.strip()
+
+    def test_parse_rejects_large_prime_radicand_quickly(self):
+        # a 31-digit prime: trial division is bounded, so the radicand is
+        # rejected as uncheckable at once instead of being divided for hours
+        errors = []
+
+        def parse():
+            try:
+                parse_exact("(1/1)*sqrt(1000000000000000000000000000057)")
+            except ExactParseError as exc:
+                errors.append(str(exc))
+
+        worker = threading.Thread(target=parse, daemon=True)
+        worker.start()
+        worker.join(timeout=1.0)
+        assert not worker.is_alive()
+        assert len(errors) == 1 and "cannot be checked" in errors[0]
 
     @given(st.integers(min_value=2, max_value=10**6))
     def test_parse_accepts_exactly_squarefree_radicands(self, d):

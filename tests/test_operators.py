@@ -170,6 +170,24 @@ class TestAzPowers:
             if l + 4 <= top:
                 assert M4[i + 4][i] == b(l + 1, l + 2, l + 3, l + 4)
 
+    def test_matches_dense_products(self):
+        # the A_z action applied k times against the dense beta-matrix powers
+        for n in range(1, 9):
+            for m in range(-(n - 1), n):
+                for k in range(9):
+                    assert az_power_matrix(n, m, k) == oracles.az_power_matrix(
+                        n, m, k), (n, m, k)
+
+    def test_high_power_is_a_loop(self):
+        # n = 2, m = 0: A_z has eigenvalues +-1, so every even power is the
+        # identity; k is a loop count, not a recursion depth
+        one, zero = RadicalSum.from_rational(1), RadicalSum.zero()
+        assert az_power_matrix(2, 0, 2000) == ((one, zero), (zero, one))
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(DomainError):
+            az_power_matrix(3, 0, -1)
+
     def test_bandwidth_and_parity_pattern(self):
         n, m = 9, 0
         for k in (2, 3, 4, 5):
