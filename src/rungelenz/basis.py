@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import exp, sqrt
+from math import exp, lcm, sqrt
+from operator import mul
 
 from .errors import DomainError, InternalConsistencyError
 from .pfrational import PFRational, default_table, sqrt_extract
@@ -167,8 +168,9 @@ class BBlock:
     s(n1) (-1)^l sqrt(a b) r with s(n1) = (-1)^(n2 + (m-|m|)/2 + m); rho =
     (-1)^l r. Rows are indexed by n1 (q increasing), entries by l - |m|. C's
     monomials (c, d) = c sqrt(d), the floats of C and B (each rounded from its
-    own monomial) and C^2 are built on first use. A_z in this gauge is
-    J = D^-1 A_z D, D = diag(sqrt b): rational, tridiagonal, bands up and down.
+    own monomial) and the integer Gram matrix of C^2 (c_gram, for P-bar) are
+    built on first use. A_z in this gauge is J = D^-1 A_z D, D = diag(sqrt b):
+    rational, tridiagonal, bands up and down.
     """
 
     n: int
@@ -230,8 +232,26 @@ class BBlock:
         return _floats(self.c_monomials)
 
     @cached_property
-    def c_squared(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(c * c * d for c, d in row) for row in self.c_monomials)
+    def c_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(G, L^2) with G[i][j] / L^2 = sum over rows of C^2[., i] C^2[., j].
+
+        C^2 = a rho^2 b/(2l+1) needs no root split. N = L C^2 is integral for
+        L the lcm of the reduced C^2 denominators, and G = N^T N is summed in
+        ints, once per pair i <= j.
+        """
+        ls = spherical_ls(self.n, self.m)
+        cols = []
+        for l, bl, col in zip(ls, self.b, zip(*self.rho)):
+            f, e = (bl / (2 * l + 1)).as_integer_ratio()
+            cols.append([Fraction(a * x.numerator ** 2 * f, x.denominator ** 2 * e)
+                         for a, x in zip(self.a, col)])
+        big_l = lcm(*(x.denominator for col in cols for x in col))
+        cols = [[x.numerator * (big_l // x.denominator) for x in col] for col in cols]
+        gram = [[0] * len(cols) for _ in cols]
+        for i, ci in enumerate(cols):
+            for j in range(i, len(cols)):
+                gram[i][j] = gram[j][i] = sum(map(mul, ci, cols[j]))
+        return tuple(map(tuple, gram)), big_l * big_l
 
 
 def _floats(monomials) -> tuple[tuple[float, ...], ...]:

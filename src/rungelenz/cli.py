@@ -14,6 +14,8 @@ import json
 import os
 import re
 import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from itertools import chain
@@ -30,6 +32,7 @@ from .wigner import clebsch_gordan, wigner_3jm, wigner_6j
 
 TABLE1_PARAMS = ParabolicLabel(n1=3, n2=1, m=4)  # the n=9 worked example
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a SIGPIPE kill
+_PARENT_POLL_S = 0.5  # how often a pool worker checks that the main process lives
 
 
 class _NegativeNumber:
@@ -136,6 +139,29 @@ def _verify_worker(task: tuple) -> list[dict]:
     return out
 
 
+def _exit_with_parent(main_pid: int) -> None:
+    """Pool initializer: the worker exits soon after the main process dies.
+
+    A main process killed outright (SIGKILL) never runs the pool's shutdown,
+    so without this its workers would run on, reparented, until their tasks
+    end. Its death orphans the worker (the parent pid changes) and, once
+    reaped, main_pid no longer exists; either ends the worker, also when the
+    main process died before the worker started.
+    """
+    parent = os.getppid()
+
+    def watch():
+        try:
+            while os.getppid() == parent:
+                os.kill(main_pid, 0)
+                time.sleep(_PARENT_POLL_S)
+        except OSError:  # main_pid is gone, or reused by a process not ours
+            pass
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _cmd_verify(args, parser) -> int:
     """Stream the reports in sweep order; the summary counts them as they pass.
 
@@ -148,7 +174,9 @@ def _cmd_verify(args, parser) -> int:
     count = mismatches = warnings = 0
     with ExitStack() as stack:
         if args.jobs > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=args.jobs, initializer=_exit_with_parent,
+                initargs=(os.getpid(),)))
             # runs first on the way out: an early exit computes no more tasks
             stack.callback(pool.shutdown, cancel_futures=True)
             groups = pool.map(_verify_worker, tasks, chunksize=8)

@@ -2,10 +2,13 @@
 
 The evolution operator e^(i chi A_z) is never exponentiated numerically:
 within a manifold its matrix elements come spectrally from the exact basis
-change and the integer A_z eigenvalues q. B, C, C^2 and the floats of B and C
-are all read from the B/C block of basis.b_block, each float rounded once
-from its exact monomial. The time-averaged table P-bar is fully rational; the
-oscillatory P at given chi is the module's only floating output.
+change and the integer A_z eigenvalues q. B, C, the floats of B and C and the
+Gram matrix of C^2 are all read from the B/C block of basis.b_block, each
+float rounded once from its exact monomial. The time-averaged table P-bar is
+fully rational: its C^2 double sum is one entry of each block's Gram matrix,
+summed in integers over one denominator per block, and it is checked entry by
+entry against the squared-6j sum. The oscillatory P at given chi is the
+module's only floating output.
 """
 from __future__ import annotations
 
@@ -48,12 +51,11 @@ def c_coefficient(n: int, q: int, l: int, m: int) -> RadicalSum:
 
 
 def _pbar_double_sum(n: int, l: int, lp: int) -> Fraction:
+    """(2l'+1) sum_m sum_q C^2(q l m) C^2(q l' m), one Gram entry per block."""
     total = Fraction(0)
     for m in range(-min(l, lp), min(l, lp) + 1):
-        i, j = l - abs(m), lp - abs(m)
-        for row in b_block(n, m).c_squared:
-            if row[i] and row[j]:
-                total += row[i] * row[j]
+        gram, den = b_block(n, m).c_gram
+        total += Fraction(gram[l - abs(m)][lp - abs(m)], den)
     return (2 * lp + 1) * total
 
 
@@ -78,8 +80,9 @@ def p_bar_6j_terms(n: int, l: int, lp: int) -> dict[int, Fraction]:
 def p_bar(n: int, l: int, lp: int) -> Fraction:
     """Time-averaged l -> l' transfer probability, exact.
 
-    Computed by the C^2 double sum and by the squared-6j sum; the two must
-    agree exactly (InternalConsistencyError otherwise).
+    Computed by the C^2 double sum (one Gram entry per m-block) and by the
+    squared-6j sum; the two must agree exactly (InternalConsistencyError
+    otherwise).
     """
     if not (0 <= l <= n - 1 and 0 <= lp <= n - 1):
         raise DomainError(f"need 0 <= l, l' <= n-1, got l={l}, l'={lp}, n={n}")

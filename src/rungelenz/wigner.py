@@ -2,18 +2,23 @@
 
 Evaluation uses the Racah single-sum formulas: the square-root prefactor is
 assembled from prime-factored factorials (so radicands never need factoring)
-and the alternating sum is summed in integers over one common denominator
-into an exact Fraction. Every value has the shape (rational) *
-sqrt(rational) and is returned as a one-term RadicalSum.
+and the alternating sum, 3jm and 6j alike, is summed in integers over one
+common factorial denominator into an exact Fraction: consecutive terms differ
+by a rational factor, so each term is an integer over that denominator. Every
+value has the shape (rational) * sqrt(rational) and is returned as a one-term
+RadicalSum.
 
-The memo caches key on symmetry-reduced arguments; cached entries are
-immutable and recomputation is idempotent, so racing threads at worst repeat
-work.
+The memo caches key on symmetry-reduced arguments: the 3jm key by a loop over
+its 12 images, the 6j key as the smallest of its 24 images, read through a
+fixed table of index maps. Cached entries are immutable and recomputation is
+idempotent, so racing threads at worst repeat work.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
+from operator import itemgetter
 
 from .errors import DomainError, ReggeInadmissibleError
 from .halfint import HalfInt, twice
@@ -217,22 +222,18 @@ def wigner_6j(*args) -> RadicalSum:
     return _sixj_twice(*t)
 
 
+# the 24 symmetries of {a b c; d e f} as index maps of (a, b, c, d, e, f): a
+# column permutation, with upper and lower swapped in none or exactly two columns
+_SIXJ_IMAGES = tuple(
+    itemgetter(*(col + 3 * fl for col, fl in zip(perm, flips)),
+               *(col + 3 * (1 - fl) for col, fl in zip(perm, flips)))
+    for perm in permutations(range(3))
+    for flips in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)))
+
+
 def _canonical_6j(t: tuple[int, ...]) -> tuple[int, ...]:
     """Smallest image under column permutations and pairwise row flips."""
-    a, b, c, d, e, f = t
-    cols = ((a, d), (b, e), (c, f))
-    best = None
-    for p in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        cp = [cols[i] for i in p]
-        # flipping upper/lower in exactly two columns is a symmetry
-        for flips in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
-            cand = []
-            for (up, lo), fl in zip(cp, flips):
-                cand.extend((lo, up) if fl else (up, lo))
-            cand = (cand[0], cand[2], cand[4], cand[1], cand[3], cand[5])
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min([g(t) for g in _SIXJ_IMAGES])
 
 
 def _sixj_twice(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> RadicalSum:
@@ -258,17 +259,30 @@ def _racah_6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> RadicalSu
 
     radicand = (tri_pf(ta, tb, tc) * tri_pf(ta, te, tf)
                 * tri_pf(td, tb, tf) * tri_pf(td, te, tc))
-    kmin = max(ta + tb + tc, ta + te + tf, td + tb + tf, td + te + tc)
-    kmax = min(ta + tb + td + te, tb + tc + te + tf, ta + tc + td + tf)
-    total = Fraction(0)
-    for tk in range(kmin, kmax + 1, 2):
-        num = fi(tk // 2 + 1)
-        den = (fi((tk - ta - tb - tc) // 2) * fi((tk - ta - te - tf) // 2)
-               * fi((tk - td - tb - tf) // 2) * fi((tk - td - te - tc) // 2)
-               * fi((ta + tb + td + te - tk) // 2)
-               * fi((tb + tc + te + tf - tk) // 2)
-               * fi((ta + tc + td + tf - tk) // 2))
-        total += Fraction(_neg1(tk // 2) * num, den)
+    # sum_k (-1)^k (k+1)! / [prod (k - low)! prod (high - k)!], k the half-sum
+    lows = ((ta + tb + tc) // 2, (ta + te + tf) // 2, (td + tb + tf) // 2,
+            (td + te + tc) // 2)
+    highs = ((ta + tb + td + te) // 2, (tb + tc + te + tf) // 2,
+             (ta + tc + td + tf) // 2)
+    k0, k1 = max(lows), min(highs)  # k0 <= k1 once the four triangles hold
+    # every term is an integer over den; see _racah_sum
+    den = 1
+    term = fi(k0 + 1)
+    for a in lows:
+        den *= fi(k1 - a)
+        term *= fi(k1 - a) // fi(k0 - a)
+    for b in highs:
+        den *= fi(b - k0)
+    total = 0
+    for k in range(k0, k1 + 1):
+        total += -term if k & 1 else term
+        step, div = k + 2, 1
+        for b in highs:
+            step *= b - k
+        for a in lows:
+            div *= k + 1 - a
+        term = term * step // div
+    total = Fraction(total, den)
     if total == 0:
         return RadicalSum.zero()
     return RadicalSum.from_sqrt(radicand) * total

@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,40 @@ class TestEnvironment:
         assert first.startswith(b"l2 ")
         assert b"Traceback" not in err, err.decode()
         assert proc.returncode == 141
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_pool_workers_exit_with_a_killed_parent(self, method):
+        """SIGKILL of the main process of a --jobs 2 sweep, and of nothing
+        else: its pool workers exit within seconds instead of running on,
+        whichever way the pool starts them."""
+        code = (f"import multiprocessing, os, sys; "
+                f"multiprocessing.set_start_method({method!r}); "
+                "os.cpu_count = lambda: 2; "
+                "from rungelenz.cli import main; sys.exit(main())")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "verify", "--max-n", "40",
+             "--format", "text", "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=child_env(),
+            start_new_session=True)
+        try:
+            assert proc.stdout.readline().startswith(b"l2 ")  # the pool runs
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "workers outlived the sweep"
+                time.sleep(0.1)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+            proc.stdout.close()
 
     def test_python_dash_m(self):
         proc = subprocess.run([sys.executable, "-m", "rungelenz", "table1"],

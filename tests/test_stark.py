@@ -119,6 +119,30 @@ class TestPBar:
         with pytest.raises(DomainError):
             p_bar(3, 3, 0)
 
+    def test_gram_is_the_c_squared_double_sum(self):
+        for n in (7, 10):
+            for m in range(-(n - 1), n):
+                blk = basis.b_block(n, m)
+                gram, den = blk.c_gram
+                sq = [[c * c * d for c, d in row] for row in blk.c_monomials]
+                for i in range(n - abs(m)):
+                    for j in range(n - abs(m)):
+                        want = sum((row[i] * row[j] for row in sq), Fraction(0))
+                        assert Fraction(gram[i][j], den) == want, (n, m, i, j)
+
+    def test_route_disagreement_is_caught(self, monkeypatch):
+        real = stark.p_bar_6j_terms
+
+        def shifted(n, l, lp):
+            terms = real(n, l, lp)
+            terms[abs(l - lp)] += Fraction(1, 10**9)
+            return terms
+
+        monkeypatch.setattr(stark, "p_bar_6j_terms", shifted)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"P-bar\(2,1\) routes disagree at n=4"):
+            p_bar(4, 2, 1)
+
 
 class TestClosedForms:
     def test_s_state_row_value(self):

@@ -1,10 +1,12 @@
 """3jm / 6j / Clebsch-Gordan values against an independent Fraction oracle."""
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import oracles
+from rungelenz import wigner
 from rungelenz.errors import DomainError, ReggeInadmissibleError
 from rungelenz.halfint import HalfInt
 from rungelenz.radical import RadicalSum
@@ -221,6 +223,19 @@ class TestSixJ:
             phase = -1 if ((ta + td + tf) // 2) & 1 else 1
             want = RadicalSum.from_sqrt(Fraction(1, (ta + 1) * (td + 1)), phase)
             assert got == want
+
+
+class TestSixJKey:
+    def test_matches_the_loop_built_key(self):
+        for t in product(range(6), repeat=6):
+            assert wigner._canonical_6j(t) == oracles._canonical_6j(t), t
+
+    def test_invariant_under_every_image(self):
+        images = wigner._SIXJ_IMAGES
+        assert len({g(tuple(range(6))) for g in images}) == 24
+        for t in product(range(4), repeat=6):
+            key = wigner._canonical_6j(t)
+            assert all(wigner._canonical_6j(g(t)) == key for g in images), t
 
 
 class TestRegge:
