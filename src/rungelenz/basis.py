@@ -3,8 +3,11 @@
 B(l) = <n l m | n1 n2 m> and its bare 3jm C are read from one cached block per
 (n, m), built over Q from the Racah sums of that 3jm (b_block), which also
 holds A_z in that rational gauge (J); b_coeff, b_matrix, the Stark module's C
-and float tables and every sum rule read it, and its build checks that every
-B row is normalised and that J matches beta^2. The Regge partner,
+and float tables and every sum rule read it. The block stores its gauge as
+integers over a few denominators (each rho row as R over D, b as N over b_den,
+J's bands as U and W over one Delta), and its build checks in integers that
+every B row is normalised (a sum_l N R^2 = b_den D^2) and that J matches
+beta^2 (U W = beta^2 Delta^2). The Regge partner,
 hypergeometric route and fixed-l closed forms are independent oracles, the
 last two restricted to m >= 0 as printed; they agree with the block in square,
 and the sign of the hypergeometric route differs by the global factor measured
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import exp, lcm, sqrt
-from operator import mul
+from operator import add, mul
 
 from .errors import DomainError, InternalConsistencyError
 from .pfrational import PFRational, default_table, sqrt_extract
@@ -166,26 +169,35 @@ class BBlock:
     the product of its four m-factorials and u sqrt(e) = sqrt(b(l)/(2l+1)),
     b(l) = (2l+1)(n-1-l)! (l!)^2 (l+m)! (l-m)!/(n+l)!. So B[n1, l] =
     s(n1) (-1)^l sqrt(a b) r with s(n1) = (-1)^(n2 + (m-|m|)/2 + m); rho =
-    (-1)^l r. Rows are indexed by n1 (q increasing), entries by l - |m|. C's
-    monomials (c, d) = c sqrt(d), the floats of C and B (each rounded from its
-    own monomial) and the integer Gram matrix of C^2 (c_gram, for P-bar) are
-    built on first use. A_z in this gauge is J = D^-1 A_z D, D = diag(sqrt b):
-    rational, tridiagonal, bands up and down.
+    (-1)^l r. Rows are indexed by n1 (q increasing), entries by l - |m|. A_z
+    in this gauge is J = D^-1 A_z D, D = diag(sqrt b): rational, tridiagonal.
+
+    The gauge is stored as integers over a few denominators: row n1 of rho as
+    R = rho_num[n1] over D = rho_den[n1], the lcm of that row's denominators;
+    b as N = b_num over b_den; J's bands as U = up and W = down over one
+    j_den (Delta), so J^k carries Delta^k. The b J^k rho memo is integral,
+    and the sum rules over it build one Fraction each. C's monomials (c, d) = c sqrt(d), the
+    floats of C and B (each rounded from its own monomial) and the integer
+    Gram matrix of C^2 (c_gram, for P-bar) are built on first use.
     """
 
     n: int
     m: int
     a: tuple[int, ...]
-    b: tuple[Fraction, ...]
+    b_num: tuple[int, ...]  # N: b(l) = N / b_den
+    b_den: int
     roots: tuple[tuple[Fraction, int], ...]  # sqrt(b(l)/(2l+1)) = u sqrt(e)
-    rho: tuple[tuple[Fraction, ...], ...]
-    up: tuple[Fraction, ...]  # J[l, l+1] = (l+1)((l+1)^2 - m^2)/(2l+1)
-    down: tuple[Fraction, ...]  # J[l+1, l] = J[l, l+1] b(l)/b(l+1)
+    rho_num: tuple[tuple[int, ...], ...]  # R: rho[n1] = R / rho_den[n1]
+    rho_den: tuple[int, ...]
+    up: tuple[int, ...]  # U: J[l, l+1] = U / j_den = (l+1)((l+1)^2 - m^2)/(2l+1)
+    down: tuple[int, ...]  # W: J[l+1, l] = W / j_den = J[l, l+1] b(l)/b(l+1)
+    j_den: int
     _j_memo: list = field(default_factory=lambda: [(None, ())], init=False,
                           compare=False, repr=False)
 
-    def b_j_power_rho(self, n1: int, power: int) -> tuple[Fraction, ...]:
-        """b (J^power rho) of row n1 = (J^T)^power (b rho), as b J is symmetric.
+    def b_j_power_rho(self, n1: int, power: int) -> tuple[int, ...]:
+        """b (J^power rho) of row n1 = (J^T)^power (b rho), as b J is symmetric,
+        in integers over b_den rho_den[n1] j_den^power.
 
         The block keeps b rho, b J rho, ... of the row last asked for, so the
         powers of one label take one J^T step each. They are published as one
@@ -193,14 +205,12 @@ class BBlock:
         """
         row, vecs = self._j_memo[0]
         if row != n1:
-            vecs = (tuple(bl * x for bl, x in zip(self.b, self.rho[n1])),)
+            vecs = (tuple(map(mul, self.b_num, self.rho_num[n1])),)
         while len(vecs) <= power:
             v = vecs[-1]
-            out = [0] * len(v)
-            for i, (j_up, j_down) in enumerate(zip(self.up, self.down)):
-                out[i] += j_down * v[i + 1]
-                out[i + 1] += j_up * v[i]
-            vecs += (tuple(out),)
+            # (J^T v)[i] = U[i-1] v[i-1] + W[i] v[i+1]
+            vecs += (tuple(map(add, [0, *map(mul, self.up, v)],
+                               [*map(mul, self.down, v[1:]), 0])),)
         self._j_memo[0] = (n1, vecs)
         return vecs[power]
 
@@ -208,9 +218,9 @@ class BBlock:
     def c_monomials(self) -> tuple[tuple[tuple[Fraction, int], ...], ...]:
         ls = spherical_ls(self.n, self.m)
         out = []
-        for a, row in zip(self.a, self.rho):
+        for a, row, d in zip(self.a, self.rho_num, self.rho_den):
             (ea, ua), = RadicalSum.from_sqrt(a).terms()
-            out.append(tuple(_mono((_neg1(self.m + l) * ua * x, ea), root)
+            out.append(tuple(_mono((_neg1(self.m + l) * ua * Fraction(x, d), ea), root)
                              for l, x, root in zip(ls, row, self.roots)))
         return tuple(out)
 
@@ -235,16 +245,17 @@ class BBlock:
     def c_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(G, L^2) with G[i][j] / L^2 = sum over rows of C^2[., i] C^2[., j].
 
-        C^2 = a rho^2 b/(2l+1) needs no root split. N = L C^2 is integral for
-        L the lcm of the reduced C^2 denominators, and G = N^T N is summed in
-        ints, once per pair i <= j.
+        C^2 = a R^2 N/(D^2 b_den (2l+1)) needs no root split; each entry is
+        reduced. L C^2 is integral for L the lcm of the reduced C^2
+        denominators, and G = (L C^2)^T (L C^2) is summed in ints, once per
+        pair i <= j.
         """
         ls = spherical_ls(self.n, self.m)
         cols = []
-        for l, bl, col in zip(ls, self.b, zip(*self.rho)):
-            f, e = (bl / (2 * l + 1)).as_integer_ratio()
-            cols.append([Fraction(a * x.numerator ** 2 * f, x.denominator ** 2 * e)
-                         for a, x in zip(self.a, col)])
+        for l, nl, col in zip(ls, self.b_num, zip(*self.rho_num)):
+            f, e = Fraction(nl, self.b_den * (2 * l + 1)).as_integer_ratio()
+            cols.append([Fraction(a * x * x * f, d * d * e)
+                         for a, x, d in zip(self.a, col, self.rho_den)])
         big_l = lcm(*(x.denominator for col in cols for x in col))
         cols = [[x.numerator * (big_l // x.denominator) for x in col] for col in cols]
         gram = [[0] * len(cols) for _ in cols]
@@ -259,6 +270,12 @@ def _floats(monomials) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(c) * sqrt(d) for c, d in row) for row in monomials)
 
 
+def _over_lcm(xs: list) -> tuple[tuple[int, ...], int]:
+    """Rationals xs as integer numerators over one denominator, the lcm of theirs."""
+    den = lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (den // x.denominator) for x in xs), den
+
+
 def _block_entries(n: int, m: int) -> BBlock:
     """The block of (n, m), unchecked."""
     table = default_table()
@@ -270,15 +287,19 @@ def _block_entries(n: int, m: int) -> BBlock:
         u, e = sqrt_extract(c)
         b.append(c.value * (2 * l + 1))
         roots.append((u.value, e))
-    a, rho = [], []
+    a, rho_num, rho_den = [], [], []
     for q in q_values(n, m):
         a.append(fi((n - 1 + m - q) // 2) * fi((n - 1 - m + q) // 2)
                  * fi((n - 1 + m + q) // 2) * fi((n - 1 - m - q) // 2))
-        rho.append(tuple(_neg1(l) * _racah_sum(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
-                         for l in ls))
-    up = tuple(Fraction((l + 1) * ((l + 1) ** 2 - m * m), 2 * l + 1) for l in ls[:-1])
-    down = tuple(j * b[i] / b[i + 1] for i, j in enumerate(up))
-    return BBlock(n, m, tuple(a), tuple(b), tuple(roots), tuple(rho), up, down)
+        row, d = _over_lcm([_neg1(l) * _racah_sum(n - 1, n - 1, 2 * l, m - q, m + q,
+                                                  -2 * m) for l in ls])
+        rho_num.append(row)
+        rho_den.append(d)
+    up = [Fraction((l + 1) * ((l + 1) ** 2 - m * m), 2 * l + 1) for l in ls[:-1]]
+    down = [j * b[i] / b[i + 1] for i, j in enumerate(up)]
+    bands, j_den = _over_lcm(up + down)
+    return BBlock(n, m, tuple(a), *_over_lcm(b), tuple(roots), tuple(rho_num),
+                  tuple(rho_den), bands[:len(up)], bands[len(up):], j_den)
 
 
 @lru_cache(maxsize=None)
@@ -288,21 +309,25 @@ def b_block(n: int, m: int) -> BBlock:
     Every B row must have a sum_l b rho^2 = 1, which ties a, b and the Racah
     sums to B and C, and J[l, l+1] J[l+1, l] must equal beta^2(n, l+1, m),
     which ties J's closed form and b's factorials to A_z; a failure halts with
-    InternalConsistencyError.
+    InternalConsistencyError. Both run on the integer fields: a sum_l N R^2
+    = b_den D^2 per row, and U W den(beta^2) = num(beta^2) Delta^2 per band.
     """
     check_block(n, m)
     blk = _block_entries(n, m)
-    for n1, (a, row) in enumerate(zip(blk.a, blk.rho)):
-        norm = a * sum(bl * x * x for bl, x in zip(blk.b, row))
-        if norm != 1:
+    for n1, (a, row, d) in enumerate(zip(blk.a, blk.rho_num, blk.rho_den)):
+        norm = a * sum(nl * x * x for nl, x in zip(blk.b_num, row))
+        if norm != blk.b_den * d * d:
             raise InternalConsistencyError(
-                f"B row n1={n1} of (n={n}, m={m}) has squared norm {norm} "
-                f"in the rational gauge, not 1")
+                f"B row n1={n1} of (n={n}, m={m}) has squared norm "
+                f"{Fraction(norm, blk.b_den * d * d)} in the rational gauge, not 1")
+    delta2 = blk.j_den ** 2
     for l, j_up, j_down in zip(spherical_ls(n, m), blk.up, blk.down):
-        if j_up * j_down != beta_squared(n, l + 1, m):
+        bsq = beta_squared(n, l + 1, m)
+        if j_up * j_down * bsq.denominator != bsq.numerator * delta2:
             raise InternalConsistencyError(
-                f"gauge J[{l}, {l + 1}] J[{l + 1}, {l}] = {j_up * j_down} differs "
-                f"from beta^2 = {beta_squared(n, l + 1, m)} at (n={n}, m={m})")
+                f"gauge J[{l}, {l + 1}] J[{l + 1}, {l}] = "
+                f"{Fraction(j_up * j_down, delta2)} differs "
+                f"from beta^2 = {bsq} at (n={n}, m={m})")
     return blk
 
 

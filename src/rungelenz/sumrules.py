@@ -5,13 +5,18 @@ s (-1)^l sqrt(a(n1) b(l)) r(n1, l) with r the Racah alternating sum of B's
 3jm, and A_z conjugated by diag(sqrt b) is the block's rational tridiagonal J.
 Every A_z^k rule and moment has one canonical route, the contraction
 <p| A_z^k |p> = a sum_l b rho (J^k rho) with rho = (-1)^l r; the L^2 rule sums
-a b rho^2 l(l+1). Its check is the comparison with the analytic right-hand
-side, plus the block's two gauge guards: J against beta^2 and every B row's
-normalisation. r comes from the Racah sum, never from J's recurrence, so
-J rho = q rho is checked, not built in. For k = 2, 3, 4 the explicit
-weight-ratio forms as printed in the source material are re-derived verbatim
-on monomials c sqrt(d) and diffed against the canonical value, so suspected
-misprints surface as reported discrepancies, never as silent corrections.
+a b rho^2 l(l+1). The block stores rho = R/D, b = N/b_den and J's bands as
+U/Delta and W/Delta, so both are integer sums with one Fraction at the end:
+the contraction is a sum R (N-weighted J^k numerators) over b_den D^2 Delta^k,
+the L^2 sum a sum N R^2 l(l+1) over b_den D^2. Its check is the comparison
+with the analytic right-hand side, plus the block's two gauge guards: J
+against beta^2 and every B row's normalisation. r comes from the Racah sum,
+never from J's recurrence, so J rho = q rho is checked, not built in. For
+k = 2, 3, 4 the explicit weight-ratio forms as printed in the source material
+are re-derived verbatim on monomials c sqrt(d), kept as integers over one
+denominator per (n, |m|, k), and diffed against the canonical value, so
+suspected misprints surface as reported discrepancies, never as silent
+corrections.
 """
 from __future__ import annotations
 
@@ -19,11 +24,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
+from operator import mul
 
-from .basis import ParabolicLabel, b_block, beta_squared, spherical_ls
+from .basis import ParabolicLabel, _over_lcm, b_block, beta_squared, spherical_ls
 from .errors import DomainError, InternalConsistencyError
 from .operators import _split_radicand, expression_apply, l_squared_expression
-from .radical import RadicalSum, _mono, render_exact
+from .radical import RadicalSum, _combine_radicands, _mono, render_exact
 from .wigner import _neg1
 
 
@@ -100,10 +106,13 @@ class SumRuleReport:
 
 
 def _b_squared_sum(p: ParabolicLabel, f) -> Fraction:
-    """sum_l B^2(l) f(l) = a sum_l b(l) rho(l)^2 f(l)."""
+    """sum_l B^2(l) f(l) = a sum_l b(l) rho(l)^2 f(l) for an integer f,
+    summed as a sum_l N R^2 f over b_den D^2."""
     blk = b_block(p.n, p.m)
-    return blk.a[p.n1] * sum(w * x * f(l) for l, w, x in zip(
-        spherical_ls(p.n, p.m), blk.b_j_power_rho(p.n1, 0), blk.rho[p.n1]))
+    d = blk.rho_den[p.n1]
+    total = sum(w * x * f(l) for l, w, x in zip(
+        spherical_ls(p.n, p.m), blk.b_j_power_rho(p.n1, 0), blk.rho_num[p.n1]))
+    return Fraction(blk.a[p.n1] * total, blk.b_den * d * d)
 
 
 def sum_rule_l2(p: ParabolicLabel) -> SumRuleReport:
@@ -114,10 +123,12 @@ def sum_rule_l2(p: ParabolicLabel) -> SumRuleReport:
 
 
 def _az_contraction(p: ParabolicLabel, power: int) -> Fraction:
-    """<p| A_z^power |p> = a sum_l rho(l) b(l) (J^power rho)(l)."""
+    """<p| A_z^power |p> = a sum_l rho(l) b(l) (J^power rho)(l)
+    = a sum_l R (b J^power rho numerators) / (b_den D^2 Delta^power)."""
     blk = b_block(p.n, p.m)
-    return blk.a[p.n1] * sum(x * y for x, y in
-                             zip(blk.rho[p.n1], blk.b_j_power_rho(p.n1, power)))
+    d = blk.rho_den[p.n1]
+    total = sum(map(mul, blk.rho_num[p.n1], blk.b_j_power_rho(p.n1, power)))
+    return Fraction(blk.a[p.n1] * total, blk.b_den * d * d * blk.j_den ** power)
 
 
 def _sqrt_of_int_product(factors: list[int]) -> tuple[int, int] | None:
@@ -178,23 +189,28 @@ def _chain_kernel(wfac: list[int], chain: tuple, scale=1) -> tuple | None:
 
 
 @lru_cache(maxsize=None)
-def _printed_terms(n: int, m: int, power: int) -> tuple[tuple, ...]:
-    """The printed A_z^power form of the (n, m) block as (i, j, c, d, note).
+def _printed_terms(n: int, m: int, power: int) -> tuple[tuple[tuple, ...], int]:
+    """The printed A_z^power form of the (n, m) block as terms (i, j, C, d,
+    note) over one denominator E: each term is C/E sqrt(d).
 
     The bare 3jm of B's definition is T(l) = (-1)^m sqrt(a) r(l) u(l) sqrt(e(l))
     in the gauge, so every printed term is a rho(l) rho(l') c sqrt(d), with
     c sqrt(d) the product of the block's monomials (T's u sqrt(e), the weight,
-    ratio and beta chain) and i, j = l - |m|, l' - |m|. A term with a negative
-    radicand as printed carries its note instead; a term that vanishes for
-    every label of the block is left out.
+    ratio and beta chain) and i, j = l - |m|, l' - |m|. The u are put over
+    their lcm V, so a term is an integer pair part over V^2 times a small
+    rational kernel, and E = V^2 K with K the lcm of the kernels'
+    denominators. A term with a negative radicand as printed carries its note
+    instead; a term that vanishes for every label of the block is left out.
+    Every factor depends on m through m^2 only, so callers pass |m|.
     """
     am = abs(m)
     ls = spherical_ls(n, m)
     roots = b_block(n, m).roots
+    us, v = _over_lcm([u for u, _ in roots])
 
     def pair(l: int, lp: int) -> tuple:
-        (u, e), (v, f) = roots[l - am], roots[lp - am]
-        return _mono((_neg1(l + lp) * u, e), (v, f))
+        i, j = l - am, lp - am
+        return _mono((_neg1(l + lp) * us[i], roots[i][1]), (us[j], roots[j][1]))
 
     def bsq(l: int) -> Fraction:
         return beta_squared(n, l, m) if l >= 0 else Fraction(0)
@@ -250,16 +266,20 @@ def _printed_terms(n: int, m: int, power: int) -> tuple[tuple, ...]:
         i = l - am
         if diag is not None:
             c, d = pair(l, l)
-            out.append((i, i, c * diag * (2 * l + 1), d, None))
+            out.append((i, i, c, diag * (2 * l + 1), d, None))
         for lp, kernel in pieces:
             if lp not in ls:
                 continue
             if kernel is None:
-                out.append((i, lp - am, 0, 1, f"term (l={l} -> l'={lp}) has a "
-                                              f"negative {what} as printed"))
+                out.append((i, lp - am, 0, 0, 1, f"term (l={l} -> l'={lp}) has a "
+                                                 f"negative {what} as printed"))
             elif kernel[0]:
-                out.append((i, lp - am, *_mono(pair(l, lp), kernel), None))
-    return tuple(out)
+                c, d = pair(l, lp)
+                g, d = _combine_radicands(d, kernel[1])
+                out.append((i, lp - am, c * g, kernel[0], d, None))
+    ks, den = _over_lcm([k for _, _, _, k, _, _ in out])
+    return tuple((i, j, c * k, d, note)
+                 for (i, j, c, _, d, note), k in zip(out, ks)), v * v * den
 
 
 def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, str | None]:
@@ -268,18 +288,20 @@ def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, 
     value is None when a term is not evaluable over the reals (negative
     radicand), which the power-2 form hits through its third-term denominator;
     the note names the first such term, in the printed order, whose 3jm pair
-    does not vanish. The label's rho row weights the block's printed terms.
+    does not vanish. The label's rho row weights the block's printed terms:
+    each radicand's coefficient is a sum_(i, j) R_i R_j C over D^2 E.
     """
     blk = b_block(p.n, p.m)
-    rho = blk.rho[p.n1]
-    acc: dict[int, Fraction] = {}
-    for i, j, c, d, note in _printed_terms(p.n, p.m, power):
+    rho = blk.rho_num[p.n1]
+    terms, e = _printed_terms(p.n, abs(p.m), power)
+    acc: dict[int, int] = {}
+    for i, j, c, d, note in terms:
         if rho[i] and rho[j]:
             if note:
                 return None, note
             acc[d] = acc.get(d, 0) + rho[i] * rho[j] * c
-    a = blk.a[p.n1]
-    return RadicalSum({d: c * a for d, c in acc.items()}), None
+    a, den = blk.a[p.n1], blk.rho_den[p.n1] ** 2 * e
+    return RadicalSum({d: Fraction(c * a, den) for d, c in acc.items()}), None
 
 
 def sum_rule_az(p: ParabolicLabel, power: int) -> SumRuleReport:
@@ -330,7 +352,7 @@ def l2_power_moment(p: ParabolicLabel, power: int) -> Fraction:
         state = expression_apply(expr, state)
     engine = state.coeffs[p.n1]
 
-    direct = _b_squared_sum(p, lambda l: Fraction(l * (l + 1)) ** power)
+    direct = _b_squared_sum(p, lambda l: (l * (l + 1)) ** power)
     if not engine.is_rational or engine.as_fraction() != direct:
         raise InternalConsistencyError(
             f"(L^2)^{power} engine expectation {engine} differs from the "

@@ -4,15 +4,17 @@ Everything here is plain Fraction arithmetic over math.factorial: no prime
 factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
 
-There are five exceptions, all former package routes kept as the reference
+There are six exceptions, all former package routes kept as the reference
 for what replaced them: the dense generator walk, which works on the
 package's ManifoldState and RadicalSum (the generator engine's per-generator
 loop over dense coefficient vectors, replaced by the basis-state walk), the
 printed A_z^2,3,4 forms over RadicalSum (replaced by the monomial route in
 sumrules), B(l) by its single-3jm definition (replaced by the rational block
 per (n, m) in basis), the dense A_z^k matrix products (replaced by the A_z
-action applied k times), and at the end the loop-built 6j cache key
-(replaced by a fixed table of index maps in wigner).
+action applied k times), the loop-built 6j cache key (replaced by a fixed
+table of index maps in wigner), and at the end the rational gauge and its
+kernels over Fraction (replaced by integers over a few denominators in the
+block and in sumrules).
 """
 from fractions import Fraction
 from math import factorial
@@ -479,3 +481,99 @@ def _canonical_6j(t: tuple[int, ...]) -> tuple[int, ...]:
             if best is None or cand < best:
                 best = cand
     return best
+
+
+# -- the rational gauge and its kernels over Fraction -------------------------
+#
+# The package's B/C block gauge (b, rho and J's bands as Fractions), its
+# b J^k rho memo, the A_z^k contraction, the L^2 sum and the printed-form
+# accumulation as they stood before the block moved to integers over a few
+# denominators, kept verbatim (only their package imports are spelled out,
+# the printed terms are read back from the package's integer form, and the
+# block keeps only what these kernels read) as the reference the integer
+# kernels must equal exactly.
+
+from dataclasses import dataclass, field  # noqa: E402
+
+from rungelenz.basis import q_values  # noqa: E402
+from rungelenz.pfrational import default_table  # noqa: E402
+from rungelenz.sumrules import _printed_terms  # noqa: E402
+from rungelenz.wigner import _racah_sum  # noqa: E402
+
+
+@dataclass(frozen=True)
+class FractionBlock:
+    a: tuple[int, ...]
+    b: tuple[Fraction, ...]
+    rho: tuple[tuple[Fraction, ...], ...]
+    up: tuple[Fraction, ...]  # J[l, l+1] = (l+1)((l+1)^2 - m^2)/(2l+1)
+    down: tuple[Fraction, ...]  # J[l+1, l] = J[l, l+1] b(l)/b(l+1)
+    _j_memo: list = field(default_factory=lambda: [(None, ())], init=False,
+                          compare=False, repr=False)
+
+    def b_j_power_rho(self, n1: int, power: int) -> tuple[Fraction, ...]:
+        """b (J^power rho) of row n1 = (J^T)^power (b rho), as b J is symmetric."""
+        row, vecs = self._j_memo[0]
+        if row != n1:
+            vecs = (tuple(bl * x for bl, x in zip(self.b, self.rho[n1])),)
+        while len(vecs) <= power:
+            v = vecs[-1]
+            out = [0] * len(v)
+            for i, (j_up, j_down) in enumerate(zip(self.up, self.down)):
+                out[i] += j_down * v[i + 1]
+                out[i + 1] += j_up * v[i]
+            vecs += (tuple(out),)
+        self._j_memo[0] = (n1, vecs)
+        return vecs[power]
+
+
+@lru_cache(maxsize=None)
+def fraction_block(n: int, m: int) -> FractionBlock:
+    """The gauge of (n, m) over Fraction, unchecked."""
+    table = default_table()
+    fi, fp = table.factorial_int, table.factorial
+    ls = spherical_ls(n, m)
+    b = []
+    for l in ls:
+        c = fp(n - 1 - l) * fp(l) ** 2 * fp(l + m) * fp(l - m) / fp(n + l)
+        b.append(c.value * (2 * l + 1))
+    a, rho = [], []
+    for q in q_values(n, m):
+        a.append(fi((n - 1 + m - q) // 2) * fi((n - 1 - m + q) // 2)
+                 * fi((n - 1 + m + q) // 2) * fi((n - 1 - m - q) // 2))
+        rho.append(tuple(_neg1(l) * _racah_sum(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
+                         for l in ls))
+    up = tuple(Fraction((l + 1) * ((l + 1) ** 2 - m * m), 2 * l + 1) for l in ls[:-1])
+    down = tuple(j * b[i] / b[i + 1] for i, j in enumerate(up))
+    return FractionBlock(tuple(a), tuple(b), tuple(rho), up, down)
+
+
+def b_squared_sum(p: ParabolicLabel, f) -> Fraction:
+    """sum_l B^2(l) f(l) = a sum_l b(l) rho(l)^2 f(l)."""
+    blk = fraction_block(p.n, p.m)
+    return blk.a[p.n1] * sum(w * x * f(l) for l, w, x in zip(
+        spherical_ls(p.n, p.m), blk.b_j_power_rho(p.n1, 0), blk.rho[p.n1]))
+
+
+def az_contraction(p: ParabolicLabel, power: int) -> Fraction:
+    """<p| A_z^power |p> = a sum_l rho(l) b(l) (J^power rho)(l)."""
+    blk = fraction_block(p.n, p.m)
+    return blk.a[p.n1] * sum(x * y for x, y in
+                             zip(blk.rho[p.n1], blk.b_j_power_rho(p.n1, power)))
+
+
+def printed_az_accumulation(p: ParabolicLabel,
+                            power: int) -> tuple[RadicalSum | None, str | None]:
+    """The printed A_z^power LHS of p as (value, note): the block's printed
+    terms c sqrt(d) weighted by rho(l) rho(l') and summed per radicand."""
+    blk = fraction_block(p.n, p.m)
+    rho = blk.rho[p.n1]
+    terms, e = _printed_terms(p.n, p.m, power)
+    acc: dict[int, Fraction] = {}
+    for i, j, c, d, note in terms:
+        if rho[i] and rho[j]:
+            if note:
+                return None, note
+            acc[d] = acc.get(d, 0) + rho[i] * rho[j] * Fraction(c, e)
+    a = blk.a[p.n1]
+    return RadicalSum({d: c * a for d, c in acc.items()}), None

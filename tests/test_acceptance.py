@@ -234,8 +234,9 @@ def test_criterion_10_radical_collapse(sweep12):
             continue
         assert r.printed_lhs is not None and r.printed_lhs.is_rational, r
         assert r.printed_verdict == "exact-match", r
-        rho, am, q = basis.b_block(r.n, r.m).rho[r.n1], abs(r.m), r.n1 - r.n2
-        for i, j, *_ in sumrules._printed_terms(r.n, r.m, r.power):
+        blk, am, q = basis.b_block(r.n, r.m), abs(r.m), r.n1 - r.n2
+        rho = [Fraction(x, blk.rho_den[r.n1]) for x in blk.rho_num[r.n1]]
+        for i, j, *_ in sumrules._printed_terms(r.n, r.m, r.power)[0]:
             if rho[i] and rho[j]:
                 pair = (c_coefficient(r.n, q, i + am, r.m)
                         * c_coefficient(r.n, q, j + am, r.m))

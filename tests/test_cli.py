@@ -395,6 +395,10 @@ class TestGoldenOutput:
     VERIFY9_ARGV = ("verify", "--max-n", "9", "--powers", "1,2,3,4,5,6,7,8",
                     "--format", "json")
     VERIFY9_SHA256 = "bf40e6d9667e20799cf749e1b7c32661a579fd492b34f38ee528bc18b0cddeb6"
+    # the largest pinned sweep: n <= 12 over powers 1..8
+    VERIFY12_ARGV = ("verify", "--max-n", "12", "--powers", "1,2,3,4,5,6,7,8",
+                     "--format", "json")
+    VERIFY12_SHA256 = "848c9f896a2fde3d8509886d4d17f4007cba8680a941c5f3d20d22c013e761b4"
     # the VERIFY_ARGV sweep in the other formats, and in JSON over two workers
     VERIFY_FORMAT_SHA256 = {
         ("text", "1"): "f37e9f2b85535d2a2426fa42736b3a205c0647cfc5e5eb1bd1762c98935f1e53",
@@ -439,6 +443,11 @@ class TestGoldenOutput:
         assert printed.count("mismatch") == 198
         assert printed.count("not-evaluable") == 40
         assert self.sha256(out) == self.VERIFY9_SHA256
+
+    def test_verify_json_n12(self, capsys):
+        code, out = run_cli(capsys, *self.VERIFY12_ARGV)
+        assert code == 0
+        assert self.sha256(out) == self.VERIFY12_SHA256
 
     @pytest.mark.parametrize("kind,n", sorted(MATRIX_SHA256))
     def test_diamagnetic_matrices(self, capsys, kind, n):

@@ -177,6 +177,24 @@ class TestPrintedRouteOracle:
         assert notes > 0
 
 
+class TestIntegerKernels:
+    def test_match_the_fraction_route(self):
+        # the contraction, the L^2 sum and the printed-form accumulation sum
+        # in integers over b_den D^2 Delta^k (D^2 E for the printed form);
+        # each equals the Fraction route it replaced, exactly
+        for n in range(1, 11):
+            for p in all_labels(n):
+                for k in range(9):
+                    assert sumrules._az_contraction(p, k) == oracles.az_contraction(p, k), \
+                        (p, k)
+                for power in (1, 2, 3):
+                    want = oracles.b_squared_sum(p, lambda l: Fraction(l * (l + 1)) ** power)
+                    assert l2_power_moment(p, power) == want, (p, power)
+                for power in (2, 3, 4):
+                    got = sumrules._printed_az_form(p, power)
+                    assert got == oracles.printed_az_accumulation(p, power), (p, power)
+
+
 @pytest.fixture
 def fresh_gauge():
     caches = (basis.b_block, basis.b_matrix, sumrules._printed_terms)
@@ -200,8 +218,9 @@ class TestRationalGauge:
                     s = -1 if (p.n2 + (m - abs(m)) // 2 + m) % 2 else 1
                     for i, l in enumerate(spherical_ls(n, m)):
                         B = oracles.b_coeff(p, l)
-                        rho = g.rho[n1][i]
-                        assert g.a[n1] * g.b[i] * rho * rho == (B * B).as_fraction()
+                        rho = Fraction(g.rho_num[n1][i], g.rho_den[n1])
+                        b = Fraction(g.b_num[i], g.b_den)
+                        assert g.a[n1] * b * rho * rho == (B * B).as_fraction()
                         want = 0 if B.is_zero else (1 if B.terms()[0][1] > 0 else -1)
                         assert (s * rho > 0) - (s * rho < 0) == want, (p, l)
 
@@ -219,11 +238,24 @@ class TestRationalGauge:
         def perturbed(n, m):
             g = real(n, m)
             up = list(g.up)
-            up[1] *= Fraction(1001, 1000)
+            up[1] += 1  # J[1, 2] off by 1/Delta, the least step of the band
             return dataclasses.replace(g, up=tuple(up))
 
         monkeypatch.setattr(basis, "_block_entries", perturbed)
         with pytest.raises(InternalConsistencyError, match=r"gauge J\[1, 2\]"):
+            sum_rule_az(ParabolicLabel(1, 1, 0), 2)
+
+    def test_j_guard_sees_the_down_band(self, monkeypatch, fresh_gauge):
+        real = basis._block_entries
+
+        def perturbed(n, m):
+            g = real(n, m)
+            down = list(g.down)
+            down[0] -= 1  # J[1, 0] off by 1/Delta
+            return dataclasses.replace(g, down=tuple(down))
+
+        monkeypatch.setattr(basis, "_block_entries", perturbed)
+        with pytest.raises(InternalConsistencyError, match=r"gauge J\[0, 1\]"):
             sum_rule_az(ParabolicLabel(1, 1, 0), 2)
 
     def test_normalisation_guard_is_live(self, monkeypatch, fresh_gauge):
@@ -231,9 +263,9 @@ class TestRationalGauge:
 
         def scaled(n, m):
             g = real(n, m)
-            b = list(g.b)
-            b[2] *= 2
-            return dataclasses.replace(g, b=tuple(b))
+            b_num = list(g.b_num)
+            b_num[2] *= 2
+            return dataclasses.replace(g, b_num=tuple(b_num))
 
         monkeypatch.setattr(basis, "_block_entries", scaled)
         with pytest.raises(InternalConsistencyError, match="squared norm"):
