@@ -51,7 +51,7 @@ from .operators import (
     l_squared_expression,
     word_apply,
 )
-from .pfrational import FactorialTable, PFRational, pf_factorial, sqrt_extract
+from .pfrational import FactorialTable
 from .radical import RadicalSum, parse_exact, render_exact
 from .stark import (
     TransitionTable,

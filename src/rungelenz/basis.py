@@ -1,9 +1,12 @@
 """Parabolic <-> spherical basis machinery within one hydrogenic n-manifold.
 
 B(l) = <n l m | n1 n2 m> and its bare 3jm C are read from one cached block per
-(n, m), built over Q from the Racah sums of that 3jm (b_block), which also
+(n, |m|), built over Q from the Racah sums of that 3jm (b_block), which also
 holds A_z in that rational gauge (J); b_coeff, b_matrix, the Stark module's C
-and float tables and every sum rule read it. The block stores its gauge as
+and float tables and every sum rule read it. C is even in m, and B(n, -m) =
+(-1)^m B(n, m). The square roots of the block and of the closed forms are
+ratios of factorials, split by pfrational.factorial_root without factoring
+anything. The block stores its gauge as
 integers over a few denominators (each rho row as R over D, b as N over b_den,
 J's bands as U and W over one Delta), and its build checks in integers that
 every B row is normalised (a sum_l N R^2 = b_den D^2) and that J matches
@@ -22,7 +25,7 @@ from math import exp, lcm, sqrt
 from operator import add, mul
 
 from .errors import DomainError, InternalConsistencyError
-from .pfrational import PFRational, default_table, sqrt_extract
+from .pfrational import default_table, factorial_root
 from .radical import RadicalSum, _mono, dot
 from .wigner import _neg1, _racah_sum, _threejm_twice
 
@@ -161,16 +164,20 @@ def beta_squared(n: int, l: int, m: int) -> Fraction:
 
 @dataclass(frozen=True)
 class BBlock:
-    """B and its bare 3jm C over one (n, m) block, in a rational gauge.
+    """B and its bare 3jm C over one (n, |m|) block, in a rational gauge.
 
     C(q, l, m) = 3jm((n-1)/2 (n-1)/2 l; (m-q)/2 (m+q)/2 -m)
     = (-1)^m sqrt(a(n1)) r(n1, l) u(l) sqrt(e(l)), with r the Racah
     alternating sum of that 3jm at its own (uncanonicalised) arguments, a(n1)
     the product of its four m-factorials and u sqrt(e) = sqrt(b(l)/(2l+1)),
-    b(l) = (2l+1)(n-1-l)! (l!)^2 (l+m)! (l-m)!/(n+l)!. So B[n1, l] =
-    s(n1) (-1)^l sqrt(a b) r with s(n1) = (-1)^(n2 + (m-|m|)/2 + m); rho =
-    (-1)^l r. Rows are indexed by n1 (q increasing), entries by l - |m|. A_z
-    in this gauge is J = D^-1 A_z D, D = diag(sqrt b): rational, tridiagonal.
+    b(l) = (2l+1)(n-1-l)! (l!)^2 (l+m)! (l-m)!/(n+l)!. C(q, l, -m) =
+    C(q, l, m), so a, b, r and J are those of |m| and the block holds m >= 0.
+    There B[n1, l] = (-1)^(n2 + m + l) sqrt(a b) r, and rho = (-1)^l r; B's
+    only dependence on the sign of m is B(n, -m) = (-1)^m B(n, m), which
+    b_matrix applies (b_floats are those of |m|, which the Stark products
+    square away). Rows are indexed by n1 (q increasing), entries by l - |m|.
+    A_z in this gauge is J = D^-1 A_z D, D = diag(sqrt b): rational,
+    tridiagonal.
 
     The gauge is stored as integers over a few denominators: row n1 of rho as
     R = rho_num[n1] over D = rho_den[n1], the lcm of that row's denominators;
@@ -225,11 +232,11 @@ class BBlock:
         return tuple(out)
 
     def b_monomials(self) -> list[list[tuple[Fraction, int]]]:
-        """B's monomials, B = (-1)^(n2 + (m-|m|)/2 + l) sqrt(2l+1) C; not kept."""
+        """B's monomials, B = (-1)^(n2 + l) sqrt(2l+1) C for m >= 0; not kept."""
         ls = spherical_ls(self.n, self.m)
         roots = [RadicalSum.from_sqrt(2 * l + 1).terms()[0] for l in ls]
-        upper, m = self.n - abs(self.m) - 1, self.m
-        return [[_mono((_neg1(upper - n1 + (m - abs(m)) // 2 + l) * c, d), (u, e))
+        upper = self.n - self.m - 1
+        return [[_mono((_neg1(upper - n1 + l) * c, d), (u, e))
                  for l, (c, d), (e, u) in zip(ls, row, roots)]
                 for n1, row in enumerate(self.c_monomials)]
 
@@ -278,15 +285,13 @@ def _over_lcm(xs: list) -> tuple[tuple[int, ...], int]:
 
 def _block_entries(n: int, m: int) -> BBlock:
     """The block of (n, m), unchecked."""
-    table = default_table()
-    fi, fp = table.factorial_int, table.factorial
+    fi = default_table().factorial_int
     ls = spherical_ls(n, m)
     b, roots = [], []
     for l in ls:
-        c = fp(n - 1 - l) * fp(l) ** 2 * fp(l + m) * fp(l - m) / fp(n + l)
-        u, e = sqrt_extract(c)
-        b.append(c.value * (2 * l + 1))
-        roots.append((u.value, e))
+        u, e = factorial_root((n - 1 - l, l, l, l + m, l - m), (n + l,))
+        b.append(u * u * e * (2 * l + 1))
+        roots.append((u, e))
     a, rho_num, rho_den = [], [], []
     for q in q_values(n, m):
         a.append(fi((n - 1 + m - q) // 2) * fi((n - 1 - m + q) // 2)
@@ -304,7 +309,7 @@ def _block_entries(n: int, m: int) -> BBlock:
 
 @lru_cache(maxsize=None)
 def b_block(n: int, m: int) -> BBlock:
-    """The checked block of (n, m); needs the factorial table up to (2n-1)!.
+    """The checked block of (n, |m|); needs the factorial table up to (2n-1)!.
 
     Every B row must have a sum_l b rho^2 = 1, which ties a, b and the Racah
     sums to B and C, and J[l, l+1] J[l+1, l] must equal beta^2(n, l+1, m),
@@ -313,6 +318,8 @@ def b_block(n: int, m: int) -> BBlock:
     = b_den D^2 per row, and U W den(beta^2) = num(beta^2) Delta^2 per band.
     """
     check_block(n, m)
+    if m < 0:
+        return b_block(n, -m)
     blk = _block_entries(n, m)
     for n1, (a, row, d) in enumerate(zip(blk.a, blk.rho_num, blk.rho_den)):
         norm = a * sum(nl * x * x for nl, x in zip(blk.b_num, row))
@@ -391,12 +398,10 @@ def b_coeff_3f2(p: ParabolicLabel, l: int) -> RadicalSum:
     series = _hypergeometric_series(p, l)
     if series == 0:
         return RadicalSum.zero()
-    fp = default_table().factorial
-    radicand = (PFRational.from_int(2 * l + 1) * fp(l + m) * fp(n1 + m) * fp(n2 + m)
-                / (fp(n1) * fp(n2) * fp(l - m) * fp(n - l - 1) * fp(n + l)))
-    prefactor = (fp(n - m - 1) / fp(m)).value
-    root = RadicalSum.from_sqrt(radicand)
-    return root * (series * prefactor * _neg1(l - m))
+    c, d = factorial_root((l + m, n1 + m, n2 + m), (n1, n2, l - m, n - l - 1, n + l))
+    fi = default_table().factorial_int
+    scale = series * Fraction(fi(n - m - 1), fi(m)) * _neg1(l - m)
+    return RadicalSum.from_sqrt(2 * l + 1) * RadicalSum({d: c * scale})
 
 
 B_SPECIAL_CASES = ("l-eq-m", "n-1", "n-2")
@@ -413,21 +418,18 @@ def b_special(p: ParabolicLabel, which: str) -> RadicalSum:
     if p.m < 0:
         raise DomainError("the closed forms are printed for m >= 0 only")
     n, n1, n2, m = p.n, p.n1, p.n2, p.m
-    fp = default_table().factorial
+    fi = default_table().factorial_int
     if which == "l-eq-m":
         l = m
         _check_l(p, l)
-        radicand = (fp(2 * l + 1) * fp(n1 + l) * fp(n2 + l) * fp(n - l - 1)
-                    / (fp(n1) * fp(n2) * fp(n + l)))
-        scale = Fraction(1, default_table().factorial_int(l))
-        return RadicalSum.from_sqrt(radicand) * scale
+        c, d = factorial_root((2 * l + 1, n1 + l, n2 + l, n - l - 1), (n1, n2, n + l))
+        return RadicalSum({d: c / fi(l)})
     if which == "n-1":
         l = n - 1
         _check_l(p, l)
-        radicand = (fp(n1 + n2) * fp(n1 + n2 + 2 * m)
-                    / (fp(n1) * fp(n2) * fp(2 * n - 2) * fp(n1 + m) * fp(n2 + m)))
-        scale = Fraction(default_table().factorial_int(n - 1)) * _neg1(n2)
-        return RadicalSum.from_sqrt(radicand) * scale
+        c, d = factorial_root((n1 + n2, n1 + n2 + 2 * m),
+                              (n1, n2, 2 * n - 2, n1 + m, n2 + m))
+        return RadicalSum({d: c * fi(n - 1) * _neg1(n2)})
     # which == "n-2"
     l = n - 2
     if n1 + n2 < 1:
@@ -435,11 +437,10 @@ def b_special(p: ParabolicLabel, which: str) -> RadicalSum:
     _check_l(p, l)
     if n1 == n2:
         return RadicalSum.zero()
-    radicand = (PFRational.from_int(2 * n - 3) * fp(n1 + n2 - 1)
-                * fp(n1 + n2 + 2 * m - 1)
-                / (fp(n1) * fp(n2) * fp(2 * n - 2) * fp(n1 + m) * fp(n2 + m)))
-    scale = Fraction((n1 - n2) * default_table().factorial_int(n - 1)) * _neg1(n2)
-    return RadicalSum.from_sqrt(radicand) * scale
+    c, d = factorial_root((n1 + n2 - 1, n1 + n2 + 2 * m - 1),
+                          (n1, n2, 2 * n - 2, n1 + m, n2 + m))
+    scale = (n1 - n2) * fi(n - 1) * _neg1(n2)
+    return RadicalSum.from_sqrt(2 * n - 3) * RadicalSum({d: c * scale})
 
 
 def b_squared_asymptotic(n: int, l: int) -> float:
@@ -458,7 +459,8 @@ def b_squared_asymptotic(n: int, l: int) -> float:
 @lru_cache(maxsize=None)
 def b_matrix(n: int, m: int) -> tuple[tuple[RadicalSum, ...], ...]:
     """Rows indexed by n1 (q increasing), columns by l - |m|."""
-    return tuple(tuple(RadicalSum({d: c}) for c, d in row)
+    sign = _neg1(m) if m < 0 else 1
+    return tuple(tuple(RadicalSum({d: sign * c}) for c, d in row)
                  for row in b_block(n, m).b_monomials())
 
 

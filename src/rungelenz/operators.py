@@ -20,8 +20,7 @@ from functools import lru_cache
 from .basis import (ManifoldState, ParabolicLabel, SphericalLabel, beta_squared,
                     spherical_ls, unit_spherical)
 from .errors import DomainError, InternalConsistencyError
-from .pfrational import PFRational, sqrt_extract
-from .radical import RadicalSum, _combine_radicands
+from .radical import RadicalSum, _combine_radicands, _split_radicand
 
 GENERATORS = ("j1z", "j2z", "j1plus", "j1minus", "j2plus", "j2minus")
 
@@ -96,13 +95,6 @@ def _ladder_radicand(gen: str, n: int, m: int, q: int) -> int:
     if gen == "j2plus":
         return (tj - mu2) * (tj + mu2 + 2)
     return (tj + mu2) * (tj - mu2 + 2)  # j2minus
-
-
-@lru_cache(maxsize=None)
-def _split_radicand(rad: int) -> tuple[int, int]:
-    """sqrt(rad) = a * sqrt(d) with d squarefree, for a positive int rad."""
-    rational, d = sqrt_extract(PFRational.from_int(rad))
-    return rational.value.numerator, d
 
 
 def _word_image(gens: tuple[str, ...], n: int, m: int,

@@ -1,13 +1,15 @@
-"""Signed rationals kept as prime->exponent maps, and factorials built in that form.
+"""Factorials up to a fixed limit, as integers and as split square roots.
 
-Factorials enter every coupling coefficient already factored, so square-root
-extraction never has to factor a large composite integer.
+Next to k!, the table keeps sqrt(k!) = r sqrt(s) with s squarefree, built once
+from factorize(k). factorial_root joins table entries by gcd, so the square
+root of every coupling coefficient (a ratio of factorials) is split without
+factoring anything.
 """
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import exp, log
+from math import gcd
 
 from .errors import DomainError, FactorialLimitError
 
@@ -32,157 +34,8 @@ def factorize(k: int) -> dict[int, int]:
     return out
 
 
-class PFRational:
-    """A signed rational number as sign * prod(p**e) over a prime->exponent map.
-
-    Negative exponents hold the denominator. sign == 0 iff the value is zero,
-    in which case the factor map is empty. Instances are immutable; arithmetic
-    returns new objects. Only *, /, ** are supported: addition requires leaving
-    the factored representation (use .value and Fraction).
-    """
-
-    __slots__ = ("sign", "factors")
-
-    def __init__(self, sign: int, factors: dict[int, int] | None = None):
-        if sign not in (-1, 0, 1):
-            raise DomainError(f"sign must be -1, 0 or 1, got {sign}")
-        factors = dict(factors or {})
-        if sign == 0:
-            factors = {}
-        else:
-            factors = {p: e for p, e in factors.items() if e != 0}
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PFRational is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "PFRational":
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> "PFRational":
-        return cls(1)
-
-    @classmethod
-    def from_int(cls, k: int) -> "PFRational":
-        if k == 0:
-            return cls.zero()
-        return cls(1 if k > 0 else -1, factorize(abs(k)))
-
-    @classmethod
-    def from_fraction(cls, value) -> "PFRational":
-        fr = Fraction(value)
-        if fr == 0:
-            return cls.zero()
-        fac = factorize(fr.numerator if fr > 0 else -fr.numerator)
-        for p, e in factorize(fr.denominator).items():
-            fac[p] = fac.get(p, 0) - e
-        return cls(1 if fr > 0 else -1, fac)
-
-    # -- queries ------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    @property
-    def value(self) -> Fraction:
-        num = den = 1
-        for p, e in self.factors.items():
-            if e > 0:
-                num *= p**e
-            else:
-                den *= p**-e
-        return Fraction(self.sign * num, den)
-
-    def to_float(self) -> float:
-        """Binary64 shadow of the value; diagnostics only."""
-        if self.sign == 0:
-            return 0.0
-        return self.sign * exp(sum(e * log(p) for p, e in self.factors.items()))
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __mul__(self, other: "PFRational") -> "PFRational":
-        if not isinstance(other, PFRational):
-            return NotImplemented
-        if self.sign == 0 or other.sign == 0:
-            return PFRational.zero()
-        fac = dict(self.factors)
-        for p, e in other.factors.items():
-            fac[p] = fac.get(p, 0) + e
-        return PFRational(self.sign * other.sign, fac)
-
-    def __truediv__(self, other: "PFRational") -> "PFRational":
-        if not isinstance(other, PFRational):
-            return NotImplemented
-        if other.sign == 0:
-            raise ZeroDivisionError("PFRational division by zero")
-        if self.sign == 0:
-            return PFRational.zero()
-        fac = dict(self.factors)
-        for p, e in other.factors.items():
-            fac[p] = fac.get(p, 0) - e
-        return PFRational(self.sign * other.sign, fac)
-
-    def __pow__(self, e: int) -> "PFRational":
-        if not isinstance(e, int):
-            return NotImplemented
-        if self.sign == 0:
-            if e <= 0:
-                raise ZeroDivisionError("0 ** nonpositive power")
-            return PFRational.zero()
-        sign = -1 if (self.sign < 0 and e % 2) else 1
-        return PFRational(sign, {p: ex * e for p, ex in self.factors.items()})
-
-    def __neg__(self) -> "PFRational":
-        return PFRational(-self.sign, self.factors)
-
-    def __abs__(self) -> "PFRational":
-        return PFRational(abs(self.sign), self.factors)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PFRational):
-            return NotImplemented
-        return self.sign == other.sign and self.factors == other.factors
-
-    def __hash__(self):
-        return hash((self.sign, frozenset(self.factors.items())))
-
-    def __repr__(self) -> str:
-        if self.sign == 0:
-            return "PFRational(0)"
-        body = "*".join(f"{p}^{e}" for p, e in sorted(self.factors.items())) or "1"
-        return f"PFRational({'-' if self.sign < 0 else ''}{body})"
-
-
-def sqrt_extract(r: PFRational) -> tuple[PFRational, int]:
-    """Split sqrt(r) = rational_part * sqrt(d) with d a squarefree positive int.
-
-    Requires r >= 0; raises DomainError otherwise. sqrt(0) = 0 * sqrt(1).
-    """
-    if r.sign < 0:
-        raise DomainError("sqrt_extract of a negative value")
-    if r.sign == 0:
-        return PFRational.zero(), 1
-    rational: dict[int, int] = {}
-    d = 1
-    for p, e in r.factors.items():
-        odd = e % 2  # Python % keeps this in {0, 1} for negative e
-        half = (e - odd) // 2
-        if half:
-            rational[p] = half
-        if odd:
-            d *= p
-    return PFRational(1, rational), d
-
-
 class FactorialTable:
-    """Prime-factored k! for k up to a fixed limit.
+    """k! and sqrt(k!) = r sqrt(s), s squarefree, for k up to a fixed limit.
 
     The limit is set at construction and never extended: requests beyond it
     raise FactorialLimitError naming the needed limit. The whole table is
@@ -194,11 +47,18 @@ class FactorialTable:
         if limit < 0:
             raise DomainError("factorial table limit must be >= 0")
         self.limit = limit
-        self._pf: list[PFRational] = [PFRational.one()]
         self._int: list[int] = [1]
+        self._root: list[tuple[int, int]] = [(1, 1)]
         for j in range(1, limit + 1):
-            self._pf.append(self._pf[-1] * PFRational.from_int(j))
             self._int.append(self._int[-1] * j)
+            r, s = self._root[-1]
+            # sqrt(j!) = sqrt((j-1)!) sqrt(j): each p^e of j moves p^(e//2)
+            # into r and, for odd e, flips p in or out of s
+            for p, e in factorize(j).items():
+                r *= p ** (e // 2)
+                if e & 1:
+                    r, s = (r * p, s // p) if s % p == 0 else (r, s * p)
+            self._root.append((r, s))
 
     def _check(self, k: int) -> None:
         if k < 0:
@@ -206,15 +66,36 @@ class FactorialTable:
         if k > self.limit:
             raise FactorialLimitError(needed=k, limit=self.limit)
 
-    def factorial(self, k: int) -> PFRational:
-        """k! in prime-factored form."""
+    def factorial(self, k: int) -> tuple[int, int]:
+        """(r, s) with sqrt(k!) = r sqrt(s) and s squarefree."""
         self._check(k)
-        return self._pf[k]
+        return self._root[k]
 
     def factorial_int(self, k: int) -> int:
         """k! as a plain integer (for rational summation kernels)."""
         self._check(k)
         return self._int[k]
+
+
+def _join(table: FactorialTable, ks) -> tuple[int, int]:
+    """prod sqrt(k!) over ks as r sqrt(s), s squarefree."""
+    r, s = 1, 1
+    for k in ks:
+        rk, sk = table.factorial(k)
+        g = gcd(s, sk)
+        r, s = r * rk * g, (s // g) * (sk // g)
+    return r, s
+
+
+def factorial_root(nums, dens=()) -> tuple[Fraction, int]:
+    """(c, d) with sqrt(prod k! over nums / prod k! over dens) = c sqrt(d),
+    d squarefree, from the default table."""
+    table = default_table()
+    rn, sn = _join(table, nums)
+    rd, sd = _join(table, dens)
+    # sqrt(sn) / sqrt(sd) = sqrt(sn sd) / sd
+    g = gcd(sn, sd)
+    return Fraction(rn * g, rd * sd), (sn // g) * (sd // g)
 
 
 def _limit_from_env() -> int:
@@ -236,8 +117,3 @@ def default_table() -> FactorialTable:
     if _default_table is None:
         _default_table = FactorialTable(_limit_from_env())
     return _default_table
-
-
-def pf_factorial(k: int) -> PFRational:
-    """k! in prime-factored form from the default table."""
-    return default_table().factorial(k)

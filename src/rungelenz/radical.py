@@ -11,7 +11,6 @@ from functools import lru_cache
 from math import gcd, isqrt, sqrt
 
 from .errors import DomainError, ExactParseError
-from .pfrational import PFRational, sqrt_extract
 
 
 def _combine_radicands(d1: int, d2: int) -> tuple[int, int]:
@@ -41,7 +40,7 @@ class RadicalSum:
         for d, c in (terms or {}).items():
             if d <= 0:
                 raise DomainError(f"radicand {d} must be positive")
-            if d != 1 and not _is_squarefree(d):
+            if d != 1 and _split_radicand(d)[0] != 1:
                 raise DomainError(f"radicand {d} is not squarefree")
             c = Fraction(c)
             if c != 0:
@@ -63,26 +62,22 @@ class RadicalSum:
 
     @classmethod
     def from_sqrt(cls, value, sign: int = 1) -> "RadicalSum":
-        """sign * sqrt(value) for a nonnegative int, Fraction or PFRational.
+        """sign * sqrt(value) for a nonnegative int or Fraction.
 
-        Ints and Fractions are factored by trial division, so they are meant
-        for hand-sized inputs (weights such as sqrt((2l+1)(2l-3))); coupling
-        coefficients pass their radicands prime-factored from construction.
+        sqrt(p/q) = sqrt(p q)/q is split by _split_radicand, whose trial
+        division is bounded, so it is meant for small radicands (weights
+        such as sqrt((2l+1)(2l-3)), beta); coupling coefficients take their
+        roots from pfrational.factorial_root.
         """
         if sign not in (-1, 0, 1):
             raise DomainError(f"sign must be -1, 0 or 1, got {sign}")
-        if isinstance(value, int):
-            radicand = PFRational.from_int(value)
-        elif isinstance(value, PFRational):
-            radicand = value
-        else:
-            radicand = PFRational.from_fraction(value)
-        if radicand.sign < 0:
+        value = Fraction(value)
+        if value < 0:
             raise DomainError("radicand must be nonnegative")
-        if radicand.sign == 0 or sign == 0:
+        if value == 0 or sign == 0:
             return cls.zero()
-        rational, d = sqrt_extract(radicand)
-        return cls({d: sign * rational.value})
+        a, d = _split_radicand(value.numerator * value.denominator)
+        return cls({d: Fraction(sign * a, value.denominator)})
 
     # -- queries ------------------------------------------------------
 
@@ -224,35 +219,42 @@ def render_exact(value) -> str:
     return "".join(parts)
 
 
-# trial division for squarefreeness stops at this prime bound
-_SQUAREFREE_TRIAL_BOUND = 1 << 20
+# trial division in _split_radicand stops at this prime bound
+_SPLIT_TRIAL_BOUND = 1 << 20
 
 
 @lru_cache(maxsize=None)
-def _is_squarefree(d: int) -> bool:
-    """Whether no prime square divides d >= 1.
+def _split_radicand(k: int) -> tuple[int, int]:
+    """(a, d) with k = a^2 d and d squarefree, for an int k >= 1.
 
     Trial division stops at the cube root of what is left: the rest then has
-    at most two prime factors, so it is squarefree unless it is a square.
-    Radicands the package builds have small prime factors and stop early.
-    Division stops at _SQUAREFREE_TRIAL_BOUND (about 5e5 steps), so a rest
-    above the bound's cube with no prime factor up to the bound cannot be
-    checked and raises DomainError. Memoised per radicand for RadicalSum.
+    at most two prime factors, so it is a square or squarefree, which isqrt
+    tells apart. Radicands the package builds have small prime factors and
+    stop early. Division stops at _SPLIT_TRIAL_BOUND (about 5e5 steps), so a
+    rest above the bound's cube with no prime factor up to the bound cannot
+    be checked and raises DomainError. Memoised per radicand; it is also
+    RadicalSum's squarefree check (d is squarefree iff a == 1).
     """
-    rest, p = d, 2
+    a, d, rest, p = 1, 1, k, 2
     while p * p * p <= rest:
-        if p > _SQUAREFREE_TRIAL_BOUND:
+        if p > _SPLIT_TRIAL_BOUND:
             raise DomainError(
-                f"radicand {d} leaves a cofactor above {_SQUAREFREE_TRIAL_BOUND}^3 "
-                f"with no prime factor up to {_SQUAREFREE_TRIAL_BOUND}: its "
+                f"radicand {k} leaves a cofactor above {_SPLIT_TRIAL_BOUND}^3 "
+                f"with no prime factor up to {_SPLIT_TRIAL_BOUND}: its "
                 f"squarefreeness cannot be checked")
         if rest % p == 0:
-            rest //= p
-            if rest % p == 0:
-                return False
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            a *= p ** (e // 2)
+            if e & 1:
+                d *= p
         p += 1 if p == 2 else 2
     root = isqrt(rest)
-    return rest == 1 or root * root != rest
+    if root * root == rest:
+        return a * root, d
+    return a, d * rest
 
 
 def parse_exact(text: str) -> RadicalSum:

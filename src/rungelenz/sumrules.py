@@ -28,8 +28,8 @@ from operator import mul
 
 from .basis import ParabolicLabel, _over_lcm, b_block, beta_squared, spherical_ls
 from .errors import DomainError, InternalConsistencyError
-from .operators import _split_radicand, expression_apply, l_squared_expression
-from .radical import RadicalSum, _combine_radicands, _mono, render_exact
+from .operators import expression_apply, l_squared_expression
+from .radical import RadicalSum, _combine_radicands, _mono, _split_radicand, render_exact
 from .wigner import _neg1
 
 

@@ -1,8 +1,9 @@
 """Exact Wigner 3jm and 6j symbols, Clebsch-Gordan conversion, Regge transform.
 
 Evaluation uses the Racah single-sum formulas: the square-root prefactor is
-assembled from prime-factored factorials (so radicands never need factoring)
-and the alternating sum, 3jm and 6j alike, is summed in integers over one
+joined from the factorial table's split roots sqrt(k!) = r sqrt(s) by
+pfrational.factorial_root (so radicands never need factoring), and the
+alternating sum, 3jm and 6j alike, is summed in integers over one
 common factorial denominator into an exact Fraction: consecutive terms differ
 by a rational factor, so each term is an integer over that denominator. Every
 value has the shape (rational) * sqrt(rational) and is returned as a one-term
@@ -22,7 +23,7 @@ from operator import itemgetter
 
 from .errors import DomainError, ReggeInadmissibleError
 from .halfint import HalfInt, twice
-from .pfrational import PFRational, default_table
+from .pfrational import default_table, factorial_root
 from .radical import RadicalSum
 
 
@@ -173,18 +174,12 @@ def _racah_3jm(tj1: int, tj2: int, tj3: int,
     if total == 0:
         return RadicalSum.zero()
 
-    table = default_table()
-    fp = table.factorial
-    radicand = (fp((tj1 + tj2 - tj3) // 2)
-                * fp((tj1 - tj2 + tj3) // 2)
-                * fp((-tj1 + tj2 + tj3) // 2)
-                / fp((tj1 + tj2 + tj3 + 2) // 2)
-                * fp((tj1 + tm1) // 2) * fp((tj1 - tm1) // 2)
-                * fp((tj2 + tm2) // 2) * fp((tj2 - tm2) // 2)
-                * fp((tj3 + tm3) // 2) * fp((tj3 - tm3) // 2))
-    phase = _neg1((tj1 - tj2 - tm3) // 2)
-    root = RadicalSum.from_sqrt(radicand)
-    return root * (total * phase)
+    c, d = factorial_root(
+        ((tj1 + tj2 - tj3) // 2, (tj1 - tj2 + tj3) // 2, (-tj1 + tj2 + tj3) // 2,
+         (tj1 + tm1) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2, (tj2 - tm2) // 2,
+         (tj3 + tm3) // 2, (tj3 - tm3) // 2),
+        ((tj1 + tj2 + tj3 + 2) // 2,))
+    return RadicalSum({d: c * total * _neg1((tj1 - tj2 - tm3) // 2)})
 
 
 def wigner_3jm(*args) -> RadicalSum:
@@ -249,19 +244,11 @@ def _sixj_twice(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> Radical
 
 
 def _racah_6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> RadicalSum:
-    table = default_table()
-    fi = table.factorial_int
-    fp = table.factorial
-
-    def tri_pf(x: int, y: int, z: int) -> PFRational:
-        return (fp((x + y - z) // 2) * fp((x - y + z) // 2)
-                * fp((-x + y + z) // 2) / fp((x + y + z + 2) // 2))
-
-    radicand = (tri_pf(ta, tb, tc) * tri_pf(ta, te, tf)
-                * tri_pf(td, tb, tf) * tri_pf(td, te, tc))
-    # sum_k (-1)^k (k+1)! / [prod (k - low)! prod (high - k)!], k the half-sum
-    lows = ((ta + tb + tc) // 2, (ta + te + tf) // 2, (td + tb + tf) // 2,
-            (td + te + tc) // 2)
+    fi = default_table().factorial_int
+    # sum_k (-1)^k (k+1)! / [prod (k - low)! prod (high - k)!], k the half-sum;
+    # the lows are the half-perimeters of the four triangles
+    triangles = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+    lows = tuple(sum(t) // 2 for t in triangles)
     highs = ((ta + tb + td + te) // 2, (tb + tc + te + tf) // 2,
              (ta + tc + td + tf) // 2)
     k0, k1 = max(lows), min(highs)  # k0 <= k1 once the four triangles hold
@@ -282,10 +269,13 @@ def _racah_6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> RadicalSu
         for a in lows:
             div *= k + 1 - a
         term = term * step // div
-    total = Fraction(total, den)
     if total == 0:
         return RadicalSum.zero()
-    return RadicalSum.from_sqrt(radicand) * total
+    # the root of the four triangle coefficients (s-x)! (s-y)! (s-z)!/(s+1)!,
+    # s the triangle's half-perimeter (its low)
+    c, d = factorial_root([s - t for s, tri in zip(lows, triangles) for t in tri],
+                          [s + 1 for s in lows])
+    return RadicalSum({d: c * Fraction(total, den)})
 
 
 def regge_transform(args: ThreeJmArgs) -> ThreeJmArgs:

@@ -240,29 +240,35 @@ def dense_expression_apply(expr, state):
 #
 # The printed-form route as it stood before it moved to per-label 3jm rows
 # and monomial products, kept verbatim (only its package imports are
-# spelled out) as the reference the monomial route must reproduce value for
-# value and note for note.
+# spelled out, and its integer square roots are split on factorize's prime
+# exponents, apart from the package's own splitter) as the reference the
+# monomial route must reproduce value for value and note for note.
 
 from rungelenz.basis import ParabolicLabel, spherical_ls  # noqa: E402
 from rungelenz.operators import beta, beta_squared  # noqa: E402
-from rungelenz.pfrational import PFRational  # noqa: E402
+from rungelenz.pfrational import factorize  # noqa: E402
 from rungelenz.radical import RadicalSum  # noqa: E402
 
 
 def _sqrt_of_int_product(factors: list[int]) -> RadicalSum | None:
     """sqrt(prod factors) for small integers; None if the product is negative."""
     product_sign = 1
-    pf = PFRational.one()
+    exponents: dict[int, int] = {}
     for f in factors:
         if f == 0:
             return RadicalSum.zero()
         if f < 0:
             product_sign = -product_sign
             f = -f
-        pf = pf * PFRational.from_int(f)
+        for p, e in factorize(f).items():
+            exponents[p] = exponents.get(p, 0) + e
     if product_sign < 0:
         return None
-    return RadicalSum.from_sqrt(pf)
+    c = d = 1
+    for p, e in exponents.items():
+        c *= p ** (e // 2)
+        d *= p ** (e % 2)
+    return RadicalSum({d: c})
 
 
 def _printed_ratio_sqrt(numerators: list[int], denominators: list[int]) -> RadicalSum | None:
@@ -489,7 +495,8 @@ def _canonical_6j(t: tuple[int, ...]) -> tuple[int, ...]:
 # b J^k rho memo, the A_z^k contraction, the L^2 sum and the printed-form
 # accumulation as they stood before the block moved to integers over a few
 # denominators, kept verbatim (only their package imports are spelled out,
-# the printed terms are read back from the package's integer form, and the
+# b is a Fraction of integer factorials rather than of split roots, the
+# printed terms are read back from the package's integer form, and the
 # block keeps only what these kernels read) as the reference the integer
 # kernels must equal exactly.
 
@@ -530,13 +537,12 @@ class FractionBlock:
 @lru_cache(maxsize=None)
 def fraction_block(n: int, m: int) -> FractionBlock:
     """The gauge of (n, m) over Fraction, unchecked."""
-    table = default_table()
-    fi, fp = table.factorial_int, table.factorial
+    fi = default_table().factorial_int
     ls = spherical_ls(n, m)
     b = []
     for l in ls:
-        c = fp(n - 1 - l) * fp(l) ** 2 * fp(l + m) * fp(l - m) / fp(n + l)
-        b.append(c.value * (2 * l + 1))
+        c = Fraction(fi(n - 1 - l) * fi(l) ** 2 * fi(l + m) * fi(l - m), fi(n + l))
+        b.append(c * (2 * l + 1))
     a, rho = [], []
     for q in q_values(n, m):
         a.append(fi((n - 1 + m - q) // 2) * fi((n - 1 - m + q) // 2)

@@ -177,6 +177,16 @@ class TestCompute:
         _, out = run_cli(capsys, "compute", "beta", "5", "5", "0")
         assert out.strip() == "0/1"
 
+    def test_beta_with_a_radicand_too_hard_to_split_is_usage_error(self, capsys):
+        # beta^2 = 4 (n-2)(n+2)/15 with n-2 and n+2 both prime near 1e13:
+        # the bounded split gives up at once instead of dividing for hours
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "beta", "10000000000281", "2", "0"])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        assert "cannot be checked" in capsys.readouterr().err
+
     def test_bcoeff(self, capsys):
         _, out = run_cli(capsys, "compute", "bcoeff", "1", "0", "0", "1")
         assert out.strip() == "-(1/2)*sqrt(2)"

@@ -1,4 +1,4 @@
-"""Prime-factored rationals, radicals and the exact-value text grammar."""
+"""Factorial roots, radicals and the exact-value text grammar."""
 import math
 import threading
 from fractions import Fraction
@@ -11,12 +11,11 @@ from rungelenz.errors import DomainError, ExactParseError, FactorialLimitError
 from rungelenz.halfint import HalfInt, twice
 from rungelenz.pfrational import (
     FactorialTable,
-    PFRational,
+    default_table,
+    factorial_root,
     factorize,
-    pf_factorial,
-    sqrt_extract,
 )
-from rungelenz.radical import RadicalSum, parse_exact, render_exact
+from rungelenz.radical import RadicalSum, _split_radicand, parse_exact, render_exact
 
 
 class TestHalfInt:
@@ -58,17 +57,18 @@ class TestHalfInt:
 
 
 class TestPFFactorial:
+    """The table's split roots sqrt(k!) = r sqrt(s), built from factorize."""
+
     def test_zero_is_empty_product(self):
-        assert pf_factorial(0) == PFRational.one()
-        assert pf_factorial(0).factors == {}
+        assert default_table().factorial(0) == (1, 1)
 
     def test_small_factorization(self):
-        assert pf_factorial(4).factors == {2: 3, 3: 1}
+        assert default_table().factorial(4) == (2, 6)  # 24 = 2^2 6
 
     def test_ten_against_integer_oracle(self):
-        pf = pf_factorial(10)
-        assert pf.factors == {2: 8, 3: 4, 5: 2, 7: 1}
-        assert pf.value == math.factorial(10)
+        # 10! = 2^8 3^4 5^2 7
+        assert default_table().factorial(10) == (2**4 * 3**2 * 5, 7)
+        assert 720 * 720 * 7 == math.factorial(10)
 
     def test_limit_error_names_needed_limit(self):
         table = FactorialTable(limit=10)
@@ -80,39 +80,36 @@ class TestPFFactorial:
         assert "11" in str(err.value)
 
     def test_factorial_int_matches_pf(self):
-        table = FactorialTable(limit=30)
-        for k in range(31):
-            assert table.factorial_int(k) == table.factorial(k).value
+        # r^2 s = k! with s squarefree, for every k up to the limit
+        table = default_table()
+        for k in range(table.limit + 1):
+            r, s = table.factorial(k)
+            assert r * r * s == table.factorial_int(k) == math.factorial(k)
+            assert squarefree(s), k
 
 
-nonzero_fractions = st.fractions(
-    min_value=Fraction(-400), max_value=Fraction(400), max_denominator=60,
-).filter(lambda f: f != 0)
+def squarefree(d: int) -> bool:
+    return all(e == 1 for e in factorize(d).values())
+
+
+class TestFactorialRoot:
+    @given(st.lists(st.integers(min_value=0, max_value=80), max_size=6),
+           st.lists(st.integers(min_value=0, max_value=80), max_size=6))
+    def test_squares_to_the_ratio(self, nums, dens):
+        c, d = factorial_root(nums, dens)
+        ratio = Fraction(math.prod(map(math.factorial, nums)),
+                         math.prod(map(math.factorial, dens)))
+        assert c > 0 and c * c * d == ratio
+        assert squarefree(d)
+
+    def test_beyond_the_limit(self):
+        limit = default_table().limit
+        with pytest.raises(FactorialLimitError):
+            factorial_root((1,), (limit + 1,))
 
 
 class TestPFRational:
-    @given(nonzero_fractions, nonzero_fractions)
-    def test_mul_div_roundtrip(self, a, b):
-        pa, pb = PFRational.from_fraction(a), PFRational.from_fraction(b)
-        assert (pa * pb) / pb == pa
-        assert (pa * pb).value == a * b
-
-    @given(nonzero_fractions, nonzero_fractions)
-    def test_sign_algebra(self, a, b):
-        pa, pb = PFRational.from_fraction(a), PFRational.from_fraction(b)
-        assert (pa * pb).sign == (1 if a * b > 0 else -1)
-
-    def test_zero_conventions(self):
-        zero = PFRational.zero()
-        assert zero.is_zero and zero.factors == {}
-        assert (zero * PFRational.from_int(7)).is_zero
-        with pytest.raises(ZeroDivisionError):
-            PFRational.one() / zero
-
-    def test_pow(self):
-        x = PFRational.from_fraction(Fraction(-8, 27))
-        assert (x**2).value == Fraction(64, 729)
-        assert (x**-1).value == Fraction(-27, 8)
+    """factorize, the prime factorisation the table's roots are built from."""
 
     def test_factorize_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -120,35 +117,35 @@ class TestPFRational:
 
 
 class TestSqrtExtract:
+    """The split sqrt(k) = a sqrt(d), d squarefree, behind from_sqrt."""
+
     @pytest.mark.parametrize("value, rational, radicand", [
         (12, 2, 3),
         (1, 1, 1),
         (Fraction(18, 25), Fraction(3, 5), 2),
     ])
     def test_worked_examples(self, value, rational, radicand):
-        part, d = sqrt_extract(PFRational.from_fraction(value))
-        assert part.value == rational
-        assert d == radicand
+        assert RadicalSum.from_sqrt(value).terms() == [(radicand, rational)]
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            sqrt_extract(PFRational.from_int(-2))
+            RadicalSum.from_sqrt(-2)
 
     def test_zero(self):
-        assert sqrt_extract(PFRational.zero()) == (PFRational.zero(), 1)
+        assert RadicalSum.from_sqrt(0).is_zero
+        assert RadicalSum.from_sqrt(Fraction(0), sign=-1).is_zero
 
     @given(st.integers(min_value=1, max_value=100000))
     def test_idempotent_on_squarefree_part(self, k):
-        _, d = sqrt_extract(PFRational.from_int(k))
-        part2, d2 = sqrt_extract(PFRational.from_int(d))
-        assert part2 == PFRational.one()
-        assert d2 == d
+        a, d = _split_radicand(k)
+        assert a * a * d == k and squarefree(d)
+        assert _split_radicand(d) == (1, d)
 
     @given(st.fractions(min_value=Fraction(0), max_value=Fraction(500),
                         max_denominator=80))
     def test_reconstructs_value(self, value):
-        part, d = sqrt_extract(PFRational.from_fraction(value))
-        assert part.value**2 * d == value
+        terms = RadicalSum.from_sqrt(value).terms()
+        assert sum(c * c * d for d, c in terms) == value
 
 
 class TestFromSqrt:
@@ -167,12 +164,15 @@ class TestFromSqrt:
 
     @given(st.integers(min_value=0, max_value=10**4))
     def test_int_and_factored_inputs_agree(self, k):
+        # an int, the same Fraction, and (for k!) the factorial table's root
         want = RadicalSum.from_sqrt(Fraction(k))
         assert RadicalSum.from_sqrt(k) == want
-        assert RadicalSum.from_sqrt(PFRational.from_int(k)) == want
+        j = k % 60
+        c, d = factorial_root((j,))
+        assert RadicalSum({d: c}) == RadicalSum.from_sqrt(math.factorial(j))
 
     def test_negative_radicand_rejected(self):
-        for value in (-1, Fraction(-1, 3), PFRational.from_int(-6)):
+        for value in (-1, Fraction(-1, 3)):
             with pytest.raises(DomainError):
                 RadicalSum.from_sqrt(value)
 

@@ -1,0 +1,105 @@
+"""Byte-identical library output: sha256 digests of exact and float tables,
+pinned from a known-good build. A digest changes only when the output
+contract changes; never re-record one to make a refactor pass."""
+import hashlib
+import math
+from itertools import product
+
+import pytest
+
+from rungelenz.basis import B_SPECIAL_CASES, ParabolicLabel, b_coeff_3f2, b_special
+from rungelenz.errors import DomainError
+from rungelenz.radical import render_exact
+from rungelenz.stark import p_table, pbar_table
+from rungelenz.wigner import _sixj_twice, _threejm_twice
+
+
+def sha256(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def pbar_texts():
+    for n in range(1, 17):
+        table = pbar_table(n)
+        yield table.to_json()
+        yield table.to_csv()
+
+
+def threejm_texts():
+    """Every 3jm with twice-j <= 8 and m's of matching parity, zeros included."""
+    for tj1 in range(9):
+        for tj2 in range(9):
+            for tj3 in range(9):
+                for tm1 in range(-tj1, tj1 + 1, 2):
+                    for tm2 in range(-tj2, tj2 + 1, 2):
+                        tm3 = -tm1 - tm2
+                        if abs(tm3) <= tj3 and (tj3 + tm3) % 2 == 0:
+                            t = (tj1, tj2, tj3, tm1, tm2, tm3)
+                            yield f"{t} {render_exact(_threejm_twice(*t))}"
+
+
+def sixj_texts():
+    """Every 6j with twice-arguments <= 6, zeros included."""
+    for t in product(range(7), repeat=6):
+        yield f"{t} {render_exact(_sixj_twice(*t))}"
+
+
+def _labels(n_max):
+    for n in range(1, n_max + 1):
+        for m in range(n):
+            upper = n - m - 1
+            for n1 in range(upper + 1):
+                yield ParabolicLabel(n1, upper - n1, m)
+
+
+def b_3f2_texts():
+    for p in _labels(10):
+        for l in range(p.m, p.n):
+            yield f"{p} {l} {render_exact(b_coeff_3f2(p, l))}"
+
+
+def b_special_texts():
+    for p in _labels(10):
+        for which in B_SPECIAL_CASES:
+            try:
+                value = render_exact(b_special(p, which))
+            except DomainError:
+                value = "DomainError"
+            yield f"{p} {which} {value}"
+
+
+PBAR_SHA256 = "2b5808380f890f8e2131023d5dca4270430ce8f3a82e42fb86ceeaaa4c67355c"
+P_TABLE_SHA256 = {
+    0.7: "1f9836e1361acbbea4940bc7776fb3bca859b018a5871d6f2343f7f750c87099",
+    math.pi: "dda06285f40c8f52cf77bc28fc32124d721a0e080f6639c129bb1d84c9816c39",
+    -11.2: "87351d7df0ca2b037a9d8331519e92cb7a99aa2202a4c49474f403836d9a0ed3",
+}
+THREEJM_SHA256 = "56c43c9434653c9f82637cadfb36df0defd12d34a16ba99c37201fc95d1abd1e"
+SIXJ_SHA256 = "08563685daed4ec024eb91943712af6332107dd35347dd6744f3fd9b21e16efa"
+B_3F2_SHA256 = "708fee9a1421d6032ef2e07d102fe09636803628eea0705435070edb7e971cf2"
+B_SPECIAL_SHA256 = "bda97dbf1a9634b96c35d073dce8b63857e437d4fa050b06e7b70a9509aa4335"
+
+
+class TestGoldenValues:
+    def test_pbar_tables(self):
+        assert sha256(pbar_texts()) == PBAR_SHA256
+
+    @pytest.mark.parametrize("chi", sorted(P_TABLE_SHA256))
+    def test_p_table(self, chi):
+        assert sha256([p_table(16, chi).to_json()]) == P_TABLE_SHA256[chi]
+
+    def test_threejm(self):
+        assert sha256(threejm_texts()) == THREEJM_SHA256
+
+    def test_sixj(self):
+        assert sha256(sixj_texts()) == SIXJ_SHA256
+
+    def test_b_coeff_3f2(self):
+        assert sha256(b_3f2_texts()) == B_3F2_SHA256
+
+    def test_b_special(self):
+        assert sha256(b_special_texts()) == B_SPECIAL_SHA256

@@ -232,6 +232,13 @@ class TestRationalGauge:
         basis.b_block(4, 1)
         assert len(calls) == 9  # one per (n1, l) of the 3 x 3 block
 
+    def test_negative_m_reads_the_block_of_abs_m(self, monkeypatch, fresh_gauge):
+        blk = basis.b_block(5, 2)
+        calls = []
+        monkeypatch.setattr(basis, "_racah_sum", lambda *t: calls.append(t))
+        assert basis.b_block(5, -2) is blk
+        assert calls == []
+
     def test_j_guard_is_live(self, monkeypatch, fresh_gauge):
         real = basis._block_entries
 
