@@ -12,9 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import isfinite
+from numbers import Real
 
 from .basis import ParabolicLabel, check_block, q_values, unit_parabolic
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError
 from .operators import OperatorExpression, expression_apply
 from .radical import RadicalSum, render_exact
 
@@ -27,10 +30,11 @@ class DiamagneticParams:
     n: int
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise DomainError("gamma must be >= 0")
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
+        if not (isinstance(self.gamma, Real) and isfinite(self.gamma)
+                and self.gamma >= 0):
+            raise DomainError(f"gamma = {self.gamma!r} must be finite and >= 0")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise DomainError(f"n = {self.n!r} must be an int >= 1")
 
     def h1_scale(self) -> float:
         return self.gamma**2 * self.n**2 / 16
@@ -161,40 +165,59 @@ class OperatorMatrix:
         }, indent=2)
 
 
-def h1_matrix(n: int, m: int) -> OperatorMatrix:
-    """The first-order operator over the (n, m) block (scale gamma^2 n^2/16).
+@lru_cache(maxsize=None)
+def _h1_entries(n: int, m: int) -> Matrix:
+    """H1 over the (n, m) block, m >= 0, checked against its invariant form.
 
-    Assembled from the generator form and verified entry-for-entry against
-    the invariant form; the two are one identity, so disagreement raises.
+    The map |n1, m> -> |n1, -m> takes j1z to -j2z and j1+- to -j2-+, which
+    leaves every word of H1 and H2 unchanged, so the block of -m has the same
+    entries as that of m and is served from here.
     """
-    from .errors import InternalConsistencyError
-
-    check_block(n, m)
     gen = _expression_matrix(h1_generator_expression(n), n, m)
     inv = _expression_matrix(h1_invariant_expression(n), n, m)
     if gen != inv:
         raise InternalConsistencyError(
             f"H1 generator and invariant forms disagree on (n={n}, m={m})")
-    return OperatorMatrix(n, m, "gamma^2*n^2/16", gen)
+    return gen
+
+
+@lru_cache(maxsize=None)
+def _h2_entries(n: int, m: int) -> Matrix:
+    """H2 over the (n, m) block, m >= 0; the block of -m has the same entries."""
+    return _expression_matrix(h2_expression(n), n, m)
+
+
+def h1_matrix(n: int, m: int) -> OperatorMatrix:
+    """The first-order operator over the (n, m) block (scale gamma^2 n^2/16).
+
+    Assembled from the generator form and verified entry-for-entry against
+    the invariant form; the two are one identity, so disagreement raises.
+    One check serves the blocks m and -m.
+    """
+    check_block(n, m)
+    return OperatorMatrix(n, m, "gamma^2*n^2/16", _h1_entries(n, abs(m)))
 
 
 def h2_matrix(n: int, m: int) -> OperatorMatrix:
     """The second-order operator over the (n, m) block (scale (gamma^2/8)^2 n^6/48)."""
     check_block(n, m)
-    return OperatorMatrix(n, m, "(gamma^2/8)^2*n^6/48",
-                          _expression_matrix(h2_expression(n), n, m))
+    return OperatorMatrix(n, m, "(gamma^2/8)^2*n^6/48", _h2_entries(n, abs(m)))
 
 
 def h2_symmetry_report(n: int, m: int) -> list[dict]:
     """Entries where the verbatim H2 encoding breaks symmetry, with the
-    per-monomial contributions to both sides; empty when symmetric."""
-    mat = h2_matrix(n, m)
+    per-monomial contributions to both sides; empty when symmetric.
+
+    The matrix is built from the current monomial table, not the memo.
+    """
+    check_block(n, m)
+    entries = _expression_matrix(h2_expression(n), n, m)
     failures = []
     parts = None  # per-monomial matrices, built at the first asymmetric entry
-    qs = mat.qs()
-    for i in range(mat.dim):
-        for j in range(i + 1, mat.dim):
-            if mat.entries[i][j] == mat.entries[j][i]:
+    qs = q_values(n, m)
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            if entries[i][j] == entries[j][i]:
                 continue
             if parts is None:
                 parts = [(label, _expression_matrix(
@@ -210,8 +233,8 @@ def h2_symmetry_report(n: int, m: int) -> list[dict]:
                     })
             failures.append({
                 "q_row": qs[i], "q_col": qs[j],
-                "upper": render_exact(mat.entries[i][j]),
-                "lower": render_exact(mat.entries[j][i]),
+                "upper": render_exact(entries[i][j]),
+                "lower": render_exact(entries[j][i]),
                 "monomials": contributions,
             })
     return failures

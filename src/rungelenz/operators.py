@@ -9,13 +9,16 @@ Every generator maps a parabolic basis state to at most one basis state, so a
 generator word is walked on basis states with plain integers: the image of
 |n1, m> is one basis state times +-(integer) * sqrt(squarefree) / 2^len.
 generator_apply, word_apply, expression_apply and expression_expectation are
-linear sums of those images, built into one RadicalSum per output entry.
+linear sums of those images. An expression is compiled once into integer
+word scales over one denominator, so the images are accumulated as integers
+and each output term becomes one Fraction at the end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from .basis import (ManifoldState, ParabolicLabel, SphericalLabel, beta_squared,
                     spherical_ls, unit_spherical)
@@ -97,23 +100,20 @@ def _ladder_radicand(gen: str, n: int, m: int, q: int) -> int:
     return (tj + mu2) * (tj - mu2 + 2)  # j2minus
 
 
-def _word_image(gens: tuple[str, ...], n: int, m: int,
-                n1: int) -> tuple[int, int, int, Fraction] | None:
-    """The word (rightmost generator first) on the basis state |n1, m>.
+def _word_image(steps: tuple[str, ...], n: int, m: int,
+                n1: int) -> tuple[int, int, int, int] | None:
+    """The word on the basis state |n1, m>, its generators in walk order.
 
     Every generator maps a basis state to one basis state, so the image is
-    c * sqrt(d) |n1', m'>; returns (m', n1', d, c), or None when it vanishes.
-    The walk keeps an integer numerator, the count of halves and a squarefree
+    num * sqrt(d) / 2^len(steps) |n1', m'>; returns (m', n1', d, num), or None
+    when it vanishes. The walk keeps an integer numerator and a squarefree
     radicand. A negative radicand, or a nonvanishing step that leaves the
     manifold, is a bug and halts with InternalConsistencyError.
     """
-    num, d, halves = 1, 1, 0
-    for gen in reversed(gens):
-        if gen == "identity":
-            continue
+    num, d = 1, 1
+    for gen in steps:
         upper = n - abs(m) - 1
         q = 2 * n1 - upper
-        halves += 1
         if gen == "j1z":
             num *= m + q
         elif gen == "j2z":
@@ -141,7 +141,7 @@ def _word_image(gens: tuple[str, ...], n: int, m: int,
             m, n1 = new_m, (new_upper + new_q) // 2
         if num == 0:
             return None
-    return m, n1, d, Fraction(num, 1 << halves)
+    return m, n1, d, num
 
 
 def _word_block(gens: tuple[str, ...], n: int, m: int) -> int:
@@ -161,25 +161,36 @@ def _require_parabolic(state: ManifoldState, caller: str) -> None:
         raise DomainError(f"{caller} expects a parabolic-basis state")
 
 
-def _apply_words(terms, state: ManifoldState) -> dict[tuple[int, int], dict[int, Fraction]]:
-    """sum_w c_w * w |state> over (c_w, GeneratorWord) pairs, as one term map
-    (radicand -> coefficient) per output basis state, keyed (m', n1')."""
-    words = [(coeff * word.scalar, word.gens) for coeff, word in terms]
-    out: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for n1, c in enumerate(state.coeffs):
-        if c.is_zero:
-            continue
-        c_terms = c.terms()
-        for scale, gens in words:
-            image = _word_image(gens, state.n, state.m, n1)
+def _apply_words(expr: "OperatorExpression",
+                 state: ManifoldState) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """expr |state> as one term map (radicand -> coefficient) per output basis
+    state, keyed (m', n1').
+
+    The state's coefficients go over their lcm S and the expression's words
+    over its denominator L, so every image is accumulated as an integer; each
+    output term becomes one Fraction over L * S at the end.
+    """
+    den, words = expr.compiled
+    coeffs = [(n1, c.terms()) for n1, c in enumerate(state.coeffs) if not c.is_zero]
+    s = lcm(*(cc.denominator for _, terms in coeffs for _, cc in terms))
+    n, m = state.n, state.m
+    acc: dict[tuple[int, int, int], int] = {}
+    for n1, c_terms in coeffs:
+        c_ints = [(dc, cc.numerator * (s // cc.denominator)) for dc, cc in c_terms]
+        for k, steps in words:
+            image = _word_image(steps, n, m, n1)
             if image is None:
                 continue
-            new_m, new_n1, d, f = image
-            f *= scale
-            acc = out.setdefault((new_m, new_n1), {})
-            for dc, cc in c_terms:
+            new_m, new_n1, d, num = image
+            num *= k
+            for dc, cn in c_ints:
                 g, r = _combine_radicands(dc, d)
-                acc[r] = acc.get(r, 0) + cc * f * g
+                key = (new_m, new_n1, r)
+                acc[key] = acc.get(key, 0) + num * g * cn
+    out: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (new_m, new_n1, r), v in acc.items():
+        if v:
+            out.setdefault((new_m, new_n1), {})[r] = Fraction(v, den * s)
     return out
 
 
@@ -201,6 +212,15 @@ def generator_apply(gen: str, state: ManifoldState) -> ManifoldState:
     return word_apply(GeneratorWord((gen,)), state)
 
 
+def _rational(value, what: str) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be a finite rational, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GeneratorWord:
     """An ordered product of generators (rightmost acts first) with a scalar."""
@@ -209,10 +229,14 @@ class GeneratorWord:
     scalar: Fraction = field(default=Fraction(1))
 
     def __post_init__(self):
+        if isinstance(self.gens, str):
+            raise DomainError(
+                f"gens must be a tuple of generator names, got the string {self.gens!r}")
+        object.__setattr__(self, "gens", tuple(self.gens))
         for g in self.gens:
             if g not in GENERATORS and g != "identity":
                 raise DomainError(f"unknown generator {g!r}")
-        object.__setattr__(self, "scalar", Fraction(self.scalar))
+        object.__setattr__(self, "scalar", _rational(self.scalar, "word scalar"))
 
 
 @dataclass(frozen=True)
@@ -221,24 +245,48 @@ class OperatorExpression:
 
     terms: tuple[tuple[Fraction, GeneratorWord], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(
+            (_rational(c, "coefficient"), w) for c, w in self.terms))
+
     @classmethod
     def build(cls, *terms) -> "OperatorExpression":
         """From (coefficient, generator-name-tuple) pairs."""
-        packed = tuple((Fraction(c), GeneratorWord(tuple(w))) for c, w in terms)
-        return cls(packed)
+        return cls(tuple((c, GeneratorWord(w)) for c, w in terms))
 
     def __add__(self, other: "OperatorExpression") -> "OperatorExpression":
         return OperatorExpression(self.terms + other.terms)
 
     def scaled(self, factor) -> "OperatorExpression":
-        f = Fraction(factor)
+        f = _rational(factor, "scale factor")
         return OperatorExpression(tuple((c * f, w) for c, w in self.terms))
+
+    @cached_property
+    def compiled(self) -> tuple[int, tuple[tuple[int, tuple[str, ...]], ...]]:
+        """The walk form (L, ((k, steps), ...)), one entry per distinct word.
+
+        steps are the word's generators in walk order, identities dropped.
+        k / L is the sum of coefficient * scalar / 2^len(steps) over the
+        terms with that word, and L = lcm(den(coefficient * scalar) *
+        2^len(steps)) over all terms.
+        """
+        words = []
+        for c, w in self.terms:
+            num, den = c.numerator * w.scalar.numerator, c.denominator * w.scalar.denominator
+            g = gcd(num, den)
+            steps = tuple(gen for gen in reversed(w.gens) if gen != "identity")
+            words.append((num // g, (den // g) << len(steps), steps))
+        common = lcm(*(den for _, den, _ in words))
+        scales: dict[tuple[str, ...], int] = {}
+        for num, den, steps in words:
+            scales[steps] = scales.get(steps, 0) + num * (common // den)
+        return common, tuple((k, steps) for steps, k in scales.items())
 
 
 def word_apply(word: GeneratorWord, state: ManifoldState) -> ManifoldState:
     """The word on a parabolic-basis state, summed over its basis images."""
     _require_parabolic(state, "word_apply")
-    entries = _apply_words([(1, word)], state)
+    entries = _apply_words(OperatorExpression(((1, word),)), state)
     block = _word_block(word.gens, state.n, state.m)
     return _block_state(state.n, block, {
         n1: RadicalSum(terms) for (_, n1), terms in entries.items()})
@@ -248,10 +296,8 @@ def expression_apply(expr: OperatorExpression, state: ManifoldState) -> Manifold
     """Apply the expression; the result must stay within a single (n, m) block."""
     _require_parabolic(state, "expression_apply")
     blocks: dict[int, dict[int, RadicalSum]] = {}
-    for (m, n1), terms in _apply_words(expr.terms, state).items():
-        value = RadicalSum(terms)
-        if not value.is_zero:
-            blocks.setdefault(m, {})[n1] = value
+    for (m, n1), terms in _apply_words(expr, state).items():
+        blocks.setdefault(m, {})[n1] = RadicalSum(terms)
     if not blocks:
         return _block_state(state.n, state.m, {})
     if len(blocks) > 1:
@@ -266,7 +312,7 @@ def expression_expectation(expr: OperatorExpression, p: ParabolicLabel) -> Radic
     """<p| expr |p>: the coefficient of |p> in the image of |p>."""
     from .basis import unit_parabolic
 
-    entries = _apply_words(expr.terms, unit_parabolic(p))
+    entries = _apply_words(expr, unit_parabolic(p))
     return RadicalSum(entries.get((p.m, p.n1)))
 
 

@@ -1,5 +1,6 @@
 """Diamagnetic operator matrices: dual forms, symmetry, structure, JSON."""
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,19 @@ class TestParams:
             DiamagneticParams(gamma=-1.0, n=3)
         with pytest.raises(DomainError):
             DiamagneticParams(gamma=0.0, n=0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, "0.5", None])
+    def test_non_finite_or_non_real_gamma_rejected(self, gamma):
+        with pytest.raises(DomainError, match="gamma"):
+            DiamagneticParams(gamma=gamma, n=3)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", -1])
+    def test_non_int_or_non_positive_n_rejected(self, n):
+        with pytest.raises(DomainError, match="n = "):
+            DiamagneticParams(gamma=0.5, n=n)
+
+    def test_exact_gamma_accepted(self):
+        assert DiamagneticParams(gamma=Fraction(1, 2), n=4).h1_scale() == 0.25
 
 
 class TestH1:
@@ -79,6 +93,8 @@ class TestH1:
             assert word.gens == ()
             return OperatorExpression(((scalar + 1, word), *rest))
 
+        # the checked blocks are memoised: drop any earlier build of (3, 0)
+        diamagnetic._h1_entries.cache_clear()
         monkeypatch.setattr(diamagnetic, "h1_invariant_expression", perturbed)
         with pytest.raises(InternalConsistencyError, match="forms disagree"):
             h1_matrix(3, 0)
@@ -104,6 +120,37 @@ class TestH1:
         shift = OperatorExpression.build((1, ("j1plus",)))
         with pytest.raises(DomainError, match="does not preserve m"):
             _expression_matrix(shift, 3, 0)
+
+
+class TestSignFold:
+    EXPRESSIONS = (h1_generator_expression, h1_invariant_expression, h2_expression)
+
+    def test_blocks_of_plus_and_minus_m_agree(self):
+        # the identity the fold rests on, on blocks built independently
+        for n in range(1, 8):
+            for m in range(1, n):
+                for build in self.EXPRESSIONS:
+                    expr = build(n)
+                    assert diamagnetic._expression_matrix(expr, n, m) == \
+                        diamagnetic._expression_matrix(expr, n, -m), (n, m)
+
+    @pytest.mark.parametrize("build", [h1_matrix, h2_matrix])
+    def test_minus_m_served_from_the_block_of_m(self, monkeypatch, build):
+        n, m = 7, 3
+        first = build(n, m)
+        built = []
+        expression_matrix = diamagnetic._expression_matrix
+
+        def counting(expr, n, m):
+            built.append((n, m))
+            return expression_matrix(expr, n, m)
+
+        monkeypatch.setattr(diamagnetic, "_expression_matrix", counting)
+        second = build(n, -m)
+        assert built == []
+        assert second.entries is first.entries
+        assert (second.n, second.m) == (n, -m)
+        assert json.loads(second.to_json())["m"] == -m
 
 
 class TestBlockRange:

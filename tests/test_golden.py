@@ -2,12 +2,14 @@
 pinned from a known-good build. A digest changes only when the output
 contract changes; never re-record one to make a refactor pass."""
 import hashlib
+import json
 import math
 from itertools import product
 
 import pytest
 
 from rungelenz.basis import B_SPECIAL_CASES, ParabolicLabel, b_coeff_3f2, b_special
+from rungelenz.diamagnetic import h1_matrix, h2_matrix, h2_symmetry_report
 from rungelenz.errors import DomainError
 from rungelenz.radical import render_exact
 from rungelenz.stark import p_table, pbar_table
@@ -72,6 +74,22 @@ def b_special_texts():
             yield f"{p} {which} {value}"
 
 
+def _blocks(n_max):
+    for n in range(1, n_max + 1):
+        for m in range(-(n - 1), n):
+            yield n, m
+
+
+def diamagnetic_texts(build):
+    for n, m in _blocks(10):
+        yield build(n, m).to_json()
+
+
+def h2_report_texts():
+    for n, m in _blocks(6):
+        yield f"{n} {m} {json.dumps(h2_symmetry_report(n, m))}"
+
+
 PBAR_SHA256 = "2b5808380f890f8e2131023d5dca4270430ce8f3a82e42fb86ceeaaa4c67355c"
 P_TABLE_SHA256 = {
     0.7: "1f9836e1361acbbea4940bc7776fb3bca859b018a5871d6f2343f7f750c87099",
@@ -82,6 +100,10 @@ THREEJM_SHA256 = "56c43c9434653c9f82637cadfb36df0defd12d34a16ba99c37201fc95d1abd
 SIXJ_SHA256 = "08563685daed4ec024eb91943712af6332107dd35347dd6744f3fd9b21e16efa"
 B_3F2_SHA256 = "708fee9a1421d6032ef2e07d102fe09636803628eea0705435070edb7e971cf2"
 B_SPECIAL_SHA256 = "bda97dbf1a9634b96c35d073dce8b63857e437d4fa050b06e7b70a9509aa4335"
+
+H1_MATRIX_SHA256 = "ae9f8dc331cc97d2412b3a468569a9db21622c1751515593a0381e47b0ea9843"
+H2_MATRIX_SHA256 = "a7dac71777ef79b7dcaf785bb44c8fec9ad4981f35fb158b1ca762d73b455ba6"
+H2_REPORT_SHA256 = "2b159274e98c617bd1032028e47e13c9fd7ae1fba0529d2f66f30b9bf818ff2b"
 
 
 class TestGoldenValues:
@@ -103,3 +125,12 @@ class TestGoldenValues:
 
     def test_b_special(self):
         assert sha256(b_special_texts()) == B_SPECIAL_SHA256
+
+    def test_h1_matrices(self):
+        assert sha256(diamagnetic_texts(h1_matrix)) == H1_MATRIX_SHA256
+
+    def test_h2_matrices(self):
+        assert sha256(diamagnetic_texts(h2_matrix)) == H2_MATRIX_SHA256
+
+    def test_h2_symmetry_reports(self):
+        assert sha256(h2_report_texts()) == H2_REPORT_SHA256

@@ -1,4 +1,5 @@
 """A_z action, matrix powers, ladder generators and the expression engine."""
+import math
 import random
 from fractions import Fraction
 
@@ -264,6 +265,21 @@ class TestGenerators:
         with pytest.raises(DomainError):
             GeneratorWord(("nope",))
 
+    def test_string_for_a_word_rejected(self):
+        with pytest.raises(DomainError, match="tuple of generator names"):
+            GeneratorWord("j1z")
+        with pytest.raises(DomainError, match="tuple of generator names"):
+            OperatorExpression.build((1, "j1z"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scales_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite rational"):
+            GeneratorWord(("j1z",), bad)
+        with pytest.raises(DomainError, match="finite rational"):
+            OperatorExpression.build((bad, ()))
+        with pytest.raises(DomainError, match="finite rational"):
+            az_expression().scaled(bad)
+
     def test_ladder_coefficient_matches_printed_brackets(self):
         # j1+ carries sqrt([n-1-m-n1+n2][n+1+m+n1-n2])/2
         p = ParabolicLabel(1, 2, 1)  # n = 5
@@ -333,6 +349,35 @@ class TestBasisWalk:
                     for gen in GENERATORS + ("identity",):
                         assert generator_apply(gen, state) == \
                             oracles.dense_generator_apply(gen, state), (n, m, gen)
+
+    def test_non_dyadic_scales_match_dense_walk(self):
+        # word scalars off the dyadic grid and state coefficients over 5, 9
+        # and 11: the walk's integers go over one denominator per expression
+        # and one per state
+        scalars = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 9))
+        rng = random.Random(13)
+        for n in range(1, 7):
+            expr = OperatorExpression(tuple(
+                (coeff / (2 * i + 3), GeneratorWord(word.gens, scalars[i % 3]))
+                for i, (coeff, word) in enumerate(h2_expression(n).terms)))
+            for m in range(-(n - 1), n):
+                upper = n - abs(m) - 1
+                for _ in range(2):
+                    state = ManifoldState("parabolic", n, m, tuple(
+                        RadicalSum({d: Fraction(rng.choice((-7, -1, 2, 4)),
+                                                rng.choice((5, 9, 11)))
+                                    for d in rng.sample((1, 2, 3, 5), 2)})
+                        for _ in range(upper + 1)))
+                    for _, word in expr.terms:
+                        assert word_apply(word, state) == \
+                            oracles.dense_word_apply(word, state), (n, m, word)
+                    want = oracles.dense_expression_apply(expr, state)
+                    assert expression_apply(expr, state) == want, (n, m)
+                for n1 in range(upper + 1):
+                    p = ParabolicLabel(n1, upper - n1, m)
+                    want = oracles.dense_expression_apply(expr, unit_parabolic(p))
+                    assert expression_expectation(expr, p) == \
+                        want.coefficient(n1), p
 
     def test_zero_image_into_existing_block_lands_there(self):
         p = ParabolicLabel(2, 0, 1)  # n = 4, top of the j1 ladder
