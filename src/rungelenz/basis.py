@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import exp, lcm, sqrt
+from math import exp, gcd, lcm, prod, sqrt
 from operator import add, mul
 
 from .errors import DomainError, InternalConsistencyError
-from .pfrational import default_table, factorial_root
-from .radical import RadicalSum, _mono, dot
+from .pfrational import _join, default_table, factorial_root
+from .radical import RadicalSum, _mono, _split_radicand, dot
 from .wigner import _neg1, _racah_sum, _threejm_twice
 
 
@@ -184,8 +184,9 @@ class BBlock:
     b as N = b_num over b_den; J's bands as U = up and W = down over one
     j_den (Delta), so J^k carries Delta^k. The b J^k rho memo is integral,
     and the sum rules over it build one Fraction each. C's monomials (c, d) = c sqrt(d), the
-    floats of C and B (each rounded from its own monomial) and the integer
-    Gram matrix of C^2 (c_gram, for P-bar) are built on first use.
+    floats of C and B (each rounded once from an integer num, den and
+    squarefree radicand, with the value of its monomial) and the integer Gram
+    matrix of C^2 (c_gram, for P-bar) are built on first use.
     """
 
     n: int
@@ -241,12 +242,43 @@ class BBlock:
                 for n1, row in enumerate(self.c_monomials)]
 
     @cached_property
-    def b_floats(self) -> tuple[tuple[float, ...], ...]:
-        return _floats(self.b_monomials())
+    def _float_tables(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        """(B floats, C floats), each entry built in ints as num, den and a
+        squarefree rad and rounded once as num / den * sqrt(rad).
 
-    @cached_property
+        The radicands and values are those of b_monomials and c_monomials;
+        int true division rounds correctly, as float(Fraction) does, so each
+        float equals c * sqrt(d) rounded from the monomial (c, d).
+        """
+        ls = spherical_ls(self.n, self.m)
+        upper = self.n - self.m - 1
+        table = default_table()
+        odd = [_split_radicand(2 * l + 1) for l in ls]  # sqrt(2l+1) = u2 sqrt(e2)
+        b_rows, c_rows = [], []
+        for n1, (q, row, d) in enumerate(zip(q_values(self.n, self.m),
+                                             self.rho_num, self.rho_den)):
+            ua, ea = _join(table, _a_factorials(self.n, self.m, q))
+            b_row, c_row = [], []
+            for l, x, (u, e), (u2, e2) in zip(ls, row, self.roots, odd):
+                g = gcd(ea, e)
+                num = _neg1(self.m + l) * ua * x * u.numerator * g
+                den = d * u.denominator
+                rad = (ea // g) * (e // g)
+                c_row.append(num / den * sqrt(rad))
+                g2 = gcd(rad, e2)
+                num *= _neg1(upper - n1 + l) * u2 * g2
+                b_row.append(num / den * sqrt((rad // g2) * (e2 // g2)))
+            b_rows.append(tuple(b_row))
+            c_rows.append(tuple(c_row))
+        return tuple(b_rows), tuple(c_rows)
+
+    @property
+    def b_floats(self) -> tuple[tuple[float, ...], ...]:
+        return self._float_tables[0]
+
+    @property
     def c_floats(self) -> tuple[tuple[float, ...], ...]:
-        return _floats(self.c_monomials)
+        return self._float_tables[1]
 
     @cached_property
     def c_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -272,15 +304,16 @@ class BBlock:
         return tuple(map(tuple, gram)), big_l * big_l
 
 
-def _floats(monomials) -> tuple[tuple[float, ...], ...]:
-    """c sqrt(d) per entry, rounded as RadicalSum.to_float rounds one term."""
-    return tuple(tuple(float(c) * sqrt(d) for c, d in row) for row in monomials)
-
-
 def _over_lcm(xs: list) -> tuple[tuple[int, ...], int]:
     """Rationals xs as integer numerators over one denominator, the lcm of theirs."""
     den = lcm(*(x.denominator for x in xs))
     return tuple(x.numerator * (den // x.denominator) for x in xs), den
+
+
+def _a_factorials(n: int, m: int, q: int) -> tuple[int, int, int, int]:
+    """The four m-factorials of C's 3jm at q, whose product is a(n1)."""
+    return ((n - 1 + m - q) // 2, (n - 1 - m + q) // 2,
+            (n - 1 + m + q) // 2, (n - 1 - m - q) // 2)
 
 
 def _block_entries(n: int, m: int) -> BBlock:
@@ -294,8 +327,7 @@ def _block_entries(n: int, m: int) -> BBlock:
         roots.append((u, e))
     a, rho_num, rho_den = [], [], []
     for q in q_values(n, m):
-        a.append(fi((n - 1 + m - q) // 2) * fi((n - 1 - m + q) // 2)
-                 * fi((n - 1 + m + q) // 2) * fi((n - 1 - m - q) // 2))
+        a.append(prod(map(fi, _a_factorials(n, m, q))))
         row, d = _over_lcm([_neg1(l) * _racah_sum(n - 1, n - 1, 2 * l, m - q, m + q,
                                                   -2 * m) for l in ls])
         rho_num.append(row)

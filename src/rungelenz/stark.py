@@ -4,11 +4,14 @@ The evolution operator e^(i chi A_z) is never exponentiated numerically:
 within a manifold its matrix elements come spectrally from the exact basis
 change and the integer A_z eigenvalues q. B, C, the floats of B and C and the
 Gram matrix of C^2 are all read from the B/C block of basis.b_block, each
-float rounded once from its exact monomial. The time-averaged table P-bar is
-fully rational: its C^2 double sum is one entry of each block's Gram matrix,
-summed in integers over one denominator per block, and it is checked entry by
-entry against the squared-6j sum. The oscillatory P at given chi is the
-module's only floating output.
+float rounded once from integers. Blocks m and -m are one block, so every sum
+over m reads each block once per |m|. The time-averaged table P-bar is fully
+rational: its C^2 double sum is one entry of each block's Gram matrix, the
+|m| > 0 entries counted twice, and it is checked entry by entry against the
+sum of squared 6j symbols {l l' j; J J J}^2, each one Fraction of integers
+(wigner._sixj_squared). The oscillatory P at given chi is the module's only
+floating output. n must be an int >= 1, l and l' ints in 0..n-1 and chi a
+finite real; anything else is a DomainError.
 """
 from __future__ import annotations
 
@@ -18,23 +21,36 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, isfinite, sin
+from numbers import Real
 
 from .basis import b_block, q_values
 from .errors import DomainError, InternalConsistencyError
 from .radical import RadicalSum, render_exact
-from .wigner import _sixj_twice
+from .wigner import _sixj_squared
 
 P_AGREEMENT_TOL = 1e-12
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_n(n: int) -> None:
-    if n < 1:
-        raise DomainError(f"n = {n} must be positive")
+    if not _is_int(n) or n < 1:
+        raise DomainError(f"n = {n!r} must be an int >= 1")
+
+
+def _check_l(n: int, *ls: int) -> None:
+    """DomainError unless n is an int >= 1 and every l an int in 0..n-1."""
+    _check_n(n)
+    for l in ls:
+        if not _is_int(l) or not 0 <= l <= n - 1:
+            raise DomainError(f"need int 0 <= l <= n-1, got l = {l!r}, n = {n}")
 
 
 def _check_chi(chi: float) -> None:
-    if not isfinite(chi):
-        raise DomainError(f"chi = {chi} must be finite")
+    if isinstance(chi, bool) or not (isinstance(chi, Real) and isfinite(chi)):
+        raise DomainError(f"chi = {chi!r} must be finite and real")
 
 
 def c_coefficient(n: int, q: int, l: int, m: int) -> RadicalSum:
@@ -51,30 +67,29 @@ def c_coefficient(n: int, q: int, l: int, m: int) -> RadicalSum:
 
 
 def _pbar_double_sum(n: int, l: int, lp: int) -> Fraction:
-    """(2l'+1) sum_m sum_q C^2(q l m) C^2(q l' m), one Gram entry per block."""
+    """(2l'+1) sum_m sum_q C^2(q l m) C^2(q l' m), one Gram entry per block.
+
+    Blocks m and -m are one block, so the |m| > 0 entries count twice.
+    """
     total = Fraction(0)
-    for m in range(-min(l, lp), min(l, lp) + 1):
-        gram, den = b_block(n, m).c_gram
-        total += Fraction(gram[l - abs(m)][lp - abs(m)], den)
+    for am in range(min(l, lp) + 1):
+        gram, den = b_block(n, am).c_gram
+        total += Fraction(gram[l - am][lp - am] * (2 if am else 1), den)
     return (2 * lp + 1) * total
 
 
 def p_bar_6j_terms(n: int, l: int, lp: int) -> dict[int, Fraction]:
-    """Squared-6j contributions to P-bar by recoupling rank j.
+    """Squared-6j contributions {l l' j; J J J}^2 to P-bar by recoupling rank j,
+    J = (n-1)/2.
 
     j runs over every triangle-admissible value, not only 0..l-l': the extra
-    terms do not vanish (callers can inspect this directly).
+    terms do not vanish (callers can inspect this directly). l and l' must
+    lie in the manifold (DomainError otherwise).
     """
+    _check_l(n, l, lp)
     tJ = n - 1
-    out: dict[int, Fraction] = {}
-    for tj in range(2 * abs(l - lp), 2 * min(l + lp, n - 1) + 1, 2):
-        value = _sixj_twice(2 * l, 2 * lp, tj, tJ, tJ, tJ)
-        if value.is_zero:
-            out[tj // 2] = Fraction(0)
-        else:
-            (d, c), = value.terms()
-            out[tj // 2] = c * c * d
-    return out
+    return {tj // 2: _sixj_squared(2 * l, 2 * lp, tj, tJ)
+            for tj in range(2 * abs(l - lp), 2 * min(l + lp, n - 1) + 1, 2)}
 
 
 def p_bar(n: int, l: int, lp: int) -> Fraction:
@@ -84,8 +99,7 @@ def p_bar(n: int, l: int, lp: int) -> Fraction:
     squared-6j sum; the two must agree exactly (InternalConsistencyError
     otherwise).
     """
-    if not (0 <= l <= n - 1 and 0 <= lp <= n - 1):
-        raise DomainError(f"need 0 <= l, l' <= n-1, got l={l}, l'={lp}, n={n}")
+    _check_l(n, l, lp)
     double = _pbar_double_sum(n, l, lp)
     sixj = (2 * lp + 1) * sum(p_bar_6j_terms(n, l, lp).values(), Fraction(0))
     if double != sixj:
@@ -100,17 +114,19 @@ def p_bar_closed(n: int, lp: int, l_init: int) -> Fraction:
 
     l_init = 0: 1/n. l_init = 1: the printed expression, whose numerator term
     "-2(l+1)+1" is compared against the double-sum oracle by
-    closed_form_report; agreement is not assumed.
+    closed_form_report; agreement is not assumed. l' must lie in the
+    manifold (DomainError otherwise).
     """
+    _check_l(n, lp)
+    if not _is_int(l_init) or l_init not in (0, 1):
+        raise DomainError(f"closed forms exist for l_init in (0, 1), got {l_init!r}")
     if l_init == 0:
         return Fraction(1, n)
-    if l_init == 1:
-        if n < 2:
-            raise DomainError("the initial-l=1 form needs n >= 2")
-        l = lp
-        return Fraction(n * n * (4 * l * (l + 1) - 1) - 2 * (l + 1) + 1,
-                        n * (n * n - 1) * (2 * l - 1) * (2 * l + 3))
-    raise DomainError(f"closed forms exist for l_init in (0, 1), got {l_init}")
+    if n < 2:
+        raise DomainError("the initial-l=1 form needs n >= 2")
+    l = lp
+    return Fraction(n * n * (4 * l * (l + 1) - 1) - 2 * (l + 1) + 1,
+                    n * (n * n - 1) * (2 * l - 1) * (2 * l + 3))
 
 
 def closed_form_report(n: int, l_init: int) -> list[dict]:
@@ -119,6 +135,7 @@ def closed_form_report(n: int, l_init: int) -> list[dict]:
     Each record preserves both values; a "mismatch" verdict documents the
     discrepancy rather than failing.
     """
+    _check_n(n)
     out = []
     for lp in range(n):
         printed = p_bar_closed(n, lp, l_init)
@@ -173,8 +190,7 @@ def p_transition(n: int, l: int, lp: int, chi: float) -> float:
     cosine form; they must agree to 1e-12 (InternalConsistencyError
     otherwise). The returned value is the spectral one.
     """
-    if not (0 <= l <= n - 1 and 0 <= lp <= n - 1):
-        raise DomainError(f"need 0 <= l, l' <= n-1, got l={l}, l'={lp}, n={n}")
+    _check_l(n, l, lp)
     _check_chi(chi)
     spectral = _p_spectral(n, l, lp, chi)
     quadruple = _p_herrick(n, l, lp, chi)
@@ -252,49 +268,64 @@ def _phase_norm(a, b, cosq, sinq) -> float:
     return re * re + im * im
 
 
-def p_table(n: int, chi: float) -> TransitionTable:
-    """P(l, l'; chi) for every l, l' of the manifold, one pass per m-block.
+def _p_block(n: int, am: int, chi: float, phase: dict) -> list[tuple]:
+    """(l, l', |U_m[l, l']|^2, C-route term) for l <= l' of the block |m| = am.
 
-    Block m contributes |U_m[l, l']|^2 with U_m = B^T diag(e^(i q chi)) B; the
-    contributions are added with m ascending and divided by 2l+1, as
-    _p_spectral does, so every entry equals p_transition's bit for bit.
-    In place of p_transition's quadruple cosine sum, two guards run over the
-    whole table (InternalConsistencyError on failure): every row of every U_m
-    has unit norm, and every entry agrees to P_AGREEMENT_TOL with the C route
-    (2l'+1) sum_m |sum_q C_l C_l' e^(i q chi)|^2, which is the quadruple sum
-    factored by cos(a - b) = cos a cos b + sin a sin b.
+    B's floats are those of |m| and q_values is the same set for +-m, so both
+    terms are the same for m and -m. Every row of U_m must have unit norm
+    (InternalConsistencyError otherwise).
+    """
+    qs = q_values(n, am)
+    cosq = [phase[q][0] for q in qs]
+    sinq = [phase[q][1] for q in qs]
+    b_cols = list(zip(*_b_float_block(n, am)))
+    c_cols = list(zip(*_c_float_block(n, am)))
+    norms = [0.0] * (n - am)
+    out = []
+    # x * y == y * x in binary64, so U_m is symmetric to the last bit
+    # and each pair is summed once for both entries
+    for i in range(n - am):
+        for j in range(i, n - am):
+            u = _phase_norm(b_cols[j], b_cols[i], cosq, sinq)
+            out.append((am + i, am + j, u,
+                        _phase_norm(c_cols[i], c_cols[j], cosq, sinq)))
+            norms[i] += u
+            if j != i:
+                norms[j] += u
+    for i, norm in enumerate(norms):
+        if abs(norm - 1.0) > P_AGREEMENT_TOL:
+            raise InternalConsistencyError(
+                f"U_m(chi={chi}) is not unitary at n={n}, m={am}: "
+                f"row l={am + i} has norm^2 {norm}")
+    return out
+
+
+def p_table(n: int, chi: float) -> TransitionTable:
+    """P(l, l'; chi) for every l, l' of the manifold, one pass per |m|.
+
+    Block m contributes |U_m[l, l']|^2 with U_m = B^T diag(e^(i q chi)) B.
+    Blocks m and -m contribute the same values, so each is computed once per
+    |m| and then added for m = -(n-1) .. n-1 in ascending order and divided
+    by 2l+1, as _p_spectral does, so every entry equals p_transition's bit
+    for bit. In place of p_transition's quadruple cosine sum, two guards run
+    over the whole table (InternalConsistencyError on failure): every row of
+    every U_m has unit norm (checked once per |m|), and every entry agrees to
+    P_AGREEMENT_TOL with the C route (2l'+1) sum_m |sum_q C_l C_l' e^(i q chi)|^2,
+    which is the quadruple sum factored by cos(a - b) = cos a cos b + sin a sin b.
     """
     _check_n(n)
     _check_chi(chi)
     phase = {q: (cos(chi * q), sin(chi * q)) for q in range(-(n - 1), n)}
+    blocks = [_p_block(n, am, chi, phase) for am in range(n)]
     spectral = [[0.0] * n for _ in range(n)]
     c_route = [[0.0] * n for _ in range(n)]
     for m in range(-(n - 1), n):
-        am = abs(m)
-        qs = q_values(n, m)
-        cosq = [phase[q][0] for q in qs]
-        sinq = [phase[q][1] for q in qs]
-        b_cols = list(zip(*_b_float_block(n, m)))
-        c_cols = list(zip(*_c_float_block(n, m)))
-        norms = [0.0] * (n - am)
-        # x * y == y * x in binary64, so U_m is symmetric to the last bit
-        # and each pair is summed once for both entries
-        for i in range(n - am):
-            for j in range(i, n - am):
-                u = _phase_norm(b_cols[j], b_cols[i], cosq, sinq)
-                h = _phase_norm(c_cols[i], c_cols[j], cosq, sinq)
-                spectral[am + i][am + j] += u
-                c_route[am + i][am + j] += h
-                norms[i] += u
-                if j != i:
-                    spectral[am + j][am + i] += u
-                    c_route[am + j][am + i] += h
-                    norms[j] += u
-        for i, norm in enumerate(norms):
-            if abs(norm - 1.0) > P_AGREEMENT_TOL:
-                raise InternalConsistencyError(
-                    f"U_m(chi={chi}) is not unitary at n={n}, m={m}: "
-                    f"row l={am + i} has norm^2 {norm}")
+        for l, lp, u, h in blocks[abs(m)]:
+            spectral[l][lp] += u
+            c_route[l][lp] += h
+            if lp != l:
+                spectral[lp][l] += u
+                c_route[lp][l] += h
     rows = tuple(tuple(x / (2 * l + 1) for x in row)
                  for l, row in enumerate(spectral))
     for l, row in enumerate(rows):

@@ -7,11 +7,14 @@ alternating sum, 3jm and 6j alike, is summed in integers over one
 common factorial denominator into an exact Fraction: consecutive terms differ
 by a rational factor, so each term is an integer over that denominator. Every
 value has the shape (rational) * sqrt(rational) and is returned as a one-term
-RadicalSum.
+RadicalSum. Where only the square of {a b c; J J J} is needed (the Stark
+P-bar), _sixj_squared finishes the same series without a root: the triangle
+factorials times the squared sum, one Fraction.
 
 The memo caches key on symmetry-reduced arguments: the 3jm key by a loop over
 its 12 images, the 6j key as the smallest of its 24 images, read through a
-fixed table of index maps. Cached entries are immutable and recomputation is
+fixed table of index maps, and the squared {a b c; J J J} key as the sorted
+(a, b, c) and J. Cached entries are immutable and recomputation is
 idempotent, so racing threads at worst repeat work.
 """
 from __future__ import annotations
@@ -92,11 +95,13 @@ class SixJArgs:
 
 _CACHE_3JM: dict[tuple[int, ...], RadicalSum] = {}
 _CACHE_6J: dict[tuple[int, ...], RadicalSum] = {}
+_CACHE_6J_SQ: dict[tuple[int, ...], Fraction] = {}
 
 
 def clear_caches() -> None:
     _CACHE_3JM.clear()
     _CACHE_6J.clear()
+    _CACHE_6J_SQ.clear()
 
 
 def _tri_ok_t(ta: int, tb: int, tc: int) -> bool:
@@ -243,16 +248,22 @@ def _sixj_twice(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> Radical
     return cached
 
 
-def _racah_6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> RadicalSum:
+def _racah_6j_sum(ta: int, tb: int, tc: int, td: int, te: int, tf: int):
+    """The Racah 6j series: (total, den, nums, dens) with
+    {6j} = sqrt(prod k! over nums / prod k! over dens) total / den.
+
+    nums and dens are the factorials of the four triangle coefficients
+    (s-x)! (s-y)! (s-z)!/(s+1)!, s the triangle's half-perimeter. The series
+    sum_k (-1)^k (k+1)! / [prod (k - low)! prod (high - k)!], k the half-sum
+    and the lows the four half-perimeters, is summed in integers over one
+    denominator; see _racah_sum. All four triangles must hold.
+    """
     fi = default_table().factorial_int
-    # sum_k (-1)^k (k+1)! / [prod (k - low)! prod (high - k)!], k the half-sum;
-    # the lows are the half-perimeters of the four triangles
     triangles = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
     lows = tuple(sum(t) // 2 for t in triangles)
     highs = ((ta + tb + td + te) // 2, (tb + tc + te + tf) // 2,
              (ta + tc + td + tf) // 2)
     k0, k1 = max(lows), min(highs)  # k0 <= k1 once the four triangles hold
-    # every term is an integer over den; see _racah_sum
     den = 1
     term = fi(k0 + 1)
     for a in lows:
@@ -269,13 +280,38 @@ def _racah_6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> RadicalSu
         for a in lows:
             div *= k + 1 - a
         term = term * step // div
+    nums = [s - t for s, tri in zip(lows, triangles) for t in tri]
+    return total, den, nums, [s + 1 for s in lows]
+
+
+def _racah_6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> RadicalSum:
+    total, den, nums, dens = _racah_6j_sum(ta, tb, tc, td, te, tf)
     if total == 0:
         return RadicalSum.zero()
-    # the root of the four triangle coefficients (s-x)! (s-y)! (s-z)!/(s+1)!,
-    # s the triangle's half-perimeter (its low)
-    c, d = factorial_root([s - t for s, tri in zip(lows, triangles) for t in tri],
-                          [s + 1 for s in lows])
+    c, d = factorial_root(nums, dens)
     return RadicalSum({d: c * Fraction(total, den)})
+
+
+def _sixj_squared(ta: int, tb: int, tc: int, tj: int) -> Fraction:
+    """{a b c; J J J}^2 on twice-valued args, exact; all four triangles must hold.
+
+    The square needs no root split: it is the product of the triangle
+    factorials times the squared series, one Fraction of integers. The three
+    columns swap freely, so the cache key is the sorted (a, b, c) and J.
+    """
+    key = (*sorted((ta, tb, tc)), tj)
+    cached = _CACHE_6J_SQ.get(key)
+    if cached is None:
+        total, den, nums, dens = _racah_6j_sum(*key, tj, tj)
+        fi = default_table().factorial_int
+        num, div = total * total, den * den
+        for k in nums:
+            num *= fi(k)
+        for k in dens:
+            div *= fi(k)
+        cached = Fraction(num, div)
+        _CACHE_6J_SQ[key] = cached
+    return cached
 
 
 def regge_transform(args: ThreeJmArgs) -> ThreeJmArgs:

@@ -4,7 +4,7 @@ Everything here is plain Fraction arithmetic over math.factorial: no prime
 factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
 
-There are six exceptions, all former package routes kept as the reference
+There are seven exceptions, all former package routes kept as the reference
 for what replaced them: the dense generator walk, which works on the
 package's ManifoldState and RadicalSum (the generator engine's per-generator
 loop over dense coefficient vectors, replaced by the basis-state walk), the
@@ -12,9 +12,10 @@ printed A_z^2,3,4 forms over RadicalSum (replaced by the monomial route in
 sumrules), B(l) by its single-3jm definition (replaced by the rational block
 per (n, m) in basis), the dense A_z^k matrix products (replaced by the A_z
 action applied k times), the loop-built 6j cache key (replaced by a fixed
-table of index maps in wigner), and at the end the rational gauge and its
-kernels over Fraction (replaced by integers over a few denominators in the
-block and in sumrules).
+table of index maps in wigner), the rational gauge and its kernels over
+Fraction (replaced by integers over a few denominators in the block and in
+sumrules), and at the end the B and C floats rounded from the block's
+monomials (replaced by floats rounded from integers in the block).
 """
 from fractions import Fraction
 from math import factorial
@@ -583,3 +584,17 @@ def printed_az_accumulation(p: ParabolicLabel,
             acc[d] = acc.get(d, 0) + rho[i] * rho[j] * Fraction(c, e)
     a = blk.a[p.n1]
     return RadicalSum({d: c * a for d, c in acc.items()}), None
+
+
+# -- the B and C floats from the block's monomials ----------------------------
+#
+# The package's float route as it stood before the floats were built from an
+# integer num, den and radicand per entry, kept verbatim as the reference those
+# floats must equal bit for bit.
+
+from math import sqrt  # noqa: E402
+
+
+def floats(monomials) -> tuple[tuple[float, ...], ...]:
+    """c sqrt(d) per entry, rounded as RadicalSum.to_float rounds one term."""
+    return tuple(tuple(float(c) * sqrt(d) for c, d in row) for row in monomials)

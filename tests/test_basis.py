@@ -248,6 +248,22 @@ class TestAsymptotic:
             assert abs(approx - exact) / exact < 2e-4
 
 
+def _bits(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+class TestFloats:
+    def test_equal_the_monomial_route_bit_for_bit(self):
+        # every block with n <= 24; hex tells -0.0 from 0.0
+        for n in range(1, 25):
+            for m in range(n):
+                blk = b_block(n, m)
+                want_b = oracles.floats(blk.b_monomials())
+                want_c = oracles.floats(blk.c_monomials)
+                assert _bits(blk.b_floats) == _bits(want_b), (n, m)
+                assert _bits(blk.c_floats) == _bits(want_c), (n, m)
+
+
 class TestStateTransforms:
     def test_unit_parabolic_two_level(self):
         state = to_spherical(unit_parabolic(ParabolicLabel(1, 0, 0)))

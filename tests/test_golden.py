@@ -12,7 +12,7 @@ from rungelenz.basis import B_SPECIAL_CASES, ParabolicLabel, b_coeff_3f2, b_spec
 from rungelenz.diamagnetic import h1_matrix, h2_matrix, h2_symmetry_report
 from rungelenz.errors import DomainError
 from rungelenz.radical import render_exact
-from rungelenz.stark import p_table, pbar_table
+from rungelenz.stark import p_bar_6j_terms, p_table, pbar_table
 from rungelenz.wigner import _sixj_twice, _threejm_twice
 
 
@@ -29,6 +29,21 @@ def pbar_texts():
         table = pbar_table(n)
         yield table.to_json()
         yield table.to_csv()
+
+
+def sixj_terms_texts():
+    """Every p_bar_6j_terms(n, l, l') with n <= 16, zero terms included."""
+    for n in range(1, 17):
+        for l in range(n):
+            for lp in range(n):
+                terms = p_bar_6j_terms(n, l, lp)
+                yield f"{n} {l} {lp} " + " ".join(
+                    f"{j}:{render_exact(v)}" for j, v in terms.items())
+
+
+def p_table_texts(chi):
+    for n in range(1, 21):
+        yield p_table(n, chi).to_json()
 
 
 def threejm_texts():
@@ -96,6 +111,12 @@ P_TABLE_SHA256 = {
     math.pi: "dda06285f40c8f52cf77bc28fc32124d721a0e080f6639c129bb1d84c9816c39",
     -11.2: "87351d7df0ca2b037a9d8331519e92cb7a99aa2202a4c49474f403836d9a0ed3",
 }
+# p_bar_6j_terms for n <= 16, and p_table(n, chi) for n <= 20
+SIXJ_TERMS_SHA256 = "a610c87939b5a19405abda15e0fe4a08663607e3236c7c875b9bb463f1df5979"
+P_TABLES_SHA256 = {
+    0.7: "743d3b99f5843c96e65778b65bafd47f65a4f1a5ebe4a0e583fcdadee704e138",
+    1000.0: "abe76584f2896e8b3ca323ad1ab42cb96ec5fa8a944b18f78606f66cb2f316ac",
+}
 THREEJM_SHA256 = "56c43c9434653c9f82637cadfb36df0defd12d34a16ba99c37201fc95d1abd1e"
 SIXJ_SHA256 = "08563685daed4ec024eb91943712af6332107dd35347dd6744f3fd9b21e16efa"
 B_3F2_SHA256 = "708fee9a1421d6032ef2e07d102fe09636803628eea0705435070edb7e971cf2"
@@ -113,6 +134,13 @@ class TestGoldenValues:
     @pytest.mark.parametrize("chi", sorted(P_TABLE_SHA256))
     def test_p_table(self, chi):
         assert sha256([p_table(16, chi).to_json()]) == P_TABLE_SHA256[chi]
+
+    def test_p_bar_6j_terms(self):
+        assert sha256(sixj_terms_texts()) == SIXJ_TERMS_SHA256
+
+    @pytest.mark.parametrize("chi", sorted(P_TABLES_SHA256))
+    def test_p_tables_up_to_20(self, chi):
+        assert sha256(p_table_texts(chi)) == P_TABLES_SHA256[chi]
 
     def test_threejm(self):
         assert sha256(threejm_texts()) == THREEJM_SHA256

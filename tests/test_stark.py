@@ -290,6 +290,33 @@ class TestPTable:
         with pytest.raises(InternalConsistencyError, match="routes disagree"):
             p_table(4, 0.7)
 
+    def test_perturbed_c_route_in_a_signed_block_is_caught(self, monkeypatch):
+        real = stark._c_float_block
+
+        def perturbed(n, m):
+            rows = [list(row) for row in real(n, m)]
+            if m == 1:
+                rows[0][1] *= 1.001  # (q, l) = (-2, 2) of the n = 4, |m| = 1 block
+            return tuple(tuple(row) for row in rows)
+
+        monkeypatch.setattr(stark, "_c_float_block", perturbed)
+        with pytest.raises(InternalConsistencyError, match="routes disagree"):
+            p_table(4, 0.7)
+
+    def test_float_blocks_read_once_per_abs_m(self, monkeypatch):
+        calls = {"b": [], "c": []}
+        for kind in calls:
+            name = f"_{kind}_float_block"
+            real = getattr(stark, name)
+
+            def counted(n, m, real=real, seen=calls[kind]):
+                seen.append((n, m))
+                return real(n, m)
+
+            monkeypatch.setattr(stark, name, counted)
+        p_table(7, 0.7)
+        assert calls["b"] == calls["c"] == [(7, am) for am in range(7)]
+
     def test_non_unitary_block_is_caught(self, monkeypatch):
         real = stark._b_float_block
 
@@ -313,6 +340,51 @@ class TestPTable:
             p_table(n, 0.7)
         with pytest.raises(DomainError):
             pbar_table(n)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_n_must_be_an_int(self, n):
+        with pytest.raises(DomainError):
+            p_table(n, 0.7)
+        with pytest.raises(DomainError):
+            pbar_table(n)
+
+    @pytest.mark.parametrize("chi", ["x", None, "0.7", 1j, True])
+    def test_chi_must_be_real(self, chi):
+        with pytest.raises(DomainError):
+            p_table(3, chi)
+        with pytest.raises(DomainError):
+            p_transition(3, 1, 2, chi)
+
+    def test_real_chi_types_accepted(self):
+        assert p_table(3, 1).entries == p_table(3, 1.0).entries
+        assert p_table(3, Fraction(1, 2)).entries == p_table(3, 0.5).entries
+
+
+class TestArguments:
+    @pytest.mark.parametrize("args", [
+        (2.5, 1, 1), (3, 1.0, 1), (3, 1.5, 1), (3, 1, 1.0), (True, 0, 0),
+        (3, True, 1), (3, 3, 0), (3, 0, 3), (3, -1, 1), (3, 5, 1), (0, 0, 0),
+    ])
+    def test_l_pairs_out_of_range_or_not_int(self, args):
+        with pytest.raises(DomainError):
+            p_bar(*args)
+        with pytest.raises(DomainError):
+            p_bar_6j_terms(*args)
+        with pytest.raises(DomainError):
+            p_transition(*args, 0.7)
+
+    @pytest.mark.parametrize("args", [
+        (0, 0, 0), (3, 7, 1), (3, -1, 0), (3, 3, 1), (2.5, 1, 1), (3, 1.0, 1),
+        (3, 1, 1.0), (True, 0, 0), (4, 1, 2),
+    ])
+    def test_closed_form_arguments(self, args):
+        with pytest.raises(DomainError):
+            p_bar_closed(*args)
+
+    @pytest.mark.parametrize("n", [-1, 0, 2.5, True])
+    def test_closed_form_report_needs_a_manifold(self, n):
+        with pytest.raises(DomainError):
+            closed_form_report(n, 1)
 
 
 @pytest.fixture

@@ -225,6 +225,47 @@ class TestSixJ:
             assert got == want
 
 
+class TestSixJSquared:
+    def test_equals_the_squared_rooted_kernel(self):
+        # every {l l' j; J J J} of a manifold with n <= 20, zeros included
+        for tJ in range(20):
+            for tl in range(0, tJ + 1, 2):
+                for tlp in range(0, tJ + 1, 2):
+                    for tj in range(abs(tl - tlp), min(tl + tlp, tJ) + 1, 2):
+                        value = wigner._sixj_twice(tl, tlp, tj, tJ, tJ, tJ)
+                        want = sign_square(value)[1]
+                        got = wigner._sixj_squared(tl, tlp, tj, tJ)
+                        assert type(got) is Fraction and got == want, \
+                            (tl, tlp, tj, tJ)
+
+    def test_key_ignores_column_order(self):
+        clear_caches()
+        value = wigner._sixj_squared(4, 6, 2, 8)
+        assert wigner._CACHE_6J_SQ == {(2, 4, 6, 8): value}
+        assert wigner._sixj_squared(6, 2, 4, 8) is value
+        assert len(wigner._CACHE_6J_SQ) == 1
+
+    def test_clear_caches_empties_the_squared_cache(self):
+        wigner._sixj_squared(2, 2, 2, 4)
+        clear_caches()
+        assert wigner._CACHE_6J_SQ == {}
+
+    def test_rooted_finish_shares_the_series(self, monkeypatch):
+        # both finishes read the one Racah series helper
+        calls = []
+        real = wigner._racah_6j_sum
+
+        def counted(*t):
+            calls.append(t)
+            return real(*t)
+
+        clear_caches()
+        monkeypatch.setattr(wigner, "_racah_6j_sum", counted)
+        wigner._sixj_squared(2, 4, 6, 6)
+        wigner_6j(1, 2, 3, 3, 3, 3)
+        assert len(calls) == 2
+
+
 class TestSixJKey:
     def test_matches_the_loop_built_key(self):
         for t in product(range(6), repeat=6):
