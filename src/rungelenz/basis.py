@@ -10,7 +10,10 @@ anything. The block stores its gauge as
 integers over a few denominators (each rho row as R over D, b as N over b_den,
 J's bands as U and W over one Delta), and its build checks in integers that
 every B row is normalised (a sum_l N R^2 = b_den D^2) and that J matches
-beta^2 (U W = beta^2 Delta^2). The Regge partner,
+beta^2 (U W = beta^2 Delta^2). Every B and C entry, its monomial and its
+float alike, comes from one integer pass over the block: a numerator, a
+denominator and a squarefree radicand. n and m must be ints, not bools
+(check_block). The Regge partner,
 hypergeometric route and fixed-l closed forms are independent oracles, the
 last two restricted to m >= 0 as printed; they agree with the block in square,
 and the sign of the hypergeometric route differs by the global factor measured
@@ -21,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import exp, gcd, lcm, prod, sqrt
+from math import exp, lcm, prod, sqrt
 from operator import add, mul
 
 from .errors import DomainError, InternalConsistencyError
 from .pfrational import _join, default_table, factorial_root
-from .radical import RadicalSum, _mono, _split_radicand, dot
+from .radical import RadicalSum, _combine_radicands, _split_radicand, dot
 from .wigner import _neg1, _racah_sum, _threejm_twice
 
 
@@ -66,8 +69,16 @@ class ParabolicLabel:
         return self.n1 - self.n2
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_block(n: int, m: int) -> None:
-    """DomainError unless (n, m) is a block of the manifold."""
+    """DomainError unless n and m are ints, not bools, and (n, m) is a block
+    of the manifold."""
+    if not (_is_int(n) and _is_int(m)):
+        raise DomainError(f"(n, m) = ({n!r}, {m!r}) is not a block of the "
+                          f"manifold: need int n and m, not bool")
     if n < 1 or abs(m) > n - 1:
         raise DomainError(f"(n, m) = ({n}, {m}) is not a block of the manifold: "
                           f"need n >= 1 and |m| <= n-1")
@@ -183,10 +194,12 @@ class BBlock:
     R = rho_num[n1] over D = rho_den[n1], the lcm of that row's denominators;
     b as N = b_num over b_den; J's bands as U = up and W = down over one
     j_den (Delta), so J^k carries Delta^k. The b J^k rho memo is integral,
-    and the sum rules over it build one Fraction each. C's monomials (c, d) = c sqrt(d), the
-    floats of C and B (each rounded once from an integer num, den and
-    squarefree radicand, with the value of its monomial) and the integer Gram
-    matrix of C^2 (c_gram, for P-bar) are built on first use.
+    and the sum rules over it build one Fraction each. One integer pass
+    (_entries, not kept) gives every B and C entry as num, den and a
+    squarefree rad; B's and C's monomials (num/den, rad) and their floats
+    (num / den * sqrt(rad), rounded once) all read it. C's monomials, the
+    floats and the integer Gram matrix of C^2 (c_gram, for P-bar) are built
+    on first use and kept.
     """
 
     n: int
@@ -222,55 +235,50 @@ class BBlock:
         self._j_memo[0] = (n1, vecs)
         return vecs[power]
 
-    @cached_property
-    def c_monomials(self) -> tuple[tuple[tuple[Fraction, int], ...], ...]:
-        ls = spherical_ls(self.n, self.m)
-        out = []
-        for a, row, d in zip(self.a, self.rho_num, self.rho_den):
-            (ea, ua), = RadicalSum.from_sqrt(a).terms()
-            out.append(tuple(_mono((_neg1(self.m + l) * ua * Fraction(x, d), ea), root)
-                             for l, x, root in zip(ls, row, self.roots)))
-        return tuple(out)
+    def _entries(self):
+        """Each row's B and C entries as (num, den, rad), the value num / den
+        sqrt(rad) with rad squarefree, built in ints; a generator, not kept.
 
-    def b_monomials(self) -> list[list[tuple[Fraction, int]]]:
-        """B's monomials, B = (-1)^(n2 + l) sqrt(2l+1) C for m >= 0; not kept."""
-        ls = spherical_ls(self.n, self.m)
-        roots = [RadicalSum.from_sqrt(2 * l + 1).terms()[0] for l in ls]
-        upper = self.n - self.m - 1
-        return [[_mono((_neg1(upper - n1 + l) * c, d), (u, e))
-                 for l, (c, d), (e, u) in zip(ls, row, roots)]
-                for n1, row in enumerate(self.c_monomials)]
-
-    @cached_property
-    def _float_tables(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
-        """(B floats, C floats), each entry built in ints as num, den and a
-        squarefree rad and rounded once as num / den * sqrt(rad).
-
-        The radicands and values are those of b_monomials and c_monomials;
-        int true division rounds correctly, as float(Fraction) does, so each
-        float equals c * sqrt(d) rounded from the monomial (c, d).
+        sqrt(a) comes from the factorial table (pfrational._join over the four
+        m-factorials of a), C joins it with the row of rho and the root u
+        sqrt(e), and B = (-1)^(n2 + l) sqrt(2l+1) C for m >= 0.
         """
         ls = spherical_ls(self.n, self.m)
         upper = self.n - self.m - 1
         table = default_table()
         odd = [_split_radicand(2 * l + 1) for l in ls]  # sqrt(2l+1) = u2 sqrt(e2)
-        b_rows, c_rows = [], []
         for n1, (q, row, d) in enumerate(zip(q_values(self.n, self.m),
                                              self.rho_num, self.rho_den)):
             ua, ea = _join(table, _a_factorials(self.n, self.m, q))
             b_row, c_row = [], []
             for l, x, (u, e), (u2, e2) in zip(ls, row, self.roots, odd):
-                g = gcd(ea, e)
+                g, rad = _combine_radicands(ea, e)
                 num = _neg1(self.m + l) * ua * x * u.numerator * g
                 den = d * u.denominator
-                rad = (ea // g) * (e // g)
-                c_row.append(num / den * sqrt(rad))
-                g2 = gcd(rad, e2)
-                num *= _neg1(upper - n1 + l) * u2 * g2
-                b_row.append(num / den * sqrt((rad // g2) * (e2 // g2)))
-            b_rows.append(tuple(b_row))
-            c_rows.append(tuple(c_row))
-        return tuple(b_rows), tuple(c_rows)
+                c_row.append((num, den, rad))
+                g, rad = _combine_radicands(rad, e2)
+                b_row.append((_neg1(upper - n1 + l) * num * u2 * g, den, rad))
+            yield b_row, c_row
+
+    @cached_property
+    def c_monomials(self) -> tuple[tuple[tuple[Fraction, int], ...], ...]:
+        return tuple(tuple((Fraction(num, den), rad) for num, den, rad in c_row)
+                     for _, c_row in self._entries())
+
+    def b_monomials(self) -> list[list[tuple[Fraction, int]]]:
+        """B's monomials (c, d) = c sqrt(d); not kept."""
+        return [[(Fraction(num, den), rad) for num, den, rad in b_row]
+                for b_row, _ in self._entries()]
+
+    @cached_property
+    def _float_tables(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        """(B floats, C floats), each entry rounded once as num / den * sqrt(rad).
+
+        Int true division rounds correctly, as float(Fraction) does, so each
+        float equals c * sqrt(d) rounded from its monomial (c, d).
+        """
+        return tuple(tuple(tuple(num / den * sqrt(rad) for num, den, rad in row)
+                           for row in rows) for rows in zip(*self._entries()))
 
     @property
     def b_floats(self) -> tuple[tuple[float, ...], ...]:
@@ -339,7 +347,7 @@ def _block_entries(n: int, m: int) -> BBlock:
                   tuple(rho_den), bands[:len(up)], bands[len(up):], j_den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # b_block(2.0, 0) is not b_block(2, 0)
 def b_block(n: int, m: int) -> BBlock:
     """The checked block of (n, |m|); needs the factorial table up to (2n-1)!.
 
@@ -488,7 +496,7 @@ def b_squared_asymptotic(n: int, l: int) -> float:
 
 # -- whole-manifold transforms -----------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def b_matrix(n: int, m: int) -> tuple[tuple[RadicalSum, ...], ...]:
     """Rows indexed by n1 (q increasing), columns by l - |m|."""
     sign = _neg1(m) if m < 0 else 1

@@ -22,9 +22,10 @@ from itertools import chain
 
 from .basis import ParabolicLabel, b_coeff
 from .diamagnetic import h1_matrix, h2_matrix
-from .errors import DomainError
+from .errors import DomainError, FactorialLimitError
 from .halfint import HalfInt
 from .operators import beta
+from .pfrational import default_table
 from .radical import render_exact
 from .stark import p_bar, p_transition
 from .sumrules import az_moment_generic, sum_rule_az, sum_rule_l2
@@ -106,6 +107,10 @@ def _sweep_tuples(args, parser) -> list[tuple]:
     if not 1 <= args.jobs <= cpus:
         parser.error(f"--jobs needs an integer in 1..{cpus} (the CPU count), "
                      f"got {args.jobs}")
+    # (2n-1)! is the largest factorial a block of n needs: fail before the sweep
+    limit = default_table().limit
+    if 2 * args.max_n - 1 > limit:
+        raise FactorialLimitError(needed=2 * args.max_n - 1, limit=limit)
     tuples = []
     for n in range(args.min_n, args.max_n + 1):
         for m in range(-(n - 1), n):

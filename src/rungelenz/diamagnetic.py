@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import isfinite
 from numbers import Real
 
-from .basis import ParabolicLabel, check_block, q_values, unit_parabolic
+from .basis import ParabolicLabel, _is_int, check_block, q_values, unit_parabolic
 from .errors import DomainError, InternalConsistencyError
 from .operators import OperatorExpression, expression_apply
 from .radical import RadicalSum, render_exact
@@ -30,10 +30,11 @@ class DiamagneticParams:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.gamma, Real) and isfinite(self.gamma)
+        if isinstance(self.gamma, bool) or not (
+                isinstance(self.gamma, Real) and isfinite(self.gamma)
                 and self.gamma >= 0):
             raise DomainError(f"gamma = {self.gamma!r} must be finite and >= 0")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise DomainError(f"n = {self.n!r} must be an int >= 1")
 
     def h1_scale(self) -> float:

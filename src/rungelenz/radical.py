@@ -19,12 +19,6 @@ def _combine_radicands(d1: int, d2: int) -> tuple[int, int]:
     return g, (d1 // g) * (d2 // g)
 
 
-def _mono(x: tuple, y: tuple) -> tuple:
-    """(c1 sqrt(d1)) (c2 sqrt(d2)) as a monomial (c, d), d squarefree."""
-    g, d = _combine_radicands(x[1], y[1])
-    return x[0] * y[0] * g, d
-
-
 class RadicalSum:
     """A finite sum sum_i c_i * sqrt(d_i), c_i rational, d_i squarefree positive.
 

@@ -23,16 +23,12 @@ from fractions import Fraction
 from math import cos, isfinite, sin
 from numbers import Real
 
-from .basis import b_block, q_values
+from .basis import _is_int, b_block, q_values
 from .errors import DomainError, InternalConsistencyError
 from .radical import RadicalSum, render_exact
 from .wigner import _sixj_squared
 
 P_AGREEMENT_TOL = 1e-12
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_n(n: int) -> None:

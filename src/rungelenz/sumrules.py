@@ -13,23 +13,24 @@ with the analytic right-hand side, plus the block's two gauge guards: J
 against beta^2 and every B row's normalisation. r comes from the Racah sum,
 never from J's recurrence, so J rho = q rho is checked, not built in. For
 k = 2, 3, 4 the explicit weight-ratio forms as printed in the source material
-are re-derived verbatim on monomials c sqrt(d), kept as integers over one
-denominator per (n, |m|, k), and diffed against the canonical value, so
-suspected misprints surface as reported discrepancies, never as silent
-corrections.
+are re-derived verbatim, each term one monomial c sqrt(d) built in integers
+(a rational scale times the roots of the term's radicands: weight, ratio
+and each beta^2 of a chain, joined with the block's roots of the 3jm pair),
+kept as integers over one denominator per (n, |m|, k), and diffed against
+the canonical value, so suspected misprints surface as reported
+discrepancies, never as silent corrections.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 from operator import mul
 
 from .basis import ParabolicLabel, _over_lcm, b_block, beta_squared, spherical_ls
 from .errors import DomainError, InternalConsistencyError
 from .operators import expression_apply, l_squared_expression
-from .radical import RadicalSum, _combine_radicands, _mono, _split_radicand, render_exact
+from .radical import RadicalSum, _combine_radicands, _split_radicand, render_exact
 from .wigner import _neg1
 
 
@@ -131,61 +132,24 @@ def _az_contraction(p: ParabolicLabel, power: int) -> Fraction:
     return Fraction(blk.a[p.n1] * total, blk.b_den * d * d * blk.j_den ** power)
 
 
-def _sqrt_of_int_product(factors: list[int]) -> tuple[int, int] | None:
-    """sqrt(prod factors) = c sqrt(d) for small integers; (0, 1) if the
-    product is zero, None if it is negative."""
-    product = prod(factors)
-    if product < 0:
-        return None
-    if product == 0:
+def _sqrt_term(scale, *radicands) -> tuple[Fraction, int] | None:
+    """scale prod sqrt(r) over the rational radicands r of one printed term
+    as c sqrt(d), d squarefree; (0, 1) if the scale or some r is 0, else
+    None if some r is negative (not evaluable over the reals)."""
+    if not scale or not all(radicands):
         return 0, 1
-    return _split_radicand(product)
-
-
-def _beta_chain(n: int, m: int, *ls: int) -> tuple:
-    """prod beta(n, l, m) over ls as a monomial; 0 if some l < 0."""
-    acc = (Fraction(1), 1)
-    for l in ls:
-        if l < 0:
-            return 0, 1
-        sq = beta_squared(n, l, m)
-        if not sq:
-            return 0, 1
-        root, r = _split_radicand(sq.numerator * sq.denominator)
-        acc = _mono(acc, (Fraction(root, sq.denominator), r))
-    return acc
-
-
-def _ratio_kernel(wfac: list[int], rnum: list[int], rden: list[int]) -> tuple | None:
-    """A power-2 term's weight sqrt(prod wfac) times its ratio
-    sqrt(prod rnum / prod rden), evaluated verbatim; None if either is not
-    evaluable over the reals. A zero numerator factor makes the ratio 0 even
-    when the denominator product is negative."""
-    weight = _sqrt_of_int_product(wfac)
-    num = _sqrt_of_int_product(rnum)
-    if weight is None or num is None:
+    if min(radicands) < 0:
         return None
-    if num[0] == 0:
-        return num
-    den = _sqrt_of_int_product(rden)
-    if den is None:
-        return None
-    # denominators here are nonzero odd integers (4x^2 - 1 products):
-    # 1/(c sqrt(d)) = sqrt(d)/(c d)
-    c, d = den
-    return _mono(_mono(weight, num), (Fraction(1, c * d), d))
-
-
-def _chain_kernel(wfac: list[int], chain: tuple, scale=1) -> tuple | None:
-    """A power-3/4 term's weight times beta chain times scale; 0 when the chain
-    part vanishes, whatever the weight, and None for a negative weight."""
-    if not chain[0] or not scale:
-        return 0, 1
-    weight = _sqrt_of_int_product(wfac)
-    if weight is None:
-        return None
-    c, d = _mono(weight, chain)
-    return c * scale, d
+    num, den = scale.as_integer_ratio()
+    d = 1
+    for r in radicands:
+        # sqrt(p/q) = a sqrt(e)/q with p q = a^2 e
+        p, q = r.as_integer_ratio()
+        a, e = _split_radicand(p * q)
+        g, d = _combine_radicands(d, e)
+        num *= a * g
+        den *= q
+    return Fraction(num, den), d
 
 
 @lru_cache(maxsize=None)
@@ -195,8 +159,8 @@ def _printed_terms(n: int, m: int, power: int) -> tuple[tuple[tuple, ...], int]:
 
     The bare 3jm of B's definition is T(l) = (-1)^m sqrt(a) r(l) u(l) sqrt(e(l))
     in the gauge, so every printed term is a rho(l) rho(l') c sqrt(d), with
-    c sqrt(d) the product of the block's monomials (T's u sqrt(e), the weight,
-    ratio and beta chain) and i, j = l - |m|, l' - |m|. The u are put over
+    c sqrt(d) the pair's roots u sqrt(e) times the term's _sqrt_term (its
+    weight, ratio or beta chain) and i, j = l - |m|, l' - |m|. The u are put over
     their lcm V, so a term is an integer pair part over V^2 times a small
     rational kernel, and E = V^2 K with K the lcm of the kernels'
     denominators. A term with a negative radicand as printed carries its note
@@ -210,12 +174,12 @@ def _printed_terms(n: int, m: int, power: int) -> tuple[tuple[tuple, ...], int]:
 
     def pair(l: int, lp: int) -> tuple:
         i, j = l - am, lp - am
-        return _mono((_neg1(l + lp) * us[i], roots[i][1]), (us[j], roots[j][1]))
+        g, d = _combine_radicands(roots[i][1], roots[j][1])
+        return _neg1(l + lp) * us[i] * us[j] * g, d
 
     def bsq(l: int) -> Fraction:
         return beta_squared(n, l, m) if l >= 0 else Fraction(0)
 
-    what = "radicand" if power == 2 else "weight radicand"
     out = []
     for l in ls:
         if power == 2:
@@ -224,44 +188,42 @@ def _printed_terms(n: int, m: int, power: int) -> tuple[tuple[tuple, ...], int]:
                                4 * (l + 1) ** 2 - 1))
             pieces = [
                 # (l-2): weight sqrt((2l+1)(2l-3)), denominators (4l^2-1)(4(l-1)^2-1)
-                (l - 2, _ratio_kernel(
-                    [2 * l + 1, 2 * l - 3],
-                    [l * l - m * m, n * n - l * l,
-                     (l - 1) ** 2 - m * m, n * n - (l - 1) ** 2],
-                    [4 * l * l - 1, 4 * (l - 1) ** 2 - 1])),
+                (l - 2, _sqrt_term(1, (2 * l + 1) * (2 * l - 3), Fraction(
+                    (l * l - m * m) * (n * n - l * l)
+                    * ((l - 1) ** 2 - m * m) * (n * n - (l - 1) ** 2),
+                    (4 * l * l - 1) * (4 * (l - 1) ** 2 - 1)))),
                 # (l+2): denominators (4l^2-1)(4(l+1)^2-1) as printed -- the
                 # suspected typo; beta_(l+1) beta_(l+2) would need
                 # (4(l+1)^2-1)(4(l+2)^2-1)
-                (l + 2, _ratio_kernel(
-                    [2 * l + 1, 2 * l + 5],
-                    [(l + 2) ** 2 - m * m, n * n - (l + 2) ** 2,
-                     (l + 1) ** 2 - m * m, n * n - (l + 1) ** 2],
-                    [4 * l * l - 1, 4 * (l + 1) ** 2 - 1])),
+                (l + 2, _sqrt_term(1, (2 * l + 1) * (2 * l + 5), Fraction(
+                    ((l + 2) ** 2 - m * m) * (n * n - (l + 2) ** 2)
+                    * ((l + 1) ** 2 - m * m) * (n * n - (l + 1) ** 2),
+                    (4 * l * l - 1) * (4 * (l + 1) ** 2 - 1)))),
             ]
         elif power == 3:
             diag = None
             pieces = [
-                (l - 3, _chain_kernel([2 * l + 1, 2 * l - 5],
-                                      _beta_chain(n, m, l - 2, l - 1, l))),
-                (l - 1, _chain_kernel([4 * l * l - 1], _beta_chain(n, m, l),
-                                      bsq(l - 1) + bsq(l) + bsq(l + 1))),
-                (l + 1, _chain_kernel([2 * l + 1, 2 * l + 3], _beta_chain(n, m, l + 1),
-                                      bsq(l) + bsq(l + 1) + bsq(l + 2))),
-                (l + 3, _chain_kernel([2 * l + 1, 2 * l + 7],
-                                      _beta_chain(n, m, l + 1, l + 2, l + 3))),
+                (l - 3, _sqrt_term(1, (2 * l + 1) * (2 * l - 5),
+                                   bsq(l - 2), bsq(l - 1), bsq(l))),
+                (l - 1, _sqrt_term(bsq(l - 1) + bsq(l) + bsq(l + 1),
+                                   4 * l * l - 1, bsq(l))),
+                (l + 1, _sqrt_term(bsq(l) + bsq(l + 1) + bsq(l + 2),
+                                   (2 * l + 1) * (2 * l + 3), bsq(l + 1))),
+                (l + 3, _sqrt_term(1, (2 * l + 1) * (2 * l + 7),
+                                   bsq(l + 1), bsq(l + 2), bsq(l + 3))),
             ]
         else:
             diag = (bsq(l + 1) * (bsq(l) + bsq(l + 1) + bsq(l + 2))
                     + bsq(l) * (bsq(l - 1) + bsq(l) + bsq(l + 1)))
             pieces = [
-                (l - 4, _chain_kernel([2 * l + 1, 2 * l - 7],
-                                      _beta_chain(n, m, l - 3, l - 2, l - 1, l))),
-                (l - 2, _chain_kernel([2 * l + 1, 2 * l - 3], _beta_chain(n, m, l - 1, l),
-                                      bsq(l - 2) + bsq(l - 1) + bsq(l) + bsq(l + 1))),
-                (l + 2, _chain_kernel([2 * l + 1, 2 * l + 5], _beta_chain(n, m, l + 1, l + 2),
-                                      bsq(l) + bsq(l + 1) + bsq(l + 2) + bsq(l + 3))),
-                (l + 4, _chain_kernel([2 * l + 1, 2 * l + 9],
-                                      _beta_chain(n, m, l + 1, l + 2, l + 3, l + 4))),
+                (l - 4, _sqrt_term(1, (2 * l + 1) * (2 * l - 7),
+                                   bsq(l - 3), bsq(l - 2), bsq(l - 1), bsq(l))),
+                (l - 2, _sqrt_term(bsq(l - 2) + bsq(l - 1) + bsq(l) + bsq(l + 1),
+                                   (2 * l + 1) * (2 * l - 3), bsq(l - 1), bsq(l))),
+                (l + 2, _sqrt_term(bsq(l) + bsq(l + 1) + bsq(l + 2) + bsq(l + 3),
+                                   (2 * l + 1) * (2 * l + 5), bsq(l + 1), bsq(l + 2))),
+                (l + 4, _sqrt_term(1, (2 * l + 1) * (2 * l + 9),
+                                   bsq(l + 1), bsq(l + 2), bsq(l + 3), bsq(l + 4))),
             ]
         i = l - am
         if diag is not None:
@@ -272,7 +234,7 @@ def _printed_terms(n: int, m: int, power: int) -> tuple[tuple[tuple, ...], int]:
                 continue
             if kernel is None:
                 out.append((i, lp - am, 0, 0, 1, f"term (l={l} -> l'={lp}) has a "
-                                                 f"negative {what} as printed"))
+                                                 f"negative radicand as printed"))
             elif kernel[0]:
                 c, d = pair(l, lp)
                 g, d = _combine_radicands(d, kernel[1])

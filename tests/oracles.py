@@ -8,14 +8,16 @@ There are seven exceptions, all former package routes kept as the reference
 for what replaced them: the dense generator walk, which works on the
 package's ManifoldState and RadicalSum (the generator engine's per-generator
 loop over dense coefficient vectors, replaced by the basis-state walk), the
-printed A_z^2,3,4 forms over RadicalSum (replaced by the monomial route in
-sumrules), B(l) by its single-3jm definition (replaced by the rational block
+printed A_z^2,3,4 forms over RadicalSum (replaced by terms built in integers
+in sumrules), B(l) by its single-3jm definition (replaced by the rational block
 per (n, m) in basis), the dense A_z^k matrix products (replaced by the A_z
 action applied k times), the loop-built 6j cache key (replaced by a fixed
 table of index maps in wigner), the rational gauge and its kernels over
 Fraction (replaced by integers over a few denominators in the block and in
 sumrules), and at the end the B and C floats rounded from the block's
-monomials (replaced by floats rounded from integers in the block).
+monomials (replaced by floats rounded from integers in the block). The
+block's monomials now come from the same integer pass as its floats, so the
+float tests also round B and C from the single-3jm route above.
 """
 from fractions import Fraction
 from math import factorial
@@ -590,7 +592,8 @@ def printed_az_accumulation(p: ParabolicLabel,
 #
 # The package's float route as it stood before the floats were built from an
 # integer num, den and radicand per entry, kept verbatim as the reference those
-# floats must equal bit for bit.
+# floats must equal bit for bit. The monomials it rounds now come from that
+# same integer pass, so it checks the rounding, not the entries.
 
 from math import sqrt  # noqa: E402
 

@@ -28,6 +28,7 @@ from rungelenz.basis import (
 from rungelenz.errors import DomainError, FactorialLimitError
 from rungelenz.radical import RadicalSum
 from rungelenz.stark import c_coefficient
+from rungelenz.wigner import _threejm_twice
 
 
 def sign_square(value):
@@ -95,6 +96,13 @@ class TestBCoeff:
                 build(n, m)
         # C is a 3jm, which its selection rules send to zero there
         assert c_coefficient(n, 0, abs(m), m).is_zero
+
+    @pytest.mark.parametrize("n,m", [(2.0, 0), (True, 0), (2, 0.0), (2, False), ("2", 0)])
+    def test_non_int_block_rejected(self, n, m):
+        b_block(2, 0)  # an equal int key is cached; it must not answer for n, m
+        for build in (b_block, b_matrix):
+            with pytest.raises(DomainError, match="need int n and m"):
+                build(n, m)
 
     def test_sweep_against_oracle(self):
         for n in range(1, 8):
@@ -262,6 +270,20 @@ class TestFloats:
                 want_c = oracles.floats(blk.c_monomials)
                 assert _bits(blk.b_floats) == _bits(want_b), (n, m)
                 assert _bits(blk.c_floats) == _bits(want_c), (n, m)
+
+    def test_equal_the_single_3jm_route_bit_for_bit(self):
+        # rounded from oracles.b_coeff and the bare 3jm, outside the block
+        for n in range(1, 13):
+            for m in range(n):
+                blk = b_block(n, m)
+                upper = n - m - 1
+                for n1, q in enumerate(q_values(n, m)):
+                    p = ParabolicLabel(n1, upper - n1, m)
+                    for l in spherical_ls(n, m):
+                        c = _threejm_twice(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
+                        got_b, got_c = blk.b_floats[n1][l - m], blk.c_floats[n1][l - m]
+                        assert got_b.hex() == oracles.b_coeff(p, l).to_float().hex(), (p, l)
+                        assert got_c.hex() == c.to_float().hex(), (p, l)
 
 
 class TestStateTransforms:

@@ -272,7 +272,25 @@ class TestEnvironment:
             env=child_env(RUNGELENZ_FACTORIAL_LIMIT="20"))
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
-        assert "need 21!" in proc.stderr and "Traceback" not in proc.stderr
+        assert "need 23!" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_factorial_limit_checked_before_the_sweep(self, jobs):
+        """(2n-1)! is the largest factorial a block of n needs: with limit 21
+        the n <= 11 sweep runs, and n <= 12 fails before any report."""
+        def verify(max_n, **env):
+            return subprocess.run(
+                [sys.executable, "-m", "rungelenz", "verify", "--max-n", max_n,
+                 "--jobs", jobs],
+                capture_output=True, text=True, timeout=60, env=child_env(**env))
+
+        assert verify("11", RUNGELENZ_FACTORIAL_LIMIT="21").returncode == 0
+        for max_n, need, env in (("12", 23, {"RUNGELENZ_FACTORIAL_LIMIT": "21"}),
+                                 ("130", 259, {})):
+            proc = verify(max_n, **env)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stdout == ""
+            assert f"need {need}!" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_closed_stdout_exits_quietly(self, jobs):

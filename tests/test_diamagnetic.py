@@ -35,12 +35,12 @@ class TestParams:
         with pytest.raises(DomainError):
             DiamagneticParams(gamma=0.0, n=0)
 
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, "0.5", None])
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, "0.5", None, True])
     def test_non_finite_or_non_real_gamma_rejected(self, gamma):
         with pytest.raises(DomainError, match="gamma"):
             DiamagneticParams(gamma=gamma, n=3)
 
-    @pytest.mark.parametrize("n", [2.5, 3.0, "3", -1])
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", -1, True])
     def test_non_int_or_non_positive_n_rejected(self, n):
         with pytest.raises(DomainError, match="n = "):
             DiamagneticParams(gamma=0.5, n=n)
@@ -154,7 +154,8 @@ class TestSignFold:
 
 
 class TestBlockRange:
-    @pytest.mark.parametrize("n, m", [(3, 5), (3, -3), (0, 0), (-2, 0)])
+    @pytest.mark.parametrize("n, m", [(3, 5), (3, -3), (0, 0), (-2, 0),
+                                      (True, 0), (2.0, 0), (2, 0.0), (2, False)])
     def test_blocks_outside_the_manifold_rejected(self, n, m):
         for build in (h1_matrix, h2_matrix, h2_symmetry_report):
             with pytest.raises(DomainError, match="not a block"):

@@ -162,6 +162,20 @@ class TestPrintedForms:
             r = sum_rule_az(p, 4)
             assert r.printed_verdict == "exact-match"
 
+    def test_notes_come_only_from_the_power2_l_plus_2_term(self):
+        # in range every weight and every power-2 ratio numerator is
+        # positive, so only the printed (l+2) denominator, negative at l = 0,
+        # makes a note: once per block with m = 0 and n >= 3
+        noted = set()
+        for n in range(1, 25):
+            for m in range(n):
+                for power in (2, 3, 4):
+                    for i, j, _, _, note in sumrules._printed_terms(n, m, power)[0]:
+                        if note:
+                            assert (power, j) == (2, i + 2), (n, m, power, note)
+                            noted.add((n, m, i + m))
+        assert noted == {(n, 0, 0) for n in range(3, 25)}
+
 
 class TestPrintedRouteOracle:
     def test_matches_the_radicalsum_route(self):
