@@ -12,8 +12,8 @@ J's bands as U and W over one Delta), and its build checks in integers that
 every B row is normalised (a sum_l N R^2 = b_den D^2) and that J matches
 beta^2 (U W = beta^2 Delta^2). Every B and C entry, its monomial and its
 float alike, comes from one integer pass over the block: a numerator, a
-denominator and a squarefree radicand. n and m must be ints, not bools
-(check_block). The Regge partner,
+denominator and a squarefree radicand. n, m, l and every label field must
+be ints, not bools (check_block, the labels, _check_l). The Regge partner,
 hypergeometric route and fixed-l closed forms are independent oracles, the
 last two restricted to m >= 0 as printed; they agree with the block in square,
 and the sign of the hypergeometric route differs by the global factor measured
@@ -35,15 +35,16 @@ from .wigner import _neg1, _racah_sum, _threejm_twice
 
 @dataclass(frozen=True)
 class SphericalLabel:
-    """|n l m> with |m| <= l <= n-1."""
+    """|n l m> with |m| <= l <= n-1, all ints (not bools)."""
 
     n: int
     l: int
     m: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n = {self.n} must be positive")
+        _check_n(self.n)
+        if not (_is_int(self.l) and _is_int(self.m)):
+            raise DomainError(f"need int l and m, not bool, got {self}")
         if not abs(self.m) <= self.l <= self.n - 1:
             raise DomainError(f"need |m| <= l <= n-1, got {self}")
 
@@ -57,6 +58,8 @@ class ParabolicLabel:
     m: int
 
     def __post_init__(self):
+        if not (_is_int(self.n1) and _is_int(self.n2) and _is_int(self.m)):
+            raise DomainError(f"parabolic quantum numbers must be ints, got {self}")
         if self.n1 < 0 or self.n2 < 0:
             raise DomainError(f"parabolic quantum numbers must be >= 0, got {self}")
 
@@ -71,6 +74,11 @@ class ParabolicLabel:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_n(n: int) -> None:
+    if not _is_int(n) or n < 1:
+        raise DomainError(f"n = {n!r} must be an int >= 1")
 
 
 def check_block(n: int, m: int) -> None:
@@ -141,18 +149,22 @@ class ManifoldState:
         return dot(self.coeffs, self.coeffs)
 
 
+def block_state(basis: str, n: int, m: int, entries: dict) -> ManifoldState:
+    """The (n, m) state with entries[i] at index i (l - |m| or n1), else 0."""
+    coeffs = [RadicalSum.zero()] * (n - abs(m))
+    for i, value in entries.items():
+        coeffs[i] = value
+    return ManifoldState(basis, n, m, tuple(coeffs))
+
+
 def unit_spherical(label: SphericalLabel) -> ManifoldState:
-    dim = label.n - abs(label.m)
-    coeffs = [RadicalSum.zero()] * dim
-    coeffs[label.l - abs(label.m)] = RadicalSum.from_rational(1)
-    return ManifoldState("spherical", label.n, label.m, tuple(coeffs))
+    return block_state("spherical", label.n, label.m,
+                       {label.l - abs(label.m): RadicalSum.from_rational(1)})
 
 
 def unit_parabolic(label: ParabolicLabel) -> ManifoldState:
-    dim = label.n - abs(label.m)
-    coeffs = [RadicalSum.zero()] * dim
-    coeffs[label.n1] = RadicalSum.from_rational(1)
-    return ManifoldState("parabolic", label.n, label.m, tuple(coeffs))
+    return block_state("parabolic", label.n, label.m,
+                       {label.n1: RadicalSum.from_rational(1)})
 
 
 @lru_cache(maxsize=None)
@@ -381,6 +393,8 @@ def b_block(n: int, m: int) -> BBlock:
 # -- the transformation coefficient in its three forms -----------------
 
 def _check_l(p: ParabolicLabel, l: int) -> None:
+    if not _is_int(l):
+        raise DomainError(f"l = {l!r} must be an int, not a bool")
     if not abs(p.m) <= l <= p.n - 1:
         raise DomainError(f"l = {l} outside the manifold range "
                           f"[{abs(p.m)}, {p.n - 1}] of {p}")

@@ -16,9 +16,9 @@ from functools import lru_cache
 from math import isfinite
 from numbers import Real
 
-from .basis import ParabolicLabel, _is_int, check_block, q_values, unit_parabolic
+from .basis import ParabolicLabel, _check_n, check_block, q_values, unit_parabolic
 from .errors import DomainError, InternalConsistencyError
-from .operators import OperatorExpression, expression_apply
+from .operators import OperatorExpression, expression_apply, l_squared_expression
 from .radical import RadicalSum, render_exact
 
 
@@ -34,8 +34,7 @@ class DiamagneticParams:
                 isinstance(self.gamma, Real) and isfinite(self.gamma)
                 and self.gamma >= 0):
             raise DomainError(f"gamma = {self.gamma!r} must be finite and >= 0")
-        if not _is_int(self.n) or self.n < 1:
-            raise DomainError(f"n = {self.n!r} must be an int >= 1")
+        _check_n(self.n)
 
     def h1_scale(self) -> float:
         return self.gamma**2 * self.n**2 / 16
@@ -55,8 +54,6 @@ def h1_generator_expression(n: int) -> OperatorExpression:
 
 def h1_invariant_expression(n: int) -> OperatorExpression:
     """n^2 + 3 + L_z^2 + 4 A^2 - 5 A_z^2 with A^2 = n^2 - 1 - L^2."""
-    from .operators import l_squared_expression
-
     lz_sq = OperatorExpression.build(
         (1, ("j1z", "j1z")), (2, ("j1z", "j2z")), (1, ("j2z", "j2z")))
     az_sq = OperatorExpression.build(

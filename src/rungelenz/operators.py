@@ -20,17 +20,24 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
-from .basis import (ManifoldState, ParabolicLabel, SphericalLabel, beta_squared,
-                    spherical_ls, unit_spherical)
+from .basis import (ManifoldState, ParabolicLabel, SphericalLabel, _is_int,
+                    beta_squared, block_state, spherical_ls, unit_parabolic,
+                    unit_spherical)
 from .errors import DomainError, InternalConsistencyError
 from .radical import RadicalSum, _combine_radicands, _split_radicand
 
 GENERATORS = ("j1z", "j2z", "j1plus", "j1minus", "j2plus", "j2minus")
 
 
-@lru_cache(maxsize=None)
+def _check_ints(what: str, *args) -> None:
+    if not all(map(_is_int, args)):
+        raise DomainError(f"{what}{args!r} needs int arguments, not bools")
+
+
+@lru_cache(maxsize=None, typed=True)  # beta(3.0, 1, 0) is not beta(3, 1, 0)
 def beta(n: int, l: int, m: int) -> RadicalSum:
     """The off-diagonal A_z matrix element between adjacent-l states."""
+    _check_ints("beta", n, l, m)
     return RadicalSum.from_sqrt(beta_squared(n, l, m))
 
 
@@ -54,11 +61,12 @@ def az_apply_spherical(state: ManifoldState) -> ManifoldState:
     return ManifoldState("spherical", n, m, tuple(out))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def az_power_matrix(n: int, m: int, k: int) -> tuple[tuple[RadicalSum, ...], ...]:
     """<n l' m| A_z^k |n l m> over the manifold; symmetric, bandwidth k,
     vanishing unless l' - l has the parity of k. Column l is A_z applied k
     times to |n l m>."""
+    _check_ints("az_power_matrix", n, m, k)
     if k < 0:
         raise DomainError(f"power k = {k} must be >= 0")
     cols = []
@@ -194,13 +202,6 @@ def _apply_words(expr: "OperatorExpression",
     return out
 
 
-def _block_state(n: int, m: int, entries: dict[int, RadicalSum]) -> ManifoldState:
-    coeffs = [RadicalSum.zero()] * (n - abs(m))
-    for n1, value in entries.items():
-        coeffs[n1] = value
-    return ManifoldState("parabolic", n, m, tuple(coeffs))
-
-
 def generator_apply(gen: str, state: ManifoldState) -> ManifoldState:
     """One generator on a parabolic-basis state.
 
@@ -288,7 +289,7 @@ def word_apply(word: GeneratorWord, state: ManifoldState) -> ManifoldState:
     _require_parabolic(state, "word_apply")
     entries = _apply_words(OperatorExpression(((1, word),)), state)
     block = _word_block(word.gens, state.n, state.m)
-    return _block_state(state.n, block, {
+    return block_state("parabolic", state.n, block, {
         n1: RadicalSum(terms) for (_, n1), terms in entries.items()})
 
 
@@ -299,19 +300,17 @@ def expression_apply(expr: OperatorExpression, state: ManifoldState) -> Manifold
     for (m, n1), terms in _apply_words(expr, state).items():
         blocks.setdefault(m, {})[n1] = RadicalSum(terms)
     if not blocks:
-        return _block_state(state.n, state.m, {})
+        return block_state("parabolic", state.n, state.m, {})
     if len(blocks) > 1:
         raise DomainError(
             f"expression output spans m blocks {sorted(blocks)}; "
             f"apply its words separately")
     m, entries = blocks.popitem()
-    return _block_state(state.n, m, entries)
+    return block_state("parabolic", state.n, m, entries)
 
 
 def expression_expectation(expr: OperatorExpression, p: ParabolicLabel) -> RadicalSum:
     """<p| expr |p>: the coefficient of |p> in the image of |p>."""
-    from .basis import unit_parabolic
-
     entries = _apply_words(expr, unit_parabolic(p))
     return RadicalSum(entries.get((p.m, p.n1)))
 

@@ -10,8 +10,12 @@ rational: its C^2 double sum is one entry of each block's Gram matrix, the
 |m| > 0 entries counted twice, and it is checked entry by entry against the
 sum of squared 6j symbols {l l' j; J J J}^2, each one Fraction of integers
 (wigner._sixj_squared). The oscillatory P at given chi is the module's only
-floating output. n must be an int >= 1, l and l' ints in 0..n-1 and chi a
-finite real; anything else is a DomainError.
+floating output. p_transition (one entry) and p_table (every entry) take the
+same two terms from each |m| block: the spectral |sum_q B_l' B_l e^(i q chi)|^2
+and, as its guard, the C route |sum_q C_l C_l' e^(i q chi)|^2, which is the
+printed quadruple cosine sum factored by cos(a - b) = cos a cos b + sin a sin b.
+n must be an int >= 1, l and l' ints in 0..n-1 and chi a finite real;
+anything else is a DomainError.
 """
 from __future__ import annotations
 
@@ -23,17 +27,12 @@ from fractions import Fraction
 from math import cos, isfinite, sin
 from numbers import Real
 
-from .basis import _is_int, b_block, q_values
+from .basis import _check_n, _is_int, b_block, q_values
 from .errors import DomainError, InternalConsistencyError
 from .radical import RadicalSum, render_exact
 from .wigner import _sixj_squared
 
 P_AGREEMENT_TOL = 1e-12
-
-
-def _check_n(n: int) -> None:
-    if not _is_int(n) or n < 1:
-        raise DomainError(f"n = {n!r} must be an int >= 1")
 
 
 def _check_l(n: int, *ls: int) -> None:
@@ -155,45 +154,33 @@ def _c_float_block(n: int, m: int) -> tuple[tuple[float, ...], ...]:
     return b_block(n, m).c_floats
 
 
-def _p_spectral(n: int, l: int, lp: int, chi: float) -> float:
-    total = 0.0
-    for m in range(-min(l, lp), min(l, lp) + 1):
-        B, qs, am = _b_float_block(n, m), q_values(n, m), abs(m)
-        total += _phase_norm([row[lp - am] for row in B], [row[l - am] for row in B],
-                             [cos(chi * q) for q in qs], [sin(chi * q) for q in qs])
-    return total / (2 * l + 1)
-
-
-def _p_herrick(n: int, l: int, lp: int, chi: float) -> float:
-    total = 0.0
-    for m in range(-min(l, lp), min(l, lp) + 1):
-        qs = list(q_values(n, m))
-        C = _c_float_block(n, m)
-        cl = [row[l - abs(m)] for row in C]
-        clp = [row[lp - abs(m)] for row in C]
-        for i, q in enumerate(qs):
-            for j, qp in enumerate(qs):
-                w = cl[i] * cl[j] * clp[i] * clp[j]
-                if w != 0.0:
-                    total += w * cos(chi * (q - qp))
-    return (2 * lp + 1) * total
-
-
 def p_transition(n: int, l: int, lp: int, chi: float) -> float:
     """P(l, l'; chi): l -> l' transfer probability after accumulated phase chi.
 
-    Evaluates the exact-coefficient spectral form and the quadruple-sum
-    cosine form; they must agree to 1e-12 (InternalConsistencyError
-    otherwise). The returned value is the spectral one.
+    Takes p_table's two terms of the pair from each block |m| <= min(l, l'),
+    read once, and adds them for m ascending, so it equals p_table's entry
+    bit for bit, guard included (InternalConsistencyError on failure).
     """
     _check_l(n, l, lp)
     _check_chi(chi)
-    spectral = _p_spectral(n, l, lp, chi)
-    quadruple = _p_herrick(n, l, lp, chi)
-    if abs(spectral - quadruple) > P_AGREEMENT_TOL:
+    terms = []
+    for am in range(min(l, lp) + 1):
+        qs = q_values(n, am)
+        phase = [cos(chi * q) for q in qs], [sin(chi * q) for q in qs]
+        B, C = _b_float_block(n, am), _c_float_block(n, am)
+        b_l, b_lp = [r[l - am] for r in B], [r[lp - am] for r in B]
+        c_l, c_lp = [r[l - am] for r in C], [r[lp - am] for r in C]
+        terms.append((_phase_norm(b_lp, b_l, *phase), _phase_norm(c_l, c_lp, *phase)))
+    spectral = c_route = 0.0
+    for m in range(-min(l, lp), min(l, lp) + 1):
+        spectral += terms[abs(m)][0]
+        c_route += terms[abs(m)][1]
+    spectral /= 2 * l + 1
+    other = (2 * lp + 1) * c_route
+    if abs(spectral - other) > P_AGREEMENT_TOL:
         raise InternalConsistencyError(
             f"P({l},{lp};chi={chi}) routes disagree at n={n}: "
-            f"{spectral} vs {quadruple}")
+            f"{spectral} vs {other}")
     return spectral
 
 
@@ -302,12 +289,10 @@ def p_table(n: int, chi: float) -> TransitionTable:
     Block m contributes |U_m[l, l']|^2 with U_m = B^T diag(e^(i q chi)) B.
     Blocks m and -m contribute the same values, so each is computed once per
     |m| and then added for m = -(n-1) .. n-1 in ascending order and divided
-    by 2l+1, as _p_spectral does, so every entry equals p_transition's bit
-    for bit. In place of p_transition's quadruple cosine sum, two guards run
-    over the whole table (InternalConsistencyError on failure): every row of
-    every U_m has unit norm (checked once per |m|), and every entry agrees to
-    P_AGREEMENT_TOL with the C route (2l'+1) sum_m |sum_q C_l C_l' e^(i q chi)|^2,
-    which is the quadruple sum factored by cos(a - b) = cos a cos b + sin a sin b.
+    by 2l+1, as p_transition does, so every entry equals p_transition's bit
+    for bit. Two guards run over the whole table (InternalConsistencyError on
+    failure): every row of every U_m has unit norm (checked once per |m|), and
+    every entry agrees to P_AGREEMENT_TOL with the C route, as in p_transition.
     """
     _check_n(n)
     _check_chi(chi)

@@ -27,7 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .basis import ParabolicLabel, _over_lcm, b_block, beta_squared, spherical_ls
+from .basis import (ParabolicLabel, _is_int, _over_lcm, b_block, beta_squared,
+                    spherical_ls, unit_parabolic)
 from .errors import DomainError, InternalConsistencyError
 from .operators import expression_apply, l_squared_expression
 from .radical import RadicalSum, _combine_radicands, _split_radicand, render_exact
@@ -98,12 +99,16 @@ class SumRuleReport:
                 printed["rhs"] = render_exact(self.printed_rhs)
             if self.printed_lhs is not None and self.printed_rhs is not None \
                     and self.printed_verdict == "mismatch":
-                printed["difference"] = render_exact(
-                    self.printed_lhs - RadicalSum.from_rational(self.printed_rhs))
+                printed["difference"] = render_exact(self.printed_lhs - self.printed_rhs)
             if self.printed_note:
                 printed["note"] = self.printed_note
             out["printed"] = printed
         return out
+
+
+def _check_power(power: int, least: int) -> None:
+    if not _is_int(power) or power < least:
+        raise DomainError(f"power = {power!r} must be an int >= {least}")
 
 
 def _b_squared_sum(p: ParabolicLabel, f) -> Fraction:
@@ -275,24 +280,20 @@ def sum_rule_az(p: ParabolicLabel, power: int) -> SumRuleReport:
     (n2-n1)^3; both statements are consistent, the sign being the
     (-1)^(l+l') phase between B-products and bare-3jm products).
     """
-    if power not in (2, 3, 4):
-        raise DomainError(f"power must be 2, 3 or 4, got {power}")
+    if not _is_int(power) or power not in (2, 3, 4):
+        raise DomainError(f"power must be the int 2, 3 or 4, got {power!r}")
     lhs = RadicalSum.from_rational(_az_contraction(p, power))
-    rhs = Fraction(p.q**power)
     printed_lhs, note = _printed_az_form(p, power)
-    printed_rhs = Fraction((p.n2 - p.n1) ** power)
-    if printed_lhs is None:
-        return SumRuleReport(f"az{power}", p.n, p.m, p.n1, p.n2, power, lhs, rhs,
-                             printed_lhs=None, printed_rhs=printed_rhs,
-                             printed_verdict="not-evaluable", printed_note=note)
-    return SumRuleReport(f"az{power}", p.n, p.m, p.n1, p.n2, power, lhs, rhs,
-                         printed_lhs=printed_lhs, printed_rhs=printed_rhs)
+    return SumRuleReport(f"az{power}", p.n, p.m, p.n1, p.n2, power, lhs,
+                         Fraction(p.q**power), printed_lhs=printed_lhs,
+                         printed_rhs=Fraction((p.n2 - p.n1) ** power),
+                         printed_verdict="not-evaluable" if note else None,
+                         printed_note=note)
 
 
 def az_moment_generic(p: ParabolicLabel, power: int) -> SumRuleReport:
     """<p| A_z^power |p> = (n1-n2)^power through the gauge contraction."""
-    if power < 0:
-        raise DomainError("power must be >= 0")
+    _check_power(power, 0)
     lhs = RadicalSum.from_rational(_az_contraction(p, power))
     rhs = Fraction(p.q**power)
     return SumRuleReport("az-moment", p.n, p.m, p.n1, p.n2, power, lhs, rhs)
@@ -304,10 +305,7 @@ def l2_power_moment(p: ParabolicLabel, power: int) -> Fraction:
     The engine expectation must equal the explicit spherical-basis sum
     exactly; disagreement halts with InternalConsistencyError.
     """
-    from .basis import unit_parabolic
-
-    if power < 1:
-        raise DomainError("power must be >= 1")
+    _check_power(power, 1)
     expr = l_squared_expression()
     state = unit_parabolic(p)
     for _ in range(power):
@@ -315,7 +313,7 @@ def l2_power_moment(p: ParabolicLabel, power: int) -> Fraction:
     engine = state.coeffs[p.n1]
 
     direct = _b_squared_sum(p, lambda l: (l * (l + 1)) ** power)
-    if not engine.is_rational or engine.as_fraction() != direct:
+    if engine != direct:
         raise InternalConsistencyError(
             f"(L^2)^{power} engine expectation {engine} differs from the "
             f"explicit sum {direct} at {p}")

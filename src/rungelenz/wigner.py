@@ -37,8 +37,7 @@ def _neg1(k: int) -> int:
 
 def triangle_ok(a, b, c) -> bool:
     """Triangle rule |a-b| <= c <= a+b with integer perimeter."""
-    ta, tb, tc = twice(a), twice(b), twice(c)
-    return abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0
+    return _tri_ok_t(twice(a), twice(b), twice(c))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Everything here is plain Fraction arithmetic over math.factorial: no prime
 factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
 
-There are seven exceptions, all former package routes kept as the reference
+There are eight exceptions, all former package routes kept as the reference
 for what replaced them: the dense generator walk, which works on the
 package's ManifoldState and RadicalSum (the generator engine's per-generator
 loop over dense coefficient vectors, replaced by the basis-state walk), the
@@ -15,9 +15,11 @@ action applied k times), the loop-built 6j cache key (replaced by a fixed
 table of index maps in wigner), the rational gauge and its kernels over
 Fraction (replaced by integers over a few denominators in the block and in
 sumrules), and at the end the B and C floats rounded from the block's
-monomials (replaced by floats rounded from integers in the block). The
-block's monomials now come from the same integer pass as its floats, so the
-float tests also round B and C from the single-3jm route above.
+monomials (replaced by floats rounded from integers in the block), and
+P(l, l'; chi) by the literal quadruple cosine sum over the C floats (replaced
+by the factored C route in stark). The block's monomials now come from the
+same integer pass as its floats, so the float tests also round B and C from
+the single-3jm route above.
 """
 from fractions import Fraction
 from math import factorial
@@ -601,3 +603,30 @@ from math import sqrt  # noqa: E402
 def floats(monomials) -> tuple[tuple[float, ...], ...]:
     """c sqrt(d) per entry, rounded as RadicalSum.to_float rounds one term."""
     return tuple(tuple(float(c) * sqrt(d) for c, d in row) for row in monomials)
+
+
+# -- P(l, l'; chi) by the literal quadruple cosine sum ------------------------
+#
+# The package's _p_herrick, p_transition's guard before it became the C route
+# |sum_q C_l C_l' e^(i q chi)|^2 that p_table checks, kept verbatim (only its
+# package imports are spelled out and the block's C floats read directly) as
+# the reference for the printed form, which no runtime route evaluates now.
+
+from math import cos  # noqa: E402
+
+from rungelenz.basis import b_block, q_values  # noqa: E402
+
+
+def p_herrick(n: int, l: int, lp: int, chi: float) -> float:
+    total = 0.0
+    for m in range(-min(l, lp), min(l, lp) + 1):
+        qs = list(q_values(n, m))
+        C = b_block(n, m).c_floats
+        cl = [row[l - abs(m)] for row in C]
+        clp = [row[lp - abs(m)] for row in C]
+        for i, q in enumerate(qs):
+            for j, qp in enumerate(qs):
+                w = cl[i] * cl[j] * clp[i] * clp[j]
+                if w != 0.0:
+                    total += w * cos(chi * (q - qp))
+    return (2 * lp + 1) * total

@@ -167,7 +167,7 @@ def test_criterion_7_unitarity():
                 worst_row = max(worst_row, abs(row - 1.0))
     assert worst_row < 1e-12
     note("7", f"P rows sum to 1 within 1e-12 for n <= 10 over 20 random chi "
-              f"(worst {worst_row:.2e}); spectral and quadruple-sum routes "
+              f"(worst {worst_row:.2e}); spectral and factored C routes "
               f"agree within 1e-12 (checked inside every call)")
 
 

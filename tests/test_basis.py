@@ -53,6 +53,11 @@ class TestLabels:
     def test_parabolic_negative_rejected(self):
         with pytest.raises(DomainError):
             ParabolicLabel(-1, 0, 0)
+        # fields that are not ints, or are bools, are rejected at the label
+        for args in ((True, 0, 0), (1.0, 0, 0), (0, False, 0), (0, 0, 1.0),
+                     (0, 0, True), ("1", 0, 0)):
+            with pytest.raises(DomainError, match="must be ints"):
+                ParabolicLabel(*args)
 
     def test_spherical_validation(self):
         SphericalLabel(3, 2, -2)
@@ -60,6 +65,10 @@ class TestLabels:
             SphericalLabel(3, 3, 0)
         with pytest.raises(DomainError):
             SphericalLabel(3, 1, 2)
+        for args in ((3.0, True, 0), (True, 0, 0), (3.0, 1, 0), (3, True, 0),
+                     (3, 1.0, 0), (3, 1, 0.0), (3, 1, False), (0, 0, 0)):
+            with pytest.raises(DomainError):
+                SphericalLabel(*args)
 
     def test_index_sets(self):
         assert list(spherical_ls(4, -2)) == [2, 3]
@@ -88,6 +97,11 @@ class TestBCoeff:
             b_coeff(p, 3)
         with pytest.raises(DomainError):
             b_coeff(p, 9)
+        # an l that is not an int, or is a bool, is not l = 1 of the block
+        for l in (1.0, True, "1", None):
+            for route in (b_coeff, b_coeff_regge, b_coeff_3f2):
+                with pytest.raises(DomainError, match="must be an int"):
+                    route(ParabolicLabel(0, 1, 0), l)
 
     @pytest.mark.parametrize("n,m", [(3, 5), (3, -3), (0, 0), (-1, 0), (1, 1)])
     def test_out_of_manifold_block_rejected(self, n, m):

@@ -80,6 +80,16 @@ class TestBeta:
         with pytest.raises(DomainError):
             beta(4, -1, 0)
 
+    @pytest.mark.parametrize("args", [(3.0, 1, 0), (3, True, 0), (3, 1, 0.0),
+                                      (3, 1, False), ("3", 1, 0)])
+    def test_non_int_arguments_rejected_cold_and_warm(self, args):
+        beta.cache_clear()
+        with pytest.raises(DomainError, match="needs int arguments"):
+            beta(*args)
+        beta(3, 1, 0)  # an equal int key is cached; it must not answer for args
+        with pytest.raises(DomainError, match="needs int arguments"):
+            beta(*args)
+
 
 class TestAzSpherical:
     def test_ground_pair(self):
@@ -188,6 +198,18 @@ class TestAzPowers:
     def test_negative_power_rejected(self):
         with pytest.raises(DomainError):
             az_power_matrix(3, 0, -1)
+        with pytest.raises(DomainError):
+            az_power_matrix(3, 0, -1.0)
+
+    @pytest.mark.parametrize("args", [(2.0, 0, 1), (2, 0.0, 1), (2, False, 1),
+                                      (2, 0, 1.0), (2, 0, True), (True, 0, 1)])
+    def test_non_int_arguments_rejected_cold_and_warm(self, args):
+        az_power_matrix.cache_clear()
+        with pytest.raises(DomainError, match="needs int arguments"):
+            az_power_matrix(*args)
+        az_power_matrix(2, 0, 1)  # an equal int key is cached
+        with pytest.raises(DomainError, match="needs int arguments"):
+            az_power_matrix(*args)
 
     def test_bandwidth_and_parity_pattern(self):
         n, m = 9, 0

@@ -265,12 +265,22 @@ TABLE_CHIS = (0.0, 0.7, math.pi) + tuple(_SEEDED.uniform(-20, 20) for _ in range
 class TestPTable:
     @pytest.mark.parametrize("chi", TABLE_CHIS)
     def test_entries_equal_p_transition_exactly(self, chi):
-        # one pass per m-block sums in _p_spectral's order: bit-identical
+        # both sum the same per-|m| terms for m ascending: bit-identical
         for n in range(1, 9):
             entries = p_table(n, chi).entries
             for l in range(n):
                 for lp in range(n):
                     assert entries[l][lp] == p_transition(n, l, lp, chi)
+
+    @pytest.mark.parametrize("chi", TABLE_CHIS)
+    def test_entries_match_the_literal_quadruple_sum(self, chi):
+        # the printed form, which no runtime route evaluates, still holds
+        for n in range(1, 9):
+            entries = p_table(n, chi).entries
+            for l in range(n):
+                for lp in range(n):
+                    want = oracles.p_herrick(n, l, lp, chi)
+                    assert abs(entries[l][lp] - want) <= 1e-12, (n, l, lp)
 
     def test_rows_sum_to_one_at_larger_n(self):
         table = p_table(20, 2.9)
@@ -289,6 +299,8 @@ class TestPTable:
         monkeypatch.setattr(stark, "_c_float_block", perturbed)
         with pytest.raises(InternalConsistencyError, match="routes disagree"):
             p_table(4, 0.7)
+        with pytest.raises(InternalConsistencyError, match="routes disagree"):
+            p_transition(4, 2, 2, 0.7)
 
     def test_perturbed_c_route_in_a_signed_block_is_caught(self, monkeypatch):
         real = stark._c_float_block
@@ -302,8 +314,11 @@ class TestPTable:
         monkeypatch.setattr(stark, "_c_float_block", perturbed)
         with pytest.raises(InternalConsistencyError, match="routes disagree"):
             p_table(4, 0.7)
+        with pytest.raises(InternalConsistencyError, match="routes disagree"):
+            p_transition(4, 2, 2, 0.7)
 
-    def test_float_blocks_read_once_per_abs_m(self, monkeypatch):
+    @staticmethod
+    def count_float_blocks(monkeypatch):
         calls = {"b": [], "c": []}
         for kind in calls:
             name = f"_{kind}_float_block"
@@ -314,8 +329,17 @@ class TestPTable:
                 return real(n, m)
 
             monkeypatch.setattr(stark, name, counted)
+        return calls
+
+    def test_float_blocks_read_once_per_abs_m(self, monkeypatch):
+        calls = self.count_float_blocks(monkeypatch)
         p_table(7, 0.7)
         assert calls["b"] == calls["c"] == [(7, am) for am in range(7)]
+
+    def test_p_transition_reads_each_abs_m_block_once(self, monkeypatch):
+        calls = self.count_float_blocks(monkeypatch)
+        p_transition(7, 3, 5, 0.7)
+        assert calls["b"] == calls["c"] == [(7, am) for am in range(4)]
 
     def test_non_unitary_block_is_caught(self, monkeypatch):
         real = stark._b_float_block

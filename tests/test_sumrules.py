@@ -125,6 +125,20 @@ class TestAzRules:
     def test_power_validation(self):
         with pytest.raises(DomainError):
             sum_rule_az(TABLE1, 5)
+        # powers that are not ints, or are bools, never reach the kernels
+        for power in (2.0, 3.0, True, "2", None):
+            with pytest.raises(DomainError):
+                sum_rule_az(TABLE1, power)
+        for power in (2.5, 2.0, True, False, "2"):
+            with pytest.raises(DomainError):
+                az_moment_generic(TABLE1, power)
+            with pytest.raises(DomainError):
+                l2_power_moment(TABLE1, power)
+        with pytest.raises(DomainError, match="must be an int >= 0"):
+            az_moment_generic(TABLE1, -1)
+        for power in (0, -1):
+            with pytest.raises(DomainError, match="must be an int >= 1"):
+                l2_power_moment(TABLE1, power)
 
     def test_radical_collapse(self):
         # every canonical LHS is a pure rational: irrational parts cancel
