@@ -167,14 +167,17 @@ def unit_parabolic(label: ParabolicLabel) -> ManifoldState:
                        {label.n1: RadicalSum.from_rational(1)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # beta_squared(3.0, 1, 0) is not (3, 1, 0)
 def beta_squared(n: int, l: int, m: int) -> Fraction:
     """(n^2-l^2)(l^2-m^2)/(4l^2-1), clamped to 0 outside the manifold.
 
     The numerator vanishes at l = n and l^2 = m^2; indices beyond those
     boundaries (where the product goes negative) also give 0, mirroring the
-    vanishing boundary factors in every chain they appear in.
+    vanishing boundary factors in every chain they appear in. Every argument
+    must be an int, not a bool.
     """
+    if not (_is_int(n) and _is_int(l) and _is_int(m)):
+        raise DomainError(f"beta_squared{(n, l, m)!r} needs int arguments, not bools")
     if l < 0:
         raise DomainError(f"beta needs l >= 0, got {l}")
     num = (n * n - l * l) * (l * l - m * m)

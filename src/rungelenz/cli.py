@@ -5,11 +5,18 @@ Exit codes: 0 all canonical checks passed, 1 at least one mismatch,
 output was written, which ends the run quietly. Printed-form discrepancies
 are warnings and never affect the exit status. Sweeps are merged in
 parameter order regardless of how many worker processes ran them.
+
+A verify report reaches stdout as text made where it is computed: each sweep
+tuple's reports become one finished text in the chosen format (JSON from the
+report's own writer, which lays it out as json.dumps(indent=2) would), with
+the tuple's mismatch and warning counts. The main process, alone or over a
+--jobs pool, only writes those texts in order and the summary.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import re
@@ -18,7 +25,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from itertools import chain
+from functools import partial
 
 from .basis import ParabolicLabel, b_coeff
 from .diamagnetic import h1_matrix, h2_matrix
@@ -26,7 +33,7 @@ from .errors import DomainError, FactorialLimitError
 from .halfint import HalfInt
 from .operators import beta
 from .pfrational import default_table
-from .radical import render_exact
+from .radical import _json_array, _json_object, render_exact
 from .stark import p_bar, p_transition
 from .sumrules import az_moment_generic, sum_rule_az, sum_rule_l2
 from .wigner import clebsch_gordan, wigner_3jm, wigner_6j
@@ -77,13 +84,13 @@ _ANALYTIC = {
 def _cmd_table1(args) -> int:
     reports = _table1_reports()
     if args.format == "json":
-        print(json.dumps([r.to_dict() for r in reports], indent=2))
+        print(_json_array([r.to_json("  ") for r in reports]))
     else:
         p = TABLE1_PARAMS
         print(f"n={p.n} m={p.m} n1={p.n1} n2={p.n2} (q={p.q})")
         for label, r in zip(("S1", "S2", "S3", "S4"), reports):
             print(f"{label}  {r.rule:<4} {_ANALYTIC[r.rule]:<28} "
-                  f"= {render_exact(r.lhs)}  [{r.verdict}]")
+                  f"= {r.lhs_text()}  [{r.verdict}]")
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -129,19 +136,57 @@ def _sweep_tuples(args, parser) -> list[tuple]:
     return tuples
 
 
-def _verify_worker(task: tuple) -> list[dict]:
+def _warns(r) -> bool:
+    return r.printed_verdict not in (None, "exact-match")
+
+
+def _report_json(reports) -> str:
+    return ",\n".join("    " + r.to_json("    ") for r in reports)
+
+
+def _report_csv(reports) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(
+        [r.rule, r.n, r.m, r.n1, r.n2, r.power, r.lhs_text(), r.rhs_text(),
+         r.verdict, r.printed_verdict or ""] for r in reports)
+    return buf.getvalue()
+
+
+def _report_text(reports) -> str:
+    lines = []
+    for r in reports:
+        line = (f"{r.rule:<9} n={r.n:<3} m={r.m:<3} n1={r.n1:<3} n2={r.n2:<3} "
+                f"p={r.power} lhs={r.lhs_text()} rhs={r.rhs_text()} [{r.verdict}]")
+        if _warns(r):
+            line += f" printed-form:{r.printed_verdict}"
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
+# per format: the task writer, what precedes the first task's text, and what
+# separates the texts of two tasks
+_VERIFY_FORMATS = {
+    "json": (_report_json, '{\n  "reports": [\n', ",\n"),
+    "csv": (_report_csv, "rule,n,m,n1,n2,p,lhs,rhs,verdict,printed_verdict\r\n", ""),
+    "text": (_report_text, "", ""),
+}
+
+
+def _verify_worker(fmt: str, task: tuple) -> tuple[str, int, int]:
+    """One sweep tuple's reports as finished text in the format, with its
+    mismatch and printed-form warning counts."""
     n, m, n1, n2, powers = task
     p = ParabolicLabel(n1, n2, m)
-    out = []
+    reports = []
     for power in powers:
         if power == 1:
-            rep = sum_rule_l2(p)
+            reports.append(sum_rule_l2(p))
         elif power in (2, 3, 4):
-            rep = sum_rule_az(p, power)
+            reports.append(sum_rule_az(p, power))
         else:
-            rep = az_moment_generic(p, power)
-        out.append(rep.to_dict())
-    return out
+            reports.append(az_moment_generic(p, power))
+    return (_VERIFY_FORMATS[fmt][0](reports), sum(not r.ok for r in reports),
+            sum(map(_warns, reports)))
 
 
 def _exit_with_parent(main_pid: int) -> None:
@@ -168,15 +213,16 @@ def _exit_with_parent(main_pid: int) -> None:
 
 
 def _cmd_verify(args, parser) -> int:
-    """Stream the reports in sweep order; the summary counts them as they pass.
+    """Write each tuple's finished text in sweep order, then the summary.
 
-    Nothing is written before the first report exists, so a sweep whose first
-    task fails leaves stdout empty.
+    Nothing is written before the first tuple's text exists, so a sweep whose
+    first task fails leaves stdout empty.
     """
     tasks = _sweep_tuples(args, parser)
+    worker = partial(_verify_worker, args.format)
+    _, head, sep = _VERIFY_FORMATS[args.format]
     out = sys.stdout
-    writer = csv.writer(out)
-    count = mismatches = warnings = 0
+    done = mismatches = warnings = 0
     with ExitStack() as stack:
         if args.jobs > 1:
             pool = stack.enter_context(ProcessPoolExecutor(
@@ -184,39 +230,24 @@ def _cmd_verify(args, parser) -> int:
                 initargs=(os.getpid(),)))
             # runs first on the way out: an early exit computes no more tasks
             stack.callback(pool.shutdown, cancel_futures=True)
-            groups = pool.map(_verify_worker, tasks, chunksize=8)
+            results = pool.map(worker, tasks, chunksize=8)
         else:
-            groups = map(_verify_worker, tasks)
-        for r in chain.from_iterable(groups):
-            q, printed = r["params"], r.get("printed", {}).get("verdict")
-            warn = printed not in (None, "exact-match")
-            if args.format == "json":
-                out.write(',\n' if count else '{\n  "reports": [\n')
-                out.write("    " + json.dumps(r, indent=2).replace("\n", "\n    "))
-            elif args.format == "csv":
-                if not count:
-                    writer.writerow(["rule", "n", "m", "n1", "n2", "p",
-                                     "lhs", "rhs", "verdict", "printed_verdict"])
-                writer.writerow([r["rule"], q["n"], q["m"], q["n1"], q["n2"], q["p"],
-                                 r["lhs"], r["rhs"], r["verdict"], printed or ""])
-            else:
-                line = (f"{r['rule']:<9} n={q['n']:<3} m={q['m']:<3} n1={q['n1']:<3} "
-                        f"n2={q['n2']:<3} p={q['p']} lhs={r['lhs']} rhs={r['rhs']} "
-                        f"[{r['verdict']}]")
-                if warn:
-                    line += f" printed-form:{printed}"
-                print(line)
-            count += 1
-            mismatches += r["verdict"] != "exact-match"
+            results = map(worker, tasks)
+        for text, bad, warn in results:
+            out.write(sep if done else head)
+            out.write(text)
+            done += 1
+            mismatches += bad
             warnings += warn
+    count = len(tasks) * len(tasks[0][-1])
     if args.format == "json":
-        summary = {"tuples": len(tasks), "reports": count, "mismatches": mismatches,
-                   "printed_form_warnings": warnings}
-        out.write('\n  ],\n  "summary": '
-                  + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n")
+        summary = _json_object([("tuples", repr(len(tasks))), ("reports", repr(count)),
+                                ("mismatches", repr(mismatches)),
+                                ("printed_form_warnings", repr(warnings))], "  ")
+        out.write('\n  ],\n  "summary": ' + summary + "\n}\n")
     elif args.format == "text":
-        print(f"summary: {count} checks over {len(tasks)} tuples, "
-              f"{mismatches} mismatches, {warnings} printed-form warnings")
+        out.write(f"summary: {count} checks over {len(tasks)} tuples, "
+                  f"{mismatches} mismatches, {warnings} printed-form warnings\n")
     return 0 if mismatches == 0 else 1
 
 

@@ -9,8 +9,7 @@ than patched.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isfinite
@@ -19,7 +18,7 @@ from numbers import Real
 from .basis import ParabolicLabel, _check_n, check_block, q_values, unit_parabolic
 from .errors import DomainError, InternalConsistencyError
 from .operators import OperatorExpression, expression_apply, l_squared_expression
-from .radical import RadicalSum, render_exact
+from .radical import RadicalSum, _json_array, _json_object, _json_str, render_exact
 
 
 @dataclass(frozen=True)
@@ -139,6 +138,9 @@ class OperatorMatrix:
     m: int
     scale_text: str
     entries: Matrix
+    # (memoised entries builder, n, |m|) when the entries came from one, so
+    # the blocks m and -m render their shared entries once
+    _source: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -156,11 +158,27 @@ class OperatorMatrix:
         return sum((row[i] for i, row in enumerate(self.entries)), RadicalSum.zero())
 
     def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n, "m": self.m, "scale": self.scale_text,
-            "q": self.qs(),
-            "entries": [[render_exact(x) for x in row] for row in self.entries],
-        }, indent=2)
+        """The matrix as JSON text, laid out as json.dumps(..., indent=2)."""
+        entries, rows = _rendered_block(*self._source) if self._source else (None, None)
+        if entries is not self.entries:
+            rows = _rows_json(self.entries)
+        return _json_object([
+            ("n", repr(self.n)), ("m", repr(self.m)),
+            ("scale", _json_str(self.scale_text)),
+            ("q", _json_array([repr(q) for q in self.qs()], "  ")),
+            ("entries", rows)])
+
+
+def _rows_json(entries: Matrix) -> str:
+    return _json_array([_json_array([_json_str(render_exact(x)) for x in row], "    ")
+                        for row in entries], "  ")
+
+
+@lru_cache(maxsize=None)
+def _rendered_block(build, n: int, am: int) -> tuple[Matrix, str]:
+    """A memoised block's entries and their JSON rows, rendered once."""
+    entries = build(n, am)
+    return entries, _rows_json(entries)
 
 
 @lru_cache(maxsize=None)
@@ -193,13 +211,15 @@ def h1_matrix(n: int, m: int) -> OperatorMatrix:
     One check serves the blocks m and -m.
     """
     check_block(n, m)
-    return OperatorMatrix(n, m, "gamma^2*n^2/16", _h1_entries(n, abs(m)))
+    return OperatorMatrix(n, m, "gamma^2*n^2/16", _h1_entries(n, abs(m)),
+                          (_h1_entries, n, abs(m)))
 
 
 def h2_matrix(n: int, m: int) -> OperatorMatrix:
     """The second-order operator over the (n, m) block (scale (gamma^2/8)^2 n^6/48)."""
     check_block(n, m)
-    return OperatorMatrix(n, m, "(gamma^2/8)^2*n^6/48", _h2_entries(n, abs(m)))
+    return OperatorMatrix(n, m, "(gamma^2/8)^2*n^6/48", _h2_entries(n, abs(m)),
+                          (_h2_entries, n, abs(m)))
 
 
 def h2_symmetry_report(n: int, m: int) -> list[dict]:

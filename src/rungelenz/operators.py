@@ -21,8 +21,8 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .basis import (ManifoldState, ParabolicLabel, SphericalLabel, _is_int,
-                    beta_squared, block_state, spherical_ls, unit_parabolic,
-                    unit_spherical)
+                    beta_squared, block_state, check_block, spherical_ls,
+                    unit_parabolic, unit_spherical)
 from .errors import DomainError, InternalConsistencyError
 from .radical import RadicalSum, _combine_radicands, _split_radicand
 
@@ -36,8 +36,10 @@ def _check_ints(what: str, *args) -> None:
 
 @lru_cache(maxsize=None, typed=True)  # beta(3.0, 1, 0) is not beta(3, 1, 0)
 def beta(n: int, l: int, m: int) -> RadicalSum:
-    """The off-diagonal A_z matrix element between adjacent-l states."""
+    """The off-diagonal A_z matrix element between adjacent-l states; (n, m)
+    must be a block of the manifold, and l = |m| or l = n gives 0."""
     _check_ints("beta", n, l, m)
+    check_block(n, m)
     return RadicalSum.from_sqrt(beta_squared(n, l, m))
 
 
@@ -67,6 +69,7 @@ def az_power_matrix(n: int, m: int, k: int) -> tuple[tuple[RadicalSum, ...], ...
     vanishing unless l' - l has the parity of k. Column l is A_z applied k
     times to |n l m>."""
     _check_ints("az_power_matrix", n, m, k)
+    check_block(n, m)
     if k < 0:
         raise DomainError(f"power k = {k} must be >= 0")
     cols = []

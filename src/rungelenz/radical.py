@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import gcd, isqrt, sqrt
 
 from .errors import DomainError, ExactParseError
@@ -197,20 +198,62 @@ def render_exact(value) -> str:
     if isinstance(value, (int, Fraction)):
         value = Fraction(value)
         return f"{value.numerator}/{value.denominator}"
-    if value.is_zero:
+    terms = value._terms
+    if len(terms) == 1 and 1 in terms:
+        c = terms[1]
+        return f"{c.numerator}/{c.denominator}"
+    return _render_terms((d, c.numerator, c.denominator)
+                         for d, c in sorted(terms.items()))
+
+
+def _render_over(nums: dict[int, int], den: int) -> str:
+    """Render sum_d nums[d]/den * sqrt(d) (squarefree d, den > 0) in the
+    grammar without building the RadicalSum: one gcd per nonzero term."""
+    terms = []
+    for d in sorted(nums):
+        c = nums[d]
+        if c:
+            g = gcd(c, den)
+            terms.append((d, c // g, den // g))
+    return _render_terms(terms)
+
+
+def _render_terms(terms) -> str:
+    """(d, p, q) with d increasing, p/q nonzero in lowest terms and q > 0."""
+    parts = [(" - " if p < 0 else " + ")
+             + (f"{abs(p)}/{q}" if d == 1 else f"({abs(p)}/{q})*sqrt({d})")
+             for d, p, q in terms]
+    if not parts:
         return "0/1"
-    parts: list[str] = []
-    for i, (d, c) in enumerate(value.terms()):
-        mag = abs(c)
-        if d == 1:
-            body = f"{mag.numerator}/{mag.denominator}"
-        else:
-            body = f"({mag.numerator}/{mag.denominator})*sqrt({d})"
-        if i == 0:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
+    first = parts[0]
+    parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
     return "".join(parts)
+
+
+# -- JSON layout --------------------------------------------------------
+#
+# Reports and matrices are written as JSON text directly, in the layout
+# json.dumps(value, indent=2) gives them (with indent set, CPython encodes in
+# pure Python): strings through json's own ASCII escaper, ints by repr,
+# containers at the nesting `indent` of their opening line. Values passed in
+# are JSON text already; keys are plain ASCII names.
+
+_json_str = encode_basestring_ascii
+
+
+def _json_object(fields, indent: str = "") -> str:
+    """A nonempty object of (key, JSON text) fields, in order."""
+    inner = indent + "  "
+    return ("{\n" + inner + (",\n" + inner).join(f'"{k}": {v}' for k, v in fields)
+            + "\n" + indent + "}")
+
+
+def _json_array(items: list[str], indent: str = "") -> str:
+    """An array of JSON texts; [] when empty."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 # trial division in _split_radicand stops at this prime bound

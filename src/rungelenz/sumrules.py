@@ -19,10 +19,18 @@ and each beta^2 of a chain, joined with the block's roots of the 3jm pair),
 kept as integers over one denominator per (n, |m|, k), and diffed against
 the canonical value, so suspected misprints surface as reported
 discrepancies, never as silent corrections.
+
+A SumRuleReport keeps the canonical LHS and RHS as Fractions and the printed
+LHS as those integer numerators per radicand over one denominator, and goes
+from them straight to text: a rational as num/den, the printed form in the
+fixed grammar with one gcd per term (radical._render_over), its difference as
+the same numerators less the RHS on radicand 1, and the JSON object through
+the package's JSON layout, the text json.dumps(to_dict(), indent=2) gives.
+Its lhs, printed_lhs and difference are RadicalSums built on demand.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -31,79 +39,131 @@ from .basis import (ParabolicLabel, _is_int, _over_lcm, b_block, beta_squared,
                     spherical_ls, unit_parabolic)
 from .errors import DomainError, InternalConsistencyError
 from .operators import expression_apply, l_squared_expression
-from .radical import RadicalSum, _combine_radicands, _split_radicand, render_exact
+from .radical import (RadicalSum, _combine_radicands, _json_object, _json_str,
+                      _render_over, _split_radicand)
 from .wigner import _neg1
 
 
-@dataclass
+# a printed LHS: integer numerators by squarefree radicand, and their one
+# positive denominator
+PrintedForm = tuple[dict[int, int], int]
+
+
 class SumRuleReport:
     """Outcome of one sum-rule evaluation at one parameter tuple.
 
-    verdict is "exact-match" iff the canonical LHS is rational and equals the
-    analytic RHS; otherwise "mismatch" with the exact difference. When the
-    printed explicit form exists it is carried alongside with its own verdict
-    ("exact-match", "mismatch" or "not-evaluable") -- printed-form issues are
-    warnings, not failures of the canonical route.
+    verdict is "exact-match" iff the canonical LHS equals the analytic RHS;
+    otherwise "mismatch" with the exact difference. Both are kept as
+    Fractions (a RadicalSum lhs must be rational). When the printed explicit
+    form exists it is carried alongside with its own verdict ("exact-match",
+    "mismatch" or "not-evaluable") -- printed-form issues are warnings, not
+    failures of the canonical route. The printed LHS is kept as integer
+    numerators per squarefree radicand over one positive denominator,
+    printed=(nums, den), and rendered from them; lhs, printed_lhs and
+    difference are RadicalSums built on demand.
     """
 
-    rule: str
-    n: int
-    m: int
-    n1: int
-    n2: int
-    power: int
-    lhs: RadicalSum
-    rhs: Fraction
-    verdict: str = field(init=False)
-    difference: RadicalSum | None = field(init=False)
-    printed_lhs: RadicalSum | None = None
-    printed_rhs: Fraction | None = None
-    printed_verdict: str | None = None
-    printed_note: str | None = None
+    __slots__ = ("rule", "n", "m", "n1", "n2", "power", "_lhs", "rhs", "verdict",
+                 "_printed", "printed_rhs", "printed_verdict", "printed_note")
 
-    def __post_init__(self):
-        if self.lhs.is_rational and self.lhs.as_fraction() == self.rhs:
-            self.verdict = "exact-match"
-            self.difference = None
-        else:
-            self.verdict = "mismatch"
-            self.difference = self.lhs - RadicalSum.from_rational(self.rhs)
-        if self.printed_lhs is not None and self.printed_verdict is None:
-            assert self.printed_rhs is not None
-            if (self.printed_lhs.is_rational
-                    and self.printed_lhs.as_fraction() == self.printed_rhs):
-                self.printed_verdict = "exact-match"
-            else:
-                self.printed_verdict = "mismatch"
+    def __init__(self, rule: str, n: int, m: int, n1: int, n2: int, power: int,
+                 lhs, rhs, printed: PrintedForm | None = None,
+                 printed_rhs: Fraction | None = None,
+                 printed_verdict: str | None = None,
+                 printed_note: str | None = None):
+        self.rule, self.n, self.m, self.n1, self.n2, self.power = rule, n, m, n1, n2, power
+        self._lhs = _fraction(lhs)
+        self.rhs = _fraction(rhs)
+        self.verdict = "exact-match" if self._lhs == self.rhs else "mismatch"
+        self._printed = printed
+        self.printed_rhs = printed_rhs
+        self.printed_note = printed_note
+        if printed is not None and printed_verdict is None:
+            nums, den = printed
+            exact = (printed_rhs is not None
+                     and not any(c for d, c in nums.items() if d != 1)
+                     and nums.get(1, 0) * printed_rhs.denominator
+                     == printed_rhs.numerator * den)
+            printed_verdict = "exact-match" if exact else "mismatch"
+        self.printed_verdict = printed_verdict
 
     @property
     def ok(self) -> bool:
         return self.verdict == "exact-match"
 
-    def to_dict(self) -> dict:
-        out = {
-            "rule": self.rule,
-            "params": {"n": self.n, "m": self.m, "n1": self.n1,
-                       "n2": self.n2, "p": self.power},
-            "lhs": render_exact(self.lhs),
-            "rhs": render_exact(self.rhs),
-            "verdict": self.verdict,
-        }
-        if self.difference is not None:
-            out["difference"] = render_exact(self.difference)
+    @property
+    def lhs(self) -> RadicalSum:
+        return RadicalSum.from_rational(self._lhs)
+
+    @property
+    def difference(self) -> RadicalSum | None:
+        return None if self.ok else RadicalSum.from_rational(self._lhs - self.rhs)
+
+    @property
+    def printed_lhs(self) -> RadicalSum | None:
+        return None if self._printed is None else _radical(*self._printed)
+
+    def to_json(self, indent: str = "") -> str:
+        """The report as JSON text, laid out as json.dumps(to_dict(), indent=2)
+        with every line after the first indented by `indent`."""
+        inner = indent + "  "
+        fields = [("rule", _json_str(self.rule)),
+                  ("params", _json_object(
+                      (("n", repr(self.n)), ("m", repr(self.m)), ("n1", repr(self.n1)),
+                       ("n2", repr(self.n2)), ("p", repr(self.power))), inner)),
+                  ("lhs", _json_str(_rational_text(self._lhs))),
+                  ("rhs", _json_str(_rational_text(self.rhs))),
+                  ("verdict", _json_str(self.verdict))]
+        if not self.ok:
+            fields.append(("difference", _json_str(_rational_text(self._lhs - self.rhs))))
         if self.printed_verdict is not None:
-            printed = {"verdict": self.printed_verdict}
-            if self.printed_lhs is not None:
-                printed["lhs"] = render_exact(self.printed_lhs)
+            printed = [("verdict", _json_str(self.printed_verdict))]
+            if self._printed is not None:
+                printed.append(("lhs", _json_str(_render_over(*self._printed))))
             if self.printed_rhs is not None:
-                printed["rhs"] = render_exact(self.printed_rhs)
-            if self.printed_lhs is not None and self.printed_rhs is not None \
-                    and self.printed_verdict == "mismatch":
-                printed["difference"] = render_exact(self.printed_lhs - self.printed_rhs)
+                printed.append(("rhs", _json_str(_rational_text(self.printed_rhs))))
+                if self._printed is not None and self.printed_verdict == "mismatch":
+                    printed.append(("difference", _json_str(self._printed_difference())))
             if self.printed_note:
-                printed["note"] = self.printed_note
-            out["printed"] = printed
-        return out
+                printed.append(("note", _json_str(self.printed_note)))
+            fields.append(("printed", _json_object(printed, inner)))
+        return _json_object(fields, indent)
+
+    def to_dict(self) -> dict:
+        """The report as a dict, parsed from to_json so the two cannot differ."""
+        return json.loads(self.to_json())
+
+    def lhs_text(self) -> str:
+        return _rational_text(self._lhs)
+
+    def rhs_text(self) -> str:
+        return _rational_text(self.rhs)
+
+    def _printed_difference(self) -> str:
+        """printed_lhs - printed_rhs: the numerators over den * q less p * den
+        on radicand 1, for printed_rhs = p/q."""
+        nums, den = self._printed
+        p, q = self.printed_rhs.numerator, self.printed_rhs.denominator
+        diff = {d: c * q for d, c in nums.items()}
+        diff[1] = diff.get(1, 0) - p * den
+        return _render_over(diff, den * q)
+
+    def __repr__(self) -> str:
+        return f"SumRuleReport({self.to_json()})"
+
+
+def _fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    return x.as_fraction() if isinstance(x, RadicalSum) else Fraction(x)
+
+
+def _rational_text(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _radical(nums: dict[int, int], den: int) -> RadicalSum:
+    return RadicalSum({d: Fraction(c, den) for d, c in nums.items()})
 
 
 def _check_power(power: int, least: int) -> None:
@@ -123,7 +183,7 @@ def _b_squared_sum(p: ParabolicLabel, f) -> Fraction:
 
 def sum_rule_l2(p: ParabolicLabel) -> SumRuleReport:
     """sum_l B^2(l) l(l+1) = [n^2 - 1 + m^2 - (n1-n2)^2] / 2."""
-    lhs = RadicalSum.from_rational(_b_squared_sum(p, lambda l: l * (l + 1)))
+    lhs = _b_squared_sum(p, lambda l: l * (l + 1))
     rhs = Fraction(p.n**2 - 1 + p.m**2 - p.q**2, 2)
     return SumRuleReport("l2", p.n, p.m, p.n1, p.n2, 1, lhs, rhs)
 
@@ -249,10 +309,11 @@ def _printed_terms(n: int, m: int, power: int) -> tuple[tuple[tuple, ...], int]:
                  for (i, j, c, _, d, note), k in zip(out, ks)), v * v * den
 
 
-def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, str | None]:
-    """The explicit weight-ratio LHS exactly as printed; (value, note).
+def _printed_az_ints(p: ParabolicLabel, power: int) -> tuple[PrintedForm | None, str | None]:
+    """The explicit weight-ratio LHS exactly as printed, as integer numerators
+    per radicand over one denominator; ((nums, den), note).
 
-    value is None when a term is not evaluable over the reals (negative
+    The form is None when a term is not evaluable over the reals (negative
     radicand), which the power-2 form hits through its third-term denominator;
     the note names the first such term, in the printed order, whose 3jm pair
     does not vanish. The label's rho row weights the block's printed terms:
@@ -267,8 +328,14 @@ def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, 
             if note:
                 return None, note
             acc[d] = acc.get(d, 0) + rho[i] * rho[j] * c
-    a, den = blk.a[p.n1], blk.rho_den[p.n1] ** 2 * e
-    return RadicalSum({d: Fraction(c * a, den) for d, c in acc.items()}), None
+    a = blk.a[p.n1]
+    return ({d: c * a for d, c in acc.items()}, blk.rho_den[p.n1] ** 2 * e), None
+
+
+def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, str | None]:
+    """_printed_az_ints as a RadicalSum; (value, note)."""
+    form, note = _printed_az_ints(p, power)
+    return (None, note) if form is None else (_radical(*form), None)
 
 
 def sum_rule_az(p: ParabolicLabel, power: int) -> SumRuleReport:
@@ -282,11 +349,10 @@ def sum_rule_az(p: ParabolicLabel, power: int) -> SumRuleReport:
     """
     if not _is_int(power) or power not in (2, 3, 4):
         raise DomainError(f"power must be the int 2, 3 or 4, got {power!r}")
-    lhs = RadicalSum.from_rational(_az_contraction(p, power))
-    printed_lhs, note = _printed_az_form(p, power)
-    return SumRuleReport(f"az{power}", p.n, p.m, p.n1, p.n2, power, lhs,
-                         Fraction(p.q**power), printed_lhs=printed_lhs,
-                         printed_rhs=Fraction((p.n2 - p.n1) ** power),
+    printed, note = _printed_az_ints(p, power)
+    return SumRuleReport(f"az{power}", p.n, p.m, p.n1, p.n2, power,
+                         _az_contraction(p, power), Fraction(p.q**power),
+                         printed=printed, printed_rhs=Fraction((p.n2 - p.n1) ** power),
                          printed_verdict="not-evaluable" if note else None,
                          printed_note=note)
 
@@ -294,7 +360,7 @@ def sum_rule_az(p: ParabolicLabel, power: int) -> SumRuleReport:
 def az_moment_generic(p: ParabolicLabel, power: int) -> SumRuleReport:
     """<p| A_z^power |p> = (n1-n2)^power through the gauge contraction."""
     _check_power(power, 0)
-    lhs = RadicalSum.from_rational(_az_contraction(p, power))
+    lhs = _az_contraction(p, power)
     rhs = Fraction(p.q**power)
     return SumRuleReport("az-moment", p.n, p.m, p.n1, p.n2, power, lhs, rhs)
 

@@ -4,7 +4,7 @@ Everything here is plain Fraction arithmetic over math.factorial: no prime
 factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
 
-There are eight exceptions, all former package routes kept as the reference
+There are nine exceptions, all former package routes kept as the reference
 for what replaced them: the dense generator walk, which works on the
 package's ManifoldState and RadicalSum (the generator engine's per-generator
 loop over dense coefficient vectors, replaced by the basis-state walk), the
@@ -14,12 +14,14 @@ per (n, m) in basis), the dense A_z^k matrix products (replaced by the A_z
 action applied k times), the loop-built 6j cache key (replaced by a fixed
 table of index maps in wigner), the rational gauge and its kernels over
 Fraction (replaced by integers over a few denominators in the block and in
-sumrules), and at the end the B and C floats rounded from the block's
-monomials (replaced by floats rounded from integers in the block), and
-P(l, l'; chi) by the literal quadruple cosine sum over the C floats (replaced
-by the factored C route in stark). The block's monomials now come from the
-same integer pass as its floats, so the float tests also round B and C from
-the single-3jm route above.
+sumrules), the B and C floats rounded from the block's monomials (replaced
+by floats rounded from integers in the block), P(l, l'; chi) by the literal
+quadruple cosine sum over the C floats (replaced by the factored C route in
+stark), and at the end the report and matrix serialisers over RadicalSum and
+json.dumps (replaced by JSON text written directly, from integers for the
+reports). The block's monomials now come from the same integer pass as its
+floats, so the float tests also round B and C from the single-3jm route
+above.
 """
 from fractions import Fraction
 from math import factorial
@@ -630,3 +632,66 @@ def p_herrick(n: int, l: int, lp: int, chi: float) -> float:
                 if w != 0.0:
                     total += w * cos(chi * (q - qp))
     return (2 * lp + 1) * total
+
+
+# -- the report and matrix serialisers before they wrote text directly ------
+#
+# SumRuleReport.to_dict and OperatorMatrix.to_json as they were: every value a
+# RadicalSum rendered by the former render_exact (sorted terms, abs of each
+# coefficient), and json.dumps(indent=2) as the serialiser.
+
+import json  # noqa: E402
+
+
+def render_exact(value) -> str:
+    if isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+        return f"{value.numerator}/{value.denominator}"
+    if value.is_zero:
+        return "0/1"
+    parts = []
+    for i, (d, c) in enumerate(value.terms()):
+        mag = abs(c)
+        if d == 1:
+            body = f"{mag.numerator}/{mag.denominator}"
+        else:
+            body = f"({mag.numerator}/{mag.denominator})*sqrt({d})"
+        if i == 0:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append((" - " if c < 0 else " + ") + body)
+    return "".join(parts)
+
+
+def report_dict(r) -> dict:
+    """The report's dict, from its RadicalSum-valued fields."""
+    out = {
+        "rule": r.rule,
+        "params": {"n": r.n, "m": r.m, "n1": r.n1, "n2": r.n2, "p": r.power},
+        "lhs": render_exact(r.lhs),
+        "rhs": render_exact(r.rhs),
+        "verdict": r.verdict,
+    }
+    if r.difference is not None:
+        out["difference"] = render_exact(r.difference)
+    if r.printed_verdict is not None:
+        printed = {"verdict": r.printed_verdict}
+        if r.printed_lhs is not None:
+            printed["lhs"] = render_exact(r.printed_lhs)
+        if r.printed_rhs is not None:
+            printed["rhs"] = render_exact(r.printed_rhs)
+        if r.printed_lhs is not None and r.printed_rhs is not None \
+                and r.printed_verdict == "mismatch":
+            printed["difference"] = render_exact(r.printed_lhs - r.printed_rhs)
+        if r.printed_note:
+            printed["note"] = r.printed_note
+        out["printed"] = printed
+    return out
+
+
+def matrix_json(mat) -> str:
+    return json.dumps({
+        "n": mat.n, "m": mat.m, "scale": mat.scale_text,
+        "q": mat.qs(),
+        "entries": [[render_exact(x) for x in row] for row in mat.entries],
+    }, indent=2)

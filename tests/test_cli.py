@@ -432,6 +432,9 @@ class TestGoldenOutput:
         ("text", "1"): "f37e9f2b85535d2a2426fa42736b3a205c0647cfc5e5eb1bd1762c98935f1e53",
         ("csv", "1"): "c69ba413cbf2fae4e0044bf3b75500886ae69e61e2fc04b61cfc44c3e7bc60b4",
         ("json", "2"): VERIFY_SHA256,
+        # two workers write what one does
+        ("text", "2"): "f37e9f2b85535d2a2426fa42736b3a205c0647cfc5e5eb1bd1762c98935f1e53",
+        ("csv", "2"): "c69ba413cbf2fae4e0044bf3b75500886ae69e61e2fc04b61cfc44c3e7bc60b4",
     }
     # over the concatenated `compute <kind> n m` outputs, m ascending
     MATRIX_SHA256 = {

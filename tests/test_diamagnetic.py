@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+
 from rungelenz import diamagnetic
 from rungelenz.basis import ParabolicLabel
 from rungelenz.diamagnetic import (
@@ -254,3 +256,46 @@ class TestSerialization:
     def test_matrix_dataclass_shape(self):
         mat = OperatorMatrix(2, 0, "s", h1_matrix(2, 0).entries)
         assert mat.dim == 2
+
+    def test_writer_equals_json_dumps(self):
+        # every block to n = 8, and a hand-built matrix whose scale needs escaping
+        mats = [build(n, m) for build in (h1_matrix, h2_matrix)
+                for n in range(1, 9) for m in range(-(n - 1), n)]
+        mats.append(OperatorMatrix(2, 0, 'a "scale" \u2014', h1_matrix(2, 0).entries))
+        for mat in mats:
+            assert mat.to_json() == oracles.matrix_json(mat), (mat.n, mat.m)
+
+    @pytest.mark.parametrize("build", [h1_matrix, h2_matrix])
+    def test_shared_entries_rendered_once(self, build, monkeypatch):
+        diamagnetic._rendered_block.cache_clear()
+        first = build(5, 2).to_json()
+        calls = []
+        render = diamagnetic.render_exact
+
+        def counting(value):
+            calls.append(value)
+            return render(value)
+
+        monkeypatch.setattr(diamagnetic, "render_exact", counting)
+        assert build(5, 2).to_json() == first
+        assert json.loads(build(5, -2).to_json())["entries"] == json.loads(first)["entries"]
+        assert calls == []
+
+    def test_rebuilt_entries_are_rendered_afresh(self, monkeypatch):
+        # the rendered rows belong to the entries they came from: a block
+        # rebuilt after its memo is cleared is rendered again
+        h2_matrix(3, 0).to_json()
+        diamagnetic._h2_entries.cache_clear()
+        expression_matrix = diamagnetic._expression_matrix
+
+        def doubled(expr, n, m):
+            return tuple(tuple(x * 2 for x in row) for row in expression_matrix(expr, n, m))
+
+        monkeypatch.setattr(diamagnetic, "_expression_matrix", doubled)
+        try:
+            mat = h2_matrix(3, 0)
+            entries = json.loads(mat.to_json())["entries"]
+            assert [[parse_exact(x) for x in row] for row in entries] == \
+                [list(row) for row in mat.entries]
+        finally:
+            diamagnetic._h2_entries.cache_clear()

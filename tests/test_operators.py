@@ -80,6 +80,27 @@ class TestBeta:
         with pytest.raises(DomainError):
             beta(4, -1, 0)
 
+    @pytest.mark.parametrize("args", [(3.0, 1, 0), (True, 1, 0), (3.5, 1, 0),
+                                      (3, 1.0, 0), (3, 1, False), ("3", 1, 0)])
+    def test_beta_squared_non_int_arguments_rejected_cold_and_warm(self, args):
+        beta_squared.cache_clear()
+        with pytest.raises(DomainError, match="needs int arguments"):
+            beta_squared(*args)
+        assert beta_squared(3, 1, 0) == Fraction(8, 3)  # an equal int key is cached
+        with pytest.raises(DomainError, match="needs int arguments"):
+            beta_squared(*args)
+
+    @pytest.mark.parametrize("args", [(-3, 1, 0), (0, 0, 0), (3, 1, 3), (3, 2, -5)])
+    def test_block_outside_the_manifold_rejected(self, args):
+        with pytest.raises(DomainError, match="not a block of the manifold"):
+            beta(*args)
+
+    def test_block_boundaries_stay_zero(self):
+        # az_apply_spherical reads beta at l = n and l = |m| as the boundary 0
+        for n in range(1, 8):
+            for m in range(-(n - 1), n):
+                assert beta(n, n, m).is_zero and beta(n, abs(m), m).is_zero
+
     @pytest.mark.parametrize("args", [(3.0, 1, 0), (3, True, 0), (3, 1, 0.0),
                                       (3, 1, False), ("3", 1, 0)])
     def test_non_int_arguments_rejected_cold_and_warm(self, args):
@@ -200,6 +221,11 @@ class TestAzPowers:
             az_power_matrix(3, 0, -1)
         with pytest.raises(DomainError):
             az_power_matrix(3, 0, -1.0)
+
+    @pytest.mark.parametrize("args", [(3, 5, 1), (0, 0, 1), (-2, 0, 2), (3, -3, 0)])
+    def test_block_outside_the_manifold_rejected(self, args):
+        with pytest.raises(DomainError, match="not a block of the manifold"):
+            az_power_matrix(*args)
 
     @pytest.mark.parametrize("args", [(2.0, 0, 1), (2, 0.0, 1), (2, False, 1),
                                       (2, 0, 1.0), (2, 0, True), (True, 0, 1)])

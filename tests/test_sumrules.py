@@ -420,3 +420,56 @@ class TestReportSerialization:
         assert bad.verdict == "mismatch"
         assert bad.difference == r.lhs - RadicalSum.from_rational(3)
         assert "difference" in bad.to_dict()
+
+    def test_writer_equals_json_dumps_on_every_report_to_n14(self):
+        # the text equals json.dumps(indent=2) of the dict the former
+        # RadicalSum route built, and its re-indented form as verify wrote it
+        count = 0
+        for n in range(1, 15):
+            for p in all_labels(n):
+                reports = ([sum_rule_l2(p)] + [sum_rule_az(p, k) for k in (2, 3, 4)]
+                           + [az_moment_generic(p, k) for k in range(5, 9)])
+                for r in reports:
+                    want = json.dumps(oracles.report_dict(r), indent=2)
+                    assert r.to_json() == want, r
+                    assert r.to_json("    ") == want.replace("\n", "\n    ")
+                    count += 1
+        assert count == 8 * sum(n * n for n in range(1, 15))
+
+    @pytest.mark.parametrize("args, kwargs, keys, printed_keys", [
+        # a canonical mismatch
+        (("l2", 2, 0, 1, 0, 1, Fraction(-5, 3), 3), {},
+         {"rule", "params", "lhs", "rhs", "verdict", "difference"}, None),
+        # both routes mismatch, with every printed key; the note needs escaping
+        (("az2", 9, 4, 3, 1, 2, 4, Fraction(5, 7)),
+         dict(printed=({1: 7, 2: -3, 6: 0, 15: 4}, 12), printed_rhs=Fraction(1, 2),
+              printed_note='a "quoted" note \u2014 \xfc\n'),
+         {"rule", "params", "lhs", "rhs", "verdict", "difference", "printed"},
+         {"verdict", "lhs", "rhs", "difference", "note"}),
+        # a printed mismatch whose difference has no rational part
+        (("az3", 4, 0, 2, 1, 3, 1, 1),
+         dict(printed=({1: -7, 3: 2}, 5), printed_rhs=Fraction(-7, 5)),
+         {"rule", "params", "lhs", "rhs", "verdict", "printed"},
+         {"verdict", "lhs", "rhs", "difference"}),
+        # a printed exact match
+        (("az4", 4, 0, 2, 1, 4, 1, 1), dict(printed=({1: 6}, 3), printed_rhs=2),
+         {"rule", "params", "lhs", "rhs", "verdict", "printed"}, {"verdict", "lhs", "rhs"}),
+        # a printed form that is not evaluable, with its note
+        (("az2", 3, 0, 1, 1, 2, 0, 0),
+         dict(printed_rhs=Fraction(0), printed_verdict="not-evaluable",
+              printed_note="term (l=0 -> l'=2) has a negative radicand as printed"),
+         {"rule", "params", "lhs", "rhs", "verdict", "printed"},
+         {"verdict", "rhs", "note"}),
+    ])
+    def test_writer_reaches_every_key(self, args, kwargs, keys, printed_keys):
+        from rungelenz.sumrules import SumRuleReport
+        r = SumRuleReport(*args, **kwargs)
+        assert r.to_json() == json.dumps(oracles.report_dict(r), indent=2)
+        d = r.to_dict()
+        assert set(d) == keys
+        assert (set(d["printed"]) if "printed" in d else None) == printed_keys
+
+    def test_irrational_canonical_lhs_rejected(self):
+        from rungelenz.sumrules import SumRuleReport
+        with pytest.raises(DomainError, match="not rational"):
+            SumRuleReport("l2", 2, 0, 1, 0, 1, RadicalSum.from_sqrt(2), 1)
