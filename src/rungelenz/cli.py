@@ -222,7 +222,7 @@ def _cmd_verify(args, parser) -> int:
     worker = partial(_verify_worker, args.format)
     _, head, sep = _VERIFY_FORMATS[args.format]
     out = sys.stdout
-    done = mismatches = warnings = 0
+    mismatches = warnings = 0
     with ExitStack() as stack:
         if args.jobs > 1:
             pool = stack.enter_context(ProcessPoolExecutor(
@@ -234,9 +234,9 @@ def _cmd_verify(args, parser) -> int:
         else:
             results = map(worker, tasks)
         for text, bad, warn in results:
-            out.write(sep if done else head)
+            out.write(head)
             out.write(text)
-            done += 1
+            head = sep
             mismatches += bad
             warnings += warn
     count = len(tasks) * len(tasks[0][-1])

@@ -202,32 +202,35 @@ def render_exact(value) -> str:
     if len(terms) == 1 and 1 in terms:
         c = terms[1]
         return f"{c.numerator}/{c.denominator}"
-    return _render_terms((d, c.numerator, c.denominator)
-                         for d, c in sorted(terms.items()))
+    return _joined([_part(d, c.numerator, c.denominator) for d, c in sorted(terms.items())])
 
 
-def _render_over(nums: dict[int, int], den: int) -> str:
-    """Render sum_d nums[d]/den * sqrt(d) (squarefree d, den > 0) in the
-    grammar without building the RadicalSum: one gcd per nonzero term."""
-    terms = []
+def _over_parts(nums: dict[int, int], den: int) -> list[str]:
+    """The signed parts of sum_d nums[d]/den * sqrt(d) (squarefree d,
+    den > 0), radicands increasing, without building the RadicalSum: one
+    gcd per nonzero term. _joined makes them a value's text."""
+    parts = []
     for d in sorted(nums):
         c = nums[d]
         if c:
             g = gcd(c, den)
-            terms.append((d, c // g, den // g))
-    return _render_terms(terms)
+            parts.append(_part(d, c // g, den // g))
+    return parts
 
 
-def _render_terms(terms) -> str:
-    """(d, p, q) with d increasing, p/q nonzero in lowest terms and q > 0."""
-    parts = [(" - " if p < 0 else " + ")
-             + (f"{abs(p)}/{q}" if d == 1 else f"({abs(p)}/{q})*sqrt({d})")
-             for d, p, q in terms]
+def _part(d: int, p: int, q: int) -> str:
+    """' + body' or ' - body' of the term p/q sqrt(d), p/q in lowest terms."""
+    return ((" - " if p < 0 else " + ")
+            + (f"{abs(p)}/{q}" if d == 1 else f"({abs(p)}/{q})*sqrt({d})"))
+
+
+def _joined(parts: list[str]) -> str:
+    """The text of a value from its signed parts; the sign is kept only on
+    a negative first term."""
     if not parts:
         return "0/1"
     first = parts[0]
-    parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-    return "".join(parts)
+    return ("-" if first[1] == "-" else "") + first[3:] + "".join(parts[1:])
 
 
 # -- JSON layout --------------------------------------------------------

@@ -23,10 +23,11 @@ discrepancies, never as silent corrections.
 A SumRuleReport keeps the canonical LHS and RHS as Fractions and the printed
 LHS as those integer numerators per radicand over one denominator, and goes
 from them straight to text: a rational as num/den, the printed form in the
-fixed grammar with one gcd per term (radical._render_over), its difference as
-the same numerators less the RHS on radicand 1, and the JSON object through
-the package's JSON layout, the text json.dumps(to_dict(), indent=2) gives.
-Its lhs, printed_lhs and difference are RadicalSums built on demand.
+fixed grammar with one gcd per term (radical._over_parts), its difference as
+the same radical terms with the RHS taken from the rational one, and the
+JSON object in the package's JSON layout, the text
+json.dumps(to_dict(), indent=2) gives. Its lhs, printed_lhs and difference
+are RadicalSums built on demand.
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ from .basis import (ParabolicLabel, _is_int, _over_lcm, b_block, beta_squared,
                     spherical_ls, unit_parabolic)
 from .errors import DomainError, InternalConsistencyError
 from .operators import expression_apply, l_squared_expression
-from .radical import (RadicalSum, _combine_radicands, _json_object, _json_str,
-                      _render_over, _split_radicand)
+from .radical import (RadicalSum, _combine_radicands, _joined, _json_object,
+                      _json_str, _over_parts, _split_radicand)
 from .wigner import _neg1
 
 
@@ -119,11 +120,13 @@ class SumRuleReport:
         if self.printed_verdict is not None:
             printed = [("verdict", _json_str(self.printed_verdict))]
             if self._printed is not None:
-                printed.append(("lhs", _json_str(_render_over(*self._printed))))
+                parts = _over_parts(*self._printed)
+                printed.append(("lhs", _json_str(_joined(parts))))
             if self.printed_rhs is not None:
                 printed.append(("rhs", _json_str(_rational_text(self.printed_rhs))))
                 if self._printed is not None and self.printed_verdict == "mismatch":
-                    printed.append(("difference", _json_str(self._printed_difference())))
+                    printed.append(("difference",
+                                    _json_str(self._printed_difference(parts))))
             if self.printed_note:
                 printed.append(("note", _json_str(self.printed_note)))
             fields.append(("printed", _json_object(printed, inner)))
@@ -139,14 +142,14 @@ class SumRuleReport:
     def rhs_text(self) -> str:
         return _rational_text(self.rhs)
 
-    def _printed_difference(self) -> str:
-        """printed_lhs - printed_rhs: the numerators over den * q less p * den
-        on radicand 1, for printed_rhs = p/q."""
+    def _printed_difference(self, parts: list[str]) -> str:
+        """printed_lhs - printed_rhs from the printed LHS's signed parts: only
+        the rational part changes, to (c q - p den)/(den q) for c on radicand 1
+        and printed_rhs = p/q; the radical parts are reused as rendered."""
         nums, den = self._printed
         p, q = self.printed_rhs.numerator, self.printed_rhs.denominator
-        diff = {d: c * q for d, c in nums.items()}
-        diff[1] = diff.get(1, 0) - p * den
-        return _render_over(diff, den * q)
+        radical = parts[1:] if nums.get(1) else parts
+        return _joined(_over_parts({1: nums.get(1, 0) * q - p * den}, den * q) + radical)
 
     def __repr__(self) -> str:
         return f"SumRuleReport({self.to_json()})"

@@ -15,7 +15,8 @@ from rungelenz.pfrational import (
     factorial_root,
     factorize,
 )
-from rungelenz.radical import RadicalSum, _split_radicand, parse_exact, render_exact
+from rungelenz.radical import (RadicalSum, _joined, _over_parts, _split_radicand,
+                              parse_exact, render_exact)
 
 
 class TestHalfInt:
@@ -323,6 +324,14 @@ class TestExactGrammar:
             terms[d] = terms.get(d, Fraction(0)) + c
         value = RadicalSum(terms)
         assert parse_exact(render_exact(value)) == value
+
+    @given(st.dictionaries(
+        st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21]),
+        st.integers(min_value=-10**6, max_value=10**6), max_size=6),
+        st.integers(min_value=1, max_value=10**6))
+    def test_integer_terms_render_as_their_radical_sum(self, nums, den):
+        value = RadicalSum({d: Fraction(c, den) for d, c in nums.items()})
+        assert _joined(_over_parts(nums, den)) == render_exact(value)
 
     @pytest.mark.parametrize("bad", [
         "", "1", "1/2 + 1/3", "sqrt(2)", "(1/2)*sqrt(4)", "(1/2)*sqrt(-3)",

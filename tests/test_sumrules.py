@@ -451,6 +451,11 @@ class TestReportSerialization:
          dict(printed=({1: -7, 3: 2}, 5), printed_rhs=Fraction(-7, 5)),
          {"rule", "params", "lhs", "rhs", "verdict", "printed"},
          {"verdict", "lhs", "rhs", "difference"}),
+        # a printed mismatch with no rational part; its difference has one
+        (("az2", 5, 1, 2, 1, 2, 1, 1),
+         dict(printed=({1: 0, 2: 3, 5: -1}, 4), printed_rhs=1),
+         {"rule", "params", "lhs", "rhs", "verdict", "printed"},
+         {"verdict", "lhs", "rhs", "difference"}),
         # a printed exact match
         (("az4", 4, 0, 2, 1, 4, 1, 1), dict(printed=({1: 6}, 3), printed_rhs=2),
          {"rule", "params", "lhs", "rhs", "verdict", "printed"}, {"verdict", "lhs", "rhs"}),
