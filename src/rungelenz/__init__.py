@@ -35,7 +35,6 @@ from .errors import (
     InternalConsistencyError,
     ReggeInadmissibleError,
 )
-from .halfint import HalfInt
 from .operators import (
     GeneratorWord,
     OperatorExpression,
@@ -73,7 +72,6 @@ from .sumrules import (
     sum_rule_l2,
 )
 from .wigner import (
-    SixJArgs,
     ThreeJmArgs,
     clebsch_gordan,
     regge_transform,

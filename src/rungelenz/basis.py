@@ -13,7 +13,8 @@ every B row is normalised (a sum_l N R^2 = b_den D^2) and that J matches
 beta^2 (U W = beta^2 Delta^2). Every B and C entry, its monomial and its
 float alike, comes from one integer pass over the block: a numerator, a
 denominator and a squarefree radicand. n, m, l and every label field must
-be ints, not bools (check_block, the labels, _check_l). The Regge partner,
+be ints, not bools (check_block, the labels, ManifoldState, _check_l,
+b_squared_asymptotic). The Regge partner,
 hypergeometric route and fixed-l closed forms are independent oracles, the
 last two restricted to m >= 0 as printed; they agree with the block in square,
 and the sign of the hypergeometric route differs by the global factor measured
@@ -119,8 +120,7 @@ class ManifoldState:
     def __post_init__(self):
         if self.basis not in ("spherical", "parabolic"):
             raise DomainError(f"unknown basis tag {self.basis!r}")
-        if abs(self.m) > self.n - 1:
-            raise DomainError(f"|m| = {abs(self.m)} exceeds n-1 = {self.n - 1}")
+        check_block(self.n, self.m)
         dim = self.n - abs(self.m)
         if len(self.coeffs) != dim:
             raise DomainError(
@@ -506,8 +506,9 @@ def b_squared_asymptotic(n: int, l: int) -> float:
     Diagnostic only; exact paths never consult it. The approximated quantity
     is the l-distribution of the extremal-q parabolic states (see tests).
     """
-    if not 0 <= l <= n - 1:
-        raise DomainError(f"need 0 <= l <= n-1, got l = {l}, n = {n}")
+    _check_n(n)
+    if not (_is_int(l) and 0 <= l <= n - 1):
+        raise DomainError(f"need an int 0 <= l <= n-1, got l = {l!r}, n = {n}")
     return (2 * l + 1) / n * exp(-l * (l + 1) / n)
 
 

@@ -30,7 +30,6 @@ from functools import partial
 from .basis import ParabolicLabel, b_coeff
 from .diamagnetic import h1_matrix, h2_matrix
 from .errors import DomainError, FactorialLimitError
-from .halfint import HalfInt
 from .operators import beta
 from .pfrational import default_table
 from .radical import _json_array, _json_object, render_exact
@@ -264,15 +263,9 @@ def _emit_value(args, kind: str, value) -> None:
 
 def _cmd_compute(args, parser) -> int:
     kind = args.kind
-    if kind == "3j":
-        value = wigner_3jm(*(HalfInt.parse(a) for a in args.args6))
-        _emit_value(args, kind, value)
-    elif kind == "6j":
-        value = wigner_6j(*(HalfInt.parse(a) for a in args.args6))
-        _emit_value(args, kind, value)
-    elif kind == "cg":
-        value = clebsch_gordan(*(HalfInt.parse(a) for a in args.args6))
-        _emit_value(args, kind, value)
+    symbols = {"3j": wigner_3jm, "6j": wigner_6j, "cg": clebsch_gordan}
+    if kind in symbols:
+        _emit_value(args, kind, symbols[kind](*args.args6))
     elif kind == "bcoeff":
         p = ParabolicLabel(args.n1, args.n2, args.m)
         _emit_value(args, kind, b_coeff(p, args.l))

@@ -229,7 +229,8 @@ class TransitionTable:
             payload["entries"] = [[render_exact(x) for x in row]
                                   for row in self.entries]
         else:
-            payload["chi"] = self.chi
+            chi = self.chi  # an int or float as given, another real as its binary64
+            payload["chi"] = chi if isinstance(chi, (int, float)) else float(chi)
             payload["entries"] = [list(row) for row in self.entries]
         return json.dumps(payload, indent=2)
 

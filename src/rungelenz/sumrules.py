@@ -335,12 +335,6 @@ def _printed_az_ints(p: ParabolicLabel, power: int) -> tuple[PrintedForm | None,
     return ({d: c * a for d, c in acc.items()}, blk.rho_den[p.n1] ** 2 * e), None
 
 
-def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, str | None]:
-    """_printed_az_ints as a RadicalSum; (value, note)."""
-    form, note = _printed_az_ints(p, power)
-    return (None, note) if form is None else (_radical(*form), None)
-
-
 def sum_rule_az(p: ParabolicLabel, power: int) -> SumRuleReport:
     """The A_z^power rule, power in {2, 3, 4} (the powers with a printed form).
 

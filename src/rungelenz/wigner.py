@@ -11,21 +11,19 @@ RadicalSum. Where only the square of {a b c; J J J} is needed (the Stark
 P-bar), _sixj_squared finishes the same series without a root: the triangle
 factorials times the squared sum, one Fraction.
 
-The memo caches key on symmetry-reduced arguments: the 3jm key by a loop over
-its 12 images, the 6j key as the smallest of its 24 images, read through a
-fixed table of index maps, and the squared {a b c; J J J} key as the sorted
-(a, b, c) and J. Cached entries are immutable and recomputation is
-idempotent, so racing threads at worst repeat work.
+Half-integer arguments are parsed once, by twice(), into twice their value;
+ThreeJmArgs keeps them as Fractions. The 3jm memo keys on the smallest of
+the symbol's 12 images, the 6j memo on its twice-arguments as given, and the
+squared {a b c; J J J} memo on the sorted (a, b, c) and J. Cached entries
+are immutable and recomputation is idempotent, so racing threads at worst
+repeat work.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from operator import itemgetter
 
 from .errors import DomainError, ReggeInadmissibleError
-from .halfint import HalfInt, twice
 from .pfrational import default_table, factorial_root
 from .radical import RadicalSum
 
@@ -35,6 +33,22 @@ def _neg1(k: int) -> int:
     return -1 if k & 1 else 1
 
 
+def twice(value) -> int:
+    """Twice an integer or half-integer value: an int, a Fraction, a float or
+    a string such as '2', '-1/2' or '0.5'. Anything else is a DomainError."""
+    if isinstance(value, int):
+        return 2 * value
+    text = isinstance(value, str)
+    try:
+        fr = Fraction(value.strip() if text else value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:  # NaN, +-inf
+        raise DomainError(f"cannot parse half-integer from {value!r}" if text
+                          else f"{value!r} is not finite") from exc
+    if fr.denominator not in (1, 2):
+        raise DomainError(f"{value!r} is not an integer or half-integer")
+    return 2 * fr.numerator // fr.denominator
+
+
 def triangle_ok(a, b, c) -> bool:
     """Triangle rule |a-b| <= c <= a+b with integer perimeter."""
     return _tri_ok_t(twice(a), twice(b), twice(c))
@@ -42,52 +56,30 @@ def triangle_ok(a, b, c) -> bool:
 
 @dataclass(frozen=True)
 class ThreeJmArgs:
-    """Arguments of a 3jm symbol; j-valued entries with matching m parities."""
+    """Arguments of a 3jm symbol as Fractions; j-valued entries with matching
+    m parities."""
 
-    j1: HalfInt
-    j2: HalfInt
-    j3: HalfInt
-    m1: HalfInt
-    m2: HalfInt
-    m3: HalfInt
+    j1: Fraction
+    j2: Fraction
+    j3: Fraction
+    m1: Fraction
+    m2: Fraction
+    m3: Fraction
 
     def __post_init__(self):
         for name in ("j1", "j2", "j3", "m1", "m2", "m3"):
-            object.__setattr__(self, name, HalfInt.from_value(getattr(self, name)))
+            object.__setattr__(self, name, Fraction(twice(getattr(self, name)), 2))
         for j, m in ((self.j1, self.m1), (self.j2, self.m2), (self.j3, self.m3)):
-            if j.twice < 0:
+            if j < 0:
                 raise DomainError(f"j = {j} must be nonnegative")
-            if abs(m.twice) > j.twice:
+            if abs(m) > j:
                 raise DomainError(f"|m| = {abs(m)} exceeds j = {j}")
-            if (j.twice + m.twice) % 2:
+            if (j + m).denominator != 1:
                 raise DomainError(f"m = {m} has wrong parity for j = {j}")
 
     def twices(self) -> tuple[int, int, int, int, int, int]:
-        return (self.j1.twice, self.j2.twice, self.j3.twice,
-                self.m1.twice, self.m2.twice, self.m3.twice)
-
-
-@dataclass(frozen=True)
-class SixJArgs:
-    """The six entries of a 6j symbol in {j1 j2 j3; j4 j5 j6} layout."""
-
-    j1: HalfInt
-    j2: HalfInt
-    j3: HalfInt
-    j4: HalfInt
-    j5: HalfInt
-    j6: HalfInt
-
-    def __post_init__(self):
-        for name in ("j1", "j2", "j3", "j4", "j5", "j6"):
-            j = HalfInt.from_value(getattr(self, name))
-            object.__setattr__(self, name, j)
-            if j.twice < 0:
-                raise DomainError(f"j = {j} must be nonnegative")
-
-    def twices(self) -> tuple[int, int, int, int, int, int]:
-        return (self.j1.twice, self.j2.twice, self.j3.twice,
-                self.j4.twice, self.j5.twice, self.j6.twice)
+        return tuple(twice(x) for x in (self.j1, self.j2, self.j3,
+                                         self.m1, self.m2, self.m3))
 
 
 # -- 3jm ---------------------------------------------------------------
@@ -210,36 +202,16 @@ def clebsch_gordan(j1, m1, j2, m2, j3, m3) -> RadicalSum:
     return sym * root * phase
 
 
-def wigner_6j(*args) -> RadicalSum:
-    """Exact 6j symbol; accepts a SixJArgs or six half-integer values."""
-    if len(args) == 1 and isinstance(args[0], SixJArgs):
-        t = args[0].twices()
-    elif len(args) == 6:
-        t = tuple(twice(a) for a in args)
-    else:
-        raise TypeError("wigner_6j takes a SixJArgs or six arguments")
-    return _sixj_twice(*t)
-
-
-# the 24 symmetries of {a b c; d e f} as index maps of (a, b, c, d, e, f): a
-# column permutation, with upper and lower swapped in none or exactly two columns
-_SIXJ_IMAGES = tuple(
-    itemgetter(*(col + 3 * fl for col, fl in zip(perm, flips)),
-               *(col + 3 * (1 - fl) for col, fl in zip(perm, flips)))
-    for perm in permutations(range(3))
-    for flips in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)))
-
-
-def _canonical_6j(t: tuple[int, ...]) -> tuple[int, ...]:
-    """Smallest image under column permutations and pairwise row flips."""
-    return min([g(t) for g in _SIXJ_IMAGES])
+def wigner_6j(j1, j2, j3, j4, j5, j6) -> RadicalSum:
+    """Exact 6j symbol {j1 j2 j3; j4 j5 j6} of six half-integer values."""
+    return _sixj_twice(*map(twice, (j1, j2, j3, j4, j5, j6)))
 
 
 def _sixj_twice(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> RadicalSum:
     for (x, y, z) in ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc)):
         if not _tri_ok_t(x, y, z):
             return RadicalSum.zero()
-    key = _canonical_6j((ta, tb, tc, td, te, tf))
+    key = (ta, tb, tc, td, te, tf)
     cached = _CACHE_6J.get(key)
     if cached is None:
         cached = _racah_6j(*key)
@@ -333,6 +305,6 @@ def regge_transform(args: ThreeJmArgs) -> ThreeJmArgs:
     if tj2p < 0 or tj3p < 0:
         raise ReggeInadmissibleError(f"transform of {args} has negative j")
     try:
-        return ThreeJmArgs(*(HalfInt(t) for t in new))
+        return ThreeJmArgs(*(Fraction(t, 2) for t in new))
     except DomainError as exc:
         raise ReggeInadmissibleError(str(exc)) from exc

@@ -4,15 +4,14 @@ Everything here is plain Fraction arithmetic over math.factorial: no prime
 factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
 
-There are nine exceptions, all former package routes kept as the reference
+There are eight exceptions, all former package routes kept as the reference
 for what replaced them: the dense generator walk, which works on the
 package's ManifoldState and RadicalSum (the generator engine's per-generator
 loop over dense coefficient vectors, replaced by the basis-state walk), the
 printed A_z^2,3,4 forms over RadicalSum (replaced by terms built in integers
 in sumrules), B(l) by its single-3jm definition (replaced by the rational block
 per (n, m) in basis), the dense A_z^k matrix products (replaced by the A_z
-action applied k times), the loop-built 6j cache key (replaced by a fixed
-table of index maps in wigner), the rational gauge and its kernels over
+action applied k times), the rational gauge and its kernels over
 Fraction (replaced by integers over a few denominators in the block and in
 sumrules), the B and C floats rounded from the block's monomials (replaced
 by floats rounded from integers in the block), P(l, l'; chi) by the literal
@@ -473,27 +472,20 @@ def az_power_matrix(n: int, m: int, k: int) -> Matrix:
     return _mat_mul(az_power_matrix(n, m, k - 1), az_power_matrix(n, m, 1))
 
 
-# -- the 6j cache key, built by a loop over the symmetries --------------------
-#
-# The package's _canonical_6j as it stood before it became the minimum over
-# a fixed table of index maps, kept verbatim as the reference for that key.
+# -- the 24 symmetry images of a 6j symbol -----------------------------------
 
-def _canonical_6j(t: tuple[int, ...]) -> tuple[int, ...]:
-    """Smallest image under column permutations and pairwise row flips."""
+def sixj_images(t: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """{a b c; d e f} under every column permutation, with upper and lower
+    swapped in none or exactly two columns: 24 images, t among them."""
     a, b, c, d, e, f = t
     cols = ((a, d), (b, e), (c, f))
-    best = None
+    images = []
     for p in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
         cp = [cols[i] for i in p]
-        # flipping upper/lower in exactly two columns is a symmetry
         for flips in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
-            cand = []
-            for (up, lo), fl in zip(cp, flips):
-                cand.extend((lo, up) if fl else (up, lo))
-            cand = (cand[0], cand[2], cand[4], cand[1], cand[3], cand[5])
-            if best is None or cand < best:
-                best = cand
-    return best
+            up, lo = zip(*((lo, up) if fl else (up, lo) for (up, lo), fl in zip(cp, flips)))
+            images.append(up + lo)
+    return images
 
 
 # -- the rational gauge and its kernels over Fraction -------------------------

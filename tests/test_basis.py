@@ -258,6 +258,11 @@ class TestAsymptotic:
         with pytest.raises(DomainError):
             b_squared_asymptotic(10, 10)
 
+    @pytest.mark.parametrize("args", [(2.5, 1), (True, 0), (3, 1.0), (3, True)])
+    def test_non_int_arguments_rejected(self, args):
+        with pytest.raises(DomainError):
+            b_squared_asymptotic(*args)
+
     def test_tracks_extremal_state_distribution(self):
         # the approximation describes the q = n-1 parabolic state; at n = 100
         # the relative error for l <= 3 sits below the calibrated 2e-4
@@ -340,6 +345,13 @@ class TestStateTransforms:
             ManifoldState("spherical", 3, 0, (RadicalSum.zero(),) * 2)
         with pytest.raises(DomainError):
             ManifoldState("fourier", 3, 0, (RadicalSum.zero(),) * 3)
+
+    @pytest.mark.parametrize("n, m", [(2.0, 0), (3, 1.0), (True, 0), (2, True)])
+    def test_state_block_must_be_ints(self, n, m):
+        # as many coefficients as n - |m| asks for, so only the type is wrong
+        coeffs = (RadicalSum.zero(),) * int(n - abs(m))
+        with pytest.raises(DomainError, match="is not a block of the manifold"):
+            ManifoldState("spherical", n, m, coeffs)
 
     def test_coefficient_lookup(self):
         state = to_spherical(unit_parabolic(ParabolicLabel(1, 0, 0)))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rungelenz.errors import DomainError, ExactParseError, FactorialLimitError
-from rungelenz.halfint import HalfInt, twice
 from rungelenz.pfrational import (
     FactorialTable,
     default_table,
@@ -17,44 +16,39 @@ from rungelenz.pfrational import (
 )
 from rungelenz.radical import (RadicalSum, _joined, _over_parts, _split_radicand,
                               parse_exact, render_exact)
+from rungelenz.wigner import twice
 
 
 class TestHalfInt:
+    """Half-integer values, parsed into twice their value by wigner.twice."""
+
     def test_parse_forms(self):
-        assert HalfInt.parse("1/2").twice == 1
-        assert HalfInt.parse("0.5").twice == 1
-        assert HalfInt.parse("-3/2").twice == -3
-        assert HalfInt.parse("2").twice == 4
+        assert twice("1/2") == 1
+        assert twice("0.5") == 1
+        assert twice(" 0.5 ") == 1
+        assert twice("-3/2") == -3
+        assert twice("2") == 4
+        assert twice("5/2") == 5
+        assert twice(2) == 4
+        assert twice(Fraction(-3, 2)) == -3
+        assert twice(2.5) == 5
 
     def test_rejects_non_half_integers(self):
-        with pytest.raises(DomainError):
-            HalfInt.parse("1/3")
-        with pytest.raises(DomainError):
-            HalfInt.from_value(0.3)
-
-    def test_arithmetic_and_order(self):
-        a = HalfInt(3)  # 3/2
-        b = HalfInt(1)  # 1/2
-        assert (a + b).twice == 4
-        assert (a - b) == 1
-        assert -a == HalfInt(-3)
-        assert abs(HalfInt(-3)) == a
-        assert b < a
-        assert str(a) == "3/2" and str(HalfInt(4)) == "2"
+        with pytest.raises(DomainError, match="^'1/3' is not an integer or half-integer$"):
+            twice("1/3")
+        with pytest.raises(DomainError, match="^0.3 is not an integer or half-integer$"):
+            twice(0.3)
+        with pytest.raises(DomainError, match="^Fraction"):
+            twice(Fraction(1, 3))
+        for text in ("x", "nan", "inf", "1/0", ""):
+            with pytest.raises(DomainError,
+                               match=f"^cannot parse half-integer from {text!r}$"):
+                twice(text)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_is_domain_error(self, value):
-        with pytest.raises(DomainError):
-            HalfInt.from_value(value)
-        assert HalfInt(2) != value
-        with pytest.raises(TypeError):
-            HalfInt(2) < value
-
-    def test_integer_access(self):
-        assert HalfInt(4).as_int() == 2
-        with pytest.raises(DomainError):
-            HalfInt(3).as_int()
-        assert twice("5/2") == 5
+        with pytest.raises(DomainError, match="is not finite"):
+            twice(value)
 
 
 class TestPFFactorial:

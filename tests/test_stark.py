@@ -382,6 +382,12 @@ class TestPTable:
     def test_real_chi_types_accepted(self):
         assert p_table(3, 1).entries == p_table(3, 1.0).entries
         assert p_table(3, Fraction(1, 2)).entries == p_table(3, 0.5).entries
+        # a Fraction chi is written as its binary64 value; an int or a
+        # float chi as it is
+        assert json.loads(p_table(3, Fraction(7, 10)).to_json())["chi"] == 0.7
+        assert p_table(3, Fraction(7, 10)).to_json() == p_table(3, 0.7).to_json()
+        assert '"chi": 1,' in p_table(3, 1).to_json()
+        assert '"chi": 0.7,' in p_table(3, 0.7).to_json()
 
 
 class TestArguments:

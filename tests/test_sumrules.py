@@ -199,7 +199,8 @@ class TestPrintedRouteOracle:
         for n in range(1, 9):
             for p in all_labels(n):
                 for power in (2, 3, 4):
-                    got = sumrules._printed_az_form(p, power)
+                    report = sum_rule_az(p, power)
+                    got = report.printed_lhs, report.printed_note
                     assert got == oracles._printed_az_form(p, power), (p, power)
                     notes += got[1] is not None
         assert notes > 0
@@ -219,7 +220,8 @@ class TestIntegerKernels:
                     want = oracles.b_squared_sum(p, lambda l: Fraction(l * (l + 1)) ** power)
                     assert l2_power_moment(p, power) == want, (p, power)
                 for power in (2, 3, 4):
-                    got = sumrules._printed_az_form(p, power)
+                    report = sum_rule_az(p, power)
+                    got = report.printed_lhs, report.printed_note
                     assert got == oracles.printed_az_accumulation(p, power), (p, power)
 
 

@@ -8,10 +8,8 @@ import pytest
 import oracles
 from rungelenz import wigner
 from rungelenz.errors import DomainError, ReggeInadmissibleError
-from rungelenz.halfint import HalfInt
 from rungelenz.radical import RadicalSum
 from rungelenz.wigner import (
-    SixJArgs,
     ThreeJmArgs,
     clear_caches,
     clebsch_gordan,
@@ -30,10 +28,6 @@ def sign_square(value: RadicalSum):
     return (1 if c > 0 else -1), c * c * d
 
 
-def h(x):
-    return HalfInt.from_value(x)
-
-
 class TestTriangle:
     def test_examples(self):
         assert triangle_ok("1/2", "1/2", 1)
@@ -44,8 +38,8 @@ class TestTriangle:
         for ta in range(0, 7):
             for tb in range(0, 7):
                 for tc in range(0, 9):
-                    assert triangle_ok(h(Fraction(ta, 2)), h(Fraction(tb, 2)),
-                                       h(Fraction(tc, 2))) == oracles.tri_ok(ta, tb, tc)
+                    assert triangle_ok(Fraction(ta, 2), Fraction(tb, 2),
+                                       Fraction(tc, 2)) == oracles.tri_ok(ta, tb, tc)
 
 
 class TestThreeJm:
@@ -63,14 +57,15 @@ class TestThreeJm:
         assert wigner_3jm(1, 1, 3, 0, 0, 0).is_zero
 
     def test_args_dataclass_entry(self):
-        args = ThreeJmArgs(h("1/2"), h("1/2"), h(1), h("1/2"), h("-1/2"), h(0))
+        args = ThreeJmArgs("1/2", "1/2", 1, "1/2", "-1/2", 0)
+        assert args.j3 == 1 and all(type(x) is Fraction for x in vars(args).values())
         assert wigner_3jm(args) == wigner_3jm("1/2", "1/2", 1, "1/2", "-1/2", 0)
 
     def test_args_validation(self):
         with pytest.raises(DomainError):
-            ThreeJmArgs(h(1), h(1), h(1), h(2), h(-1), h(-1))  # |m| > j
+            ThreeJmArgs(1, 1, 1, 2, -1, -1)  # |m| > j
         with pytest.raises(DomainError):
-            ThreeJmArgs(h(1), h(1), h(1), h("1/2"), h("-1/2"), h(0))  # parity
+            ThreeJmArgs(1, 1, 1, "1/2", "-1/2", 0)  # parity
 
     def test_sweep_against_oracle(self):
         for tj1 in range(0, 7):
@@ -81,7 +76,7 @@ class TestThreeJm:
                             tm3 = -tm1 - tm2
                             if abs(tm3) > tj3:
                                 continue
-                            got = wigner_3jm(*(h(Fraction(t, 2)) for t in
+                            got = wigner_3jm(*(Fraction(t, 2) for t in
                                                (tj1, tj2, tj3, tm1, tm2, tm3)))
                             want = oracles.threejm_sq(tj1, tj2, tj3, tm1, tm2, tm3)
                             assert sign_square(got) == want, (tj1, tj2, tj3, tm1, tm2, tm3)
@@ -195,10 +190,6 @@ class TestSixJ:
     def test_triangle_violation_is_zero(self):
         assert wigner_6j(1, 1, 3, 1, 1, 1).is_zero
 
-    def test_args_dataclass_entry(self):
-        args = SixJArgs(h(1), h(1), h(1), h(1), h(1), h(1))
-        assert wigner_6j(args) == wigner_6j(1, 1, 1, 1, 1, 1)
-
     def test_sweep_against_oracle(self):
         for ta in range(0, 5):
             for tb in range(0, 5):
@@ -211,6 +202,25 @@ class TestSixJ:
                                                   (ta, tb, tc, td, te, tf)))
                                 want = oracles.sixj_sq(ta, tb, tc, td, te, tf)
                                 assert sign_square(got) == want
+
+    def test_value_invariant_under_every_image(self):
+        # the memo keys on the arguments as given, so each of the 24 images
+        # of a symbol is evaluated on its own; all must agree. Every symbol
+        # whose four triangles hold is checked at all its images; a symbol
+        # with a broken triangle must be 0, and if one of its images has all
+        # four triangles, it is checked from that image (the images form a
+        # group)
+        assert len(set(oracles.sixj_images(tuple(range(6))))) == 24
+        clear_caches()
+        for t in product(range(7), repeat=6):
+            a, b, c, d, e, f = t
+            value = wigner._sixj_twice(*t)
+            if not all(oracles.tri_ok(*tri) for tri in
+                       ((a, b, c), (a, e, f), (d, b, f), (d, e, c))):
+                assert value.is_zero, t
+                continue
+            assert all(wigner._sixj_twice(*g) == value
+                       for g in oracles.sixj_images(t)), t
 
     def test_zero_argument_reduction(self):
         # {a b 0; d e f} = delta_ab delta_de (-1)^(a+d+f) / sqrt((2a+1)(2d+1))
@@ -266,29 +276,17 @@ class TestSixJSquared:
         assert len(calls) == 2
 
 
-class TestSixJKey:
-    def test_matches_the_loop_built_key(self):
-        for t in product(range(6), repeat=6):
-            assert wigner._canonical_6j(t) == oracles._canonical_6j(t), t
-
-    def test_invariant_under_every_image(self):
-        images = wigner._SIXJ_IMAGES
-        assert len({g(tuple(range(6))) for g in images}) == 24
-        for t in product(range(4), repeat=6):
-            key = wigner._canonical_6j(t)
-            assert all(wigner._canonical_6j(g(t)) == key for g in images), t
-
-
 class TestRegge:
     def test_transform_tuple_and_invariance(self):
-        args = ThreeJmArgs(h(6), h(2), h(4), h(-1), h(1), h(0))
+        args = ThreeJmArgs(6, 2, 4, -1, 1, 0)
         out = regge_transform(args)
-        assert out == ThreeJmArgs(h(6), h("5/2"), h("7/2"), h(-2), h("3/2"), h("1/2"))
+        assert out == ThreeJmArgs(6, "5/2", "7/2", -2, "3/2", "1/2")
+        assert out.j2 == Fraction(5, 2) and type(out.j2) is Fraction
         assert sign_square(wigner_3jm(args)) == (-1, Fraction(35, 1287))
         assert wigner_3jm(out) == wigner_3jm(args)
 
     def test_fixed_point(self):
-        args = ThreeJmArgs(h(2), h(3), h(3), h(0), h(1), h(-1))
+        args = ThreeJmArgs(2, 3, 3, 0, 1, -1)
         assert regge_transform(args) == args
 
     def test_invariance_sweep(self):
@@ -305,7 +303,7 @@ class TestRegge:
             tm3 = -tm1 - tm2
             if abs(tm3) > tj3:
                 continue
-            args = ThreeJmArgs(*(h(Fraction(t, 2)) for t in
+            args = ThreeJmArgs(*(Fraction(t, 2) for t in
                                  (tj1, tj2, tj3, tm1, tm2, tm3)))
             try:
                 out = regge_transform(args)
@@ -325,7 +323,7 @@ class TestRegge:
                             tm3 = -tm1 - tm2
                             if abs(tm3) > tj3:
                                 continue
-                            args = ThreeJmArgs(*(h(Fraction(t, 2)) for t in
+                            args = ThreeJmArgs(*(Fraction(t, 2) for t in
                                                  (tj1, tj2, tj3, tm1, tm2, tm3)))
                             try:
                                 out = regge_transform(args)
@@ -335,12 +333,12 @@ class TestRegge:
 
     def test_inadmissible_negative_j(self):
         # j2' = (j2 + j3 + m1)/2 = -1/2
-        args = ThreeJmArgs(h(3), h(1), h(1), h(-3), h(1), h(0))
+        args = ThreeJmArgs(3, 1, 1, -3, 1, 0)
         with pytest.raises(ReggeInadmissibleError):
             regge_transform(args)
 
     def test_inadmissible_parity(self):
         # j2 + j3 + m1 is half-odd when j1+j2+j3 is (a vanishing configuration)
-        args = ThreeJmArgs(h(0), h(0), h("1/2"), h(0), h(0), h("1/2"))
+        args = ThreeJmArgs(0, 0, "1/2", 0, 0, "1/2")
         with pytest.raises(ReggeInadmissibleError):
             regge_transform(args)
