@@ -25,6 +25,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
+from fractions import Fraction
 from functools import partial
 
 from .basis import ParabolicLabel, b_coeff
@@ -35,7 +36,7 @@ from .pfrational import default_table
 from .radical import _json_array, _json_object, render_exact
 from .stark import p_bar, p_transition
 from .sumrules import az_moment_generic, sum_rule_az, sum_rule_l2
-from .wigner import clebsch_gordan, wigner_3jm, wigner_6j
+from .wigner import ThreeJmArgs, clebsch_gordan, twice, wigner_3jm, wigner_6j
 
 TABLE1_PARAMS = ParabolicLabel(n1=3, n2=1, m=4)  # the n=9 worked example
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a SIGPIPE kill
@@ -265,7 +266,13 @@ def _cmd_compute(args, parser) -> int:
     kind = args.kind
     symbols = {"3j": wigner_3jm, "6j": wigner_6j, "cg": clebsch_gordan}
     if kind in symbols:
-        _emit_value(args, kind, symbols[kind](*args.args6))
+        # out-of-range j or m is a usage error here, not the library's lenient 0
+        a = [Fraction(twice(x), 2) for x in args.args6]
+        if kind == "6j" and min(a) < 0:
+            raise DomainError(f"j = {min(a)} must be nonnegative")
+        if kind != "6j":  # ThreeJmArgs takes (j1, j2, j3, m1, m2, m3)
+            ThreeJmArgs(*(a if kind == "3j" else a[0::2] + a[1::2]))
+        _emit_value(args, kind, symbols[kind](*a))
     elif kind == "bcoeff":
         p = ParabolicLabel(args.n1, args.n2, args.m)
         _emit_value(args, kind, b_coeff(p, args.l))

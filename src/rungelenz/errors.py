@@ -13,8 +13,7 @@ class FactorialLimitError(DomainError):
         self.limit = limit
         super().__init__(
             f"factorial table limit exceeded: need {needed}!, table was built "
-            f"with limit {limit} (set RUNGELENZ_FACTORIAL_LIMIT >= {needed} "
-            f"or construct a larger FactorialTable)"
+            f"with limit {limit} (set RUNGELENZ_FACTORIAL_LIMIT >= {needed})"
         )
 
     def __reduce__(self):

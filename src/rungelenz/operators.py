@@ -1,12 +1,14 @@
 """Runge-Lenz and SU(2)xSU(2) generator actions on manifold states.
 
 A_z acts tridiagonally on the spherical basis through the beta coefficients;
-on the parabolic basis it is diagonal with eigenvalue q = n1 - n2. The ladder
-generators shift the pair (m, q) by one unit each: coefficients vanish exactly
-at the manifold boundary, which is enforced, not assumed.
+on the parabolic basis it is diagonal with eigenvalue q = n1 - n2. The six
+generators are those of the spins j1 = (L + A)/2 and j2 = (L - A)/2, each
+with j = (n - 1)/2, whose product state is |n1 n2 m> with 2 m1 = m + q and
+2 m2 = m - q. Ladder coefficients vanish exactly at the manifold boundary,
+which is enforced, not assumed.
 
 Every generator maps a parabolic basis state to at most one basis state, so a
-generator word is walked on basis states with plain integers: the image of
+generator word is walked on (2 m1, 2 m2) with plain integers: the image of
 |n1, m> is one basis state times +-(integer) * sqrt(squarefree) / 2^len.
 generator_apply, word_apply, expression_apply and expression_expectation are
 linear sums of those images. An expression is compiled once into integer
@@ -25,8 +27,6 @@ from .basis import (ManifoldState, ParabolicLabel, SphericalLabel, _is_int,
                     unit_parabolic, unit_spherical)
 from .errors import DomainError, InternalConsistencyError
 from .radical import RadicalSum, _combine_radicands, _split_radicand
-
-GENERATORS = ("j1z", "j2z", "j1plus", "j1minus", "j2plus", "j2minus")
 
 
 def _check_ints(what: str, *args) -> None:
@@ -83,32 +83,23 @@ def az_power_matrix(n: int, m: int, k: int) -> tuple[tuple[RadicalSum, ...], ...
 
 # -- parabolic generator engine -----------------------------------------
 
-# ladder action as shifts of (m, q); z-generators are diagonal.
-# The j2 ladder carries an overall minus sign: the basis-change coefficient
-# B fixes the relative phases of the parabolic states (they differ from the
-# plain product-basis convention by (-1)^(n1 + min(m, 0))), and requiring the
-# assembled L^2 to act diagonally with l(l+1) after that basis change forces
-# sign(j2+-) = -1 while j1+- keep the printed positive coefficients. The
-# L^2-diagonality test pins this; it is a derived reading, not an assumption.
-_LADDER = {
-    "j1plus": (1, 1, 1),
-    "j1minus": (-1, -1, 1),
-    "j2plus": (1, -1, -1),
-    "j2minus": (-1, 1, -1),
+# (spin, step, sign) per generator: spin 0 is j1 and 1 is j2; step 0 is the
+# diagonal jz, +-1 a ladder. The j2 ladders carry an overall minus sign: the
+# basis-change coefficient B fixes the relative phases of the parabolic states
+# (they differ from the plain product-basis convention by (-1)^(n1 + min(m, 0))),
+# and requiring the assembled L^2 to act diagonally with l(l+1) after that
+# basis change forces sign(j2+-) = -1 while j1+- keep the printed positive
+# coefficients. The L^2-diagonality test pins this; it is a derived reading,
+# not an assumption.
+_GENERATORS = {
+    "j1z": (0, 0, 1),
+    "j2z": (1, 0, 1),
+    "j1plus": (0, 1, 1),
+    "j1minus": (0, -1, 1),
+    "j2plus": (1, 1, -1),
+    "j2minus": (1, -1, -1),
 }
-
-
-def _ladder_radicand(gen: str, n: int, m: int, q: int) -> int:
-    """4 * (coefficient)^2: the product of the two bracketed integers."""
-    tj = n - 1
-    mu1, mu2 = m + q, m - q  # twice the j1z / j2z eigenvalues
-    if gen == "j1plus":
-        return (tj - mu1) * (tj + mu1 + 2)
-    if gen == "j1minus":
-        return (tj + mu1) * (tj - mu1 + 2)
-    if gen == "j2plus":
-        return (tj - mu2) * (tj + mu2 + 2)
-    return (tj + mu2) * (tj - mu2 + 2)  # j2minus
+GENERATORS = tuple(_GENERATORS)
 
 
 def _word_image(steps: tuple[str, ...], n: int, m: int,
@@ -117,42 +108,38 @@ def _word_image(steps: tuple[str, ...], n: int, m: int,
 
     Every generator maps a basis state to one basis state, so the image is
     num * sqrt(d) / 2^len(steps) |n1', m'>; returns (m', n1', d, num), or None
-    when it vanishes. The walk keeps an integer numerator and a squarefree
-    radicand. A negative radicand, or a nonvanishing step that leaves the
-    manifold, is a bug and halts with InternalConsistencyError.
+    when it vanishes. The walk runs on mu = (m + q, m - q), twice the j1z and
+    j2z eigenvalues, with an integer numerator and a squarefree radicand. A
+    negative radicand, or a nonvanishing step that leaves the manifold
+    (|mu[spin]| > n - 1), is a bug and halts with InternalConsistencyError.
     """
+    q = 2 * n1 - (n - abs(m) - 1)
+    mu = [m + q, m - q]
     num, d = 1, 1
     for gen in steps:
-        upper = n - abs(m) - 1
-        q = 2 * n1 - upper
-        if gen == "j1z":
-            num *= m + q
-        elif gen == "j2z":
-            num *= m - q
-        else:
-            rad = _ladder_radicand(gen, n, m, q)
-            if rad < 0:
-                raise InternalConsistencyError(
-                    f"negative radicand {rad} for {gen} on "
-                    f"(n={n}, m={m}, q={q}): ladder coefficients must vanish "
-                    f"before leaving the manifold")
-            if rad == 0:
+        spin, step, sign = _GENERATORS[gen]
+        if not step:
+            num *= mu[spin]
+            if num == 0:
                 return None
-            dm, dq, ladder_sign = _LADDER[gen]
-            new_m, new_q = m + dm, q + dq
-            new_upper = n - abs(new_m) - 1
-            if (abs(new_m) > n - 1 or abs(new_q) > new_upper
-                    or (new_upper + new_q) % 2):
-                raise InternalConsistencyError(
-                    f"{gen} maps (n={n}, m={m}, q={q}) outside the manifold with "
-                    f"nonvanishing coefficient")
-            a, r = _split_radicand(rad)
-            g, d = _combine_radicands(d, r)
-            num *= ladder_sign * a * g
-            m, n1 = new_m, (new_upper + new_q) // 2
-        if num == 0:
+            continue
+        rad = (n - 1 - step * mu[spin]) * (n + 1 + step * mu[spin])
+        if rad < 0:
+            raise InternalConsistencyError(
+                f"negative radicand {rad} for {gen} on (n={n}, mu={tuple(mu)}): "
+                f"ladder coefficients must vanish before leaving the manifold")
+        if rad == 0:
             return None
-    return m, n1, d, num
+        mu[spin] += 2 * step
+        if abs(mu[spin]) > n - 1:
+            raise InternalConsistencyError(
+                f"{gen} maps (n={n}) to mu={tuple(mu)}, outside the manifold with "
+                f"nonvanishing coefficient")
+        a, r = _split_radicand(rad)
+        g, d = _combine_radicands(d, r)
+        num *= sign * a * g
+    m, q = (mu[0] + mu[1]) // 2, (mu[0] - mu[1]) // 2
+    return m, (n - abs(m) - 1 + q) // 2, d, num
 
 
 def _word_block(gens: tuple[str, ...], n: int, m: int) -> int:
@@ -162,8 +149,9 @@ def _word_block(gens: tuple[str, ...], n: int, m: int) -> int:
     leaves the (zero) image in the block it started from.
     """
     for gen in reversed(gens):
-        if gen in _LADDER and abs(m + _LADDER[gen][0]) <= n - 1:
-            m += _LADDER[gen][0]
+        step = 0 if gen == "identity" else _GENERATORS[gen][1]
+        if abs(m + step) <= n - 1:
+            m += step
     return m
 
 

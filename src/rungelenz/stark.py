@@ -137,11 +137,11 @@ def closed_form_report(n: int, l_init: int) -> list[dict]:
         oracle = p_bar(n, l_init, lp)
         rec = {
             "n": n, "l_init": l_init, "l_final": lp,
-            "printed": str(printed), "oracle": str(oracle),
+            "printed": render_exact(printed), "oracle": render_exact(oracle),
             "verdict": "exact-match" if printed == oracle else "mismatch",
         }
         if printed != oracle:
-            rec["difference"] = str(printed - oracle)
+            rec["difference"] = render_exact(printed - oracle)
         out.append(rec)
     return out
 

@@ -35,7 +35,10 @@ def _neg1(k: int) -> int:
 
 def twice(value) -> int:
     """Twice an integer or half-integer value: an int, a Fraction, a float or
-    a string such as '2', '-1/2' or '0.5'. Anything else is a DomainError."""
+    a string such as '2', '-1/2' or '0.5'. Anything else, a bool included, is
+    a DomainError."""
+    if isinstance(value, bool):
+        raise DomainError(f"{value!r} is a bool, not a half-integer")
     if isinstance(value, int):
         return 2 * value
     text = isinstance(value, str)

@@ -6,8 +6,10 @@ as (sign, square) pairs so irrational symbols stay exactly comparable.
 
 There are eight exceptions, all former package routes kept as the reference
 for what replaced them: the dense generator walk, which works on the
-package's ManifoldState and RadicalSum (the generator engine's per-generator
-loop over dense coefficient vectors, replaced by the basis-state walk), the
+package's ManifoldState and RadicalSum but spells out its own (m, q) shifts,
+signs and ladder radicands (the generator engine's per-generator loop over
+dense coefficient vectors, replaced by the basis-state walk on the two
+spins), the
 printed A_z^2,3,4 forms over RadicalSum (replaced by terms built in integers
 in sumrules), B(l) by its single-3jm definition (replaced by the rational block
 per (n, m) in basis), the dense A_z^k matrix products (replaced by the A_z
@@ -144,10 +146,33 @@ def pair_value_sq(pairs):
 
 # -- dense generator walk ----------------------------------------------
 
+# ladder action as shifts of (m, q) and an overall sign; the j2 ladders carry
+# the minus sign that L^2's diagonality in the spherical basis forces
+_LADDER = {
+    "j1plus": (1, 1, 1),
+    "j1minus": (-1, -1, 1),
+    "j2plus": (1, -1, -1),
+    "j2minus": (-1, 1, -1),
+}
+
+
+def _ladder_radicand(gen, n, m, q):
+    """4 * (coefficient)^2: the product of the two bracketed integers."""
+    tj = n - 1
+    mu1, mu2 = m + q, m - q  # twice the j1z / j2z eigenvalues
+    if gen == "j1plus":
+        return (tj - mu1) * (tj + mu1 + 2)
+    if gen == "j1minus":
+        return (tj + mu1) * (tj - mu1 + 2)
+    if gen == "j2plus":
+        return (tj - mu2) * (tj + mu2 + 2)
+    return (tj + mu2) * (tj - mu2 + 2)  # j2minus
+
 
 def dense_generator_apply(gen, state):
     """One generator on a parabolic-basis state, one dense RadicalSum vector
-    per step; ladder shifts and radicands come from rungelenz.operators."""
+    per step, with its own (m, q) shifts, signs and ladder radicands; only
+    the generator names come from rungelenz.operators."""
     from rungelenz import operators
     from rungelenz.basis import ManifoldState
     from rungelenz.errors import DomainError, InternalConsistencyError
@@ -170,7 +195,7 @@ def dense_generator_apply(gen, state):
             out.append(c * eig)
         return ManifoldState("parabolic", n, m, tuple(out))
 
-    dm, dq, ladder_sign = operators._LADDER[gen]
+    dm, dq, ladder_sign = _LADDER[gen]
     new_m = m + dm
     new_upper = n - abs(new_m) - 1
     target_exists = abs(new_m) <= n - 1
@@ -179,7 +204,7 @@ def dense_generator_apply(gen, state):
         if c.is_zero:
             continue
         q = 2 * n1 - upper
-        rad = operators._ladder_radicand(gen, n, m, q)
+        rad = _ladder_radicand(gen, n, m, q)
         if rad < 0:
             raise InternalConsistencyError(
                 f"negative radicand {rad} for {gen} on "

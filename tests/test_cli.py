@@ -223,6 +223,33 @@ class TestCompute:
             main(["compute", "3j", "x", "1", "1", "0", "0", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("3j", "-1", "1", "1", "0", "0", "0"), "j = -1 must be nonnegative"),
+        (("6j", "-1", "1", "1", "1", "1", "1"), "j = -1 must be nonnegative"),
+        (("6j", "1", "1", "1", "1", "1", "-1/2"), "j = -1/2 must be nonnegative"),
+        (("3j", "1", "1", "1", "2", "-1", "-1"), "|m| = 2 exceeds j = 1"),
+        (("cg", "1", "2", "1", "-1", "1", "1"), "|m| = 2 exceeds j = 1"),
+        (("cg", "1", "0", "1", "0", "1", "-3/2"), "|m| = 3/2 exceeds j = 1"),
+        (("3j", "1", "1/2", "1", "0", "0", "0"), "m = 0 has wrong parity for j = 1/2"),
+        (("cg", "1/2", "0", "1/2", "0", "1", "0"), "m = 0 has wrong parity for j = 1/2"),
+    ])
+    def test_out_of_range_symbol_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("3j", "1", "1", "3", "0", "0", "0"),  # triangle
+        ("3j", "1", "1", "1", "1", "1", "1"),  # m sum
+        ("cg", "1", "1", "1", "1", "1", "0"),  # m1 + m2 != m3
+        ("6j", "1", "1", "3", "1", "1", "1"),  # triangle
+    ])
+    def test_in_range_vanishing_symbol_prints_zero(self, capsys, argv):
+        assert run_cli(capsys, "compute", *argv) == (0, "0/1\n")
+
     def test_out_of_manifold_bcoeff_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "bcoeff", "1", "0", "0", "5"])

@@ -445,13 +445,15 @@ class TestBasisWalk:
 
 class TestLadderGuards:
     def test_negative_radicand_halts(self, monkeypatch):
-        monkeypatch.setattr(operators, "_ladder_radicand", lambda *args: -1)
+        # a step of 3 from mu = (-2, 0) at n = 3: (2 + 6) * (4 - 6) = -16
+        monkeypatch.setitem(operators._GENERATORS, "j1plus", (0, 3, 1))
         with pytest.raises(InternalConsistencyError, match="negative radicand -1"):
-            generator_apply("j1plus", unit_parabolic(ParabolicLabel(1, 1, 0)))
+            generator_apply("j1plus", unit_parabolic(ParabolicLabel(0, 1, -1)))
 
     def test_nonvanishing_step_off_the_manifold_halts(self, monkeypatch):
-        # a q shift of 2 lands between the target block's q values
-        monkeypatch.setitem(operators._LADDER, "j1plus", (1, 2, 1))
+        # a step of 2 from mu = (0, 0) at n = 3 has radicand 8 and lands on
+        # 2 m1 = 4 > n - 1
+        monkeypatch.setitem(operators._GENERATORS, "j1plus", (0, 2, 1))
         with pytest.raises(InternalConsistencyError, match="outside the manifold"):
             generator_apply("j1plus", unit_parabolic(ParabolicLabel(1, 1, 0)))
 

@@ -11,6 +11,7 @@ import pytest
 import oracles
 from rungelenz import basis, stark, wigner
 from rungelenz.errors import DomainError, InternalConsistencyError
+from rungelenz.radical import parse_exact
 from rungelenz.stark import (
     TransitionTable,
     c_coefficient,
@@ -174,6 +175,15 @@ class TestClosedForms:
     def test_s_state_report_is_clean(self):
         assert all(rec["verdict"] == "exact-match"
                    for rec in closed_form_report(6, 0))
+
+    def test_report_values_are_in_the_exact_grammar(self):
+        # P-bar(0, 0) = 1 at n = 1 is written 1/1, not 1
+        reports = [(n, 0) for n in range(1, 13)] + [(n, 1) for n in range(2, 13)]
+        for n, l_init in reports:
+            for rec in closed_form_report(n, l_init):
+                for key in ("printed", "oracle", "difference"):
+                    if key in rec:
+                        parse_exact(rec[key])
 
     def test_two_level_value_from_rules(self):
         # 1/n rule plus detailed balance give p_bar(2, 1, 0) = 1/6

@@ -42,6 +42,18 @@ class TestTriangle:
                                        Fraction(tc, 2)) == oracles.tri_ok(ta, tb, tc)
 
 
+def test_bools_rejected_as_half_integers():
+    # True == 1, but a bool is no half-integer: every entry point refuses it
+    for call in (lambda: wigner.twice(True),
+                 lambda: triangle_ok(True, True, 1),
+                 lambda: wigner_3jm(True, True, 0, 0, 0, 0),
+                 lambda: wigner_3jm(ThreeJmArgs(1, 1, 0, False, 0, 0)),
+                 lambda: wigner_6j(True, True, True, True, True, True),
+                 lambda: clebsch_gordan(True, 0, True, 0, 0, 0)):
+        with pytest.raises(DomainError, match="is a bool, not a half-integer"):
+            call()
+
+
 class TestThreeJm:
     def test_frozen_half_integer_value(self):
         value = wigner_3jm("1/2", "1/2", 1, "1/2", "-1/2", 0)
