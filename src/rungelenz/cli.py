@@ -28,7 +28,7 @@ from contextlib import ExitStack
 from fractions import Fraction
 from functools import partial
 
-from .basis import ParabolicLabel, b_coeff
+from .basis import ParabolicLabel, b_coeff, check_block
 from .diamagnetic import h1_matrix, h2_matrix
 from .errors import DomainError, FactorialLimitError
 from .operators import beta
@@ -106,6 +106,9 @@ def _sweep_tuples(args, parser) -> list[tuple]:
             parser.error(f"bad power {tok!r}")
     if not powers or any(p < 1 or p > 8 for p in powers):
         parser.error("--powers needs integers in 1..8")
+    for p in powers:
+        if powers.count(p) > 1:
+            parser.error(f"--powers names {p} more than once")
     if args.min_n < 1:
         parser.error(f"--min-n must be >= 1, got {args.min_n}")
     if args.min_n > args.max_n:
@@ -277,6 +280,11 @@ def _cmd_compute(args, parser) -> int:
         p = ParabolicLabel(args.n1, args.n2, args.m)
         _emit_value(args, kind, b_coeff(p, args.l))
     elif kind == "beta":
+        # l outside |m|..n is a usage error here; the library's beta gives 0
+        check_block(args.n, args.m)
+        if not abs(args.m) <= args.l <= args.n:
+            raise DomainError(f"l = {args.l} outside |m| <= l <= n for "
+                              f"(n, m) = ({args.n}, {args.m})")
         _emit_value(args, kind, beta(args.n, args.l, args.m))
     elif kind == "pbar":
         if args.n < 1:

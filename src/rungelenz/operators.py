@@ -17,10 +17,10 @@ and each output term becomes one Fraction at the end.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .basis import (ManifoldState, ParabolicLabel, SphericalLabel, _is_int,
                     beta_squared, block_state, check_block, spherical_ls,
@@ -215,10 +215,10 @@ def _rational(value, what: str) -> Fraction:
 
 @dataclass(frozen=True)
 class GeneratorWord:
-    """An ordered product of generators (rightmost acts first) with a scalar."""
+    """An ordered product of generators (rightmost acts first); its
+    coefficient lives on the OperatorExpression term."""
 
     gens: tuple[str, ...]
-    scalar: Fraction = field(default=Fraction(1))
 
     def __post_init__(self):
         if isinstance(self.gens, str):
@@ -228,7 +228,6 @@ class GeneratorWord:
         for g in self.gens:
             if g not in GENERATORS and g != "identity":
                 raise DomainError(f"unknown generator {g!r}")
-        object.__setattr__(self, "scalar", _rational(self.scalar, "word scalar"))
 
 
 @dataclass(frozen=True)
@@ -258,16 +257,13 @@ class OperatorExpression:
         """The walk form (L, ((k, steps), ...)), one entry per distinct word.
 
         steps are the word's generators in walk order, identities dropped.
-        k / L is the sum of coefficient * scalar / 2^len(steps) over the
-        terms with that word, and L = lcm(den(coefficient * scalar) *
-        2^len(steps)) over all terms.
+        k / L is the sum of coefficient / 2^len(steps) over the terms with
+        that word, and L = lcm(den(coefficient) * 2^len(steps)) over all terms.
         """
         words = []
         for c, w in self.terms:
-            num, den = c.numerator * w.scalar.numerator, c.denominator * w.scalar.denominator
-            g = gcd(num, den)
             steps = tuple(gen for gen in reversed(w.gens) if gen != "identity")
-            words.append((num // g, (den // g) << len(steps), steps))
+            words.append((c.numerator, c.denominator << len(steps), steps))
         common = lcm(*(den for _, den, _ in words))
         scales: dict[tuple[str, ...], int] = {}
         for num, den, steps in words:

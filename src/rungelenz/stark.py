@@ -9,13 +9,14 @@ over m reads each block once per |m|. The time-averaged table P-bar is fully
 rational: its C^2 double sum is one entry of each block's Gram matrix, the
 |m| > 0 entries counted twice, and it is checked entry by entry against the
 sum of squared 6j symbols {l l' j; J J J}^2, each one Fraction of integers
-(wigner._sixj_squared). The oscillatory P at given chi is the module's only
-floating output. p_transition (one entry) and p_table (every entry) take the
-same two terms from each |m| block: the spectral |sum_q B_l' B_l e^(i q chi)|^2
-and, as its guard, the C route |sum_q C_l C_l' e^(i q chi)|^2, which is the
-printed quadruple cosine sum factored by cos(a - b) = cos a cos b + sin a sin b.
-n must be an int >= 1, l and l' ints in 0..n-1 and chi a finite real;
-anything else is a DomainError.
+(wigner._sixj_squared). The oscillatory P at given chi, the only floating
+output, comes from one kernel over a set of (l, l') pairs (p_table: every
+pair; p_transition: one): each |m| block gives a pair the spectral
+|sum_q B_l' B_l e^(i q chi)|^2 and, as its guard, the C route
+|sum_q C_l C_l' e^(i q chi)|^2, the printed quadruple cosine sum factored by
+cos(a - b) = cos a cos b + sin a sin b. n must be an int >= 1, l and l' ints
+in 0..n-1 and chi a real with chi*(n-1) a finite float; anything else is a
+DomainError.
 """
 from __future__ import annotations
 
@@ -43,17 +44,16 @@ def _check_l(n: int, *ls: int) -> None:
             raise DomainError(f"need int 0 <= l <= n-1, got l = {l!r}, n = {n}")
 
 
-def _check_chi(chi: float) -> None:
-    if isinstance(chi, bool) or not (isinstance(chi, Real) and isfinite(chi)):
-        raise DomainError(f"chi = {chi!r} must be finite and real")
-
-
 def c_coefficient(n: int, q: int, l: int, m: int) -> RadicalSum:
     """C(q l m) = 3jm((n-1)/2 (n-1)/2 l; (m-q)/2 (m+q)/2 -m), from the block.
 
-    Arguments outside the (n, m) block, which the 3jm selection rules send to
+    n >= 1, q, l and m must be ints, not bools (DomainError otherwise). Int
+    arguments outside the (n, m) block, which the 3jm selection rules send to
     zero, give zero; it never raises for them.
     """
+    _check_n(n)
+    if not all(map(_is_int, (q, l, m))):
+        raise DomainError(f"q, l, m = {q!r}, {l!r}, {m!r} must be ints, not bools")
     upper = n - abs(m) - 1
     if not (abs(m) <= l <= n - 1 and abs(q) <= upper and (q + upper) % 2 == 0):
         return RadicalSum.zero()
@@ -154,36 +154,6 @@ def _c_float_block(n: int, m: int) -> tuple[tuple[float, ...], ...]:
     return b_block(n, m).c_floats
 
 
-def p_transition(n: int, l: int, lp: int, chi: float) -> float:
-    """P(l, l'; chi): l -> l' transfer probability after accumulated phase chi.
-
-    Takes p_table's two terms of the pair from each block |m| <= min(l, l'),
-    read once, and adds them for m ascending, so it equals p_table's entry
-    bit for bit, guard included (InternalConsistencyError on failure).
-    """
-    _check_l(n, l, lp)
-    _check_chi(chi)
-    terms = []
-    for am in range(min(l, lp) + 1):
-        qs = q_values(n, am)
-        phase = [cos(chi * q) for q in qs], [sin(chi * q) for q in qs]
-        B, C = _b_float_block(n, am), _c_float_block(n, am)
-        b_l, b_lp = [r[l - am] for r in B], [r[lp - am] for r in B]
-        c_l, c_lp = [r[l - am] for r in C], [r[lp - am] for r in C]
-        terms.append((_phase_norm(b_lp, b_l, *phase), _phase_norm(c_l, c_lp, *phase)))
-    spectral = c_route = 0.0
-    for m in range(-min(l, lp), min(l, lp) + 1):
-        spectral += terms[abs(m)][0]
-        c_route += terms[abs(m)][1]
-    spectral /= 2 * l + 1
-    other = (2 * lp + 1) * c_route
-    if abs(spectral - other) > P_AGREEMENT_TOL:
-        raise InternalConsistencyError(
-            f"P({l},{lp};chi={chi}) routes disagree at n={n}: "
-            f"{spectral} vs {other}")
-    return spectral
-
-
 def chi_from_time(n: int, t: float) -> float:
     """The accumulated phase chi = 3 n t / 2 of a constant field over time t."""
     return 1.5 * n * t
@@ -241,6 +211,22 @@ def pbar_table(n: int) -> TransitionTable:
     return TransitionTable(n, "pbar", rows)
 
 
+def _phases(n: int, chi: float) -> dict[int, tuple[float, float]]:
+    """{q: (cos(chi*q), sin(chi*q))} for |q| <= n-1.
+
+    DomainError unless chi is a real, not a bool, and chi and chi*(n-1) are
+    finite as floats, so that every phase is.
+    """
+    try:
+        finite = isinstance(chi, Real) and isfinite(chi) and isfinite(chi * (n - 1))
+    except OverflowError:  # an int or Fraction beyond the float range
+        finite = False
+    if not finite or isinstance(chi, bool):
+        raise DomainError(f"chi = {chi!r} must be finite and real, "
+                          f"with chi*(n-1) finite at n = {n}")
+    return {q: (cos(chi * q), sin(chi * q)) for q in range(1 - n, n)}
+
+
 def _phase_norm(a, b, cosq, sinq) -> float:
     """|sum_q a_q b_q e^(i q chi)|^2, summed in q order."""
     re = im = 0.0
@@ -252,69 +238,84 @@ def _phase_norm(a, b, cosq, sinq) -> float:
     return re * re + im * im
 
 
-def _p_block(n: int, am: int, chi: float, phase: dict) -> list[tuple]:
-    """(l, l', |U_m[l, l']|^2, C-route term) for l <= l' of the block |m| = am.
+def _p_block(n: int, am: int, phase: dict, pairs) -> list[tuple]:
+    """(l, l', |U_m[l, l']|^2, C-route term) of the block |m| = am, for each
+    (l, l') of pairs with am <= l <= l'.
 
-    B's floats are those of |m| and q_values is the same set for +-m, so both
-    terms are the same for m and -m. Every row of U_m must have unit norm
+    U_m = B^T diag(e^(i q chi)) B. B's floats are those of |m| and q_values
+    is the same set for +-m, so both terms are the same for m and -m.
+    x * y == y * x in binary64, so U_m is symmetric to the last bit and one
+    pair serves both entries.
+    """
+    cosq, sinq = zip(*(phase[q] for q in q_values(n, am)))
+    b = list(zip(*_b_float_block(n, am)))
+    c = list(zip(*_c_float_block(n, am)))
+    return [(l, lp, _phase_norm(b[lp - am], b[l - am], cosq, sinq),
+             _phase_norm(c[l - am], c[lp - am], cosq, sinq))
+            for l, lp in pairs if l >= am]
+
+
+def _p_entries(n: int, chi: float, blocks: list, wanted) -> list[float]:
+    """P(l, l'; chi) for each (l, l') of wanted, from blocks[|m|] = _p_block.
+
+    Each pair's terms are added for m ascending and divided by 2l+1, and the
+    entry must agree to P_AGREEMENT_TOL with (2l'+1) times the C route
     (InternalConsistencyError otherwise).
     """
-    qs = q_values(n, am)
-    cosq = [phase[q][0] for q in qs]
-    sinq = [phase[q][1] for q in qs]
-    b_cols = list(zip(*_b_float_block(n, am)))
-    c_cols = list(zip(*_c_float_block(n, am)))
-    norms = [0.0] * (n - am)
+    spectral = [[0.0] * n for _ in range(n)]
+    c_route = [[0.0] * n for _ in range(n)]
+    for m in range(1 - len(blocks), len(blocks)):
+        for l, lp, u, h in blocks[abs(m)]:
+            spectral[l][lp] += u
+            c_route[l][lp] += h
     out = []
-    # x * y == y * x in binary64, so U_m is symmetric to the last bit
-    # and each pair is summed once for both entries
-    for i in range(n - am):
-        for j in range(i, n - am):
-            u = _phase_norm(b_cols[j], b_cols[i], cosq, sinq)
-            out.append((am + i, am + j, u,
-                        _phase_norm(c_cols[i], c_cols[j], cosq, sinq)))
-            norms[i] += u
-            if j != i:
-                norms[j] += u
-    for i, norm in enumerate(norms):
-        if abs(norm - 1.0) > P_AGREEMENT_TOL:
+    for l, lp in wanted:
+        i, j = min(l, lp), max(l, lp)
+        p = spectral[i][j] / (2 * l + 1)
+        other = (2 * lp + 1) * c_route[i][j]
+        if abs(p - other) > P_AGREEMENT_TOL:
             raise InternalConsistencyError(
-                f"U_m(chi={chi}) is not unitary at n={n}, m={am}: "
-                f"row l={am + i} has norm^2 {norm}")
+                f"P({l},{lp};chi={chi}) routes disagree at n={n}: "
+                f"{p} vs {other}")
+        out.append(p)
     return out
+
+
+def p_transition(n: int, l: int, lp: int, chi: float) -> float:
+    """P(l, l'; chi): l -> l' transfer probability after accumulated phase chi.
+
+    p_table's kernel over the one pair and the blocks |m| <= min(l, l'),
+    guard included (InternalConsistencyError on failure).
+    """
+    _check_l(n, l, lp)
+    phase, pair = _phases(n, chi), [(min(l, lp), max(l, lp))]
+    blocks = [_p_block(n, am, phase, pair) for am in range(min(l, lp) + 1)]
+    return _p_entries(n, chi, blocks, [(l, lp)])[0]
 
 
 def p_table(n: int, chi: float) -> TransitionTable:
     """P(l, l'; chi) for every l, l' of the manifold, one pass per |m|.
 
-    Block m contributes |U_m[l, l']|^2 with U_m = B^T diag(e^(i q chi)) B.
-    Blocks m and -m contribute the same values, so each is computed once per
-    |m| and then added for m = -(n-1) .. n-1 in ascending order and divided
-    by 2l+1, as p_transition does, so every entry equals p_transition's bit
-    for bit. Two guards run over the whole table (InternalConsistencyError on
-    failure): every row of every U_m has unit norm (checked once per |m|), and
-    every entry agrees to P_AGREEMENT_TOL with the C route, as in p_transition.
+    Block m contributes |U_m[l, l']|^2, the same for m and -m, so each block
+    is computed once per |m|. Every row of every U_m must have unit norm,
+    checked once per |m|, and every entry passes p_transition's C-route
+    guard (InternalConsistencyError on failure).
     """
     _check_n(n)
-    _check_chi(chi)
-    phase = {q: (cos(chi * q), sin(chi * q)) for q in range(-(n - 1), n)}
-    blocks = [_p_block(n, am, chi, phase) for am in range(n)]
-    spectral = [[0.0] * n for _ in range(n)]
-    c_route = [[0.0] * n for _ in range(n)]
-    for m in range(-(n - 1), n):
-        for l, lp, u, h in blocks[abs(m)]:
-            spectral[l][lp] += u
-            c_route[l][lp] += h
+    phase = _phases(n, chi)
+    pairs = [(l, lp) for l in range(n) for lp in range(l, n)]
+    blocks = [_p_block(n, am, phase, pairs) for am in range(n)]
+    for am, block in enumerate(blocks):
+        norms = [0.0] * n
+        for l, lp, u, _ in block:
+            norms[l] += u
             if lp != l:
-                spectral[lp][l] += u
-                c_route[lp][l] += h
-    rows = tuple(tuple(x / (2 * l + 1) for x in row)
-                 for l, row in enumerate(spectral))
-    for l, row in enumerate(rows):
-        for lp, p in enumerate(row):
-            other = (2 * lp + 1) * c_route[l][lp]
-            if abs(p - other) > P_AGREEMENT_TOL:
+                norms[lp] += u
+        for l in range(am, n):
+            if abs(norms[l] - 1.0) > P_AGREEMENT_TOL:
                 raise InternalConsistencyError(
-                    f"P({l},{lp};chi={chi}) routes disagree at n={n}: "
-                    f"{p} vs {other}")
+                    f"U_m(chi={chi}) is not unitary at n={n}, m={am}: "
+                    f"row l={l} has norm^2 {norms[l]}")
+    p = _p_entries(n, chi, blocks, [(l, lp) for l in range(n) for lp in range(n)])
+    rows = tuple(tuple(p[l * n:(l + 1) * n]) for l in range(n))
     return TransitionTable(n, "p", rows, chi=chi)

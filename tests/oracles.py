@@ -228,14 +228,9 @@ def dense_generator_apply(gen, state):
 
 
 def dense_word_apply(word, state):
-    from rungelenz.basis import ManifoldState
-
     out = state
     for gen in reversed(word.gens):
         out = dense_generator_apply(gen, out)
-    if word.scalar != 1:
-        out = ManifoldState(out.basis, out.n, out.m,
-                            tuple(c * word.scalar for c in out.coeffs))
     return out
 
 

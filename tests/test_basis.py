@@ -108,8 +108,13 @@ class TestBCoeff:
         for build in (b_block, b_matrix):
             with pytest.raises(DomainError, match=r"\|m\| <= n-1"):
                 build(n, m)
-        # C is a 3jm, which its selection rules send to zero there
-        assert c_coefficient(n, 0, abs(m), m).is_zero
+        # C is a 3jm, which its selection rules send to zero there; an n
+        # below 1 has no manifold at all
+        if n >= 1:
+            assert c_coefficient(n, 0, abs(m), m).is_zero
+        else:
+            with pytest.raises(DomainError, match="must be an int >= 1"):
+                c_coefficient(n, 0, abs(m), m)
 
     @pytest.mark.parametrize("n,m", [(2.0, 0), (True, 0), (2, 0.0), (2, False), ("2", 0)])
     def test_non_int_block_rejected(self, n, m):

@@ -129,6 +129,16 @@ class TestVerify:
             main(["verify", "--max-n", "3", "--powers", "1,banana"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("powers, repeated", [("2,2", 2), ("1,3,4,3", 3),
+                                                   ("5, 5", 5)])
+    def test_repeated_power_is_usage_error(self, capsys, powers, repeated):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-n", "2", "--powers", powers])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--powers names {repeated} more than once" in err
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, jobs):
         with pytest.raises(SystemExit) as exc:
@@ -272,6 +282,34 @@ class TestCompute:
             main(["compute", "p", "5", "1", "2", chi])
         assert exc.value.code == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chi", ["1e308", "-1e308"])
+    def test_chi_q_beyond_the_float_range_is_usage_error(self, capsys, chi):
+        # chi*(n-1) overflows at n = 3: exit 2, not a traceback and exit 1
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "p", "3", "1", "2", chi])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("3", "5", "0"), "l = 5 outside |m| <= l <= n"),
+        (("3", "0", "2"), "l = 0 outside |m| <= l <= n"),
+        (("3", "-1", "0"), "l = -1 outside |m| <= l <= n"),
+        (("4", "1", "-2"), "l = 1 outside |m| <= l <= n"),
+    ])
+    def test_out_of_range_beta_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "beta", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [("3", "2", "2"), ("5", "4", "-4")])
+    def test_beta_at_l_equals_abs_m_prints_zero(self, capsys, argv):
+        assert run_cli(capsys, "compute", "beta", *argv) == (0, "0/1\n")
 
     def test_negative_exponent_chi_is_positional(self, capsys):
         code, out = run_cli(capsys, "compute", "p", "5", "1", "2", "-1e-3")

@@ -322,8 +322,6 @@ class TestGenerators:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_scales_rejected(self, bad):
         with pytest.raises(DomainError, match="finite rational"):
-            GeneratorWord(("j1z",), bad)
-        with pytest.raises(DomainError, match="finite rational"):
             OperatorExpression.build((bad, ()))
         with pytest.raises(DomainError, match="finite rational"):
             az_expression().scaled(bad)
@@ -383,10 +381,12 @@ class TestBasisWalk:
             for m in range(-(n - 1), n):
                 for state in block_states(n, m, seed=100 * n + m):
                     for coeff, word in expr.terms:
-                        scaled = GeneratorWord(word.gens, coeff)
-                        for w in (word, scaled):
-                            assert word_apply(w, state) == \
-                                oracles.dense_word_apply(w, state), (n, m, w)
+                        assert word_apply(word, state) == \
+                            oracles.dense_word_apply(word, state), (n, m, word)
+                        scaled = OperatorExpression(((coeff, word),))
+                        assert expression_apply(scaled, state) == \
+                            oracles.dense_expression_apply(scaled, state), \
+                            (n, m, coeff, word)
                     assert expression_apply(expr, state) == \
                         oracles.dense_expression_apply(expr, state), (n, m)
 
@@ -399,14 +399,14 @@ class TestBasisWalk:
                             oracles.dense_generator_apply(gen, state), (n, m, gen)
 
     def test_non_dyadic_scales_match_dense_walk(self):
-        # word scalars off the dyadic grid and state coefficients over 5, 9
+        # coefficients off the dyadic grid and state coefficients over 5, 9
         # and 11: the walk's integers go over one denominator per expression
         # and one per state
-        scalars = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 9))
+        scales = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 9))
         rng = random.Random(13)
         for n in range(1, 7):
             expr = OperatorExpression(tuple(
-                (coeff / (2 * i + 3), GeneratorWord(word.gens, scalars[i % 3]))
+                (coeff / (2 * i + 3) * scales[i % 3], word)
                 for i, (coeff, word) in enumerate(h2_expression(n).terms)))
             for m in range(-(n - 1), n):
                 upper = n - abs(m) - 1

@@ -57,14 +57,24 @@ class TestCCoefficient:
                     assert total * (2 * l + 1) == 1
 
     def test_equals_the_3jm_kernel(self):
-        # arguments outside the block included: lenient zeros, never raising
-        for n in range(0, 9):
+        # int arguments outside the block included: lenient zeros, never
+        # raising; n = 0 has no manifold (test_argument_types_rejected)
+        for n in range(1, 9):
             for q in range(-n, n + 1):
                 for l in range(-1, n + 1):
                     for m in range(-n, n + 1):
                         want = wigner._threejm_twice(n - 1, n - 1, 2 * l,
                                                      m - q, m + q, -2 * m)
                         assert c_coefficient(n, q, l, m) == want, (n, q, l, m)
+
+    @pytest.mark.parametrize("args", [
+        (3, 0.0, 1, 0), (3, 0, 1.0, 0), (3, 0, 1, 0.0), (3, True, 1, 0),
+        (3, 0, True, 0), (3, 1, 1, False), (2.0, 0, 1, 0), (2.0, 1, 1, 0),
+        (True, 1, 1, 0), (0, 0, 0, 0), (-2, 0, 0, 0), ("3", 0, 1, 0),
+    ])
+    def test_argument_types_rejected(self, args):
+        with pytest.raises(DomainError):
+            c_coefficient(*args)
 
     def test_square_relates_to_b(self):
         # C^2 = B^2 / (2l+1)
@@ -367,6 +377,25 @@ class TestPTable:
             p_table(3, chi)
         with pytest.raises(DomainError):
             p_transition(3, 1, 2, chi)
+
+    @pytest.mark.parametrize("chi", [
+        1e308, -1e308, Fraction(10**400, 3), 10**400, -(10**400), Fraction(10**308),
+    ], ids=["1e308", "-1e308", "Fraction(10**400, 3)", "10**400", "-10**400",
+            "Fraction(10**308)"])
+    def test_chi_q_beyond_the_float_range_rejected(self, chi):
+        # chi*(n-1) must be a finite float, so every phase cos(chi*q) is
+        with pytest.raises(DomainError, match="must be finite"):
+            p_table(3, chi)
+        with pytest.raises(DomainError, match="must be finite"):
+            p_transition(3, 1, 2, chi)
+
+    def test_chi_q_at_the_float_range_accepted(self):
+        # chi*(n-1) finite: the phases are those of today, the rows unitary
+        for chi in (1e300, 8e307, -8e307, 10**300):
+            for row in p_table(3, chi).entries:
+                assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
+            assert p_transition(3, 1, 2, chi) == p_table(3, chi).entries[1][2]
+        assert p_table(1, 1e308).entries == ((1.0,),)
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_non_positive_n_rejected(self, n):
