@@ -39,7 +39,6 @@ from .operators import (
     GeneratorWord,
     OperatorExpression,
     a_squared_expectation,
-    az_apply_spherical,
     az_expression,
     az_power_matrix,
     beta,

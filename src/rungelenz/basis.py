@@ -3,18 +3,17 @@
 B(l) = <n l m | n1 n2 m> and its bare 3jm C are read from one cached block per
 (n, |m|), built over Q from the Racah sums of that 3jm (b_block), which also
 holds A_z in that rational gauge (J); b_coeff, b_matrix, the Stark module's C
-and float tables and every sum rule read it. C is even in m, and B(n, -m) =
-(-1)^m B(n, m). The square roots of the block and of the closed forms are
-ratios of factorials, split by pfrational.factorial_root without factoring
-anything. The block stores its gauge as
-integers over a few denominators (each rho row as R over D, b as N over b_den,
-J's bands as U and W over one Delta), and its build checks in integers that
-every B row is normalised (a sum_l N R^2 = b_den D^2) and that J matches
-beta^2 (U W = beta^2 Delta^2). Every B and C entry, its monomial and its
-float alike, comes from one integer pass over the block: a numerator, a
-denominator and a squarefree radicand. n, m, l and every label field must
-be ints, not bools (check_block, the labels, ManifoldState, _check_l,
-b_squared_asymptotic). The Regge partner,
+and float tables, every sum rule and az_power_matrix read it. C is even in m,
+and B(n, -m) = (-1)^m B(n, m). The square roots of the block and of the closed
+forms are ratios of factorials, split by pfrational.factorial_root without
+factoring anything. The block stores its gauge as integers over a few
+denominators (each rho row as R over D, b as N over b_den, J's bands as U and
+W over one Delta), and its build checks in integers that every B row is
+normalised (a sum_l N R^2 = b_den D^2) and that J matches beta^2 (U W = beta^2
+Delta^2). Every B and C entry, its monomial and its float alike, comes from
+one integer pass over the block: a numerator, a denominator and a squarefree
+radicand. n, m, l and every label field must be ints, not bools (check_block,
+the labels, ManifoldState, _check_l, b_squared_asymptotic). The Regge partner,
 hypergeometric route and fixed-l closed forms are independent oracles, the
 last two restricted to m >= 0 as printed; they agree with the block in square,
 and the sign of the hypergeometric route differs by the global factor measured
@@ -25,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import exp, lcm, prod, sqrt
+from math import exp, isfinite, lcm, prod, sqrt
+from numbers import Real
 from operator import add, mul
 
 from .errors import DomainError, InternalConsistencyError
@@ -75,6 +75,15 @@ class ParabolicLabel:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite_real(x, *factors) -> bool:
+    """x is a real, not a bool, and x and x * prod(factors) are finite floats."""
+    try:
+        return (isinstance(x, Real) and not isinstance(x, bool) and isfinite(x)
+                and isfinite(prod(factors) * x))
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
 
 
 def _check_n(n: int) -> None:
@@ -208,8 +217,9 @@ class BBlock:
     The gauge is stored as integers over a few denominators: row n1 of rho as
     R = rho_num[n1] over D = rho_den[n1], the lcm of that row's denominators;
     b as N = b_num over b_den; J's bands as U = up and W = down over one
-    j_den (Delta), so J^k carries Delta^k. The b J^k rho memo is integral,
-    and the sum rules over it build one Fraction each. One integer pass
+    j_den (Delta), so J^k carries Delta^k. Only j_transpose reads the bands:
+    the b J^k rho memo (integral; the sum rules over it build one Fraction
+    each) and az_power_matrix take one step per power. One integer pass
     (_entries, not kept) gives every B and C entry as num, den and a
     squarefree rad; B's and C's monomials (num/den, rad) and their floats
     (num / den * sqrt(rad), rounded once) all read it. C's monomials, the
@@ -243,12 +253,14 @@ class BBlock:
         if row != n1:
             vecs = (tuple(map(mul, self.b_num, self.rho_num[n1])),)
         while len(vecs) <= power:
-            v = vecs[-1]
-            # (J^T v)[i] = U[i-1] v[i-1] + W[i] v[i+1]
-            vecs += (tuple(map(add, [0, *map(mul, self.up, v)],
-                               [*map(mul, self.down, v[1:]), 0])),)
+            vecs += (self.j_transpose(vecs[-1]),)
         self._j_memo[0] = (n1, vecs)
         return vecs[power]
+
+    def j_transpose(self, v) -> tuple[int, ...]:
+        """J^T v, Delta times as integral as v: U[i-1] v[i-1] + W[i] v[i+1]."""
+        return tuple(map(add, [0, *map(mul, self.up, v)],
+                         [*map(mul, self.down, v[1:]), 0]))
 
     def _entries(self):
         """Each row's B and C entries as (num, den, rad), the value num / den

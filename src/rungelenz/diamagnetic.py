@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isfinite
-from numbers import Real
 
-from .basis import ParabolicLabel, _check_n, check_block, q_values, unit_parabolic
+from .basis import (ParabolicLabel, _check_n, _finite_real, check_block, q_values,
+                    unit_parabolic)
 from .errors import DomainError, InternalConsistencyError
 from .operators import OperatorExpression, expression_apply, l_squared_expression
 from .radical import RadicalSum, _json_array, _json_object, _json_str, render_exact
@@ -29,9 +28,7 @@ class DiamagneticParams:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.gamma, bool) or not (
-                isinstance(self.gamma, Real) and isfinite(self.gamma)
-                and self.gamma >= 0):
+        if not (_finite_real(self.gamma) and self.gamma >= 0):
             raise DomainError(f"gamma = {self.gamma!r} must be finite and >= 0")
         _check_n(self.n)
 

@@ -1,11 +1,12 @@
 """Runge-Lenz and SU(2)xSU(2) generator actions on manifold states.
 
-A_z acts tridiagonally on the spherical basis through the beta coefficients;
-on the parabolic basis it is diagonal with eigenvalue q = n1 - n2. The six
-generators are those of the spins j1 = (L + A)/2 and j2 = (L - A)/2, each
-with j = (n - 1)/2, whose product state is |n1 n2 m> with 2 m1 = m + q and
-2 m2 = m - q. Ladder coefficients vanish exactly at the manifold boundary,
-which is enforced, not assumed.
+A_z acts tridiagonally on the spherical basis through the beta coefficients,
+its powers read from the B/C block's gauge J (basis.b_block); on the parabolic
+basis it is diagonal with eigenvalue q = n1 - n2. The six generators are those
+of the spins j1 = (L + A)/2 and j2 = (L - A)/2, each with j = (n - 1)/2, whose
+product state is |n1 n2 m> with 2 m1 = m + q and 2 m2 = m - q. Ladder
+coefficients vanish exactly at the manifold boundary, which is enforced, not
+assumed.
 
 Every generator maps a parabolic basis state to at most one basis state, so a
 generator word is walked on (2 m1, 2 m2) with plain integers: the image of
@@ -23,8 +24,8 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .basis import (ManifoldState, ParabolicLabel, SphericalLabel, _is_int,
-                    beta_squared, block_state, check_block, spherical_ls,
-                    unit_parabolic, unit_spherical)
+                    b_block, beta_squared, block_state, check_block,
+                    spherical_ls, unit_parabolic)
 from .errors import DomainError, InternalConsistencyError
 from .radical import RadicalSum, _combine_radicands, _split_radicand
 
@@ -43,41 +44,34 @@ def beta(n: int, l: int, m: int) -> RadicalSum:
     return RadicalSum.from_sqrt(beta_squared(n, l, m))
 
 
-def az_apply_spherical(state: ManifoldState) -> ManifoldState:
-    """A_z on a spherical-basis state: couples l to l +- 1."""
-    if state.basis != "spherical":
-        raise DomainError("az_apply_spherical expects a spherical-basis state")
-    n, m = state.n, state.m
-    am = abs(m)
-    out = [RadicalSum.zero()] * state.dim
-    for i, l in enumerate(spherical_ls(n, m)):
-        c = state.coeffs[i]
-        if c.is_zero:
-            continue
-        up = beta(n, l + 1, m)
-        if l + 1 <= n - 1 and not up.is_zero:
-            out[i + 1] = out[i + 1] + c * up
-        down = beta(n, l, m)
-        if l - 1 >= am and not down.is_zero:
-            out[i - 1] = out[i - 1] + c * down
-    return ManifoldState("spherical", n, m, tuple(out))
-
-
 @lru_cache(maxsize=None, typed=True)
 def az_power_matrix(n: int, m: int, k: int) -> tuple[tuple[RadicalSum, ...], ...]:
     """<n l' m| A_z^k |n l m> over the manifold; symmetric, bandwidth k,
-    vanishing unless l' - l has the parity of k. Column l is A_z applied k
-    times to |n l m>."""
+    vanishing unless l' - l has the parity of k. With J = D^-1 A_z D, D =
+    diag(sqrt b), the block's gauge, entry (l, l') is the monomial
+    (b J^k)[l, l'] / sqrt(b(l) b(l')); column l' of b J^k is (J^T)^k (b e_l'),
+    k integer steps (a loop, so any k >= 0 works)."""
     _check_ints("az_power_matrix", n, m, k)
     check_block(n, m)
     if k < 0:
         raise DomainError(f"power k = {k} must be >= 0")
+    blk = b_block(n, m)  # that of |m|: A_z depends on m only through m^2
+    roots = []  # sqrt(b(l)) = c sqrt(s): u sqrt(e) = sqrt(b(l)/(2l+1)) and sqrt(2l+1)
+    for l, (u, e) in zip(spherical_ls(n, m), blk.roots):
+        u2, e2 = _split_radicand(2 * l + 1)
+        g, s = _combine_radicands(e, e2)
+        roots.append((u * u2 * g, s))
+    den = blk.b_den * blk.j_den ** k
     cols = []
-    for l in spherical_ls(n, m):
-        state = unit_spherical(SphericalLabel(n, l, m))
+    for j, (cj, sj) in enumerate(roots):
+        v = [blk.b_num[j] if i == j else 0 for i in range(len(roots))]
         for _ in range(k):
-            state = az_apply_spherical(state)
-        cols.append(state.coeffs)
+            v = blk.j_transpose(v)
+        col = []
+        for x, (ci, si) in zip(v, roots):
+            g, r = _combine_radicands(si, sj)  # 1/sqrt(si sj) = sqrt(r)/(g r)
+            col.append(RadicalSum({r: Fraction(x, den * g * r) / (ci * cj)}))
+        cols.append(col)
     return tuple(zip(*cols))
 
 

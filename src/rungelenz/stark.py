@@ -25,10 +25,9 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, isfinite, sin
-from numbers import Real
+from math import cos, sin
 
-from .basis import _check_n, _is_int, b_block, q_values
+from .basis import _check_n, _finite_real, _is_int, b_block, q_values
 from .errors import DomainError, InternalConsistencyError
 from .radical import RadicalSum, render_exact
 from .wigner import _sixj_squared
@@ -155,7 +154,11 @@ def _c_float_block(n: int, m: int) -> tuple[tuple[float, ...], ...]:
 
 
 def chi_from_time(n: int, t: float) -> float:
-    """The accumulated phase chi = 3 n t / 2 of a constant field over time t."""
+    """The accumulated phase chi = 3 n t / 2 of a constant field over time t;
+    n must be an int >= 1 and t a real, not a bool, with t and chi finite."""
+    _check_n(n)
+    if not _finite_real(t, 1.5, n):
+        raise DomainError(f"t = {t!r} must be finite and real, with 3 n t / 2 finite")
     return 1.5 * n * t
 
 
@@ -164,8 +167,8 @@ class TransitionTable:
     """P or P-bar over one manifold: rows l, columns l'.
 
     kind "pbar" holds exact Fractions; kind "p" holds binary64 values at the
-    stored chi. Every entry lies in [0, 1]; rows of "p" tables sum to 1 to
-    within 1e-12 (exactly, for "pbar").
+    stored chi, which must be a finite real, not a bool. Every entry lies in
+    [0, 1]; rows of "p" tables sum to 1 to within 1e-12 (exactly, for "pbar").
     """
 
     n: int
@@ -176,6 +179,8 @@ class TransitionTable:
     def __post_init__(self):
         if self.kind not in ("pbar", "p"):
             raise DomainError(f"kind must be 'pbar' or 'p', got {self.kind!r}")
+        if self.kind == "p" and not _finite_real(self.chi):
+            raise DomainError(f"kind 'p' needs a finite real chi, got {self.chi!r}")
         slack = 0 if self.kind == "pbar" else 1e-12  # float rounding headroom
         for row in self.entries:
             for x in row:
@@ -212,16 +217,9 @@ def pbar_table(n: int) -> TransitionTable:
 
 
 def _phases(n: int, chi: float) -> dict[int, tuple[float, float]]:
-    """{q: (cos(chi*q), sin(chi*q))} for |q| <= n-1.
-
-    DomainError unless chi is a real, not a bool, and chi and chi*(n-1) are
-    finite as floats, so that every phase is.
-    """
-    try:
-        finite = isinstance(chi, Real) and isfinite(chi) and isfinite(chi * (n - 1))
-    except OverflowError:  # an int or Fraction beyond the float range
-        finite = False
-    if not finite or isinstance(chi, bool):
+    """{q: (cos(chi*q), sin(chi*q))} for |q| <= n-1; DomainError unless
+    _finite_real(chi, n - 1), so that every phase is finite."""
+    if not _finite_real(chi, n - 1):
         raise DomainError(f"chi = {chi!r} must be finite and real, "
                           f"with chi*(n-1) finite at n = {n}")
     return {q: (cos(chi * q), sin(chi * q)) for q in range(1 - n, n)}

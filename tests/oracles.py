@@ -5,24 +5,23 @@ factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
 
 There are eight exceptions, all former package routes kept as the reference
-for what replaced them: the dense generator walk, which works on the
-package's ManifoldState and RadicalSum but spells out its own (m, q) shifts,
-signs and ladder radicands (the generator engine's per-generator loop over
-dense coefficient vectors, replaced by the basis-state walk on the two
-spins), the
+for what replaced them: the dense generator walk, which works on the package's
+ManifoldState and RadicalSum but spells out its own (m, q) shifts, signs and
+ladder radicands (the generator engine's per-generator loop over dense
+coefficient vectors, replaced by the basis-state walk on the two spins), the
 printed A_z^2,3,4 forms over RadicalSum (replaced by terms built in integers
-in sumrules), B(l) by its single-3jm definition (replaced by the rational block
-per (n, m) in basis), the dense A_z^k matrix products (replaced by the A_z
-action applied k times), the rational gauge and its kernels over
-Fraction (replaced by integers over a few denominators in the block and in
-sumrules), the B and C floats rounded from the block's monomials (replaced
-by floats rounded from integers in the block), P(l, l'; chi) by the literal
-quadruple cosine sum over the C floats (replaced by the factored C route in
-stark), and at the end the report and matrix serialisers over RadicalSum and
-json.dumps (replaced by JSON text written directly, from integers for the
-reports). The block's monomials now come from the same integer pass as its
-floats, so the float tests also round B and C from the single-3jm route
-above.
+in sumrules), B(l) by its single-3jm definition (replaced by the rational
+block per (n, m) in basis), the dense A_z^k matrix products (replaced by
+powers of the block's gauge J of A_z; their k = 1 matrix also applies A_z to
+spherical states), the rational gauge and its kernels over Fraction (replaced
+by integers over a few denominators in the block and in sumrules), the B and C
+floats rounded from the block's monomials (replaced by floats rounded from
+integers in the block), P(l, l'; chi) by the literal quadruple cosine sum over
+the C floats (replaced by the factored C route in stark), and at the end the
+report and matrix serialisers over RadicalSum and json.dumps (replaced by JSON
+text written directly, from integers for the reports). The block's monomials
+now come from the same integer pass as its floats, so the float tests also
+round B and C from the single-3jm route above.
 """
 from fractions import Fraction
 from math import factorial
@@ -447,12 +446,14 @@ def b_coeff(p: ParabolicLabel, l: int) -> RadicalSum:
 
 # -- A_z^k as dense products of the beta tridiagonal matrix -------------------
 #
-# The package's az_power_matrix as it stood before it became the A_z action
-# applied k times, kept verbatim (only its package imports are spelled out)
-# as the reference every power must equal.
+# The package's az_power_matrix as it stood before it was read from the B/C
+# block's gauge J, kept verbatim (only its package imports are spelled out)
+# as the reference every power must equal; az_apply is its k = 1 matrix on a
+# state, built from beta alone, so it does not read the block.
 
 from functools import lru_cache  # noqa: E402
 
+from rungelenz.basis import ManifoldState  # noqa: E402
 from rungelenz.errors import DomainError  # noqa: E402
 from rungelenz.radical import dot  # noqa: E402
 
@@ -490,6 +491,14 @@ def az_power_matrix(n: int, m: int, k: int) -> Matrix:
             rows[i + 1][i] = b
         return tuple(tuple(r) for r in rows)
     return _mat_mul(az_power_matrix(n, m, k - 1), az_power_matrix(n, m, 1))
+
+
+def az_apply(state: ManifoldState) -> ManifoldState:
+    """A_z on a spherical-basis state: the dense k = 1 matrix times its
+    coefficients."""
+    rows = az_power_matrix(state.n, state.m, 1)
+    return ManifoldState("spherical", state.n, state.m,
+                         tuple(dot(row, state.coeffs) for row in rows))
 
 
 # -- the 24 symmetry images of a 6j symbol -----------------------------------

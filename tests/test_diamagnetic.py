@@ -37,7 +37,10 @@ class TestParams:
         with pytest.raises(DomainError):
             DiamagneticParams(gamma=0.0, n=0)
 
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, "0.5", None, True])
+    @pytest.mark.parametrize("gamma", [
+        math.nan, math.inf, -math.inf, "0.5", None, True,
+        pytest.param(10**400, id="10**400"),
+        pytest.param(Fraction(10**400, 3), id="Fraction(10**400, 3)")])
     def test_non_finite_or_non_real_gamma_rejected(self, gamma):
         with pytest.raises(DomainError, match="gamma"):
             DiamagneticParams(gamma=gamma, n=3)

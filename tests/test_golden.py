@@ -11,6 +11,7 @@ import pytest
 from rungelenz.basis import B_SPECIAL_CASES, ParabolicLabel, b_coeff_3f2, b_special
 from rungelenz.diamagnetic import h1_matrix, h2_matrix, h2_symmetry_report
 from rungelenz.errors import DomainError
+from rungelenz.operators import az_power_matrix
 from rungelenz.radical import render_exact
 from rungelenz.stark import p_bar_6j_terms, p_table, pbar_table
 from rungelenz.wigner import _sixj_twice, _threejm_twice
@@ -95,6 +96,14 @@ def _blocks(n_max):
             yield n, m
 
 
+def az_power_texts():
+    """Every az_power_matrix(n, m, k) with n <= 12 and k <= 8, rows split by |."""
+    for n, m in _blocks(12):
+        for k in range(9):
+            yield f"{n} {m} {k} " + " | ".join(
+                " ".join(map(render_exact, row)) for row in az_power_matrix(n, m, k))
+
+
 def diamagnetic_texts(build):
     for n, m in _blocks(10):
         yield build(n, m).to_json()
@@ -122,6 +131,7 @@ SIXJ_SHA256 = "08563685daed4ec024eb91943712af6332107dd35347dd6744f3fd9b21e16efa"
 B_3F2_SHA256 = "708fee9a1421d6032ef2e07d102fe09636803628eea0705435070edb7e971cf2"
 B_SPECIAL_SHA256 = "bda97dbf1a9634b96c35d073dce8b63857e437d4fa050b06e7b70a9509aa4335"
 
+AZ_POWER_SHA256 = "73d0c0cfa2aaed4cc1e0e567185080b5b2bc15750982e2a1fea1ce012c18d4be"
 H1_MATRIX_SHA256 = "ae9f8dc331cc97d2412b3a468569a9db21622c1751515593a0381e47b0ea9843"
 H2_MATRIX_SHA256 = "a7dac71777ef79b7dcaf785bb44c8fec9ad4981f35fb158b1ca762d73b455ba6"
 H2_REPORT_SHA256 = "2b159274e98c617bd1032028e47e13c9fd7ae1fba0529d2f66f30b9bf818ff2b"
@@ -153,6 +163,9 @@ class TestGoldenValues:
 
     def test_b_special(self):
         assert sha256(b_special_texts()) == B_SPECIAL_SHA256
+
+    def test_az_power_matrices(self):
+        assert sha256(az_power_texts()) == AZ_POWER_SHA256
 
     def test_h1_matrices(self):
         assert sha256(diamagnetic_texts(h1_matrix)) == H1_MATRIX_SHA256

@@ -2,6 +2,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from rungelenz.basis import (
     ManifoldState,
     ParabolicLabel,
     SphericalLabel,
+    b_matrix,
     q_values,
     spherical_ls,
     to_parabolic,
@@ -29,7 +31,6 @@ from rungelenz.operators import (
     GeneratorWord,
     OperatorExpression,
     a_squared_expectation,
-    az_apply_spherical,
     az_expression,
     az_power_matrix,
     beta,
@@ -96,7 +97,8 @@ class TestBeta:
             beta(*args)
 
     def test_block_boundaries_stay_zero(self):
-        # az_apply_spherical reads beta at l = n and l = |m| as the boundary 0
+        # beta at l = n and l = |m| is the boundary 0: A_z has no entry past
+        # l = n-1 or below l = |m|
         for n in range(1, 8):
             for m in range(-(n - 1), n):
                 assert beta(n, n, m).is_zero and beta(n, abs(m), m).is_zero
@@ -113,22 +115,22 @@ class TestBeta:
 
 
 class TestAzSpherical:
+    # column l of the k = 1 matrix is A_z |n l m>
+
     def test_ground_pair(self):
-        out = az_apply_spherical(unit_spherical(SphericalLabel(2, 0, 0)))
-        assert out.coefficient(0).is_zero
-        assert out.coefficient(1) == RadicalSum.from_rational(1)
+        col = [row[0] for row in az_power_matrix(2, 0, 1)]
+        assert col == [RadicalSum.zero(), RadicalSum.from_rational(1)]
 
     def test_circular_state_annihilated(self):
         for n in (2, 4, 7):
-            out = az_apply_spherical(unit_spherical(SphericalLabel(n, n - 1, n - 1)))
-            assert out.is_zero
+            assert az_power_matrix(n, n - 1, 1) == ((RadicalSum.zero(),),)
 
     def test_single_term_when_lower_beta_vanishes(self):
         # beta(9, 4, 4) = 0 since l^2 = m^2, so only the l = 5 term survives
         # (l = 3 is not even in the |m| = 4 block)
-        out = az_apply_spherical(unit_spherical(SphericalLabel(9, 4, 4)))
-        assert out.coefficient(5) == beta(9, 5, 4)
-        assert [l for l in range(4, 9) if not out.coefficient(l).is_zero] == [5]
+        col = [row[0] for row in az_power_matrix(9, 4, 1)]
+        assert col[1] == beta(9, 5, 4)
+        assert [l for l, c in zip(range(4, 9), col) if not c.is_zero] == [5]
 
     def test_matrix_is_symmetric_tridiagonal_zero_diagonal(self):
         M = az_power_matrix(7, 2, 1)
@@ -209,6 +211,20 @@ class TestAzPowers:
                 for k in range(9):
                     assert az_power_matrix(n, m, k) == oracles.az_power_matrix(
                         n, m, k), (n, m, k)
+
+    def test_spherical_sum_rule_over_the_parabolic_index(self):
+        # B diagonalises A_z with eigenvalues q, so
+        # sum_n1 q^k B[n1, l] B[n1, l'] = <n l m|A_z^k|n l' m>; at k = 0 this
+        # is the orthonormality of B's columns
+        for n in range(1, 9):
+            for m in range(-(n - 1), n):
+                B, qs = b_matrix(n, m), q_values(n, m)
+                for i, j in product(range(n - abs(m)), repeat=2):
+                    terms = [row[i] * row[j] for row in B]
+                    for k in range(9):
+                        want = sum((t * q**k for t, q in zip(terms, qs)),
+                                   RadicalSum.zero())
+                        assert az_power_matrix(n, m, k)[i][j] == want, (n, m, k, i, j)
 
     def test_high_power_is_a_loop(self):
         # n = 2, m = 0: A_z has eigenvalues +-1, so every even power is the
@@ -492,7 +508,7 @@ class TestIntertwining:
         for n in range(1, 7):
             for p in all_labels(n):
                 state = unit_parabolic(p)
-                roundtrip = to_parabolic(az_apply_spherical(to_spherical(state)))
+                roundtrip = to_parabolic(oracles.az_apply(to_spherical(state)))
                 want = tuple(c * Fraction(p.q) for c in state.coeffs)
                 assert roundtrip.coeffs == want, p
 

@@ -241,6 +241,18 @@ class TestPTransition:
 
     def test_chi_from_time(self):
         assert chi_from_time(4, 0.5) == 3.0
+        assert chi_from_time(4, Fraction(1, 3)) == 2.0
+        assert chi_from_time(4, 2) == 12.0
+
+    @pytest.mark.parametrize("n, t", [
+        (True, 2.0), (0, 1.0), (2.0, 1.0), (3, True), (3, math.nan), (3, math.inf),
+        (3, "1"), (3, None), (3, 1e308),
+        pytest.param(3, 10**400, id="3-10**400"),
+        pytest.param(3, Fraction(10**400, 3), id="3-Fraction(10**400, 3)"),
+        pytest.param(10**400, 1.0, id="10**400-1.0")])
+    def test_chi_from_time_rejects_bad_input(self, n, t):
+        with pytest.raises(DomainError):
+            chi_from_time(n, t)
 
 
 class TestTables:
@@ -276,6 +288,12 @@ class TestTables:
             TransitionTable(2, "pbar", ((Fraction(3, 2), Fraction(0)),) * 2)
         with pytest.raises(DomainError):
             TransitionTable(2, "nope", ((Fraction(1, 2), Fraction(1, 2)),) * 2)
+
+    @pytest.mark.parametrize("chi", [math.nan, math.inf, None, True, "0.7",
+                                     pytest.param(10**400, id="10**400")])
+    def test_p_table_chi_validated(self, chi):
+        with pytest.raises(DomainError, match="finite real chi"):
+            TransitionTable(2, "p", ((1.0, 0.0), (0.0, 1.0)), chi=chi)
 
 
 _SEEDED = random.Random(31)
