@@ -11,6 +11,11 @@ tuple's reports become one finished text in the chosen format (JSON from the
 report's own writer, which lays it out as json.dumps(indent=2) would), with
 the tuple's mismatch and warning counts. The main process, alone or over a
 --jobs pool, only writes those texts in order and the summary.
+
+A serial run (verify --jobs 1, compute, table1) loads no pool machinery:
+neither concurrent.futures nor multiprocessing is imported until a --jobs
+N > 1 sweep builds its first pool. The pool class is the module attribute
+ProcessPoolExecutor, filled on that first use unless it was already set.
 """
 from __future__ import annotations
 
@@ -23,7 +28,6 @@ import re
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from fractions import Fraction
 from functools import partial
@@ -41,6 +45,9 @@ from .wigner import ThreeJmArgs, clebsch_gordan, twice, wigner_3jm, wigner_6j
 TABLE1_PARAMS = ParabolicLabel(n1=3, n2=1, m=4)  # the n=9 worked example
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a SIGPIPE kill
 _PARENT_POLL_S = 0.5  # how often a pool worker checks that the main process lives
+# the --jobs pool class, set by _pool_class on first use; a subclass bound
+# here beforehand (bench/tracer.py's TracingPool) is used as it is
+ProcessPoolExecutor = None
 
 
 class _NegativeNumber:
@@ -215,6 +222,14 @@ def _exit_with_parent(main_pid: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
+def _pool_class():
+    """The class --jobs pools are built from, imported on first use."""
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _cmd_verify(args, parser) -> int:
     """Write each tuple's finished text in sweep order, then the summary.
 
@@ -228,7 +243,7 @@ def _cmd_verify(args, parser) -> int:
     mismatches = warnings = 0
     with ExitStack() as stack:
         if args.jobs > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(
+            pool = stack.enter_context(_pool_class()(
                 max_workers=args.jobs, initializer=_exit_with_parent,
                 initargs=(os.getpid(),)))
             # runs first on the way out: an early exit computes no more tasks

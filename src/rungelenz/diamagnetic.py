@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import isfinite
 
 from .basis import (ParabolicLabel, _check_n, _finite_real, check_block, q_values,
                     unit_parabolic)
@@ -22,7 +23,11 @@ from .radical import RadicalSum, _json_array, _json_object, _json_str, render_ex
 
 @dataclass(frozen=True)
 class DiamagneticParams:
-    """gamma = cyclotron frequency / Rydberg constant; the manifold's n."""
+    """gamma = cyclotron frequency / Rydberg constant; the manifold's n.
+
+    The constructor raises DomainError unless both scales are finite floats,
+    so h1_scale and h2_scale never overflow once the params exist.
+    """
 
     gamma: float
     n: int
@@ -31,6 +36,13 @@ class DiamagneticParams:
         if not (_finite_real(self.gamma) and self.gamma >= 0):
             raise DomainError(f"gamma = {self.gamma!r} must be finite and >= 0")
         _check_n(self.n)
+        try:
+            finite = isfinite(self.h1_scale()) and isfinite(self.h2_scale())
+        except OverflowError:  # a float power, or an int or Fraction, too large
+            finite = False
+        if not finite:
+            raise DomainError(f"gamma = {self.gamma!r}, n = {self.n}: the H1 or H2 "
+                              "scale overflows a float")
 
     def h1_scale(self) -> float:
         return self.gamma**2 * self.n**2 / 16

@@ -448,6 +448,72 @@ class TestEnvironment:
             assert "46/1" in proc.stdout
 
 
+class TestPoolImport:
+    """Serial runs load no pool machinery; --jobs 2 builds its pool from
+    the module attribute cli.ProcessPoolExecutor, which bench/tracer.py
+    rebinds to count pool tasks."""
+
+    def test_serial_runs_load_no_pool_modules(self):
+        """Checked in a fresh ``-I`` interpreter: this session has imported
+        concurrent.futures already. The steps run in order, so each later
+        step is also checked against everything before it."""
+        src = str(Path(rungelenz.__file__).resolve().parents[1])
+        script = "\n".join([
+            "import contextlib, io, json, os, sys",
+            f"sys.path.insert(0, {src!r})",
+            "os.cpu_count = lambda: 2",
+            "pool = ('concurrent.futures', 'multiprocessing')",
+            "loaded = {}",
+            "import rungelenz",
+            "loaded['import rungelenz'] = [m for m in pool if m in sys.modules]",
+            "import rungelenz.cli as cli",
+            "loaded['import rungelenz.cli'] = [m for m in pool if m in sys.modules]",
+            "for argv in [['verify', '--max-n', '3', '--format', 'json'],",
+            "             ['compute', 'beta', '3', '1', '0'], ['table1'],",
+            "             ['verify', '--max-n', '3', '--format', 'json',",
+            "              '--jobs', '2']]:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert cli.main(argv) == 0, argv",
+            "    loaded[' '.join(argv)] = [m for m in pool if m in sys.modules]",
+            "print(json.dumps(loaded))",
+        ])
+        proc = subprocess.run([sys.executable, "-I", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == {
+            "import rungelenz": [],
+            "import rungelenz.cli": [],
+            "verify --max-n 3 --format json": [],
+            "compute beta 3 1 0": [],
+            "table1": [],
+            "verify --max-n 3 --format json --jobs 2":
+                ["concurrent.futures", "multiprocessing"],
+        }
+
+    def test_pool_is_built_from_the_module_attribute(self, capsys, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        import rungelenz.cli as cli
+
+        built = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ("verify", "--max-n", "4", "--format", "json")
+        code2, parallel = run_cli(capsys, *argv, "--jobs", "2")
+        assert built == [2]
+        code1, serial = run_cli(capsys, *argv)
+        assert built == [2]  # a serial run builds no pool
+        assert code1 == code2 == 0
+        assert parallel == serial
+
+
 class TestBenchTracer:
     def test_trace_metrics_survive_a_traced_solve(self):
         """The benchmark's --trace 1 rebinds package names from outside src/;

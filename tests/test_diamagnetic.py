@@ -53,6 +53,23 @@ class TestParams:
     def test_exact_gamma_accepted(self):
         assert DiamagneticParams(gamma=Fraction(1, 2), n=4).h1_scale() == 0.25
 
+    @pytest.mark.parametrize("gamma, n", [
+        pytest.param(1e200, 3, id="h1-gamma-squared"),
+        pytest.param(1e80, 3, id="h2-gamma-fourth"),
+        pytest.param(1.0, 10**60, id="h2-n-sixth"),
+        pytest.param(10**100, 3, id="int-gamma"),
+        pytest.param(Fraction(1, 2), 10**60, id="fraction-gamma")])
+    def test_overflowing_scale_rejected(self, gamma, n):
+        with pytest.raises(DomainError, match="overflows a float"):
+            DiamagneticParams(gamma=gamma, n=n)
+
+    @pytest.mark.parametrize("gamma, n", [
+        (0.5, 4), (0.0, 1), (Fraction(1, 2), 4), (1e70, 3), (0.0, 10**40),
+        (1e-200, 3)])
+    def test_large_finite_scale_accepted(self, gamma, n):
+        p = DiamagneticParams(gamma=gamma, n=n)
+        assert math.isfinite(p.h1_scale()) and math.isfinite(p.h2_scale())
+
 
 class TestH1:
     def test_single_state_value(self):
