@@ -353,7 +353,6 @@ def _a_factorials(n: int, m: int, q: int) -> tuple[int, int, int, int]:
 
 def _block_entries(n: int, m: int) -> BBlock:
     """The block of (n, m), unchecked."""
-    fi = default_table().factorial_int
     ls = spherical_ls(n, m)
     b, roots = [], []
     for l in ls:
@@ -361,8 +360,10 @@ def _block_entries(n: int, m: int) -> BBlock:
         b.append(u * u * e * (2 * l + 1))
         roots.append((u, e))
     a, rho_num, rho_den = [], [], []
+    # the m-factorials run from 0 at q = +-(n - |m| - 1) up to n - 1
+    f = default_table().factorial_ints(0, n - 1)
     for q in q_values(n, m):
-        a.append(prod(map(fi, _a_factorials(n, m, q))))
+        a.append(prod(f[k] for k in _a_factorials(n, m, q)))
         row, d = _over_lcm([_neg1(l) * _racah_sum(n - 1, n - 1, 2 * l, m - q, m + q,
                                                   -2 * m) for l in ls])
         rho_num.append(row)

@@ -9,8 +9,12 @@ parameter order regardless of how many worker processes ran them.
 A verify report reaches stdout as text made where it is computed: each sweep
 tuple's reports become one finished text in the chosen format (JSON from the
 report's own writer, which lays it out as json.dumps(indent=2) would), with
-the tuple's mismatch and warning counts. The main process, alone or over a
---jobs pool, only writes those texts in order and the summary.
+the tuple's mismatch and warning counts. One task holds every tuple of one
+(n, |m|) block, both signs of m, so each block, its printed-term tables and its
+memos are built in one process only. The main process, alone or over a --jobs
+pool, only writes those texts in sweep order and the summary. A task's m > 0
+tuples wait for the rest of their n, so it holds back at most the m > 0 half
+of one n.
 
 A serial run (verify --jobs 1, compute, table1) loads no pool machinery:
 neither concurrent.futures nor multiprocessing is imported until a --jobs
@@ -199,6 +203,11 @@ def _verify_worker(fmt: str, task: tuple) -> tuple[str, int, int]:
             sum(map(_warns, reports)))
 
 
+def _verify_shard(fmt: str, shard: list) -> list:
+    """_verify_worker over one (n, |m|) shard's tuples, in their order."""
+    return [_verify_worker(fmt, task) for task in shard]
+
+
 def _exit_with_parent(main_pid: int) -> None:
     """Pool initializer: the worker exits soon after the main process dies.
 
@@ -237,10 +246,17 @@ def _cmd_verify(args, parser) -> int:
     first task fails leaves stdout empty.
     """
     tasks = _sweep_tuples(args, parser)
-    worker = partial(_verify_worker, args.format)
+    # the sweep indices of each (n, |m|) block, in order of their first tuple
+    blocks = {}
+    for i, (n, m, *_) in enumerate(tasks):
+        blocks.setdefault((n, abs(m)), []).append(i)
+    shards = list(blocks.values())
+    shard_tasks = [[tasks[i] for i in shard] for shard in shards]
+    worker = partial(_verify_shard, args.format)
     _, head, sep = _VERIFY_FORMATS[args.format]
     out = sys.stdout
     mismatches = warnings = 0
+    done, written = {}, 0
     with ExitStack() as stack:
         if args.jobs > 1:
             pool = stack.enter_context(_pool_class()(
@@ -248,15 +264,20 @@ def _cmd_verify(args, parser) -> int:
                 initargs=(os.getpid(),)))
             # runs first on the way out: an early exit computes no more tasks
             stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(worker, tasks, chunksize=8)
+            results = pool.map(worker, shard_tasks)
         else:
-            results = map(worker, tasks)
-        for text, bad, warn in results:
-            out.write(head)
-            out.write(text)
-            head = sep
-            mismatches += bad
-            warnings += warn
+            results = map(worker, shard_tasks)
+        for shard, texts in zip(shards, results):
+            done.update(zip(shard, texts))
+            # the m > 0 tuples of a shard wait for the m <= 0 rest of their n
+            while written in done:
+                text, bad, warn = done.pop(written)
+                out.write(head)
+                out.write(text)
+                head = sep
+                mismatches += bad
+                warnings += warn
+                written += 1
     count = len(tasks) * len(tasks[0][-1])
     if args.format == "json":
         summary = _json_object([("tuples", repr(len(tasks))), ("reports", repr(count)),

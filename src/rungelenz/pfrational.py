@@ -76,6 +76,16 @@ class FactorialTable:
         self._check(k)
         return self._int[k]
 
+    def factorial_ints(self, lo: int, hi: int) -> list[int]:
+        """The list of k! by k, once lo and hi pass factorial_int's checks.
+
+        A summation kernel checks the smallest and largest k it will read and
+        then indexes the list itself, in place of one checked call per k.
+        """
+        self._check(lo)
+        self._check(hi)
+        return self._int
+
 
 def _join(table: FactorialTable, ks) -> tuple[int, int]:
     """prod sqrt(k!) over ks as r sqrt(s), s squarefree."""

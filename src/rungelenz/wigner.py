@@ -152,14 +152,16 @@ def _racah_sum(tj1: int, tj2: int, tj3: int,
     factorial in each slot: consecutive terms differ by a rational factor, so
     every term is an integer over that one denominator.
     """
-    fi = default_table().factorial_int
     a, b, c = (tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
     d, e = (tj3 - tj2 + tm1) // 2, (tj3 - tj1 - tm2) // 2
     k0, k1 = max(0, -d, -e), min(a, b, c)
     if k0 > k1:
         return Fraction(0)
-    den = fi(k1) * fi(a - k0) * fi(b - k0) * fi(c - k0) * fi(d + k1) * fi(e + k1)
-    term = (fi(k1) // fi(k0)) * (fi(d + k1) // fi(d + k0)) * (fi(e + k1) // fi(e + k0))
+    # the least and the greatest k! the sum reads
+    f = default_table().factorial_ints(min(k0 + min(0, d, e), k1 - k0),
+                                       max(max(a, b, c) - k0, max(0, d, e) + k1))
+    den = f[k1] * f[a - k0] * f[b - k0] * f[c - k0] * f[d + k1] * f[e + k1]
+    term = (f[k1] // f[k0]) * (f[d + k1] // f[d + k0]) * (f[e + k1] // f[e + k0])
     total = 0
     for k in range(k0, k1 + 1):
         total += -term if k & 1 else term
@@ -232,19 +234,21 @@ def _racah_6j_sum(ta: int, tb: int, tc: int, td: int, te: int, tf: int):
     and the lows the four half-perimeters, is summed in integers over one
     denominator; see _racah_sum. All four triangles must hold.
     """
-    fi = default_table().factorial_int
     triangles = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
     lows = tuple(sum(t) // 2 for t in triangles)
     highs = ((ta + tb + td + te) // 2, (tb + tc + te + tf) // 2,
              (ta + tc + td + tf) // 2)
     k0, k1 = max(lows), min(highs)  # k0 <= k1 once the four triangles hold
+    # the least and the greatest k! the series reads; k1 < k0 makes a negative
+    f = default_table().factorial_ints(
+        min(0, k1 - k0), max(k0 + 1, k1 - min(lows), max(highs) - k0))
     den = 1
-    term = fi(k0 + 1)
+    term = f[k0 + 1]
     for a in lows:
-        den *= fi(k1 - a)
-        term *= fi(k1 - a) // fi(k0 - a)
+        den *= f[k1 - a]
+        term *= f[k1 - a] // f[k0 - a]
     for b in highs:
-        den *= fi(b - k0)
+        den *= f[b - k0]
     total = 0
     for k in range(k0, k1 + 1):
         total += -term if k & 1 else term
@@ -277,12 +281,12 @@ def _sixj_squared(ta: int, tb: int, tc: int, tj: int) -> Fraction:
     cached = _CACHE_6J_SQ.get(key)
     if cached is None:
         total, den, nums, dens = _racah_6j_sum(*key, tj, tj)
-        fi = default_table().factorial_int
+        f = default_table().factorial_ints(min(nums), max(dens))
         num, div = total * total, den * den
         for k in nums:
-            num *= fi(k)
+            num *= f[k]
         for k in dens:
-            div *= fi(k)
+            div *= f[k]
         cached = Fraction(num, div)
         _CACHE_6J_SQ[key] = cached
     return cached

@@ -514,6 +514,87 @@ class TestPoolImport:
         assert parallel == serial
 
 
+class TestSharding:
+    """verify maps one task per (n, |m|) block, both signs of m, and writes
+    each tuple's text once every earlier tuple's text is written."""
+
+    def test_each_block_is_one_task_in_sweep_order(self, capsys, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        import rungelenz.cli as cli
+
+        mapped = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                tasks = list(iterables[0])
+                mapped.extend(tasks)
+                return super().map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ("verify", "--max-n", "6", "--format", "json")
+        code2, parallel = run_cli(capsys, *argv, "--jobs", "2")
+        pairs = []
+        for task in mapped:
+            assert all(isinstance(t, tuple) and len(t) == 5 for t in task), task
+            blocks = {(n, abs(m)) for n, m, *_ in task}
+            assert len(blocks) == 1, blocks
+            pairs += blocks
+        # in the order the first tuple of each pair comes in the sweep
+        assert pairs == list(dict.fromkeys((n, abs(m)) for n in range(1, 7)
+                                           for m in range(-(n - 1), n)))
+        assert sum(map(len, mapped)) == sum(n * n for n in range(1, 7))
+        code1, serial = run_cli(capsys, *argv)
+        assert code1 == code2 == 0
+        assert parallel == serial
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("sweep", [
+        ("--min-n", "4", "--max-n", "6"), ("--max-n", "6", "--m", "-2"),
+        ("--max-n", "6", "--m", "3"), ("--max-n", "6", "--n1", "0")])
+    def test_jobs_output_identical_under_filters(self, capsys, monkeypatch,
+                                                 sweep, fmt):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ("verify", *sweep, "--format", fmt)
+        code1, serial = run_cli(capsys, *argv)
+        code2, parallel = run_cli(capsys, *argv, "--jobs", "2")
+        assert code1 == code2 == 0
+        assert parallel == serial
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failure_leaves_the_output_before_its_block(self, capsys,
+                                                        monkeypatch, jobs):
+        """A tuple with m > 0 fails mid-sweep: the error propagates, and
+        stdout holds exactly the tuples before its block's first (m < 0)
+        tuple, a prefix of the full output that ends at a tuple boundary."""
+        import multiprocessing
+
+        import rungelenz.cli as cli
+
+        if jobs == "2" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patched worker only when forked")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ("verify", "--max-n", "6", "--format", "text")
+        _, full = run_cli(capsys, *argv)
+        real = cli._verify_worker
+
+        def faulty(fmt, task):
+            if task[:4] == (5, 2, 0, 2):
+                raise RuntimeError("injected fault")
+            return real(fmt, task)
+
+        monkeypatch.setattr(cli, "_verify_worker", faulty)
+        with pytest.raises(RuntimeError, match="injected fault"):
+            main([*argv, "--jobs", jobs])
+        out = capsys.readouterr().out
+        tuples = [(n, m, n1) for n in range(1, 7) for m in range(-(n - 1), n)
+                  for n1 in range(n - abs(m))]
+        lines = full.splitlines(keepends=True)
+        assert full.startswith(out)
+        assert out == "".join(lines[:4 * tuples.index((5, -2, 0))])
+
+
 class TestBenchTracer:
     def test_trace_metrics_survive_a_traced_solve(self):
         """The benchmark's --trace 1 rebinds package names from outside src/;

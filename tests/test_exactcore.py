@@ -74,6 +74,45 @@ class TestPFFactorial:
         assert err.value.limit == 10
         assert "11" in str(err.value)
 
+    def test_factorial_ints_checks_both_ends(self):
+        table = FactorialTable(limit=5)
+        assert table.factorial_ints(0, 5)[:6] == [1, 1, 2, 6, 24, 120]
+        with pytest.raises(DomainError, match="negative integer -1"):
+            table.factorial_ints(-1, 3)
+        with pytest.raises(FactorialLimitError) as err:
+            table.factorial_ints(0, 6)
+        assert (err.value.needed, err.value.limit) == (6, 5)
+
+    @pytest.mark.parametrize("kernel,args,needed", [
+        ("_racah_sum", (12, 12, 12, 0, 0, 0), 6),
+        ("_racah_6j_sum", (4, 4, 4, 4, 4, 4), 7),
+        ("_sixj_squared", (4, 4, 4, 4), 7),
+    ])
+    def test_racah_kernels_past_a_small_limit(self, monkeypatch, kernel, args,
+                                              needed):
+        """The kernels read the table's list after one check of their largest
+        index, which must still name the limit the call needs."""
+        from rungelenz import pfrational, wigner
+        monkeypatch.setattr(pfrational, "_default_table", FactorialTable(5))
+        monkeypatch.setattr(wigner, "_CACHE_6J_SQ", {})
+        with pytest.raises(FactorialLimitError) as err:
+            getattr(wigner, kernel)(*args)
+        assert (err.value.needed, err.value.limit) == (needed, 5)
+
+    def test_block_past_a_small_limit(self, monkeypatch):
+        from rungelenz import basis, pfrational
+        monkeypatch.setattr(pfrational, "_default_table", FactorialTable(5))
+        with pytest.raises(FactorialLimitError):
+            basis._block_entries(4, 0)
+
+    def test_negative_index_is_domain_error_not_a_wrapped_read(self):
+        """Broken triangles make the 6j series reach (k1 - k0)! with
+        k1 < k0: a negative index, never read as the list's tail."""
+        from rungelenz import wigner
+        with pytest.raises(DomainError, match="negative integer -2") as err:
+            wigner._racah_6j_sum(0, 0, 4, 0, 0, 0)
+        assert not isinstance(err.value, FactorialLimitError)
+
     def test_factorial_int_matches_pf(self):
         # r^2 s = k! with s squarefree, for every k up to the limit
         table = default_table()
