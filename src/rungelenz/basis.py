@@ -4,7 +4,12 @@ B(l) = <n l m | n1 n2 m> and its bare 3jm C are read from one cached block per
 (n, |m|), built over Q from the Racah sums of that 3jm (b_block), which also
 holds A_z in that rational gauge (J); b_coeff, b_matrix, the Stark module's C
 and float tables, every sum rule and az_power_matrix read it. C is even in m,
-and B(n, -m) = (-1)^m B(n, m). The square roots of the block and of the closed
+and B(n, -m) = (-1)^m B(n, m). C's 3jm couples two equal spins (n-1)/2, and
+swapping them (q -> -q) multiplies it by (-1)^(n-1+l), so the Racah sums and
+the root joins run for the rows q <= 0 only and the rows q > 0 are their
+mirror images, with the a, D and R^2 of their sources; a mirrored row passes
+the row check below exactly when its source does. The square roots of the
+block and of the closed
 forms are ratios of factorials, split by pfrational.factorial_root without
 factoring anything. The block stores its gauge as integers over a few
 denominators (each rho row as R over D, b as N over b_den, J's bands as U and
@@ -214,6 +219,16 @@ class BBlock:
     A_z in this gauge is J = D^-1 A_z D, D = diag(sqrt b): rational,
     tridiagonal.
 
+    Only the first ceil(rows/2) rows, q <= 0, come from Racah sums. Swapping
+    the two spins of C's 3jm maps q to -q and multiplies it by
+    (-1)^(2(n-1)/2 + l) = (-1)^(n-1+l), and permutes a's four m-factorials, so
+    row upper - n1 is row n1 with rho times (-1)^(n-1+l) and the same a and D.
+    The row guard of b_block reads a, D and R^2 only, which a mirrored row
+    shares with its source: it checks each built row, and a mirrored row
+    passes exactly when its source does. The guard cannot see the mirror's
+    sign; verify's odd-power A_z sum rules see it in rho, and p_table's
+    unitarity check sees it in the B floats.
+
     The gauge is stored as integers over a few denominators: row n1 of rho as
     R = rho_num[n1] over D = rho_den[n1], the lcm of that row's denominators;
     b as N = b_num over b_den; J's bands as U = up and W = down over one
@@ -268,14 +283,18 @@ class BBlock:
 
         sqrt(a) comes from the factorial table (pfrational._join over the four
         m-factorials of a), C joins it with the row of rho and the root u
-        sqrt(e), and B = (-1)^(n2 + l) sqrt(2l+1) C for m >= 0.
+        sqrt(e), and B = (-1)^(n2 + l) sqrt(2l+1) C for m >= 0. Only the rows
+        q <= 0 are joined; row upper - n1 is row n1 with C's num times
+        (-1)^(n-1+l), as rho's, and B's times (-1)^(m+l). A float of a negated
+        num is the negated float, so every float is as if joined.
         """
         ls = spherical_ls(self.n, self.m)
         upper = self.n - self.m - 1
         table = default_table()
         odd = [_split_radicand(2 * l + 1) for l in ls]  # sqrt(2l+1) = u2 sqrt(e2)
-        for n1, (q, row, d) in enumerate(zip(q_values(self.n, self.m),
-                                             self.rho_num, self.rho_den)):
+        built = []
+        qs = q_values(self.n, self.m)[:upper // 2 + 1]  # q <= 0
+        for n1, (q, row, d) in enumerate(zip(qs, self.rho_num, self.rho_den)):
             ua, ea = _join(table, _a_factorials(self.n, self.m, q))
             b_row, c_row = [], []
             for l, x, (u, e), (u2, e2) in zip(ls, row, self.roots, odd):
@@ -285,7 +304,13 @@ class BBlock:
                 c_row.append((num, den, rad))
                 g, rad = _combine_radicands(rad, e2)
                 b_row.append((_neg1(upper - n1 + l) * num * u2 * g, den, rad))
+            built.append((b_row, c_row))
             yield b_row, c_row
+        for b_row, c_row in reversed(built[:(upper + 1) // 2]):
+            yield ([(-x if (self.m + l) & 1 else x, d, r)
+                    for l, (x, d, r) in zip(ls, b_row)],
+                   [(-x if (self.n - 1 + l) & 1 else x, d, r)
+                    for l, (x, d, r) in zip(ls, c_row)])
 
     @cached_property
     def c_monomials(self) -> tuple[tuple[tuple[Fraction, int], ...], ...]:
@@ -320,22 +345,28 @@ class BBlock:
         """(G, L^2) with G[i][j] / L^2 = sum over rows of C^2[., i] C^2[., j].
 
         C^2 = a R^2 N/(D^2 b_den (2l+1)) needs no root split; each entry is
-        reduced. L C^2 is integral for L the lcm of the reduced C^2
-        denominators, and G = (L C^2)^T (L C^2) is summed in ints, once per
-        pair i <= j.
+        reduced. C^2 is even in q (row upper - n1 has the a, D and R^2 of row
+        n1), so only the rows q <= 0 are read: L C^2 is integral for L the lcm
+        of their reduced C^2 denominators, and G = (L C^2)^T (L C^2) is summed
+        in ints, once per pair i <= j, as twice the rows q < 0 plus the row
+        q = 0 when there is one.
         """
         ls = spherical_ls(self.n, self.m)
+        rows = len(self.a)
+        mid = rows % 2  # the row q = 0, its own mirror
         cols = []
         for l, nl, col in zip(ls, self.b_num, zip(*self.rho_num)):
             f, e = Fraction(nl, self.b_den * (2 * l + 1)).as_integer_ratio()
-            cols.append([Fraction(a * x * x * f, d * d * e)
-                         for a, x, d in zip(self.a, col, self.rho_den)])
+            cols.append([Fraction(a * x * x * f, d * d * e) for a, x, d in
+                         zip(self.a[:(rows + 1) // 2], col, self.rho_den)])
         big_l = lcm(*(x.denominator for col in cols for x in col))
         cols = [[x.numerator * (big_l // x.denominator) for x in col] for col in cols]
         gram = [[0] * len(cols) for _ in cols]
         for i, ci in enumerate(cols):
             for j in range(i, len(cols)):
-                gram[i][j] = gram[j][i] = sum(map(mul, ci, cols[j]))
+                cj = cols[j]
+                gram[i][j] = gram[j][i] = (2 * sum(map(mul, ci, cj))
+                                           - mid * ci[-1] * cj[-1])
         return tuple(map(tuple, gram)), big_l * big_l
 
 
@@ -362,12 +393,21 @@ def _block_entries(n: int, m: int) -> BBlock:
     a, rho_num, rho_den = [], [], []
     # the m-factorials run from 0 at q = +-(n - |m| - 1) up to n - 1
     f = default_table().factorial_ints(0, n - 1)
-    for q in q_values(n, m):
+    qs = q_values(n, m)
+    half = (len(qs) + 1) // 2
+    for q in qs[:half]:  # q <= 0
         a.append(prod(f[k] for k in _a_factorials(n, m, q)))
-        row, d = _over_lcm([_neg1(l) * _racah_sum(n - 1, n - 1, 2 * l, m - q, m + q,
-                                                  -2 * m) for l in ls])
-        rho_num.append(row)
+        r, d = _over_lcm([_racah_sum(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
+                          for l in ls])
+        rho_num.append(tuple(-x if l & 1 else x for l, x in zip(ls, r)))  # (-1)^l r
         rho_den.append(d)
+    # q -> -q swaps the two equal spins of C's 3jm, a factor (-1)^(n-1+l), and
+    # permutes a's four m-factorials: row upper - n1 is that sign times row n1
+    for n1 in range(len(qs) - half - 1, -1, -1):
+        a.append(a[n1])
+        rho_num.append(tuple(-x if (n - 1 + l) & 1 else x
+                             for l, x in zip(ls, rho_num[n1])))
+        rho_den.append(rho_den[n1])
     up = [Fraction((l + 1) * ((l + 1) ** 2 - m * m), 2 * l + 1) for l in ls[:-1]]
     down = [j * b[i] / b[i + 1] for i, j in enumerate(up)]
     bands, j_den = _over_lcm(up + down)

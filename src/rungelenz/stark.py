@@ -9,8 +9,11 @@ over m reads each block once per |m|. The time-averaged table P-bar is fully
 rational: its C^2 double sum is one entry of each block's Gram matrix, the
 |m| > 0 entries counted twice, and it is checked entry by entry against the
 sum of squared 6j symbols {l l' j; J J J}^2, each one Fraction of integers
-(wigner._sixj_squared). The oscillatory P at given chi, the only floating
-output, comes from one kernel over a set of (l, l') pairs (p_table: every
+(wigner._sixj_squared). pbar_table runs both routes for l <= l' only: the 6j
+symbol is symmetric under l <-> l', so (2l+1) P-bar(l, l') = (2l'+1)
+P-bar(l', l) exactly, and the entries l > l' are filled from it. The
+oscillatory P at given chi, the only floating output, comes from one kernel
+over a set of (l, l') pairs (p_table: every
 pair; p_transition: one): each |m| block gives a pair the spectral
 |sum_q B_l' B_l e^(i q chi)|^2 and, as its guard, the C route
 |sum_q C_l C_l' e^(i q chi)|^2, the printed quadruple cosine sum factored by
@@ -211,9 +214,20 @@ class TransitionTable:
 
 
 def pbar_table(n: int) -> TransitionTable:
+    """P-bar(l, l') for every l, l' of the manifold, exact.
+
+    p_bar, both routes and their guard, runs for l <= l' only, n(n+1)/2
+    calls; each entry below the diagonal is filled by detailed balance,
+    P-bar(l', l) = (2l+1)/(2l'+1) P-bar(l, l'), which holds exactly because
+    the 6j symbol {l l' j; J J J} is symmetric under l <-> l'.
+    """
     _check_n(n)
-    rows = tuple(tuple(p_bar(n, l, lp) for lp in range(n)) for l in range(n))
-    return TransitionTable(n, "pbar", rows)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for l in range(n):
+        for lp in range(l, n):
+            rows[l][lp] = x = p_bar(n, l, lp)
+            rows[lp][l] = x * Fraction(2 * l + 1, 2 * lp + 1)
+    return TransitionTable(n, "pbar", tuple(map(tuple, rows)))
 
 
 def _phases(n: int, chi: float) -> dict[int, tuple[float, float]]:

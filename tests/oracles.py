@@ -4,7 +4,7 @@ Everything here is plain Fraction arithmetic over math.factorial: no prime
 factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
 
-There are eight exceptions, all former package routes kept as the reference
+There are nine exceptions, all former package routes kept as the reference
 for what replaced them: the dense generator walk, which works on the package's
 ManifoldState and RadicalSum but spells out its own (m, q) shifts, signs and
 ladder radicands (the generator engine's per-generator loop over dense
@@ -17,9 +17,11 @@ spherical states), the rational gauge and its kernels over Fraction (replaced
 by integers over a few denominators in the block and in sumrules), the B and C
 floats rounded from the block's monomials (replaced by floats rounded from
 integers in the block), P(l, l'; chi) by the literal quadruple cosine sum over
-the C floats (replaced by the factored C route in stark), and at the end the
-report and matrix serialisers over RadicalSum and json.dumps (replaced by JSON
-text written directly, from integers for the reports). The block's monomials
+the C floats (replaced by the factored C route in stark), the B/C block with a
+Racah sum per entry and every row joined (replaced by the block that builds
+the rows q <= 0 and mirrors the rest), and at the end the report and matrix
+serialisers over RadicalSum and json.dumps (replaced by JSON text written
+directly, from integers for the reports). The block's monomials
 now come from the same integer pass as its floats, so the float tests also
 round B and C from the single-3jm route above.
 """
@@ -626,6 +628,83 @@ from math import sqrt  # noqa: E402
 def floats(monomials) -> tuple[tuple[float, ...], ...]:
     """c sqrt(d) per entry, rounded as RadicalSum.to_float rounds one term."""
     return tuple(tuple(float(c) * sqrt(d) for c, d in row) for row in monomials)
+
+
+# -- the B/C block with every row built -------------------------------------
+#
+# The package's block route before the rows q > 0 were mirrored from the rows
+# q < 0: one _racah_sum per (q, l), every row joined into its B and C entries,
+# and the Gram matrix of C^2 summed over every row. Kept verbatim (only its
+# package imports are spelled out, and the block's _entries and c_gram are
+# overridden in a subclass) as the reference the half-built block must equal.
+
+from functools import cached_property  # noqa: E402
+from math import lcm, prod  # noqa: E402
+from operator import mul  # noqa: E402
+
+from rungelenz.basis import BBlock, _a_factorials, _over_lcm  # noqa: E402
+from rungelenz.pfrational import _join, factorial_root  # noqa: E402
+from rungelenz.radical import _combine_radicands, _split_radicand  # noqa: E402
+
+
+class EveryRowBlock(BBlock):
+    def _entries(self):
+        ls = spherical_ls(self.n, self.m)
+        upper = self.n - self.m - 1
+        table = default_table()
+        odd = [_split_radicand(2 * l + 1) for l in ls]  # sqrt(2l+1) = u2 sqrt(e2)
+        for n1, (q, row, d) in enumerate(zip(q_values(self.n, self.m),
+                                             self.rho_num, self.rho_den)):
+            ua, ea = _join(table, _a_factorials(self.n, self.m, q))
+            b_row, c_row = [], []
+            for l, x, (u, e), (u2, e2) in zip(ls, row, self.roots, odd):
+                g, rad = _combine_radicands(ea, e)
+                num = _neg1(self.m + l) * ua * x * u.numerator * g
+                den = d * u.denominator
+                c_row.append((num, den, rad))
+                g, rad = _combine_radicands(rad, e2)
+                b_row.append((_neg1(upper - n1 + l) * num * u2 * g, den, rad))
+            yield b_row, c_row
+
+    @cached_property
+    def c_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        ls = spherical_ls(self.n, self.m)
+        cols = []
+        for l, nl, col in zip(ls, self.b_num, zip(*self.rho_num)):
+            f, e = Fraction(nl, self.b_den * (2 * l + 1)).as_integer_ratio()
+            cols.append([Fraction(a * x * x * f, d * d * e)
+                         for a, x, d in zip(self.a, col, self.rho_den)])
+        big_l = lcm(*(x.denominator for col in cols for x in col))
+        cols = [[x.numerator * (big_l // x.denominator) for x in col] for col in cols]
+        gram = [[0] * len(cols) for _ in cols]
+        for i, ci in enumerate(cols):
+            for j in range(i, len(cols)):
+                gram[i][j] = gram[j][i] = sum(map(mul, ci, cols[j]))
+        return tuple(map(tuple, gram)), big_l * big_l
+
+
+def every_row_block(n: int, m: int) -> EveryRowBlock:
+    """The block of (n, m), m >= 0, with one Racah sum per (q, l), unchecked."""
+    ls = spherical_ls(n, m)
+    b, roots = [], []
+    for l in ls:
+        u, e = factorial_root((n - 1 - l, l, l, l + m, l - m), (n + l,))
+        b.append(u * u * e * (2 * l + 1))
+        roots.append((u, e))
+    a, rho_num, rho_den = [], [], []
+    # the m-factorials run from 0 at q = +-(n - |m| - 1) up to n - 1
+    f = default_table().factorial_ints(0, n - 1)
+    for q in q_values(n, m):
+        a.append(prod(f[k] for k in _a_factorials(n, m, q)))
+        row, d = _over_lcm([_neg1(l) * _racah_sum(n - 1, n - 1, 2 * l, m - q, m + q,
+                                                  -2 * m) for l in ls])
+        rho_num.append(row)
+        rho_den.append(d)
+    up = [Fraction((l + 1) * ((l + 1) ** 2 - m * m), 2 * l + 1) for l in ls[:-1]]
+    down = [j * b[i] / b[i + 1] for i, j in enumerate(up)]
+    bands, j_den = _over_lcm(up + down)
+    return EveryRowBlock(n, m, tuple(a), *_over_lcm(b), tuple(roots), tuple(rho_num),
+                         tuple(rho_den), bands[:len(up)], bands[len(up):], j_den)
 
 
 # -- P(l, l'; chi) by the literal quadruple cosine sum ------------------------

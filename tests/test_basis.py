@@ -284,6 +284,20 @@ def _bits(rows):
     return [[x.hex() for x in row] for row in rows]
 
 
+class TestHalfBuiltBlock:
+    def test_equals_the_every_row_route(self):
+        # every (n, |m|) with n <= 24, odd and even row counts; floats as hex
+        for n in range(1, 25):
+            for m in range(n):
+                blk, want = b_block(n, m), oracles.every_row_block(n, m)
+                assert (blk.a, blk.rho_num, blk.rho_den) \
+                    == (want.a, want.rho_num, want.rho_den), (n, m)
+                assert blk.c_gram == want.c_gram, (n, m)
+                assert blk.c_monomials == want.c_monomials, (n, m)
+                assert _bits(blk.b_floats) == _bits(want.b_floats), (n, m)
+                assert _bits(blk.c_floats) == _bits(want.c_floats), (n, m)
+
+
 class TestFloats:
     def test_equal_the_monomial_route_bit_for_bit(self):
         # every block with n <= 24; hex tells -0.0 from 0.0

@@ -261,6 +261,23 @@ class TestTables:
         assert table.entries[0] == (Fraction(1, 3),) * 3
         assert all(sum(row) == 1 for row in table.entries)
 
+    def test_pbar_table_equals_p_bar(self):
+        # p_bar runs its routes and guard on the l > l' side too; the table
+        # fills that side by detailed balance
+        for n in range(1, 17):
+            want = tuple(tuple(p_bar(n, l, lp) for lp in range(n)) for l in range(n))
+            assert pbar_table(n).entries == want, n
+
+    def test_pbar_table_calls_p_bar_once_per_pair(self, monkeypatch):
+        calls = []
+        real = stark.p_bar
+        monkeypatch.setattr(stark, "p_bar", lambda *t: calls.append(t) or real(*t))
+        for n in (1, 4, 7):
+            calls.clear()
+            pbar_table(n)
+            assert len(calls) == n * (n + 1) // 2
+            assert sorted(calls) == [(n, l, lp) for l in range(n) for lp in range(l, n)]
+
     def test_pbar_csv_round_trip(self):
         table = pbar_table(4)
         rows = list(csv.reader(io.StringIO(table.to_csv())))

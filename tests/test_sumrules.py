@@ -260,7 +260,10 @@ class TestRationalGauge:
         monkeypatch.setattr(basis, "_racah_sum",
                             lambda *t: calls.append(t) or real(*t))
         basis.b_block(4, 1)
-        assert len(calls) == 9  # one per (n1, l) of the 3 x 3 block
+        assert len(calls) == 6  # one per l of the 2 rows q <= 0 of the 3 x 3 block
+        calls.clear()
+        basis.b_block(4, 0)
+        assert len(calls) == 8  # one per l of the 2 rows q < 0 of the 4 x 4 block
 
     def test_negative_m_reads_the_block_of_abs_m(self, monkeypatch, fresh_gauge):
         blk = basis.b_block(5, 2)
