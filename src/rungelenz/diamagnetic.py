@@ -6,6 +6,11 @@ exact over the parabolic index. H2 is encoded monomial by monomial from its
 published expression (see H2_AUDIT) so the transcription stays reviewable;
 its symmetry is checked, and any failure is reported per monomial rather
 than patched.
+
+Each block is one integer pass of operators._expression_matrix over its
+columns, with the expressions built and compiled once per n
+(_memo_expression); h2_symmetry_report builds from the current monomial
+table instead.
 """
 from __future__ import annotations
 
@@ -14,10 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isfinite
 
-from .basis import (ParabolicLabel, _check_n, _finite_real, check_block, q_values,
-                    unit_parabolic)
+from .basis import _check_n, _finite_real, check_block, q_values
 from .errors import DomainError, InternalConsistencyError
-from .operators import OperatorExpression, expression_apply, l_squared_expression
+from .operators import OperatorExpression, _expression_matrix, l_squared_expression
 from .radical import RadicalSum, _json_array, _json_object, _json_str, render_exact
 
 
@@ -122,17 +126,12 @@ def h2_expression(n: int) -> OperatorExpression:
 Matrix = tuple[tuple[RadicalSum, ...], ...]
 
 
-def _expression_matrix(expr: OperatorExpression, n: int, m: int) -> Matrix:
-    """Columns are images of the parabolic basis states (m-preserving words)."""
-    upper = n - abs(m) - 1
-    cols = []
-    for n1 in range(upper + 1):
-        start = unit_parabolic(ParabolicLabel(n1, upper - n1, m))
-        image = expression_apply(expr, start)
-        if image.m != m:
-            raise DomainError("expression does not preserve m")
-        cols.append(image.coeffs)
-    return tuple(zip(*cols))
+@lru_cache(maxsize=None)
+def _memo_expression(build, n: int) -> OperatorExpression:
+    """build(n), built and compiled once per (builder, n); keyed by the
+    builder itself, so a replaced module-level builder is never served an
+    expression built by the one it replaced."""
+    return build(n)
 
 
 @dataclass(frozen=True)
@@ -150,6 +149,16 @@ class OperatorMatrix:
     # (memoised entries builder, n, |m|) when the entries came from one, so
     # the blocks m and -m render their shared entries once
     _source: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_block(self.n, self.m)
+        dim = self.n - abs(self.m)
+        e = self.entries
+        if not (isinstance(e, tuple) and len(e) == dim and all(
+                isinstance(row, tuple) and len(row) == dim
+                and all(isinstance(x, RadicalSum) for x in row) for row in e)):
+            raise DomainError(f"entries of the (n, m) = ({self.n}, {self.m}) block "
+                              f"must be a {dim} x {dim} tuple of RadicalSum rows")
 
     @property
     def dim(self) -> int:
@@ -198,8 +207,8 @@ def _h1_entries(n: int, m: int) -> Matrix:
     leaves every word of H1 and H2 unchanged, so the block of -m has the same
     entries as that of m and is served from here.
     """
-    gen = _expression_matrix(h1_generator_expression(n), n, m)
-    inv = _expression_matrix(h1_invariant_expression(n), n, m)
+    gen = _expression_matrix(_memo_expression(h1_generator_expression, n), n, m)
+    inv = _expression_matrix(_memo_expression(h1_invariant_expression, n), n, m)
     if gen != inv:
         raise InternalConsistencyError(
             f"H1 generator and invariant forms disagree on (n={n}, m={m})")
@@ -209,7 +218,7 @@ def _h1_entries(n: int, m: int) -> Matrix:
 @lru_cache(maxsize=None)
 def _h2_entries(n: int, m: int) -> Matrix:
     """H2 over the (n, m) block, m >= 0; the block of -m has the same entries."""
-    return _expression_matrix(h2_expression(n), n, m)
+    return _expression_matrix(_memo_expression(h2_expression, n), n, m)
 
 
 def h1_matrix(n: int, m: int) -> OperatorMatrix:

@@ -11,10 +11,14 @@ assumed.
 Every generator maps a parabolic basis state to at most one basis state, so a
 generator word is walked on (2 m1, 2 m2) with plain integers: the image of
 |n1, m> is one basis state times +-(integer) * sqrt(squarefree) / 2^len.
-generator_apply, word_apply, expression_apply and expression_expectation are
-linear sums of those images. An expression is compiled once into integer
-word scales over one denominator, so the images are accumulated as integers
-and each output term becomes one Fraction at the end.
+An expression is compiled once into integer word scales over one denominator,
+so the images are accumulated as integers, in one loop (_accumulate), and
+each output term becomes one Fraction at the end. Two routes walk words: the
+state route (generator_apply, word_apply, expression_apply and
+expression_expectation) sums the images of one state's terms, and the block
+route (_expression_matrix, which builds the diamagnetic H1/H2 blocks) builds
+the matrix of an (n, m) block in one integer pass over all its columns.
+az_power_matrix walks no words.
 """
 from __future__ import annotations
 
@@ -154,6 +158,28 @@ def _require_parabolic(state: ManifoldState, caller: str) -> None:
         raise DomainError(f"{caller} expects a parabolic-basis state")
 
 
+def _accumulate(words, n: int, m: int, columns) -> dict[tuple[int, int, int, int], int]:
+    """The integer sums of num * k * cn over every word image of every input
+    term, keyed (m', n1', column, radicand); sums that cancel to 0 stay.
+
+    words are compiled (k, steps); columns yields (column, n1, terms) with
+    terms the (radicand, integer numerator) pairs of |n1, m>'s coefficient.
+    """
+    acc: dict[tuple[int, int, int, int], int] = {}
+    for col, n1, c_ints in columns:
+        for k, steps in words:
+            image = _word_image(steps, n, m, n1)
+            if image is None:
+                continue
+            new_m, new_n1, d, num = image
+            num *= k
+            for dc, cn in c_ints:
+                g, r = _combine_radicands(dc, d) if dc != 1 else (1, d)
+                key = (new_m, new_n1, col, r)
+                acc[key] = acc.get(key, 0) + num * g * cn
+    return acc
+
+
 def _apply_words(expr: "OperatorExpression",
                  state: ManifoldState) -> dict[tuple[int, int], dict[int, Fraction]]:
     """expr |state> as one term map (radicand -> coefficient) per output basis
@@ -166,25 +192,39 @@ def _apply_words(expr: "OperatorExpression",
     den, words = expr.compiled
     coeffs = [(n1, c.terms()) for n1, c in enumerate(state.coeffs) if not c.is_zero]
     s = lcm(*(cc.denominator for _, terms in coeffs for _, cc in terms))
-    n, m = state.n, state.m
-    acc: dict[tuple[int, int, int], int] = {}
-    for n1, c_terms in coeffs:
-        c_ints = [(dc, cc.numerator * (s // cc.denominator)) for dc, cc in c_terms]
-        for k, steps in words:
-            image = _word_image(steps, n, m, n1)
-            if image is None:
-                continue
-            new_m, new_n1, d, num = image
-            num *= k
-            for dc, cn in c_ints:
-                g, r = _combine_radicands(dc, d)
-                key = (new_m, new_n1, r)
-                acc[key] = acc.get(key, 0) + num * g * cn
+    columns = ((0, n1, [(dc, cc.numerator * (s // cc.denominator)) for dc, cc in terms])
+               for n1, terms in coeffs)
     out: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (new_m, new_n1, r), v in acc.items():
+    for (new_m, new_n1, _, r), v in _accumulate(words, state.n, state.m, columns).items():
         if v:
             out.setdefault((new_m, new_n1), {})[r] = Fraction(v, den * s)
     return out
+
+
+def _expression_matrix(expr: "OperatorExpression", n: int,
+                       m: int) -> tuple[tuple[RadicalSum, ...], ...]:
+    """The matrix of expr over the parabolic basis of the (n, m) block, rows
+    and columns by n1: column n1 is the image of |n1, m>.
+
+    One integer pass over all columns; each nonzero term becomes one Fraction
+    over the expression's denominator, and the zero entries share one
+    RadicalSum. A nonzero term outside the block raises DomainError.
+    """
+    check_block(n, m)
+    den, words = expr.compiled
+    dim = n - abs(m)
+    unit = [(1, 1)]
+    cells: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (new_m, row, col, r), v in _accumulate(
+            words, n, m, ((n1, n1, unit) for n1 in range(dim))).items():
+        if v:
+            if new_m != m:
+                raise DomainError(f"expression does not preserve m = {m} "
+                                  f"(a term lands in m = {new_m})")
+            cells.setdefault((row, col), {})[r] = Fraction(v, den)
+    zero = RadicalSum.zero()
+    return tuple(tuple(RadicalSum(cells[i, j]) if (i, j) in cells else zero
+                       for j in range(dim)) for i in range(dim))
 
 
 def generator_apply(gen: str, state: ManifoldState) -> ManifoldState:

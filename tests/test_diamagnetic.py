@@ -8,7 +8,7 @@ import pytest
 import oracles
 
 from rungelenz import diamagnetic
-from rungelenz.basis import ParabolicLabel
+from rungelenz.basis import ParabolicLabel, unit_parabolic
 from rungelenz.diamagnetic import (
     H2_AUDIT,
     DiamagneticParams,
@@ -21,7 +21,8 @@ from rungelenz.diamagnetic import (
     h2_symmetry_report,
 )
 from rungelenz.errors import DomainError, InternalConsistencyError
-from rungelenz.operators import OperatorExpression, expression_expectation
+from rungelenz.operators import (OperatorExpression, expression_expectation,
+                                 l_squared_expression)
 from rungelenz.radical import RadicalSum, parse_exact
 
 
@@ -173,6 +174,129 @@ class TestSignFold:
         assert second.entries is first.entries
         assert (second.n, second.m) == (n, -m)
         assert json.loads(second.to_json())["m"] == -m
+
+
+class TestBlockKernel:
+    """The one-pass block kernel against the dense per-column walk."""
+
+    @staticmethod
+    def expressions(n):
+        yield h1_generator_expression(n)
+        yield h1_invariant_expression(n)
+        yield h2_expression(n)
+        yield l_squared_expression()
+        for _, words in diamagnetic._h2_monomials(n):
+            yield OperatorExpression.build(*words)
+
+    @staticmethod
+    def column_matrix(expr, n, m):
+        upper = n - abs(m) - 1
+        cols = []
+        for n1 in range(upper + 1):
+            image = oracles.dense_expression_apply(
+                expr, unit_parabolic(ParabolicLabel(n1, upper - n1, m)))
+            assert image.m == m
+            cols.append(image.coeffs)
+        return tuple(zip(*cols))
+
+    def test_equals_the_column_oracle(self):
+        for n in range(1, 9):
+            for expr in self.expressions(n):
+                for m in range(-(n - 1), n):
+                    assert diamagnetic._expression_matrix(expr, n, m) == \
+                        self.column_matrix(expr, n, m), (n, m, expr)
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (3, 0), (4, -2), (5, 4)])
+    def test_cancelling_off_block_words_give_zero(self, n, m):
+        cancel = OperatorExpression.build((1, ("j1plus",)), (-1, ("j1plus",)))
+        mat = diamagnetic._expression_matrix(cancel, n, m)
+        assert len(mat) == n - abs(m)
+        assert all(len(row) == len(mat) and all(x.is_zero for x in row)
+                   for row in mat)
+
+    def test_ladder_whose_images_all_vanish_gives_zero(self):
+        # j1+ on the one state of (3, 2) meets the manifold edge: no term
+        # leaves the block, as with the column route
+        mat = diamagnetic._expression_matrix(
+            OperatorExpression.build((1, ("j1plus",))), 3, 2)
+        assert mat == ((RadicalSum.zero(),),)
+
+    @pytest.mark.parametrize("words", [(("j1plus",),), (("j2minus",),),
+                                       (("j1plus",), ("j2plus",))])
+    @pytest.mark.parametrize("n, m", [(3, 0), (5, -2)])
+    def test_ladder_does_not_preserve_m(self, words, n, m):
+        expr = OperatorExpression.build(*((1, w) for w in words))
+        with pytest.raises(DomainError, match="does not preserve m"):
+            diamagnetic._expression_matrix(expr, n, m)
+
+
+class TestExpressionMemo:
+    def test_each_expression_compiled_once_per_n(self, monkeypatch):
+        builds = []
+        compiles = []
+        compile_ = OperatorExpression.compiled.func
+
+        def counting_compile(expr):
+            compiles.append(expr)
+            return compile_(expr)
+
+        def counting(build):
+            def wrapped(n):
+                builds.append((build.__name__, n))
+                return build(n)
+            return wrapped
+
+        for name in ("h1_generator_expression", "h1_invariant_expression",
+                     "h2_expression"):
+            monkeypatch.setattr(diamagnetic, name, counting(getattr(diamagnetic, name)))
+        monkeypatch.setattr(OperatorExpression.compiled, "func", counting_compile)
+        for memo in (diamagnetic._memo_expression, diamagnetic._h1_entries,
+                     diamagnetic._h2_entries):
+            memo.cache_clear()
+        try:
+            n = 9
+            for m in range(-(n - 1), n):
+                h1_matrix(n, m)
+                h2_matrix(n, m)
+            assert sorted(builds) == [("h1_generator_expression", n),
+                                      ("h1_invariant_expression", n),
+                                      ("h2_expression", n)]
+            assert len(compiles) == 3
+            info = diamagnetic._memo_expression.cache_info()
+            assert (info.misses, info.currsize) == (3, 3)
+        finally:
+            for memo in (diamagnetic._memo_expression, diamagnetic._h1_entries,
+                         diamagnetic._h2_entries):
+                memo.cache_clear()
+
+
+class TestMatrixShape:
+    """OperatorMatrix takes only a block and its dim x dim entries."""
+
+    def test_every_built_block_constructs(self):
+        for n in range(1, 11):
+            for m in range(-(n - 1), n):
+                for build in (h1_matrix, h2_matrix):
+                    mat = build(n, m)
+                    assert OperatorMatrix(n, m, "s", mat.entries).dim == n - abs(m)
+
+    def test_entries_of_another_block_rejected(self):
+        # 3 q values over a 2 x 2 matrix
+        with pytest.raises(DomainError, match="3 x 3"):
+            OperatorMatrix(3, 0, "s", h1_matrix(2, 0).entries)
+
+    def test_pair_that_is_not_a_block_rejected(self):
+        with pytest.raises(DomainError, match="not a block"):
+            OperatorMatrix(3, 7, "s", ())
+
+    @pytest.mark.parametrize("entries", [
+        pytest.param([[RadicalSum.zero()]], id="lists"),
+        pytest.param(((RadicalSum.zero(), RadicalSum.zero()),), id="ragged"),
+        pytest.param(((Fraction(0),),), id="fraction-entry"),
+        pytest.param(("0/1",), id="string-row")])
+    def test_malformed_entries_rejected(self, entries):
+        with pytest.raises(DomainError, match="1 x 1"):
+            OperatorMatrix(2, 1, "s", entries)
 
 
 class TestBlockRange:
