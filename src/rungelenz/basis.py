@@ -7,15 +7,16 @@ and float tables, every sum rule and az_power_matrix read it. C is even in m,
 and B(n, -m) = (-1)^m B(n, m). C's 3jm couples two equal spins (n-1)/2, and
 swapping them (q -> -q) multiplies it by (-1)^(n-1+l), so the Racah sums and
 the root joins run for the rows q <= 0 only and the rows q > 0 are their
-mirror images, with the a, D and R^2 of their sources; a mirrored row passes
-the row check below exactly when its source does. The square roots of the
-block and of the closed
-forms are ratios of factorials, split by pfrational.factorial_root without
-factoring anything. The block stores its gauge as integers over a few
-denominators (each rho row as R over D, b as N over b_den, J's bands as U and
-W over one Delta), and its build checks in integers that every B row is
-normalised (a sum_l N R^2 = b_den D^2) and that J matches beta^2 (U W = beta^2
-Delta^2). Every B and C entry, its monomial and its float alike, comes from
+mirror images, with the a, D and R^2 of their sources. The square roots of
+the block and of the closed forms are ratios of factorials, split by
+pfrational.factorial_root without factoring anything. The block stores its
+gauge as integers over a few denominators (each rho row as R over D, b as N
+over b_den, J's bands as U and W over one Delta), and its build checks in
+integers that every B row is normalised (a sum_l N R^2 = b_den D^2) and that
+J matches beta^2 (U W = beta^2 Delta^2). The sum rules read a third guard,
+checked once per block: which rows are eigenvectors of J with their own q
+(J^T (N R) = q Delta (N R)), mirrored rows and their sign included. Every B
+and C entry, its monomial and its float alike, comes from
 one integer pass over the block: a numerator, a denominator and a squarefree
 radicand. n, m, l and every label field must be ints, not bools (check_block,
 the labels, ManifoldState, _check_l, b_squared_asymptotic). The Regge partner,
@@ -26,7 +27,7 @@ by hypergeometric_sign_survey.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import exp, isfinite, lcm, prod, sqrt
@@ -223,18 +224,25 @@ class BBlock:
     the two spins of C's 3jm maps q to -q and multiplies it by
     (-1)^(2(n-1)/2 + l) = (-1)^(n-1+l), and permutes a's four m-factorials, so
     row upper - n1 is row n1 with rho times (-1)^(n-1+l) and the same a and D.
-    The row guard of b_block reads a, D and R^2 only, which a mirrored row
-    shares with its source: it checks each built row, and a mirrored row
-    passes exactly when its source does. The guard cannot see the mirror's
-    sign; verify's odd-power A_z sum rules see it in rho, and p_table's
-    unitarity check sees it in the B floats.
+    The norm guard of b_block reads a, D and R^2 only, which a mirrored row
+    shares with its source, so a mirrored row passes it exactly when its
+    source does. The row identity J rho = q rho sees rho's mirror sign: J has
+    a zero diagonal, so diag((-1)^l) J diag((-1)^l) = -J, and a mirrored row
+    satisfies the identity with its own q = -q(source) exactly when its
+    source does and the sign (-1)^(n-1+l) is right. The sign _entries gives
+    the mirrored B and C entries is outside it; p_table's unitarity check
+    sees that one in the B floats.
 
     The gauge is stored as integers over a few denominators: row n1 of rho as
     R = rho_num[n1] over D = rho_den[n1], the lcm of that row's denominators;
     b as N = b_num over b_den; J's bands as U = up and W = down over one
-    j_den (Delta), so J^k carries Delta^k. Only j_transpose reads the bands:
-    the b J^k rho memo (integral; the sum rules over it build one Fraction
-    each) and az_power_matrix take one step per power. One integer pass
+    j_den (Delta), so J^k carries Delta^k. Only j_transpose reads the bands,
+    one step per power: the row identity of eigen_rows, b J^k rho for a row
+    outside it, and the columns of b J^k (b_j_power) that az_power_matrix
+    and the printed forms read. eigen_rows is checked once per block, on
+    first read: the sum rules are the only readers of rho's signs on the
+    rows q > 0, so they read it, and the Stark tables, which read R^2 and
+    _entries only, do not pay for it. One integer pass
     (_entries, not kept) gives every B and C entry as num, den and a
     squarefree rad; B's and C's monomials (num/den, rad) and their floats
     (num / den * sqrt(rad), rounded once) all read it. C's monomials, the
@@ -253,29 +261,44 @@ class BBlock:
     up: tuple[int, ...]  # U: J[l, l+1] = U / j_den = (l+1)((l+1)^2 - m^2)/(2l+1)
     down: tuple[int, ...]  # W: J[l+1, l] = W / j_den = J[l, l+1] b(l)/b(l+1)
     j_den: int
-    _j_memo: list = field(default_factory=lambda: [(None, ())], init=False,
-                          compare=False, repr=False)
 
     def b_j_power_rho(self, n1: int, power: int) -> tuple[int, ...]:
         """b (J^power rho) of row n1 = (J^T)^power (b rho), as b J is symmetric,
-        in integers over b_den rho_den[n1] j_den^power.
+        in integers over b_den rho_den[n1] j_den^power; not kept."""
+        v = tuple(map(mul, self.b_num, self.rho_num[n1]))
+        for _ in range(power):
+            v = self.j_transpose(v)
+        return v
 
-        The block keeps b rho, b J rho, ... of the row last asked for, so the
-        powers of one label take one J^T step each. They are published as one
-        (n1, vectors) tuple, so a concurrent caller at worst repeats the work.
-        """
-        row, vecs = self._j_memo[0]
-        if row != n1:
-            vecs = (tuple(map(mul, self.b_num, self.rho_num[n1])),)
-        while len(vecs) <= power:
-            vecs += (self.j_transpose(vecs[-1]),)
-        self._j_memo[0] = (n1, vecs)
-        return vecs[power]
+    def b_j_power(self, power: int) -> list[tuple[int, ...]]:
+        """The columns of b J^power, symmetric as b J is, column l' being
+        (J^T)^power (b e_l'), in integers over b_den j_den^power; not kept."""
+        cols = []
+        for j, nj in enumerate(self.b_num):
+            v = [0] * len(self.b_num)
+            v[j] = nj
+            for _ in range(power):
+                v = self.j_transpose(v)
+            cols.append(tuple(v))
+        return cols
 
     def j_transpose(self, v) -> tuple[int, ...]:
         """J^T v, Delta times as integral as v: U[i-1] v[i-1] + W[i] v[i+1]."""
         return tuple(map(add, [0, *map(mul, self.up, v)],
                          [*map(mul, self.down, v[1:]), 0]))
+
+    @cached_property
+    def eigen_rows(self) -> frozenset[int]:
+        """The rows n1 whose rho is an eigenvector of J with their own q,
+        checked in integers as J^T (N R) = q Delta (N R), b J being symmetric:
+        O(dim) per row, mirrored rows included. A row that fails halts
+        nothing; the sum rules contract it and report the mismatch."""
+        eigen = []
+        for n1, (q, row) in enumerate(zip(q_values(self.n, self.m), self.rho_num)):
+            b_rho = tuple(map(mul, self.b_num, row))
+            if self.j_transpose(b_rho) == tuple(map((q * self.j_den).__mul__, b_rho)):
+                eigen.append(n1)
+        return frozenset(eigen)
 
     def _entries(self):
         """Each row's B and C entries as (num, den, rad), the value num / den
@@ -424,6 +447,7 @@ def b_block(n: int, m: int) -> BBlock:
     which ties J's closed form and b's factorials to A_z; a failure halts with
     InternalConsistencyError. Both run on the integer fields: a sum_l N R^2
     = b_den D^2 per row, and U W den(beta^2) = num(beta^2) Delta^2 per band.
+    The third guard, J rho = q rho per row, is the block's eigen_rows.
     """
     check_block(n, m)
     if m < 0:

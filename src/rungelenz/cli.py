@@ -10,11 +10,11 @@ A verify report reaches stdout as text made where it is computed: each sweep
 tuple's reports become one finished text in the chosen format (JSON from the
 report's own writer, which lays it out as json.dumps(indent=2) would), with
 the tuple's mismatch and warning counts. One task holds every tuple of one
-(n, |m|) block, both signs of m, so each block, its printed-term tables and its
-memos are built in one process only. The main process, alone or over a --jobs
-pool, only writes those texts in sweep order and the summary. A task's m > 0
-tuples wait for the rest of their n, so it holds back at most the m > 0 half
-of one n.
+(n, |m|) block, both signs of m, so each block, its printed-form differences
+and its memos are built in one process only. The main process, alone or over
+a --jobs pool, only writes those texts in sweep order and the summary. A
+task's m > 0 tuples wait for the rest of their n, so it holds back at most
+the m > 0 half of one n.
 
 A serial run (verify --jobs 1, compute, table1) loads no pool machinery:
 neither concurrent.futures nor multiprocessing is imported until a --jobs

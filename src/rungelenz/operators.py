@@ -54,7 +54,7 @@ def az_power_matrix(n: int, m: int, k: int) -> tuple[tuple[RadicalSum, ...], ...
     vanishing unless l' - l has the parity of k. With J = D^-1 A_z D, D =
     diag(sqrt b), the block's gauge, entry (l, l') is the monomial
     (b J^k)[l, l'] / sqrt(b(l) b(l')); column l' of b J^k is (J^T)^k (b e_l'),
-    k integer steps (a loop, so any k >= 0 works)."""
+    k integer steps of the block's b_j_power (a loop, so any k >= 0 works)."""
     _check_ints("az_power_matrix", n, m, k)
     check_block(n, m)
     if k < 0:
@@ -67,10 +67,7 @@ def az_power_matrix(n: int, m: int, k: int) -> tuple[tuple[RadicalSum, ...], ...
         roots.append((u * u2 * g, s))
     den = blk.b_den * blk.j_den ** k
     cols = []
-    for j, (cj, sj) in enumerate(roots):
-        v = [blk.b_num[j] if i == j else 0 for i in range(len(roots))]
-        for _ in range(k):
-            v = blk.j_transpose(v)
+    for v, (cj, sj) in zip(blk.b_j_power(k), roots):
         col = []
         for x, (ci, si) in zip(v, roots):
             g, r = _combine_radicands(si, sj)  # 1/sqrt(si sj) = sqrt(r)/(g r)

@@ -4,26 +4,27 @@ Everything here is plain Fraction arithmetic over math.factorial: no prime
 factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
 
-There are nine exceptions, all former package routes kept as the reference
-for what replaced them: the dense generator walk, which works on the package's
+There are ten exceptions, all former package routes kept as the reference for
+what replaced them: the dense generator walk, which works on the package's
 ManifoldState and RadicalSum but spells out its own (m, q) shifts, signs and
 ladder radicands (the generator engine's per-generator loop over dense
 coefficient vectors, replaced by the basis-state walk on the two spins), the
 printed A_z^2,3,4 forms over RadicalSum (replaced by terms built in integers
-in sumrules), B(l) by its single-3jm definition (replaced by the rational
-block per (n, m) in basis), the dense A_z^k matrix products (replaced by
-powers of the block's gauge J of A_z; their k = 1 matrix also applies A_z to
-spherical states), the rational gauge and its kernels over Fraction (replaced
-by integers over a few denominators in the block and in sumrules), the B and C
-floats rounded from the block's monomials (replaced by floats rounded from
-integers in the block), P(l, l'; chi) by the literal quadruple cosine sum over
-the C floats (replaced by the factored C route in stark), the B/C block with a
-Racah sum per entry and every row joined (replaced by the block that builds
-the rows q <= 0 and mirrors the rest), and at the end the report and matrix
-serialisers over RadicalSum and json.dumps (replaced by JSON text written
-directly, from integers for the reports). The block's monomials
-now come from the same integer pass as its floats, so the float tests also
-round B and C from the single-3jm route above.
+in sumrules), the transcription of those printed terms from Fractions
+(replaced by reduced int pairs in sumrules), B(l) by its single-3jm definition
+(replaced by the rational block per (n, m) in basis), the dense A_z^k matrix
+products (replaced by powers of the block's gauge J of A_z; their k = 1 matrix
+also applies A_z to spherical states), the rational gauge and its kernels over
+Fraction (replaced by integers over a few denominators in the block and in
+sumrules), the B and C floats rounded from the block's monomials (replaced by
+floats rounded from integers in the block), P(l, l'; chi) by the literal
+quadruple cosine sum over the C floats (replaced by the factored C route in
+stark), the B/C block with a Racah sum per entry and every row joined
+(replaced by the block that builds the rows q <= 0 and mirrors the rest), and
+at the end the report and matrix serialisers over RadicalSum and json.dumps
+(replaced by JSON text written directly, from integers for the reports). The
+block's monomials now come from the same integer pass as its floats, so the
+float tests also round B and C from the single-3jm route above.
 """
 from fractions import Fraction
 from math import factorial
@@ -519,6 +520,130 @@ def sixj_images(t: tuple[int, ...]) -> list[tuple[int, ...]]:
     return images
 
 
+# -- the printed A_z^2,3,4 terms built from Fractions -------------------------
+#
+# The package's transcription of the printed forms as it stood before its
+# factors became reduced (num, den) int pairs: every beta^2, weight, ratio and
+# kernel a Fraction, the term list memoised per (n, |m|, k). Kept verbatim
+# (only its package imports are spelled out) as the reference the integer
+# transcription, sumrules._printed_terms, must equal term for term.
+
+from rungelenz.basis import _over_lcm, b_block  # noqa: E402
+from rungelenz.radical import _combine_radicands, _split_radicand  # noqa: E402
+
+
+def _sqrt_term(scale, *radicands) -> tuple[Fraction, int] | None:
+    """scale prod sqrt(r) over the rational radicands r of one printed term
+    as c sqrt(d), d squarefree; (0, 1) if the scale or some r is 0, else
+    None if some r is negative (not evaluable over the reals)."""
+    if not scale or not all(radicands):
+        return 0, 1
+    if min(radicands) < 0:
+        return None
+    num, den = scale.as_integer_ratio()
+    d = 1
+    for r in radicands:
+        # sqrt(p/q) = a sqrt(e)/q with p q = a^2 e
+        p, q = r.as_integer_ratio()
+        a, e = _split_radicand(p * q)
+        g, d = _combine_radicands(d, e)
+        num *= a * g
+        den *= q
+    return Fraction(num, den), d
+
+
+@lru_cache(maxsize=None)
+def _printed_terms(n: int, m: int, power: int) -> tuple[tuple[tuple, ...], int]:
+    """The printed A_z^power form of the (n, m) block as terms (i, j, C, d,
+    note) over one denominator E: each term is C/E sqrt(d).
+
+    The bare 3jm of B's definition is T(l) = (-1)^m sqrt(a) r(l) u(l) sqrt(e(l))
+    in the gauge, so every printed term is a rho(l) rho(l') c sqrt(d), with
+    c sqrt(d) the pair's roots u sqrt(e) times the term's _sqrt_term (its
+    weight, ratio or beta chain) and i, j = l - |m|, l' - |m|. The u are put over
+    their lcm V, so a term is an integer pair part over V^2 times a small
+    rational kernel, and E = V^2 K with K the lcm of the kernels'
+    denominators. A term with a negative radicand as printed carries its note
+    instead; a term that vanishes for every label of the block is left out.
+    Every factor depends on m through m^2 only, so callers pass |m|.
+    """
+    am = abs(m)
+    ls = spherical_ls(n, m)
+    roots = b_block(n, m).roots
+    us, v = _over_lcm([u for u, _ in roots])
+
+    def pair(l: int, lp: int) -> tuple:
+        i, j = l - am, lp - am
+        g, d = _combine_radicands(roots[i][1], roots[j][1])
+        return _neg1(l + lp) * us[i] * us[j] * g, d
+
+    def bsq(l: int) -> Fraction:
+        return beta_squared(n, l, m) if l >= 0 else Fraction(0)
+
+    out = []
+    for l in ls:
+        if power == 2:
+            diag = (Fraction((l * l - m * m) * (n * n - l * l), 4 * l * l - 1)
+                    + Fraction(((l + 1) ** 2 - m * m) * (n * n - (l + 1) ** 2),
+                               4 * (l + 1) ** 2 - 1))
+            pieces = [
+                # (l-2): weight sqrt((2l+1)(2l-3)), denominators (4l^2-1)(4(l-1)^2-1)
+                (l - 2, _sqrt_term(1, (2 * l + 1) * (2 * l - 3), Fraction(
+                    (l * l - m * m) * (n * n - l * l)
+                    * ((l - 1) ** 2 - m * m) * (n * n - (l - 1) ** 2),
+                    (4 * l * l - 1) * (4 * (l - 1) ** 2 - 1)))),
+                # (l+2): denominators (4l^2-1)(4(l+1)^2-1) as printed -- the
+                # suspected typo; beta_(l+1) beta_(l+2) would need
+                # (4(l+1)^2-1)(4(l+2)^2-1)
+                (l + 2, _sqrt_term(1, (2 * l + 1) * (2 * l + 5), Fraction(
+                    ((l + 2) ** 2 - m * m) * (n * n - (l + 2) ** 2)
+                    * ((l + 1) ** 2 - m * m) * (n * n - (l + 1) ** 2),
+                    (4 * l * l - 1) * (4 * (l + 1) ** 2 - 1)))),
+            ]
+        elif power == 3:
+            diag = None
+            pieces = [
+                (l - 3, _sqrt_term(1, (2 * l + 1) * (2 * l - 5),
+                                   bsq(l - 2), bsq(l - 1), bsq(l))),
+                (l - 1, _sqrt_term(bsq(l - 1) + bsq(l) + bsq(l + 1),
+                                   4 * l * l - 1, bsq(l))),
+                (l + 1, _sqrt_term(bsq(l) + bsq(l + 1) + bsq(l + 2),
+                                   (2 * l + 1) * (2 * l + 3), bsq(l + 1))),
+                (l + 3, _sqrt_term(1, (2 * l + 1) * (2 * l + 7),
+                                   bsq(l + 1), bsq(l + 2), bsq(l + 3))),
+            ]
+        else:
+            diag = (bsq(l + 1) * (bsq(l) + bsq(l + 1) + bsq(l + 2))
+                    + bsq(l) * (bsq(l - 1) + bsq(l) + bsq(l + 1)))
+            pieces = [
+                (l - 4, _sqrt_term(1, (2 * l + 1) * (2 * l - 7),
+                                   bsq(l - 3), bsq(l - 2), bsq(l - 1), bsq(l))),
+                (l - 2, _sqrt_term(bsq(l - 2) + bsq(l - 1) + bsq(l) + bsq(l + 1),
+                                   (2 * l + 1) * (2 * l - 3), bsq(l - 1), bsq(l))),
+                (l + 2, _sqrt_term(bsq(l) + bsq(l + 1) + bsq(l + 2) + bsq(l + 3),
+                                   (2 * l + 1) * (2 * l + 5), bsq(l + 1), bsq(l + 2))),
+                (l + 4, _sqrt_term(1, (2 * l + 1) * (2 * l + 9),
+                                   bsq(l + 1), bsq(l + 2), bsq(l + 3), bsq(l + 4))),
+            ]
+        i = l - am
+        if diag is not None:
+            c, d = pair(l, l)
+            out.append((i, i, c, diag * (2 * l + 1), d, None))
+        for lp, kernel in pieces:
+            if lp not in ls:
+                continue
+            if kernel is None:
+                out.append((i, lp - am, 0, 0, 1, f"term (l={l} -> l'={lp}) has a "
+                                                 f"negative radicand as printed"))
+            elif kernel[0]:
+                c, d = pair(l, lp)
+                g, d = _combine_radicands(d, kernel[1])
+                out.append((i, lp - am, c * g, kernel[0], d, None))
+    ks, den = _over_lcm([k for _, _, _, k, _, _ in out])
+    return tuple((i, j, c * k, d, note)
+                 for (i, j, c, _, d, note), k in zip(out, ks)), v * v * den
+
+
 # -- the rational gauge and its kernels over Fraction -------------------------
 #
 # The package's B/C block gauge (b, rho and J's bands as Fractions), its
@@ -526,7 +651,7 @@ def sixj_images(t: tuple[int, ...]) -> list[tuple[int, ...]]:
 # accumulation as they stood before the block moved to integers over a few
 # denominators, kept verbatim (only their package imports are spelled out,
 # b is a Fraction of integer factorials rather than of split roots, the
-# printed terms are read back from the package's integer form, and the
+# printed terms are those of the Fraction-built transcription above, and the
 # block keeps only what these kernels read) as the reference the integer
 # kernels must equal exactly.
 
@@ -534,7 +659,6 @@ from dataclasses import dataclass, field  # noqa: E402
 
 from rungelenz.basis import q_values  # noqa: E402
 from rungelenz.pfrational import default_table  # noqa: E402
-from rungelenz.sumrules import _printed_terms  # noqa: E402
 from rungelenz.wigner import _racah_sum  # noqa: E402
 
 

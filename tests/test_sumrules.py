@@ -191,6 +191,30 @@ class TestPrintedForms:
         assert noted == {(n, 0, 0) for n in range(3, 25)}
 
 
+class TestPrintedIdentity:
+    def test_printed_forms_differ_from_the_canonical_on_one_band(self):
+        # P_k = (-1)^k S_k + Delta_k: Delta_3 and Delta_4 are empty, and
+        # Delta_2 lies on |l - l'| = 2, the band of the printed (l+2) term
+        band = 0
+        for n in range(1, 17):
+            for m in range(n):
+                for power in (2, 3, 4):
+                    _, delta, _ = sumrules._printed_delta(n, m, power)
+                    if power == 2:
+                        assert all(j - i == 2 for i, j, _, _ in delta), (n, m)
+                        band += len(delta)
+                    else:
+                        assert delta == (), (n, m, power)
+        assert band > 0
+
+    def test_integer_transcription_equals_the_fraction_route(self):
+        for n in range(1, 17):
+            for m in range(n):
+                for power in (2, 3, 4):
+                    assert (sumrules._printed_terms(n, m, power)
+                            == oracles._printed_terms(n, m, power)), (n, m, power)
+
+
 class TestPrintedRouteOracle:
     def test_matches_the_radicalsum_route(self):
         # value and note, including the first offending (l, l') of a
@@ -227,7 +251,7 @@ class TestIntegerKernels:
 
 @pytest.fixture
 def fresh_gauge():
-    caches = (basis.b_block, basis.b_matrix, sumrules._printed_terms)
+    caches = (basis.b_block, basis.b_matrix, sumrules._printed_delta)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -331,6 +355,38 @@ class TestRationalGauge:
         verdicts = [r["verdict"] for r in json.loads(capsys.readouterr().out)["reports"]]
         assert code == 1
         assert verdicts[0] == "exact-match" and "mismatch" in verdicts[1:]
+
+    def test_every_row_is_an_eigenvector_of_j(self):
+        # J rho = q rho on every row, mirrored ones included: the sum rules
+        # read q^k for every label rather than contracting it
+        for n in range(1, 25):
+            for m in range(n):
+                assert basis.b_block(n, m).eigen_rows == frozenset(range(n - m)), (n, m)
+
+    def test_mirror_sign_is_a_block_guard(self, monkeypatch, capsys, fresh_gauge):
+        # mirrored rows q > 0 without their (-1)^(n-1+l) keep a, D and R^2,
+        # so the norm guard passes them; J rho = q rho fails on each of them
+        real = basis._block_entries
+
+        def unsigned(n, m):
+            g = real(n, m)
+            half = (len(g.a) + 1) // 2
+            rows = g.rho_num[:half] + tuple(
+                tuple(-x if (n - 1 + l) & 1 else x for l, x in zip(spherical_ls(n, m), row))
+                for row in g.rho_num[half:])
+            return dataclasses.replace(g, rho_num=rows)
+
+        monkeypatch.setattr(basis, "_block_entries", unsigned)
+        mirrored = 0
+        for n in range(1, 13):
+            for m in range(n - 1):  # the blocks with at least two rows
+                half = (n - m + 1) // 2
+                assert basis.b_block(n, m).eigen_rows == frozenset(range(half)), (n, m)
+                mirrored += 1
+        assert mirrored == 66
+        code = main(["verify", "--max-n", "3", "--format", "json"])
+        verdicts = [r["verdict"] for r in json.loads(capsys.readouterr().out)["reports"]]
+        assert code == 1 and "mismatch" in verdicts
 
     def test_scaled_racah_entry_trips_the_normalisation(self, monkeypatch,
                                                         fresh_gauge):
