@@ -5,9 +5,10 @@ B(l) = <n l m | n1 n2 m> and its bare 3jm C are read from one cached block per
 holds A_z in that rational gauge (J); b_coeff, b_matrix, the Stark module's C
 and float tables, every sum rule and az_power_matrix read it. C is even in m,
 and B(n, -m) = (-1)^m B(n, m). C's 3jm couples two equal spins (n-1)/2, and
-swapping them (q -> -q) multiplies it by (-1)^(n-1+l), so the Racah sums and
-the root joins run for the rows q <= 0 only and the rows q > 0 are their
-mirror images, with the a, D and R^2 of their sources. The square roots of
+swapping them (q -> -q) multiplies it by (-1)^(n-1+l), so the Racah sums run
+for the rows q <= 0 only and the rows q > 0 of rho are their mirror images,
+with the a, D and R^2 of their sources; that mirror and its sign are made
+once, in the stored rows, which every B and C entry reads. The square roots of
 the block and of the closed forms are ratios of factorials, split by
 pfrational.factorial_root without factoring anything. The block stores its
 gauge as integers over a few denominators (each rho row as R over D, b as N
@@ -16,14 +17,15 @@ integers that every B row is normalised (a sum_l N R^2 = b_den D^2) and that
 J matches beta^2 (U W = beta^2 Delta^2). The sum rules read a third guard,
 checked once per block: which rows are eigenvectors of J with their own q
 (J^T (N R) = q Delta (N R)), mirrored rows and their sign included. Every B
-and C entry, its monomial and its float alike, comes from
-one integer pass over the block: a numerator, a denominator and a squarefree
-radicand. n, m, l and every label field must be ints, not bools (check_block,
-the labels, ManifoldState, _check_l, b_squared_asymptotic). The Regge partner,
-hypergeometric route and fixed-l closed forms are independent oracles, the
-last two restricted to m >= 0 as printed; they agree with the block in square,
-and the sign of the hypergeometric route differs by the global factor measured
-by hypergeometric_sign_survey.
+and C entry, its monomial and its float alike, comes from one integer pass
+over the block's stored rows: a numerator, a denominator and a squarefree
+radicand, whose sign is its row's. n, m, l and every label field must be
+ints, not bools (check_block, the labels, ManifoldState, _check_l,
+b_squared_asymptotic). The Regge partner, hypergeometric route and fixed-l
+closed forms are independent oracles, the last two restricted to m >= 0 as
+printed; they agree with the block in square, and the sign of the
+hypergeometric route differs by the global factor measured by
+hypergeometric_sign_survey.
 """
 from __future__ import annotations
 
@@ -229,25 +231,23 @@ class BBlock:
     source does. The row identity J rho = q rho sees rho's mirror sign: J has
     a zero diagonal, so diag((-1)^l) J diag((-1)^l) = -J, and a mirrored row
     satisfies the identity with its own q = -q(source) exactly when its
-    source does and the sign (-1)^(n-1+l) is right. The sign _entries gives
-    the mirrored B and C entries is outside it; p_table's unitarity check
-    sees that one in the B floats.
+    source does and the sign (-1)^(n-1+l) is right. _entries joins every
+    stored row, so that is the only sign a mirrored B or C entry carries.
 
     The gauge is stored as integers over a few denominators: row n1 of rho as
     R = rho_num[n1] over D = rho_den[n1], the lcm of that row's denominators;
     b as N = b_num over b_den; J's bands as U = up and W = down over one
     j_den (Delta), so J^k carries Delta^k. Only j_transpose reads the bands,
-    one step per power: the row identity of eigen_rows, b J^k rho for a row
-    outside it, and the columns of b J^k (b_j_power) that az_power_matrix
-    and the printed forms read. eigen_rows is checked once per block, on
-    first read: the sum rules are the only readers of rho's signs on the
-    rows q > 0, so they read it, and the Stark tables, which read R^2 and
-    _entries only, do not pay for it. One integer pass
-    (_entries, not kept) gives every B and C entry as num, den and a
-    squarefree rad; B's and C's monomials (num/den, rad) and their floats
-    (num / den * sqrt(rad), rounded once) all read it. C's monomials, the
-    floats and the integer Gram matrix of C^2 (c_gram, for P-bar) are built
-    on first use and kept.
+    one step per power: the row identity of eigen_rows, and the columns of
+    b J^k (b_j_power) that az_power_matrix, the printed forms and the
+    contraction of a row outside eigen_rows read. eigen_rows is checked once
+    per block, on first read, by the sum rules; the Stark tables, which read
+    R^2 and _entries only, do not pay for it, and their unitarity check sees
+    the same sign in the B floats. One integer pass (_entries, not kept)
+    gives every B and C entry as num, den and a squarefree rad; B's and C's
+    monomials (num/den, rad) and their floats (num / den * sqrt(rad),
+    rounded once) all read it. C's monomials, the floats and the integer
+    Gram matrix of C^2 (c_gram, for P-bar) are built on first use and kept.
     """
 
     n: int
@@ -261,14 +261,6 @@ class BBlock:
     up: tuple[int, ...]  # U: J[l, l+1] = U / j_den = (l+1)((l+1)^2 - m^2)/(2l+1)
     down: tuple[int, ...]  # W: J[l+1, l] = W / j_den = J[l, l+1] b(l)/b(l+1)
     j_den: int
-
-    def b_j_power_rho(self, n1: int, power: int) -> tuple[int, ...]:
-        """b (J^power rho) of row n1 = (J^T)^power (b rho), as b J is symmetric,
-        in integers over b_den rho_den[n1] j_den^power; not kept."""
-        v = tuple(map(mul, self.b_num, self.rho_num[n1]))
-        for _ in range(power):
-            v = self.j_transpose(v)
-        return v
 
     def b_j_power(self, power: int) -> list[tuple[int, ...]]:
         """The columns of b J^power, symmetric as b J is, column l' being
@@ -306,18 +298,16 @@ class BBlock:
 
         sqrt(a) comes from the factorial table (pfrational._join over the four
         m-factorials of a), C joins it with the row of rho and the root u
-        sqrt(e), and B = (-1)^(n2 + l) sqrt(2l+1) C for m >= 0. Only the rows
-        q <= 0 are joined; row upper - n1 is row n1 with C's num times
-        (-1)^(n-1+l), as rho's, and B's times (-1)^(m+l). A float of a negated
-        num is the negated float, so every float is as if joined.
+        sqrt(e), and B = (-1)^(n2 + l) sqrt(2l+1) C for m >= 0. Every stored
+        row is joined, mirrored rows included, so an entry's sign is its row
+        of rho's, the one eigen_rows checks.
         """
         ls = spherical_ls(self.n, self.m)
         upper = self.n - self.m - 1
         table = default_table()
         odd = [_split_radicand(2 * l + 1) for l in ls]  # sqrt(2l+1) = u2 sqrt(e2)
-        built = []
-        qs = q_values(self.n, self.m)[:upper // 2 + 1]  # q <= 0
-        for n1, (q, row, d) in enumerate(zip(qs, self.rho_num, self.rho_den)):
+        for n1, (q, row, d) in enumerate(zip(q_values(self.n, self.m),
+                                             self.rho_num, self.rho_den)):
             ua, ea = _join(table, _a_factorials(self.n, self.m, q))
             b_row, c_row = [], []
             for l, x, (u, e), (u2, e2) in zip(ls, row, self.roots, odd):
@@ -327,13 +317,7 @@ class BBlock:
                 c_row.append((num, den, rad))
                 g, rad = _combine_radicands(rad, e2)
                 b_row.append((_neg1(upper - n1 + l) * num * u2 * g, den, rad))
-            built.append((b_row, c_row))
             yield b_row, c_row
-        for b_row, c_row in reversed(built[:(upper + 1) // 2]):
-            yield ([(-x if (self.m + l) & 1 else x, d, r)
-                    for l, (x, d, r) in zip(ls, b_row)],
-                   [(-x if (self.n - 1 + l) & 1 else x, d, r)
-                    for l, (x, d, r) in zip(ls, c_row)])
 
     @cached_property
     def c_monomials(self) -> tuple[tuple[tuple[Fraction, int], ...], ...]:

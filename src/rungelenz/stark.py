@@ -4,7 +4,9 @@ The evolution operator e^(i chi A_z) is never exponentiated numerically:
 within a manifold its matrix elements come spectrally from the exact basis
 change and the integer A_z eigenvalues q. B, C, the floats of B and C and the
 Gram matrix of C^2 are all read from the B/C block of basis.b_block, each
-float rounded once from integers. Blocks m and -m are one block, so every sum
+float rounded once from integers; _p_block reads the block's b_floats and
+c_floats directly, so B's floats carry the sign of the block's stored rows,
+the one its eigen_rows checks. Blocks m and -m are one block, so every sum
 over m reads each block once per |m|. The time-averaged table P-bar is fully
 rational: its C^2 double sum is one entry of each block's Gram matrix, the
 |m| > 0 entries counted twice, and it is checked entry by entry against the
@@ -148,14 +150,6 @@ def closed_form_report(n: int, l_init: int) -> list[dict]:
     return out
 
 
-def _b_float_block(n: int, m: int) -> tuple[tuple[float, ...], ...]:
-    return b_block(n, m).b_floats
-
-
-def _c_float_block(n: int, m: int) -> tuple[tuple[float, ...], ...]:
-    return b_block(n, m).c_floats
-
-
 def chi_from_time(n: int, t: float) -> float:
     """The accumulated phase chi = 3 n t / 2 of a constant field over time t;
     n must be an int >= 1 and t a real, not a bool, with t and chi finite."""
@@ -260,8 +254,8 @@ def _p_block(n: int, am: int, phase: dict, pairs) -> list[tuple]:
     pair serves both entries.
     """
     cosq, sinq = zip(*(phase[q] for q in q_values(n, am)))
-    b = list(zip(*_b_float_block(n, am)))
-    c = list(zip(*_c_float_block(n, am)))
+    blk = b_block(n, am)
+    b, c = list(zip(*blk.b_floats)), list(zip(*blk.c_floats))
     return [(l, lp, _phase_norm(b[lp - am], b[l - am], cosq, sinq),
              _phase_norm(c[l - am], c[lp - am], cosq, sinq))
             for l, lp in pairs if l >= am]

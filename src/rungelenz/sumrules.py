@@ -11,8 +11,9 @@ sum, never from J's recurrence, and the block's eigen_rows checks J rho =
 q rho on every row in integers, J^T (N R) = q Delta (N R), mirrored rows
 included. With the row's norm guard a sum N R^2 = b_den D^2 (b_block's) that
 gives q^k for every k at once, so a row in eigen_rows reads q^k; a row that
-fails is contracted, a sum R (N-weighted J^k numerators) over b_den D^2
-Delta^k, and its wrong value is reported. Each report compares that with
+fails is contracted with the block's b J^k, the same columns the printed
+forms read, as a R^T (b J^k numerators) R over b_den D^2 Delta^k, and its
+wrong value is reported. Each report compares that with
 the analytic right-hand side.
 
 For k = 2, 3, 4 the explicit weight-ratio forms as printed in the source
@@ -194,8 +195,8 @@ def _b_squared_sum(p: ParabolicLabel, f) -> Fraction:
     summed as a sum_l N R^2 f over b_den D^2."""
     blk = b_block(p.n, p.m)
     d = blk.rho_den[p.n1]
-    total = sum(w * x * f(l) for l, w, x in zip(
-        spherical_ls(p.n, p.m), blk.b_j_power_rho(p.n1, 0), blk.rho_num[p.n1]))
+    total = sum(w * x * x * f(l) for l, w, x in zip(
+        spherical_ls(p.n, p.m), blk.b_num, blk.rho_num[p.n1]))
     return Fraction(blk.a[p.n1] * total, blk.b_den * d * d)
 
 
@@ -209,13 +210,14 @@ def sum_rule_l2(p: ParabolicLabel) -> SumRuleReport:
 def _az_contraction(p: ParabolicLabel, power: int) -> Fraction:
     """<p| A_z^power |p> = a sum_l rho(l) b(l) (J^power rho)(l): q^power on a
     row of the block's eigen_rows, where J rho = q rho and the row's norm give
-    it for every power at once; else the contraction itself, a sum_l R (b
-    J^power rho numerators) / (b_den D^2 Delta^power)."""
+    it for every power at once; else the contraction itself, a R^T (b
+    J^power numerators, the block's b_j_power) R / (b_den D^2 Delta^power)."""
     blk = b_block(p.n, p.m)
     if p.n1 in blk.eigen_rows:
         return Fraction(p.q ** power)
-    d = blk.rho_den[p.n1]
-    total = sum(map(mul, blk.rho_num[p.n1], blk.b_j_power_rho(p.n1, power)))
+    row, d = blk.rho_num[p.n1], blk.rho_den[p.n1]
+    total = sum(x * sum(map(mul, col, row))
+                for x, col in zip(row, blk.b_j_power(power)))
     return Fraction(blk.a[p.n1] * total, blk.b_den * d * d * blk.j_den ** power)
 
 

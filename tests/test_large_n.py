@@ -1,10 +1,20 @@
-"""verify's output at large n, pinned by the sha256 of its full JSON text.
+"""The output contract at large n, pinned by the sha256 of its full text.
 
 The golden digests in test_cli.py stop at n <= 12; these reach the factorial
-table's n <= 64. Each case runs `python -m rungelenz verify ... --format json`
-in a fresh interpreter and hashes stdout as it streams (n <= 64 writes about
-400 MB), so no output is held in memory. The digests were recorded from the
-per-label A_z^k routes, before the sweep read them from per-block identities.
+table's n <= 64.
+
+- verify: each case runs `python -m rungelenz verify ... --format json` in a
+  fresh interpreter and hashes stdout as it streams (n <= 64 writes about
+  400 MB), so no output is held in memory. The digests were recorded from
+  the per-label A_z^k routes, before the sweep read them from per-block
+  identities. verify reads rho, never the B and C entries of the block.
+- tables, hashed in-process: pbar_table(64) and p_table(64, 0.7), each as
+  to_json and to_csv, which read the block's B and C entries (C's Gram matrix,
+  and the B and C floats, the latter through the platform's cos and sin);
+  and the h1 then h2 to_json of every signed block (n, m) with n <= 40, n
+  ascending and m from -(n-1) up, joined with newlines. The digests were
+  recorded before the B and C entries were joined from every stored row in
+  place of mirroring the rows q <= 0.
 
 Skipped unless RUNGELENZ_LARGE_N=1; the four sweeps take a few minutes:
 
@@ -19,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import rungelenz
+from rungelenz import diamagnetic, stark
 
 pytestmark = pytest.mark.skipif(os.environ.get("RUNGELENZ_LARGE_N") != "1",
                                 reason="set RUNGELENZ_LARGE_N=1 to run the large-n sweeps")
@@ -57,3 +68,32 @@ def test_verify_output_digest(case):
     if "--jobs" in args and (os.cpu_count() or 1) < int(args[args.index("--jobs") + 1]):
         pytest.skip("needs more CPUs than this host has")
     assert _verify_sha256(args) == want
+
+
+TABLES = {
+    "pbar64": (lambda: stark.pbar_table(64),
+               "3b70c6dd5bc418390d6d72783de9d977ab02f78873069cc2ea35a24047357b39",
+               "bbb0a6d2d078218077aa35f50ae41b293d02e648b63db4359510dc2f0c7ab7cb"),
+    "p64-chi0.7": (lambda: stark.p_table(64, 0.7),
+                   "e28adcf78ee7c4a6bd36c70f58817a5264d32e1bd0cf656d0829706ea1629b22",
+                   "8d9b2faf853fe6af2336405e2125df1bc0cdd64e3357f07fb67494baf5379200"),
+}
+
+H1_H2_N40 = "87d0bb0b982a121b4f39cd81c6deb6c3ef0eec8e20ab2cc88742180b21561329"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(TABLES))
+def test_table_digest(case):
+    build, want_json, want_csv = TABLES[case]
+    table = build()
+    assert (_sha256(table.to_json()), _sha256(table.to_csv())) == (want_json, want_csv)
+
+
+def test_diamagnetic_digest():
+    parts = [matrix(n, m).to_json() for n in range(1, 41) for m in range(1 - n, n)
+             for matrix in (diamagnetic.h1_matrix, diamagnetic.h2_matrix)]
+    assert _sha256("\n".join(parts)) == H1_H2_N40

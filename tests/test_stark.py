@@ -1,5 +1,6 @@
 """Stark transfer probabilities: exact P-bar, floating P, closed forms, tables."""
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -342,31 +343,40 @@ class TestPTable:
         for row in table.entries:
             assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
 
+    @staticmethod
+    def patch_floats(monkeypatch, edit):
+        """stark.b_block returns a copy of each block whose (B floats, C
+        floats) are edit(m, b_rows, c_rows), each a list of row lists."""
+        real = stark.b_block
+
+        def edited(n, m):
+            blk = real(n, m)
+            copy = dataclasses.replace(blk)
+            b, c = ([list(row) for row in rows] for rows in blk._float_tables)
+            edit(m, b, c)
+            copy.__dict__["_float_tables"] = tuple(tuple(map(tuple, rows))
+                                                   for rows in (b, c))
+            return copy
+
+        monkeypatch.setattr(stark, "b_block", edited)
+
     def test_perturbed_c_route_is_caught(self, monkeypatch):
-        real = stark._c_float_block
-
-        def perturbed(n, m):
-            rows = [list(row) for row in real(n, m)]
+        def perturbed(m, b, c):
             if m == 0:
-                rows[2][2] *= 1.001  # (q, l) = (1, 2) of the n = 4 block
-            return tuple(tuple(row) for row in rows)
+                c[2][2] *= 1.001  # (q, l) = (1, 2) of the n = 4 block
 
-        monkeypatch.setattr(stark, "_c_float_block", perturbed)
+        self.patch_floats(monkeypatch, perturbed)
         with pytest.raises(InternalConsistencyError, match="routes disagree"):
             p_table(4, 0.7)
         with pytest.raises(InternalConsistencyError, match="routes disagree"):
             p_transition(4, 2, 2, 0.7)
 
     def test_perturbed_c_route_in_a_signed_block_is_caught(self, monkeypatch):
-        real = stark._c_float_block
-
-        def perturbed(n, m):
-            rows = [list(row) for row in real(n, m)]
+        def perturbed(m, b, c):
             if m == 1:
-                rows[0][1] *= 1.001  # (q, l) = (-2, 2) of the n = 4, |m| = 1 block
-            return tuple(tuple(row) for row in rows)
+                c[0][1] *= 1.001  # (q, l) = (-2, 2) of the n = 4, |m| = 1 block
 
-        monkeypatch.setattr(stark, "_c_float_block", perturbed)
+        self.patch_floats(monkeypatch, perturbed)
         with pytest.raises(InternalConsistencyError, match="routes disagree"):
             p_table(4, 0.7)
         with pytest.raises(InternalConsistencyError, match="routes disagree"):
@@ -374,16 +384,28 @@ class TestPTable:
 
     @staticmethod
     def count_float_blocks(monkeypatch):
+        """The (n, m) of every read of B's and of C's floats, through
+        stark.b_block."""
         calls = {"b": [], "c": []}
-        for kind in calls:
-            name = f"_{kind}_float_block"
-            real = getattr(stark, name)
+        real = stark.b_block
 
-            def counted(n, m, real=real, seen=calls[kind]):
-                seen.append((n, m))
-                return real(n, m)
+        class Counted(basis.BBlock):
+            @property
+            def b_floats(self):
+                calls["b"].append((self.n, self.m))
+                return super().b_floats
 
-            monkeypatch.setattr(stark, name, counted)
+            @property
+            def c_floats(self):
+                calls["c"].append((self.n, self.m))
+                return super().c_floats
+
+        def counted(n, m):
+            blk = real(n, m)
+            return Counted(**{f.name: getattr(blk, f.name)
+                              for f in dataclasses.fields(blk)})
+
+        monkeypatch.setattr(stark, "b_block", counted)
         return calls
 
     def test_float_blocks_read_once_per_abs_m(self, monkeypatch):
@@ -397,12 +419,10 @@ class TestPTable:
         assert calls["b"] == calls["c"] == [(7, am) for am in range(4)]
 
     def test_non_unitary_block_is_caught(self, monkeypatch):
-        real = stark._b_float_block
+        def scaled(m, b, c):
+            b[:] = [[1.01 * x for x in row] for row in b]
 
-        def scaled(n, m):
-            return tuple(tuple(1.01 * x for x in row) for row in real(n, m))
-
-        monkeypatch.setattr(stark, "_b_float_block", scaled)
+        self.patch_floats(monkeypatch, scaled)
         with pytest.raises(InternalConsistencyError, match="not unitary"):
             p_table(4, 0.7)
 

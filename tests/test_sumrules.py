@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from rungelenz import basis, sumrules
+from rungelenz import basis, stark, sumrules
 from rungelenz.basis import ParabolicLabel, b_matrix, spherical_ls
 from rungelenz.cli import main
 from rungelenz.errors import DomainError, InternalConsistencyError
@@ -387,6 +387,11 @@ class TestRationalGauge:
         code = main(["verify", "--max-n", "3", "--format", "json"])
         verdicts = [r["verdict"] for r in json.loads(capsys.readouterr().out)["reports"]]
         assert code == 1 and "mismatch" in verdicts
+        # B's floats read the same rows, so that one sign also feeds p_table's
+        # unitarity guard
+        for n in range(2, 9):
+            with pytest.raises(InternalConsistencyError, match="not unitary"):
+                stark.p_table(n, 0.7)
 
     def test_scaled_racah_entry_trips_the_normalisation(self, monkeypatch,
                                                         fresh_gauge):
