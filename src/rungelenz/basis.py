@@ -231,8 +231,8 @@ class BBlock:
     source does. The row identity J rho = q rho sees rho's mirror sign: J has
     a zero diagonal, so diag((-1)^l) J diag((-1)^l) = -J, and a mirrored row
     satisfies the identity with its own q = -q(source) exactly when its
-    source does and the sign (-1)^(n-1+l) is right. _entries joins every
-    stored row, so that is the only sign a mirrored B or C entry carries.
+    source does and the sign (-1)^(n-1+l) is right. _entries multiplies out
+    every stored row, so that is the only sign a mirrored B or C entry carries.
 
     The gauge is stored as integers over a few denominators: row n1 of rho as
     R = rho_num[n1] over D = rho_den[n1], the lcm of that row's denominators;
@@ -299,24 +299,33 @@ class BBlock:
         sqrt(a) comes from the factorial table (pfrational._join over the four
         m-factorials of a), C joins it with the row of rho and the root u
         sqrt(e), and B = (-1)^(n2 + l) sqrt(2l+1) C for m >= 0. Every stored
-        row is joined, mirrored rows included, so an entry's sign is its row
-        of rho's, the one eigen_rows checks.
+        row is multiplied out, mirrored rows included, so an entry's sign is
+        its row of rho's, the one eigen_rows checks. The joins themselves
+        carry no sign: q and -q permute the same four m-factorials, so both
+        rows read the factors joined once per |q|.
         """
         ls = spherical_ls(self.n, self.m)
         upper = self.n - self.m - 1
         table = default_table()
         odd = [_split_radicand(2 * l + 1) for l in ls]  # sqrt(2l+1) = u2 sqrt(e2)
+        joins = {}  # |q| -> per l, C's factor and rad, B's factor and rad
         for n1, (q, row, d) in enumerate(zip(q_values(self.n, self.m),
                                              self.rho_num, self.rho_den)):
-            ua, ea = _join(table, _a_factorials(self.n, self.m, q))
+            if abs(q) not in joins:
+                ua, ea = _join(table, _a_factorials(self.n, self.m, q))
+                factors = []
+                for l, (u, e), (u2, e2) in zip(ls, self.roots, odd):
+                    g, rad = _combine_radicands(ea, e)
+                    g2, rad2 = _combine_radicands(rad, e2)
+                    factors.append((_neg1(self.m + l) * ua * u.numerator * g,
+                                    u.denominator, rad, u2 * g2, rad2))
+                joins[abs(q)] = factors
             b_row, c_row = [], []
-            for l, x, (u, e), (u2, e2) in zip(ls, row, self.roots, odd):
-                g, rad = _combine_radicands(ea, e)
-                num = _neg1(self.m + l) * ua * x * u.numerator * g
-                den = d * u.denominator
+            for l, x, (f, u_den, rad, f2, rad2) in zip(ls, row, joins[abs(q)]):
+                num = f * x
+                den = d * u_den
                 c_row.append((num, den, rad))
-                g, rad = _combine_radicands(rad, e2)
-                b_row.append((_neg1(upper - n1 + l) * num * u2 * g, den, rad))
+                b_row.append((_neg1(upper - n1 + l) * num * f2, den, rad2))
             yield b_row, c_row
 
     @cached_property

@@ -9,17 +9,23 @@ parameter order regardless of how many worker processes ran them.
 A verify report reaches stdout as text made where it is computed: each sweep
 tuple's reports become one finished text in the chosen format (JSON from the
 report's own writer, which lays it out as json.dumps(indent=2) would), with
-the tuple's mismatch and warning counts. One task holds every tuple of one
+the tuple's mismatch and warning counts. One shard holds every tuple of one
 (n, |m|) block, both signs of m, so each block, its printed-form differences
-and its memos are built in one process only. The main process, alone or over
-a --jobs pool, only writes those texts in sweep order and the summary. A
-task's m > 0 tuples wait for the rest of their n, so it holds back at most
-the m > 0 half of one n.
+and its memos are built in one process only. The main process only writes
+those texts in sweep order and the summary. A shard's m > 0 tuples wait for
+the rest of their n, so it holds back at most the m > 0 half of one n.
 
-A serial run (verify --jobs 1, compute, table1) loads no pool machinery:
-neither concurrent.futures nor multiprocessing is imported until a --jobs
-N > 1 sweep builds its first pool. The pool class is the module attribute
-ProcessPoolExecutor, filled on that first use unless it was already set.
+verify --jobs N > 1 forks N children (POSIX only: without os.fork it is a
+usage error). Child w computes the shards k = w (mod N) in sweep order and
+writes each one's results with marshal down its own pipe, or b"E" and the
+pickled exception, which the main process raises when it reaches that shard.
+The main process reads shard k from pipe k mod N, so a child runs at most
+one shard and a pipe's buffer ahead of the output: the pipes' backpressure
+is what bounds the hold-back above. A child leaves only through os._exit.
+When the main process dies its pipes close, and each child's next write
+fails and ends it; on any early exit (closed stdout, an error, Ctrl-C) the
+main process kills and reaps every child. Nothing imports concurrent.futures
+or multiprocessing.
 """
 from __future__ import annotations
 
@@ -27,14 +33,11 @@ import argparse
 import csv
 import io
 import json
+import marshal
 import os
 import re
 import sys
-import threading
-import time
-from contextlib import ExitStack
 from fractions import Fraction
-from functools import partial
 
 from .basis import ParabolicLabel, b_coeff, check_block
 from .diamagnetic import h1_matrix, h2_matrix
@@ -48,10 +51,6 @@ from .wigner import ThreeJmArgs, clebsch_gordan, twice, wigner_3jm, wigner_6j
 
 TABLE1_PARAMS = ParabolicLabel(n1=3, n2=1, m=4)  # the n=9 worked example
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a SIGPIPE kill
-_PARENT_POLL_S = 0.5  # how often a pool worker checks that the main process lives
-# the --jobs pool class, set by _pool_class on first use; a subclass bound
-# here beforehand (bench/tracer.py's TracingPool) is used as it is
-ProcessPoolExecutor = None
 
 
 class _NegativeNumber:
@@ -128,6 +127,9 @@ def _sweep_tuples(args, parser) -> list[tuple]:
     if not 1 <= args.jobs <= cpus:
         parser.error(f"--jobs needs an integer in 1..{cpus} (the CPU count), "
                      f"got {args.jobs}")
+    if args.jobs > 1 and not hasattr(os, "fork"):
+        parser.error(f"--jobs {args.jobs} forks worker processes, and this "
+                     "platform has no os.fork; use --jobs 1")
     # (2n-1)! is the largest factorial a block of n needs: fail before the sweep
     limit = default_table().limit
     if 2 * args.max_n - 1 > limit:
@@ -208,42 +210,79 @@ def _verify_shard(fmt: str, shard: list) -> list:
     return [_verify_worker(fmt, task) for task in shard]
 
 
-def _exit_with_parent(main_pid: int) -> None:
-    """Pool initializer: the worker exits soon after the main process dies.
+def _shard_child(fmt: str, shards: list, write_fd: int, read_ends: list):
+    """A forked child's whole life: close every read end it inherited, its
+    own included, so the main process holds the only one; then write each
+    shard's results, or b"E" and the pickled exception that ends it, down
+    write_fd. It leaves only through os._exit, never by returning into the
+    main process's frames."""
+    status = 1
+    try:
+        for pipe in read_ends:
+            pipe.close()
+        with open(write_fd, "wb") as pipe:
+            for shard in shards:
+                try:
+                    msg = _verify_shard(fmt, shard)
+                except Exception as exc:
+                    import pickle
+                    try:
+                        msg = b"E" + pickle.dumps(exc)
+                    except Exception:  # sent as a RuntimeError naming it
+                        msg = b"E" + pickle.dumps(RuntimeError(
+                            f"--jobs worker raised {exc!r}, which cannot be pickled"))
+                pipe.write(marshal.dumps(msg))
+                pipe.flush()  # a dead main process makes this raise: exit
+                if isinstance(msg, bytes):
+                    break
+        status = 0
+    finally:
+        os._exit(status)
 
-    A main process killed outright (SIGKILL) never runs the pool's shutdown,
-    so without this its workers would run on, reparented, until their tasks
-    end. Its death orphans the worker (the parent pid changes) and, once
-    reaped, main_pid no longer exists; either ends the worker, also when the
-    main process died before the worker started.
-    """
-    parent = os.getppid()
 
-    def watch():
-        try:
-            while os.getppid() == parent:
-                os.kill(main_pid, 0)
-                time.sleep(_PARENT_POLL_S)
-        except OSError:  # main_pid is gone, or reused by a process not ours
-            pass
-        os._exit(1)
+def _forked_shards(fmt: str, shard_tasks: list, jobs: int):
+    """_verify_shard over every shard, yielded in order, from `jobs` forked
+    children: child w runs the shards k = w (mod jobs) and the main process
+    reads shard k from pipe k mod jobs. Closing the generator kills and
+    reaps every child."""
+    import signal  # not at module level: a serial run would pay its import
 
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def _pool_class():
-    """The class --jobs pools are built from, imported on first use."""
-    global ProcessPoolExecutor
-    if ProcessPoolExecutor is None:
-        from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor
+    pids, pipes = [], []
+    try:
+        for w in range(jobs):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            pid = os.fork()
+            if pid == 0:
+                _shard_child(fmt, shard_tasks[w::jobs], write_fd, pipes)
+            pids.append(pid)
+            os.close(write_fd)
+        for k in range(len(shard_tasks)):
+            try:
+                msg = marshal.load(pipes[k % jobs])
+            except EOFError:
+                raise RuntimeError(f"--jobs worker {pids[k % jobs]} ended before "
+                                   f"sending shard {k}") from None
+            if isinstance(msg, bytes):
+                import pickle
+                raise pickle.loads(msg[1:])
+            yield msg
+    finally:
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except OSError:  # already reaped (SIGCHLD ignored): nothing to end
+                pass
+        for pipe in pipes:
+            pipe.close()
 
 
 def _cmd_verify(args, parser) -> int:
     """Write each tuple's finished text in sweep order, then the summary.
 
     Nothing is written before the first tuple's text exists, so a sweep whose
-    first task fails leaves stdout empty.
+    first shard fails leaves stdout empty.
     """
     tasks = _sweep_tuples(args, parser)
     # the sweep indices of each (n, |m|) block, in order of their first tuple
@@ -252,21 +291,15 @@ def _cmd_verify(args, parser) -> int:
         blocks.setdefault((n, abs(m)), []).append(i)
     shards = list(blocks.values())
     shard_tasks = [[tasks[i] for i in shard] for shard in shards]
-    worker = partial(_verify_shard, args.format)
     _, head, sep = _VERIFY_FORMATS[args.format]
     out = sys.stdout
     mismatches = warnings = 0
     done, written = {}, 0
-    with ExitStack() as stack:
-        if args.jobs > 1:
-            pool = stack.enter_context(_pool_class()(
-                max_workers=args.jobs, initializer=_exit_with_parent,
-                initargs=(os.getpid(),)))
-            # runs first on the way out: an early exit computes no more tasks
-            stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(worker, shard_tasks)
-        else:
-            results = map(worker, shard_tasks)
+    if args.jobs > 1:
+        results = _forked_shards(args.format, shard_tasks, args.jobs)
+    else:
+        results = (_verify_shard(args.format, shard) for shard in shard_tasks)
+    try:
         for shard, texts in zip(shards, results):
             done.update(zip(shard, texts))
             # the m > 0 tuples of a shard wait for the m <= 0 rest of their n
@@ -278,6 +311,8 @@ def _cmd_verify(args, parser) -> int:
                 mismatches += bad
                 warnings += warn
                 written += 1
+    finally:
+        results.close()
     count = len(tasks) * len(tasks[0][-1])
     if args.format == "json":
         summary = _json_object([("tuples", repr(len(tasks))), ("reports", repr(count)),

@@ -17,7 +17,7 @@ class FactorialLimitError(DomainError):
         )
 
     def __reduce__(self):
-        # rebuilt from (needed, limit), so the error survives a process pool
+        # rebuilt from (needed, limit), so it survives a --jobs worker's pickle
         return type(self), (self.needed, self.limit)
 
 

@@ -146,7 +146,7 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_jobs_above_cpu_count_is_usage_error(self, monkeypatch, capsys):
-        # checked before any pool starts: a patched CPU count keeps it small
+        # checked before any worker is forked: a patched CPU count keeps it small
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--max-n", "3", "--jobs", "4"])
@@ -156,6 +156,20 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--max-n", "3", "--jobs", "2"])
         assert exc.value.code == 2
+        code, _ = run_cli(capsys, "verify", "--max-n", "2", "--jobs", "1")
+        assert code == 0
+
+    def test_jobs_without_fork_is_usage_error(self, monkeypatch, capsys):
+        """--jobs N > 1 forks its workers: on a platform without os.fork it is
+        a usage error that says why, and --jobs 1 still runs."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-n", "3", "--jobs", "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no os.fork" in err
         code, _ = run_cli(capsys, "verify", "--max-n", "2", "--jobs", "1")
         assert code == 0
 
@@ -361,7 +375,8 @@ class TestEnvironment:
     def test_closed_stdout_exits_quietly(self, jobs):
         """A reader that closes stdout after one line ends the sweep with
         status 141 and no traceback. The sweep up to n = 40 takes minutes;
-        under --jobs 2 its pending tasks are cancelled, not computed."""
+        under --jobs 2 the main process kills and reaps its children, so
+        once it has exited its process group is empty."""
         code = ("import os, sys; os.cpu_count = lambda: 2; "
                 "from rungelenz.cli import main; sys.exit(main())")
         proc = subprocess.Popen(
@@ -373,22 +388,23 @@ class TestEnvironment:
             first = proc.stdout.readline()
             proc.stdout.close()
             _, err = proc.communicate(timeout=60)
-        finally:  # on a timeout, the pool workers must not outlive the test
-            if proc.poll() is None:
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:  # on a timeout or a failure, no worker may outlive the test
+            try:
                 os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
+            except ProcessLookupError:
+                pass
+            proc.wait()
         assert first.startswith(b"l2 ")
         assert b"Traceback" not in err, err.decode()
         assert proc.returncode == 141
 
-    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
-    def test_pool_workers_exit_with_a_killed_parent(self, method):
+    def test_workers_exit_with_a_killed_parent(self):
         """SIGKILL of the main process of a --jobs 2 sweep, and of nothing
-        else: its pool workers exit within seconds instead of running on,
-        whichever way the pool starts them."""
-        code = (f"import multiprocessing, os, sys; "
-                f"multiprocessing.set_start_method({method!r}); "
-                "os.cpu_count = lambda: 2; "
+        else: its pipes close, and each forked worker exits at its next
+        write, within seconds, instead of running on."""
+        code = ("import os, sys; os.cpu_count = lambda: 2; "
                 "from rungelenz.cli import main; sys.exit(main())")
         proc = subprocess.Popen(
             [sys.executable, "-c", code, "verify", "--max-n", "40",
@@ -396,7 +412,7 @@ class TestEnvironment:
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=child_env(),
             start_new_session=True)
         try:
-            assert proc.stdout.readline().startswith(b"l2 ")  # the pool runs
+            assert proc.stdout.readline().startswith(b"l2 ")  # the workers run
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10)
             deadline = time.monotonic() + 10
@@ -449,9 +465,7 @@ class TestEnvironment:
 
 
 class TestPoolImport:
-    """Serial runs load no pool machinery; --jobs 2 builds its pool from
-    the module attribute cli.ProcessPoolExecutor, which bench/tracer.py
-    rebinds to count pool tasks."""
+    """No run loads pool machinery: --jobs N forks N children itself."""
 
     def test_serial_runs_load_no_pool_modules(self):
         """Checked in a fresh ``-I`` interpreter: this session has imported
@@ -487,29 +501,32 @@ class TestPoolImport:
             "verify --max-n 3 --format json": [],
             "compute beta 3 1 0": [],
             "table1": [],
-            "verify --max-n 3 --format json --jobs 2":
-                ["concurrent.futures", "multiprocessing"],
+            "verify --max-n 3 --format json --jobs 2": [],
         }
 
-    def test_pool_is_built_from_the_module_attribute(self, capsys, monkeypatch):
-        from concurrent.futures import ProcessPoolExecutor
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_jobs_forks_that_many_children(self, capsys, monkeypatch, jobs):
+        """--jobs N forks exactly N children and reaps them all; a serial run
+        forks none, and both write the same output."""
+        forked = []
+        real_fork = os.fork
 
-        import rungelenz.cli as cli
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
-        built = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: jobs)
         argv = ("verify", "--max-n", "4", "--format", "json")
-        code2, parallel = run_cli(capsys, *argv, "--jobs", "2")
-        assert built == [2]
+        code2, parallel = run_cli(capsys, *argv, "--jobs", str(jobs))
+        assert len(forked) == jobs
+        for pid in forked:  # reaped before main returned
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
         code1, serial = run_cli(capsys, *argv)
-        assert built == [2]  # a serial run builds no pool
+        assert len(forked) == jobs
         assert code1 == code2 == 0
         assert parallel == serial
 
@@ -518,33 +535,37 @@ class TestSharding:
     """verify maps one task per (n, |m|) block, both signs of m, and writes
     each tuple's text once every earlier tuple's text is written."""
 
-    def test_each_block_is_one_task_in_sweep_order(self, capsys, monkeypatch):
-        from concurrent.futures import ProcessPoolExecutor
-
+    def test_each_block_is_one_task_in_sweep_order(self, capsys, monkeypatch,
+                                                   tmp_path):
+        """Under --jobs 2 every tuple of one (n, |m|) block runs in one
+        forked child, never in the main process; child w runs the blocks
+        k = w (mod 2) of the sweep, in sweep order."""
         import rungelenz.cli as cli
 
-        mapped = []
+        log = tmp_path / "calls"
+        real = cli._verify_worker
 
-        class RecordingPool(ProcessPoolExecutor):
-            def map(self, fn, *iterables, **kwargs):
-                tasks = list(iterables[0])
-                mapped.extend(tasks)
-                return super().map(fn, tasks, **kwargs)
+        def logged(fmt, task):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {task[0]} {task[1]}\n")
+            return real(fmt, task)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_verify_worker", logged)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         argv = ("verify", "--max-n", "6", "--format", "json")
         code2, parallel = run_cli(capsys, *argv, "--jobs", "2")
-        pairs = []
-        for task in mapped:
-            assert all(isinstance(t, tuple) and len(t) == 5 for t in task), task
-            blocks = {(n, abs(m)) for n, m, *_ in task}
-            assert len(blocks) == 1, blocks
-            pairs += blocks
-        # in the order the first tuple of each pair comes in the sweep
-        assert pairs == list(dict.fromkeys((n, abs(m)) for n in range(1, 7)
-                                           for m in range(-(n - 1), n)))
-        assert sum(map(len, mapped)) == sum(n * n for n in range(1, 7))
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert len(calls) == sum(n * n for n in range(1, 7))
+        sweep = list(dict.fromkeys((n, abs(m)) for n in range(1, 7)
+                                   for m in range(-(n - 1), n)))
+        runs = {}  # pid -> the blocks it ran, in order
+        for pid, n, m in calls:
+            blocks = runs.setdefault(pid, [])
+            if not blocks or blocks[-1] != (n, abs(m)):
+                blocks.append((n, abs(m)))
+        assert len(runs) == 2 and os.getpid() not in runs
+        assert sorted(runs.values()) == [sweep[0::2], sweep[1::2]]
+        monkeypatch.setattr(cli, "_verify_worker", real)
         code1, serial = run_cli(capsys, *argv)
         assert code1 == code2 == 0
         assert parallel == serial
@@ -568,12 +589,8 @@ class TestSharding:
         """A tuple with m > 0 fails mid-sweep: the error propagates, and
         stdout holds exactly the tuples before its block's first (m < 0)
         tuple, a prefix of the full output that ends at a tuple boundary."""
-        import multiprocessing
-
         import rungelenz.cli as cli
 
-        if jobs == "2" and multiprocessing.get_start_method() != "fork":
-            pytest.skip("pool workers see the patched worker only when forked")
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         argv = ("verify", "--max-n", "6", "--format", "text")
         _, full = run_cli(capsys, *argv)
@@ -593,6 +610,53 @@ class TestSharding:
         lines = full.splitlines(keepends=True)
         assert full.startswith(out)
         assert out == "".join(lines[:4 * tuples.index((5, -2, 0))])
+
+
+    @pytest.mark.parametrize("fault, message", [
+        # pickle.dumps fails on the lambda; the child sends a RuntimeError
+        ("exc = RuntimeError('injected fault'); exc.hook = lambda: 0",
+         b"RuntimeError: --jobs worker raised RuntimeError('injected fault'), "
+         b"which cannot be pickled"),
+        # pickle.loads fails in the main process: __init__ takes two arguments
+        ("exc = Unloadable('injected fault', 0)",
+         b"missing 1 required positional argument: 'extra'")])
+    def test_unpicklable_worker_exception_ends_the_sweep(self, fault, message):
+        """A --jobs 2 worker exception that pickle cannot carry ends the sweep
+        with an error and a traceback, not a hang, and leaves no child."""
+        code = "\n".join([
+            "import os, sys",
+            "os.cpu_count = lambda: 2",
+            "import rungelenz.cli as cli",
+            "class Unloadable(Exception):",
+            "    def __init__(self, text, extra):",
+            "        super().__init__(text)",
+            "real = cli._verify_worker",
+            "def faulty(fmt, task):",
+            "    if task[:2] == (5, 2):",
+            f"        {fault}",
+            "        raise exc",
+            "    return real(fmt, task)",
+            "cli._verify_worker = faulty",
+            "sys.exit(cli.main())",
+        ])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "verify", "--max-n", "6", "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+            start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert proc.returncode == 1
+        assert b"Traceback" in err
+        assert message in err, err.decode()
+        assert out.startswith(b"l2 ") and b"summary" not in out
 
 
 class TestBenchTracer:
