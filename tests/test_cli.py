@@ -400,11 +400,16 @@ class TestEnvironment:
         assert b"Traceback" not in err, err.decode()
         assert proc.returncode == 141
 
-    def test_workers_exit_with_a_killed_parent(self):
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_pool_workers_exit_with_a_killed_parent(self, method):
         """SIGKILL of the main process of a --jobs 2 sweep, and of nothing
         else: its pipes close, and each forked worker exits at its next
-        write, within seconds, instead of running on."""
-        code = ("import os, sys; os.cpu_count = lambda: 2; "
+        write, within seconds, instead of running on. The multiprocessing
+        start method the host program has set changes none of this, since
+        --jobs forks its workers itself."""
+        code = (f"import multiprocessing, os, sys; "
+                f"multiprocessing.set_start_method({method!r}); "
+                "os.cpu_count = lambda: 2; "
                 "from rungelenz.cli import main; sys.exit(main())")
         proc = subprocess.Popen(
             [sys.executable, "-c", code, "verify", "--max-n", "40",
