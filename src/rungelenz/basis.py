@@ -15,7 +15,7 @@ gauge as integers over a few denominators (each rho row as R over D, b as N
 over b_den, J's bands as U and W over one Delta), and its build checks in
 integers that every B row is normalised (a sum_l N R^2 = b_den D^2) and that
 J matches beta^2 (U W = beta^2 Delta^2). The sum rules read a third guard,
-checked once per block: which rows are eigenvectors of J with their own q
+checked once per block: every row is an eigenvector of J with its own q
 (J^T (N R) = q Delta (N R)), mirrored rows and their sign included. Every B
 and C entry, its monomial and its float alike, comes from one integer pass
 over the block's stored rows: a numerator, a denominator and a squarefree
@@ -138,6 +138,10 @@ class ManifoldState:
         if self.basis not in ("spherical", "parabolic"):
             raise DomainError(f"unknown basis tag {self.basis!r}")
         check_block(self.n, self.m)
+        if not (isinstance(self.coeffs, tuple)
+                and all(isinstance(c, RadicalSum) for c in self.coeffs)):
+            raise DomainError(f"coeffs must be a tuple of RadicalSums, "
+                              f"got {self.coeffs!r}")
         dim = self.n - abs(self.m)
         if len(self.coeffs) != dim:
             raise DomainError(
@@ -238,16 +242,16 @@ class BBlock:
     R = rho_num[n1] over D = rho_den[n1], the lcm of that row's denominators;
     b as N = b_num over b_den; J's bands as U = up and W = down over one
     j_den (Delta), so J^k carries Delta^k. Only j_transpose reads the bands,
-    one step per power: the row identity of eigen_rows, and the columns of
-    b J^k (b_j_power) that az_power_matrix, the printed forms and the
-    contraction of a row outside eigen_rows read. eigen_rows is checked once
-    per block, on first read, by the sum rules; the Stark tables, which read
-    R^2 and _entries only, do not pay for it, and their unitarity check sees
-    the same sign in the B floats. One integer pass (_entries, not kept)
-    gives every B and C entry as num, den and a squarefree rad; B's and C's
-    monomials (num/den, rad) and their floats (num / den * sqrt(rad),
-    rounded once) all read it. C's monomials, the floats and the integer
-    Gram matrix of C^2 (c_gram, for P-bar) are built on first use and kept.
+    one step per power: the row identity of az_eigenvalues, and the columns
+    of b J^k (b_j_power) that az_power_matrix and the printed forms read.
+    az_eigenvalues is checked once per block, on first read, by the sum
+    rules; the Stark tables, which read R^2 and _entries only, do not pay
+    for it, and their unitarity check sees the same sign in the B floats.
+    One integer pass (_entries, not kept) gives every B and C entry as num,
+    den and a squarefree rad; B's and C's monomials (num/den, rad) and their
+    floats (num / den * sqrt(rad), rounded once) all read it. C's
+    monomials, the floats and the integer Gram matrix of C^2 (c_gram, for
+    P-bar) are built on first use and kept.
     """
 
     n: int
@@ -280,17 +284,19 @@ class BBlock:
                          [*map(mul, self.down, v[1:]), 0]))
 
     @cached_property
-    def eigen_rows(self) -> frozenset[int]:
-        """The rows n1 whose rho is an eigenvector of J with their own q,
-        checked in integers as J^T (N R) = q Delta (N R), b J being symmetric:
-        O(dim) per row, mirrored rows included. A row that fails halts
-        nothing; the sum rules contract it and report the mismatch."""
-        eigen = []
-        for n1, (q, row) in enumerate(zip(q_values(self.n, self.m), self.rho_num)):
+    def az_eigenvalues(self) -> tuple[int, ...]:
+        """The A_z eigenvalue q of each row n1, once every row's rho is shown
+        an eigenvector of J with that q, in integers as J^T (N R) = q Delta
+        (N R), b J being symmetric: O(dim) per row, mirrored rows included.
+        A row that fails halts with InternalConsistencyError."""
+        qs = tuple(q_values(self.n, self.m))
+        for n1, (q, row) in enumerate(zip(qs, self.rho_num)):
             b_rho = tuple(map(mul, self.b_num, row))
-            if self.j_transpose(b_rho) == tuple(map((q * self.j_den).__mul__, b_rho)):
-                eigen.append(n1)
-        return frozenset(eigen)
+            if self.j_transpose(b_rho) != tuple(map((q * self.j_den).__mul__, b_rho)):
+                raise InternalConsistencyError(
+                    f"B row n1={n1} of (n={self.n}, m={self.m}) is not an eigenvector "
+                    f"of J with q={q}: J rho != q rho in the rational gauge")
+        return qs
 
     def _entries(self):
         """Each row's B and C entries as (num, den, rad), the value num / den
@@ -300,7 +306,7 @@ class BBlock:
         m-factorials of a), C joins it with the row of rho and the root u
         sqrt(e), and B = (-1)^(n2 + l) sqrt(2l+1) C for m >= 0. Every stored
         row is multiplied out, mirrored rows included, so an entry's sign is
-        its row of rho's, the one eigen_rows checks. The joins themselves
+        its row of rho's, the one az_eigenvalues checks. The joins themselves
         carry no sign: q and -q permute the same four m-factorials, so both
         rows read the factors joined once per |q|.
         """
@@ -440,7 +446,8 @@ def b_block(n: int, m: int) -> BBlock:
     which ties J's closed form and b's factorials to A_z; a failure halts with
     InternalConsistencyError. Both run on the integer fields: a sum_l N R^2
     = b_den D^2 per row, and U W den(beta^2) = num(beta^2) Delta^2 per band.
-    The third guard, J rho = q rho per row, is the block's eigen_rows.
+    The third guard, J rho = q rho per row, is the block's az_eigenvalues,
+    which halts the same way on the sum rules' first read.
     """
     check_block(n, m)
     if m < 0:

@@ -10,13 +10,14 @@ than patched.
 Each block is one integer pass of operators._expression_matrix over its
 columns, with the expressions built and compiled once per n
 (_memo_expression); h2_symmetry_report builds from the current monomial
-table instead.
+table instead. The memoised entries of a block (n, |m|) render their JSON
+rows once, for m and -m both.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isfinite
 
 from .basis import _check_n, _finite_real, check_block, q_values
@@ -134,21 +135,29 @@ def _memo_expression(build, n: int) -> OperatorExpression:
     return build(n)
 
 
+class _Entries(tuple):
+    """A matrix's rows, which render their JSON text once, on first use: the
+    memoised blocks hold them, so the blocks m and -m share one rendering."""
+
+    @cached_property
+    def json_rows(self) -> str:
+        return _json_array([_json_array([_json_str(render_exact(x)) for x in row],
+                                        "    ") for row in self], "  ")
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """An exact matrix over the parabolic index of one (n, m) block.
 
     Rows/columns are ordered by q increasing; scale_text names the symbolic
-    prefactor the entries were stripped of.
+    prefactor the entries were stripped of. The entries are kept as
+    _Entries, so each entries object is rendered once.
     """
 
     n: int
     m: int
     scale_text: str
     entries: Matrix
-    # (memoised entries builder, n, |m|) when the entries came from one, so
-    # the blocks m and -m render their shared entries once
-    _source: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         check_block(self.n, self.m)
@@ -159,6 +168,8 @@ class OperatorMatrix:
                 and all(isinstance(x, RadicalSum) for x in row) for row in e)):
             raise DomainError(f"entries of the (n, m) = ({self.n}, {self.m}) block "
                               f"must be a {dim} x {dim} tuple of RadicalSum rows")
+        if not isinstance(e, _Entries):
+            object.__setattr__(self, "entries", _Entries(e))
 
     @property
     def dim(self) -> int:
@@ -177,30 +188,15 @@ class OperatorMatrix:
 
     def to_json(self) -> str:
         """The matrix as JSON text, laid out as json.dumps(..., indent=2)."""
-        entries, rows = _rendered_block(*self._source) if self._source else (None, None)
-        if entries is not self.entries:
-            rows = _rows_json(self.entries)
         return _json_object([
             ("n", repr(self.n)), ("m", repr(self.m)),
             ("scale", _json_str(self.scale_text)),
             ("q", _json_array([repr(q) for q in self.qs()], "  ")),
-            ("entries", rows)])
-
-
-def _rows_json(entries: Matrix) -> str:
-    return _json_array([_json_array([_json_str(render_exact(x)) for x in row], "    ")
-                        for row in entries], "  ")
+            ("entries", self.entries.json_rows)])
 
 
 @lru_cache(maxsize=None)
-def _rendered_block(build, n: int, am: int) -> tuple[Matrix, str]:
-    """A memoised block's entries and their JSON rows, rendered once."""
-    entries = build(n, am)
-    return entries, _rows_json(entries)
-
-
-@lru_cache(maxsize=None)
-def _h1_entries(n: int, m: int) -> Matrix:
+def _h1_entries(n: int, m: int) -> _Entries:
     """H1 over the (n, m) block, m >= 0, checked against its invariant form.
 
     The map |n1, m> -> |n1, -m> takes j1z to -j2z and j1+- to -j2-+, which
@@ -212,13 +208,13 @@ def _h1_entries(n: int, m: int) -> Matrix:
     if gen != inv:
         raise InternalConsistencyError(
             f"H1 generator and invariant forms disagree on (n={n}, m={m})")
-    return gen
+    return _Entries(gen)
 
 
 @lru_cache(maxsize=None)
-def _h2_entries(n: int, m: int) -> Matrix:
+def _h2_entries(n: int, m: int) -> _Entries:
     """H2 over the (n, m) block, m >= 0; the block of -m has the same entries."""
-    return _expression_matrix(_memo_expression(h2_expression, n), n, m)
+    return _Entries(_expression_matrix(_memo_expression(h2_expression, n), n, m))
 
 
 def h1_matrix(n: int, m: int) -> OperatorMatrix:
@@ -229,15 +225,13 @@ def h1_matrix(n: int, m: int) -> OperatorMatrix:
     One check serves the blocks m and -m.
     """
     check_block(n, m)
-    return OperatorMatrix(n, m, "gamma^2*n^2/16", _h1_entries(n, abs(m)),
-                          (_h1_entries, n, abs(m)))
+    return OperatorMatrix(n, m, "gamma^2*n^2/16", _h1_entries(n, abs(m)))
 
 
 def h2_matrix(n: int, m: int) -> OperatorMatrix:
     """The second-order operator over the (n, m) block (scale (gamma^2/8)^2 n^6/48)."""
     check_block(n, m)
-    return OperatorMatrix(n, m, "(gamma^2/8)^2*n^6/48", _h2_entries(n, abs(m)),
-                          (_h2_entries, n, abs(m)))
+    return OperatorMatrix(n, m, "(gamma^2/8)^2*n^6/48", _h2_entries(n, abs(m)))
 
 
 def h2_symmetry_report(n: int, m: int) -> list[dict]:

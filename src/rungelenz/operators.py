@@ -39,7 +39,6 @@ def _check_ints(what: str, *args) -> None:
         raise DomainError(f"{what}{args!r} needs int arguments, not bools")
 
 
-@lru_cache(maxsize=None, typed=True)  # beta(3.0, 1, 0) is not beta(3, 1, 0)
 def beta(n: int, l: int, m: int) -> RadicalSum:
     """The off-diagonal A_z matrix element between adjacent-l states; (n, m)
     must be a block of the manifold, and l = |m| or l = n gives 0."""

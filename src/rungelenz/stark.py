@@ -6,8 +6,8 @@ change and the integer A_z eigenvalues q. B, C, the floats of B and C and the
 Gram matrix of C^2 are all read from the B/C block of basis.b_block, each
 float rounded once from integers; _p_block reads the block's b_floats and
 c_floats directly, so B's floats carry the sign of the block's stored rows,
-the one its eigen_rows checks. Blocks m and -m are one block, so every sum
-over m reads each block once per |m|. The time-averaged table P-bar is fully
+the one its az_eigenvalues checks. Blocks m and -m are one block, so every
+sum over m reads each block once per |m|. The time-averaged table P-bar is fully
 rational: its C^2 double sum is one entry of each block's Gram matrix, the
 |m| > 0 entries counted twice, and it is checked entry by entry against the
 sum of squared 6j symbols {l l' j; J J J}^2, each one Fraction of integers
@@ -163,9 +163,11 @@ def chi_from_time(n: int, t: float) -> float:
 class TransitionTable:
     """P or P-bar over one manifold: rows l, columns l'.
 
-    kind "pbar" holds exact Fractions; kind "p" holds binary64 values at the
-    stored chi, which must be a finite real, not a bool. Every entry lies in
-    [0, 1]; rows of "p" tables sum to 1 to within 1e-12 (exactly, for "pbar").
+    kind "pbar" holds exact Fractions (or ints, not bools); kind "p" holds
+    floats at the stored chi, which must be a finite real, not a bool. n
+    must be an int >= 1 and entries an n x n tuple of rows. Every entry lies
+    in [0, 1]; rows of "p" tables sum to 1 to within 1e-12 (exactly, for
+    "pbar").
     """
 
     n: int
@@ -178,6 +180,18 @@ class TransitionTable:
             raise DomainError(f"kind must be 'pbar' or 'p', got {self.kind!r}")
         if self.kind == "p" and not _finite_real(self.chi):
             raise DomainError(f"kind 'p' needs a finite real chi, got {self.chi!r}")
+        _check_n(self.n)
+        n, e = self.n, self.entries
+        if self.kind == "pbar":
+            types, what = (Fraction, int), "Fractions or ints"
+        else:
+            types, what = float, "floats"
+        if not (isinstance(e, tuple) and len(e) == n and all(
+                isinstance(row, tuple) and len(row) == n and all(
+                    isinstance(x, types) and not isinstance(x, bool) for x in row)
+                for row in e)):
+            raise DomainError(f"entries of a {self.kind!r} table with n = {n} must "
+                              f"be a {n} x {n} tuple of rows of {what}")
         slack = 0 if self.kind == "pbar" else 1e-12  # float rounding headroom
         for row in self.entries:
             for x in row:

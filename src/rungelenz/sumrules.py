@@ -7,14 +7,12 @@ The block stores rho = R/D with rho = (-1)^l r, b = N/b_den and J's bands as
 U/Delta and W/Delta. The L^2 rule sums a sum N R^2 l(l+1) over b_den D^2.
 Every A_z^k rule and moment reads <p| A_z^k |p> = a sum_l b rho (J^k rho)
 from one identity per row, checked once per block: r comes from the Racah
-sum, never from J's recurrence, and the block's eigen_rows checks J rho =
-q rho on every row in integers, J^T (N R) = q Delta (N R), mirrored rows
-included. With the row's norm guard a sum N R^2 = b_den D^2 (b_block's) that
-gives q^k for every k at once, so a row in eigen_rows reads q^k; a row that
-fails is contracted with the block's b J^k, the same columns the printed
-forms read, as a R^T (b J^k numerators) R over b_den D^2 Delta^k, and its
-wrong value is reported. Each report compares that with
-the analytic right-hand side.
+sum, never from J's recurrence, and the block's az_eigenvalues checks J rho
+= q rho on every row in integers, J^T (N R) = q Delta (N R), mirrored rows
+included, halting with InternalConsistencyError on a row that fails. With
+the row's norm guard a sum N R^2 = b_den D^2 (b_block's) that gives q^k for
+every k at once, so every row reads q^k. Each report compares that with the
+analytic right-hand side.
 
 For k = 2, 3, 4 the explicit weight-ratio forms as printed in the source
 material are re-derived verbatim in one route: each term one monomial c
@@ -44,7 +42,6 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
 
 from .basis import (ParabolicLabel, _is_int, _over_lcm, b_block, beta_squared,
                     spherical_ls, unit_parabolic)
@@ -208,17 +205,10 @@ def sum_rule_l2(p: ParabolicLabel) -> SumRuleReport:
 
 
 def _az_contraction(p: ParabolicLabel, power: int) -> Fraction:
-    """<p| A_z^power |p> = a sum_l rho(l) b(l) (J^power rho)(l): q^power on a
-    row of the block's eigen_rows, where J rho = q rho and the row's norm give
-    it for every power at once; else the contraction itself, a R^T (b
-    J^power numerators, the block's b_j_power) R / (b_den D^2 Delta^power)."""
-    blk = b_block(p.n, p.m)
-    if p.n1 in blk.eigen_rows:
-        return Fraction(p.q ** power)
-    row, d = blk.rho_num[p.n1], blk.rho_den[p.n1]
-    total = sum(x * sum(map(mul, col, row))
-                for x, col in zip(row, blk.b_j_power(power)))
-    return Fraction(blk.a[p.n1] * total, blk.b_den * d * d * blk.j_den ** power)
+    """<p| A_z^power |p> = a sum_l rho(l) b(l) (J^power rho)(l) = q^power, q
+    read from the block's az_eigenvalues: J rho = q rho and the row's norm
+    give it for every power at once."""
+    return Fraction(b_block(p.n, p.m).az_eigenvalues[p.n1] ** power)
 
 
 def _ratio(num: int, den: int) -> tuple[int, int]:

@@ -365,6 +365,15 @@ class TestStateTransforms:
         with pytest.raises(DomainError):
             ManifoldState("fourier", 3, 0, (RadicalSum.zero(),) * 3)
 
+    @pytest.mark.parametrize("coeffs", [
+        (1, 0), [RadicalSum.zero()] * 2, (RadicalSum.zero(), Fraction(1)),
+        (RadicalSum.zero(), None)])
+    def test_state_coefficients_must_be_radical_sums(self, coeffs):
+        # as OperatorMatrix requires of its entries; a plain number would fail
+        # later, in norm_squared or to_spherical, with AttributeError
+        with pytest.raises(DomainError, match="tuple of RadicalSums"):
+            ManifoldState("parabolic", 2, 0, coeffs)
+
     @pytest.mark.parametrize("n, m", [(2.0, 0), (3, 1.0), (True, 0), (2, True)])
     def test_state_block_must_be_ints(self, n, m):
         # as many coefficients as n - |m| asks for, so only the type is wrong

@@ -691,6 +691,36 @@ class TestBenchTracer:
         assert len(got) == 44
         assert got == sorted(set(names) - {"trace.overhead_frac"})
 
+    def test_install_wraps_the_pinned_names(self):
+        """install() reads and rebinds package names by attribute, and its
+        metrics read b_matrix's and az_power_matrix's cache_info: after one
+        traced verify --max-n 2 each pinned name is rebound, in its module
+        and where cli imported it, and the sum-rule counters saw the sweep."""
+        script = "\n".join([
+            "import contextlib, io, json, sys",
+            f"sys.path.insert(0, {str(PYPROJECT.parent / 'bench')!r})",
+            "import tracer",
+            "from rungelenz import basis, cli, diamagnetic, operators",
+            "def pinned():",
+            "    return [operators.beta, cli.beta, operators.az_power_matrix,",
+            "            basis.b_matrix, diamagnetic.h1_matrix, cli.h1_matrix,",
+            "            diamagnetic.h2_matrix, cli.h2_matrix]",
+            "before = pinned()",
+            "tr = tracer.install()",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    code = cli.main(['verify', '--max-n', '2'])",
+            "m = tr.metrics(1.0)",
+            "print(json.dumps([code, [a is not b for a, b in zip(before, pinned())],",
+            "                  [m[k][0] for k in ('sumrules.sum_rule_l2.calls',",
+            "                   'sumrules.sum_rule_az.calls', 'operators.beta.calls')]]))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, rebound, calls = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0 and all(rebound), rebound
+        assert calls == [5, 15, 0]  # 5 tuples, powers 1-4
+
 
 class TestGoldenOutput:
     """Byte-identical CLI output: sha256 of stdout, pinned from a known-good

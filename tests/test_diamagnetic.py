@@ -411,7 +411,6 @@ class TestSerialization:
 
     @pytest.mark.parametrize("build", [h1_matrix, h2_matrix])
     def test_shared_entries_rendered_once(self, build, monkeypatch):
-        diamagnetic._rendered_block.cache_clear()
         first = build(5, 2).to_json()
         calls = []
         render = diamagnetic.render_exact

@@ -307,6 +307,24 @@ class TestTables:
         with pytest.raises(DomainError):
             TransitionTable(2, "nope", ((Fraction(1, 2), Fraction(1, 2)),) * 2)
 
+    @pytest.mark.parametrize("n, kind, entries", [
+        pytest.param(2, "pbar", ((Fraction(1),),), id="pbar-1x1-for-n2"),
+        pytest.param(2, "pbar", ((Fraction(1), Fraction(0)), (Fraction(1),)),
+                     id="pbar-ragged"),
+        pytest.param(2, "pbar", [(Fraction(1), Fraction(0))] * 2, id="pbar-list"),
+        pytest.param(2, "pbar", ((1.0, 0.0), (0.0, 1.0)), id="pbar-floats"),
+        pytest.param(2, "pbar", ((True, False), (False, True)), id="pbar-bools"),
+        pytest.param(2, "p", ((Fraction(1), Fraction(0)),) * 2, id="p-fractions"),
+        pytest.param(2, "p", ((1, 0), (0, 1)), id="p-ints"),
+        pytest.param(0, "pbar", (), id="n0"),
+        pytest.param(2.0, "pbar", ((Fraction(1), Fraction(0)),) * 2, id="n-float"),
+    ])
+    def test_shape_and_entry_types_validated(self, n, kind, entries):
+        # a table smaller than its n, or entries its writers cannot write
+        # (to_json raises AttributeError or TypeError on them)
+        with pytest.raises(DomainError):
+            TransitionTable(n, kind, entries, chi=0.7 if kind == "p" else None)
+
     @pytest.mark.parametrize("chi", [math.nan, math.inf, None, True, "0.7",
                                      pytest.param(10**400, id="10**400")])
     def test_p_table_chi_validated(self, chi):

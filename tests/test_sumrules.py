@@ -1,13 +1,14 @@
 """Sum-rule evaluations, generic moments, and printed-form discrepancy reports."""
 import dataclasses
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
 import oracles
 from rungelenz import basis, stark, sumrules
-from rungelenz.basis import ParabolicLabel, b_matrix, spherical_ls
+from rungelenz.basis import ParabolicLabel, b_matrix, q_values, spherical_ls
 from rungelenz.cli import main
 from rungelenz.errors import DomainError, InternalConsistencyError
 from rungelenz.operators import az_power_matrix, beta, beta_squared
@@ -346,26 +347,31 @@ class TestRationalGauge:
 
         monkeypatch.setattr(basis, "_racah_sum", perturbed)
 
-    def test_negated_racah_entry_is_a_mismatch(self, monkeypatch, capsys,
-                                               fresh_gauge):
-        # the row stays normalised, so only the A_z rules can see it
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_negated_racah_entry_halts_the_sweep(self, monkeypatch, capsys,
+                                                 fresh_gauge, jobs):
+        # the row stays normalised, so only J rho = q rho can see it; under
+        # --jobs 2 the forked worker inherits the patch and the main process
+        # raises its pickled error
         self.perturb_racah(monkeypatch, -1)
-        code = main(["verify", "--max-n", "4", "--min-n", "4", "--m", "0",
-                     "--n1", "1", "--powers", "1,2,3,4", "--format", "json"])
-        verdicts = [r["verdict"] for r in json.loads(capsys.readouterr().out)["reports"]]
-        assert code == 1
-        assert verdicts[0] == "exact-match" and "mismatch" in verdicts[1:]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"B row n1=1 of \(n=4, m=0\) .* q=-1:"):
+            main(["verify", "--max-n", "4", "--min-n", "4", "--m", "0",
+                  "--n1", "1", "--powers", "1,2,3,4", "--format", "json",
+                  "--jobs", jobs])
+        assert capsys.readouterr().out == ""
 
     def test_every_row_is_an_eigenvector_of_j(self):
         # J rho = q rho on every row, mirrored ones included: the sum rules
         # read q^k for every label rather than contracting it
         for n in range(1, 25):
             for m in range(n):
-                assert basis.b_block(n, m).eigen_rows == frozenset(range(n - m)), (n, m)
+                assert basis.b_block(n, m).az_eigenvalues == tuple(q_values(n, m)), (n, m)
 
-    def test_mirror_sign_is_a_block_guard(self, monkeypatch, capsys, fresh_gauge):
+    def test_mirror_sign_is_a_block_guard(self, monkeypatch, fresh_gauge):
         # mirrored rows q > 0 without their (-1)^(n-1+l) keep a, D and R^2,
-        # so the norm guard passes them; J rho = q rho fails on each of them
+        # so the norm guard passes them; J rho = q rho fails on the first
         real = basis._block_entries
 
         def unsigned(n, m):
@@ -381,12 +387,13 @@ class TestRationalGauge:
         for n in range(1, 13):
             for m in range(n - 1):  # the blocks with at least two rows
                 half = (n - m + 1) // 2
-                assert basis.b_block(n, m).eigen_rows == frozenset(range(half)), (n, m)
+                q = 2 * half - (n - m - 1)
+                with pytest.raises(InternalConsistencyError,
+                                   match=rf"B row n1={half} of \(n={n}, m={m}\) "
+                                         rf".* q={q}:"):
+                    az_moment_generic(ParabolicLabel(0, n - m - 1, m), 1)
                 mirrored += 1
         assert mirrored == 66
-        code = main(["verify", "--max-n", "3", "--format", "json"])
-        verdicts = [r["verdict"] for r in json.loads(capsys.readouterr().out)["reports"]]
-        assert code == 1 and "mismatch" in verdicts
         # B's floats read the same rows, so that one sign also feeds p_table's
         # unitarity guard
         for n in range(2, 9):
@@ -402,7 +409,7 @@ class TestRationalGauge:
     def test_powers_beyond_the_default_bound(self):
         for power in (9, 12):
             assert az_moment_generic(TABLE1, power).ok
-        # a lower power after a higher one reuses the label's vectors
+        # every power reads the row's one checked q
         assert az_moment_generic(TABLE1, 3).lhs == RadicalSum.from_rational(8)
 
 
