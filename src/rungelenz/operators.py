@@ -12,13 +12,12 @@ Every generator maps a parabolic basis state to at most one basis state, so a
 generator word is walked on (2 m1, 2 m2) with plain integers: the image of
 |n1, m> is one basis state times +-(integer) * sqrt(squarefree) / 2^len.
 An expression is compiled once into integer word scales over one denominator,
-so the images are accumulated as integers, in one loop (_accumulate), and
-each output term becomes one Fraction at the end. Two routes walk words: the
-state route (generator_apply, word_apply, expression_apply and
-expression_expectation) sums the images of one state's terms, and the block
-route (_expression_matrix, which builds the diamagnetic H1/H2 blocks) builds
-the matrix of an (n, m) block in one integer pass over all its columns.
-az_power_matrix walks no words.
+so one table (_images) sums the images of chosen columns |n1, m> as integers
+and makes each term one Fraction at the end. Everything that walks words reads
+that table: _expression_matrix (the diamagnetic H1/H2 blocks) takes all the
+columns of an (n, m) block, the state actions (generator_apply, word_apply,
+expression_apply) multiply a state's nonzero columns into it, and
+expression_expectation reads one diagonal cell. az_power_matrix walks no words.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ from math import lcm
 
 from .basis import (ManifoldState, ParabolicLabel, SphericalLabel, _is_int,
                     b_block, beta_squared, block_state, check_block,
-                    spherical_ls, unit_parabolic)
+                    spherical_ls)
 from .errors import DomainError, InternalConsistencyError
 from .radical import RadicalSum, _combine_radicands, _split_radicand
 
@@ -154,73 +153,61 @@ def _require_parabolic(state: ManifoldState, caller: str) -> None:
         raise DomainError(f"{caller} expects a parabolic-basis state")
 
 
-def _accumulate(words, n: int, m: int, columns) -> dict[tuple[int, int, int, int], int]:
-    """The integer sums of num * k * cn over every word image of every input
-    term, keyed (m', n1', column, radicand); sums that cancel to 0 stay.
+def _images(expr: "OperatorExpression", n: int, m: int,
+            cols) -> dict[tuple[int, int, int], dict[int, Fraction]]:
+    """The nonzero terms of expr |n1, m> for every n1 in cols, keyed
+    (m', n1', n1) -> {radicand: coefficient}.
 
-    words are compiled (k, steps); columns yields (column, n1, terms) with
-    terms the (radicand, integer numerator) pairs of |n1, m>'s coefficient.
+    Every word image is summed as an integer over the expression's
+    denominator L; each term that does not cancel becomes one Fraction.
     """
+    den, words = expr.compiled
     acc: dict[tuple[int, int, int, int], int] = {}
-    for col, n1, c_ints in columns:
+    for n1 in cols:
         for k, steps in words:
             image = _word_image(steps, n, m, n1)
-            if image is None:
-                continue
-            new_m, new_n1, d, num = image
-            num *= k
-            for dc, cn in c_ints:
-                g, r = _combine_radicands(dc, d) if dc != 1 else (1, d)
-                key = (new_m, new_n1, col, r)
-                acc[key] = acc.get(key, 0) + num * g * cn
-    return acc
+            if image is not None:
+                new_m, new_n1, d, num = image
+                key = (new_m, new_n1, n1, d)
+                acc[key] = acc.get(key, 0) + k * num
+    cells: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    for (new_m, new_n1, n1, d), v in acc.items():
+        if v:
+            cells.setdefault((new_m, new_n1, n1), {})[d] = Fraction(v, den)
+    return cells
 
 
 def _apply_words(expr: "OperatorExpression",
-                 state: ManifoldState) -> dict[tuple[int, int], dict[int, Fraction]]:
-    """expr |state> as one term map (radicand -> coefficient) per output basis
-    state, keyed (m', n1').
-
-    The state's coefficients go over their lcm S and the expression's words
-    over its denominator L, so every image is accumulated as an integer; each
-    output term becomes one Fraction over L * S at the end.
-    """
-    den, words = expr.compiled
-    coeffs = [(n1, c.terms()) for n1, c in enumerate(state.coeffs) if not c.is_zero]
-    s = lcm(*(cc.denominator for _, terms in coeffs for _, cc in terms))
-    columns = ((0, n1, [(dc, cc.numerator * (s // cc.denominator)) for dc, cc in terms])
-               for n1, terms in coeffs)
-    out: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (new_m, new_n1, _, r), v in _accumulate(words, state.n, state.m, columns).items():
-        if v:
-            out.setdefault((new_m, new_n1), {})[r] = Fraction(v, den * s)
-    return out
+                 state: ManifoldState) -> dict[tuple[int, int], RadicalSum]:
+    """expr |state> as one RadicalSum per output basis state, keyed (m', n1'):
+    the images of the state's nonzero columns times their coefficients,
+    without the outputs that cancel to zero."""
+    coeffs = {n1: c for n1, c in enumerate(state.coeffs) if not c.is_zero}
+    out: dict[tuple[int, int], RadicalSum] = {}
+    for (new_m, new_n1, n1), cell in _images(expr, state.n, state.m, coeffs).items():
+        term = RadicalSum(cell) * coeffs[n1]
+        key = (new_m, new_n1)
+        out[key] = out[key] + term if key in out else term
+    return {key: v for key, v in out.items() if not v.is_zero}
 
 
 def _expression_matrix(expr: "OperatorExpression", n: int,
                        m: int) -> tuple[tuple[RadicalSum, ...], ...]:
     """The matrix of expr over the parabolic basis of the (n, m) block, rows
-    and columns by n1: column n1 is the image of |n1, m>.
-
-    One integer pass over all columns; each nonzero term becomes one Fraction
-    over the expression's denominator, and the zero entries share one
-    RadicalSum. A nonzero term outside the block raises DomainError.
+    and columns by n1: column n1 is the image of |n1, m>, read from one
+    _images table over all columns; the zero entries share one RadicalSum.
+    A nonzero term outside the block raises DomainError.
     """
     check_block(n, m)
-    den, words = expr.compiled
     dim = n - abs(m)
-    unit = [(1, 1)]
-    cells: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (new_m, row, col, r), v in _accumulate(
-            words, n, m, ((n1, n1, unit) for n1 in range(dim))).items():
-        if v:
-            if new_m != m:
-                raise DomainError(f"expression does not preserve m = {m} "
-                                  f"(a term lands in m = {new_m})")
-            cells.setdefault((row, col), {})[r] = Fraction(v, den)
+    cells = {}
+    for (new_m, row, col), terms in _images(expr, n, m, range(dim)).items():
+        if new_m != m:
+            raise DomainError(f"expression does not preserve m = {m} "
+                              f"(a term lands in m = {new_m})")
+        cells[row, col] = RadicalSum(terms)
     zero = RadicalSum.zero()
-    return tuple(tuple(RadicalSum(cells[i, j]) if (i, j) in cells else zero
-                       for j in range(dim)) for i in range(dim))
+    return tuple(tuple(cells.get((i, j), zero) for j in range(dim)) for i in range(dim))
 
 
 def generator_apply(gen: str, state: ManifoldState) -> ManifoldState:
@@ -306,16 +293,16 @@ def word_apply(word: GeneratorWord, state: ManifoldState) -> ManifoldState:
     _require_parabolic(state, "word_apply")
     entries = _apply_words(OperatorExpression(((1, word),)), state)
     block = _word_block(word.gens, state.n, state.m)
-    return block_state("parabolic", state.n, block, {
-        n1: RadicalSum(terms) for (_, n1), terms in entries.items()})
+    return block_state("parabolic", state.n, block,
+                       {n1: v for (_, n1), v in entries.items()})
 
 
 def expression_apply(expr: OperatorExpression, state: ManifoldState) -> ManifoldState:
     """Apply the expression; the result must stay within a single (n, m) block."""
     _require_parabolic(state, "expression_apply")
     blocks: dict[int, dict[int, RadicalSum]] = {}
-    for (m, n1), terms in _apply_words(expr, state).items():
-        blocks.setdefault(m, {})[n1] = RadicalSum(terms)
+    for (m, n1), v in _apply_words(expr, state).items():
+        blocks.setdefault(m, {})[n1] = v
     if not blocks:
         return block_state("parabolic", state.n, state.m, {})
     if len(blocks) > 1:
@@ -328,8 +315,7 @@ def expression_apply(expr: OperatorExpression, state: ManifoldState) -> Manifold
 
 def expression_expectation(expr: OperatorExpression, p: ParabolicLabel) -> RadicalSum:
     """<p| expr |p>: the coefficient of |p> in the image of |p>."""
-    entries = _apply_words(expr, unit_parabolic(p))
-    return RadicalSum(entries.get((p.m, p.n1)))
+    return RadicalSum(_images(expr, p.n, p.m, [p.n1]).get((p.m, p.n1, p.n1)))
 
 
 def az_expression() -> OperatorExpression:

@@ -45,6 +45,11 @@ class RadicalSum:
     def __setattr__(self, name, value):
         raise AttributeError("RadicalSum is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which checks the
+        # terms again; the default would set the slot through __setattr__
+        return RadicalSum, (dict(self._terms),)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -150,6 +155,10 @@ class RadicalSum:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a rational value hashes as its Fraction, so it hashes as the equal
+        # int or Fraction does
+        if self.is_rational:
+            return hash(self._terms.get(1, 0))
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:

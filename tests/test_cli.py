@@ -628,6 +628,24 @@ class TestSharding:
     def test_unpicklable_worker_exception_ends_the_sweep(self, fault, message):
         """A --jobs 2 worker exception that pickle cannot carry ends the sweep
         with an error and a traceback, not a hang, and leaves no child."""
+        err = self._faulty_sweep(fault)
+        assert message in err, err.decode()
+
+    def test_worker_exception_holding_an_exact_value_is_raised(self):
+        """A RadicalSum in a --jobs 2 worker's exception survives pickling:
+        the main process raises that exception, not an AttributeError."""
+        err = self._faulty_sweep(
+            "from rungelenz.radical import RadicalSum\n"
+            "        exc = ValueError('injected fault', RadicalSum.from_sqrt(3))")
+        assert err.rstrip().endswith(
+            b"ValueError: ('injected fault', RadicalSum('(1/1)*sqrt(3)'))"), err.decode()
+        assert b"AttributeError" not in err
+
+    @staticmethod
+    def _faulty_sweep(fault):
+        """stderr of verify --max-n 6 --jobs 2 whose worker runs fault, then
+        raises exc, on the block (5, 2); the sweep must end with exit 1, a
+        traceback, no summary and no child left."""
         code = "\n".join([
             "import os, sys",
             "os.cpu_count = lambda: 2",
@@ -660,8 +678,8 @@ class TestSharding:
             proc.wait()
         assert proc.returncode == 1
         assert b"Traceback" in err
-        assert message in err, err.decode()
         assert out.startswith(b"l2 ") and b"summary" not in out
+        return err
 
 
 class TestBenchTracer:

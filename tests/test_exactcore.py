@@ -1,5 +1,7 @@
 """Factorial roots, radicals and the exact-value text grammar."""
+import copy
 import math
+import pickle
 import threading
 from fractions import Fraction
 
@@ -7,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rungelenz.basis import ManifoldState, b_matrix
+from rungelenz.diamagnetic import h2_matrix
 from rungelenz.errors import DomainError, ExactParseError, FactorialLimitError
 from rungelenz.pfrational import (
     FactorialTable,
@@ -293,6 +297,54 @@ class TestRadicalSum:
             RadicalSum({0: Fraction(1)})
         with pytest.raises(DomainError):
             RadicalSum({-2: Fraction(1)})
+
+    @pytest.mark.parametrize("value", [Fraction(0), Fraction(1, 2), Fraction(-3)])
+    def test_rational_value_hashes_as_its_fraction(self, value):
+        """Equal values hash equal, also across RadicalSum, int and Fraction."""
+        x = rs(value)
+        assert x == value and hash(x) == hash(value)
+        assert len({value, x}) == 1
+        if value.denominator == 1:
+            assert len({int(value), x}) == 1
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+_TRIPS = pytest.mark.parametrize("trip", [_pickled, copy.copy, copy.deepcopy],
+                                 ids=["pickle", "copy", "deepcopy"])
+
+
+class TestRoundTrips:
+    @_TRIPS
+    def test_radical_sum(self, trip):
+        for value in (RadicalSum.zero(), rs(Fraction(-2, 3)),
+                      rs(1) + root(Fraction(3, 5), -1)):
+            got = trip(value)
+            assert type(got) is RadicalSum and got == value
+            assert got.terms() == value.terms()
+
+    def test_unpickling_checks_the_terms_again(self):
+        data = pickle.dumps(root(3))
+        assert data.count(b"K\x03") == 1  # the radicand, as a one-byte int
+        with pytest.raises(DomainError, match="not squarefree"):
+            pickle.loads(data.replace(b"K\x03", b"K\x0c"))
+
+    @_TRIPS
+    def test_b_matrix(self, trip):
+        assert trip(b_matrix(5, -2)) == b_matrix(5, -2)
+
+    @_TRIPS
+    def test_operator_matrix_json_unchanged(self, trip):
+        matrix = h2_matrix(4, 1)
+        got = trip(matrix)
+        assert got == matrix and got.to_json() == matrix.to_json()
+
+    @_TRIPS
+    def test_manifold_state(self, trip):
+        state = ManifoldState("parabolic", 3, 1, (root(2), rs(Fraction(1, 3))))
+        assert trip(state) == state
 
 
 # Strings over the exact grammar's alphabet with numbers of at most 12 digits:

@@ -353,6 +353,20 @@ class TestGenerators:
         with pytest.raises(DomainError, match="m blocks"):
             expression_apply(expr, unit_parabolic(ParabolicLabel(1, 1, 0)))
 
+    def test_images_that_cancel_across_columns_are_dropped(self):
+        """At (n, m) = (2, 0), j1+ |0> = |m=1> and j2+ |1> = -|m=1>, so on
+        the state (1, 1) the two ladders cancel exactly in the m = 1 block."""
+        ladders = OperatorExpression.build((1, ("j1plus",)), (1, ("j2plus",)))
+        expr = ladders + OperatorExpression.build((1, ()))
+        one = RadicalSum.from_rational(1)
+        state = ManifoldState("parabolic", 2, 0, (one, one))
+        assert expression_apply(expr, state) == state
+        assert expression_apply(ladders, state) == \
+            ManifoldState("parabolic", 2, 0, (RadicalSum.zero(),) * 2)
+        opposite = ManifoldState("parabolic", 2, 0, (one, -one))
+        with pytest.raises(DomainError, match="spans m blocks"):
+            expression_apply(expr, opposite)
+
 
 def seeded_states(n, m, seed, count=2):
     """Parabolic states of the (n, m) block with seeded mixed coefficients:
