@@ -10,12 +10,7 @@ from .basis import (
     ParabolicLabel,
     SphericalLabel,
     b_coeff,
-    b_coeff_3f2,
-    b_coeff_regge,
     b_matrix,
-    b_special,
-    b_squared_asymptotic,
-    hypergeometric_sign_survey,
     to_parabolic,
     to_spherical,
     unit_parabolic,
@@ -33,13 +28,10 @@ from .errors import (
     ExactParseError,
     FactorialLimitError,
     InternalConsistencyError,
-    ReggeInadmissibleError,
 )
 from .operators import (
     GeneratorWord,
     OperatorExpression,
-    a_squared_expectation,
-    az_expression,
     az_power_matrix,
     beta,
     beta_squared,
@@ -73,8 +65,6 @@ from .sumrules import (
 from .wigner import (
     ThreeJmArgs,
     clebsch_gordan,
-    regge_transform,
-    triangle_ok,
     wigner_3jm,
     wigner_6j,
 )

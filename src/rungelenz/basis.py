@@ -9,8 +9,8 @@ swapping them (q -> -q) multiplies it by (-1)^(n-1+l), so the Racah sums run
 for the rows q <= 0 only and the rows q > 0 of rho are their mirror images,
 with the a, D and R^2 of their sources; that mirror and its sign are made
 once, in the stored rows, which every B and C entry reads. The square roots of
-the block and of the closed forms are ratios of factorials, split by
-pfrational.factorial_root without factoring anything. The block stores its
+the block are ratios of factorials, split by pfrational.factorial_root
+without factoring anything. The block stores its
 gauge as integers over a few denominators (each rho row as R over D, b as N
 over b_den, J's bands as U and W over one Delta), and its build checks in
 integers that every B row is normalised (a sum_l N R^2 = b_den D^2) and that
@@ -20,26 +20,23 @@ checked once per block: every row is an eigenvector of J with its own q
 and C entry, its monomial and its float alike, comes from one integer pass
 over the block's stored rows: a numerator, a denominator and a squarefree
 radicand, whose sign is its row's. n, m, l and every label field must be
-ints, not bools (check_block, the labels, ManifoldState, _check_l,
-b_squared_asymptotic). The Regge partner, hypergeometric route and fixed-l
-closed forms are independent oracles, the last two restricted to m >= 0 as
-printed; they agree with the block in square, and the sign of the
-hypergeometric route differs by the global factor measured by
-hypergeometric_sign_survey.
+ints, not bools (check_block, the labels, ManifoldState, _check_l). The
+block is the package's one route to B; the single-3jm definition, its Regge
+partner, the terminating 3F2 and the fixed-l closed forms are test oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import exp, isfinite, lcm, prod, sqrt
+from math import isfinite, lcm, prod, sqrt
 from numbers import Real
 from operator import add, mul
 
 from .errors import DomainError, InternalConsistencyError
 from .pfrational import _join, default_table, factorial_root
 from .radical import RadicalSum, _combine_radicands, _split_radicand, dot
-from .wigner import _neg1, _racah_sum, _threejm_twice
+from .wigner import _neg1, _racah_sum
 
 
 @dataclass(frozen=True)
@@ -470,7 +467,7 @@ def b_block(n: int, m: int) -> BBlock:
     return blk
 
 
-# -- the transformation coefficient in its three forms -----------------
+# -- the transformation coefficient -------------------------------------
 
 def _check_l(p: ParabolicLabel, l: int) -> None:
     if not _is_int(l):
@@ -484,109 +481,6 @@ def b_coeff(p: ParabolicLabel, l: int) -> RadicalSum:
     """B(l): <n l m | n1 n2 m>, read from the (n, m) block."""
     _check_l(p, l)
     return b_matrix(p.n, p.m)[p.n1][l - abs(p.m)]
-
-
-def b_coeff_regge(p: ParabolicLabel, l: int) -> RadicalSum:
-    """B(l) through the Regge-partner 3jm with m3 = 0; equals b_coeff exactly."""
-    _check_l(p, l)
-    n, m, q = p.n, p.m, p.q
-    sym = _threejm_twice(n - 1 + m, n - 1 - m, 2 * l, -q, q, 0)
-    phase = _neg1(p.n2 + (m - abs(m)) // 2 + l)
-    root = RadicalSum.from_sqrt(2 * l + 1)
-    return sym * root * phase
-
-
-def _hypergeometric_series(p: ParabolicLabel, l: int) -> Fraction:
-    """3F2[{l+m+1, -(l-m), -n1}; {m+1, -(n-m-1)}; 1], terminating, exact."""
-    n, n1, m = p.n, p.n1, p.m
-    kmax = min(l - m, n1)
-    term = Fraction(1)
-    total = Fraction(1)
-    for k in range(kmax):
-        term *= Fraction((l + m + 1 + k) * (-(l - m) + k) * (-n1 + k),
-                         (m + 1 + k) * (-(n - m - 1) + k) * (k + 1))
-        total += term
-    return total
-
-
-def b_coeff_3f2(p: ParabolicLabel, l: int) -> RadicalSum:
-    """B(l) by the terminating-3F2 route; m >= 0 only.
-
-    The hypergeometric parameter block {l+m+1, -(l-m), -n1; m+1, -(n-m-1)}
-    follows the published form; its factorial prefactor as printed fails
-    normalization, so the radicand used here is the one fixed by requiring
-    B^2 agreement with the 3jm route (verified exhaustively in the tests):
-
-        (n-m-1)!/m! * sqrt[(2l+1) (l+m)! (n1+m)! (n2+m)!
-                           / (n1! n2! (l-m)! (n-l-1)! (n+l)!)]
-
-    carrying the phase (-1)^(l-m). The overall sign relative to b_coeff is the
-    global factor (-1)^(n1+n2); see hypergeometric_sign_survey.
-    """
-    if p.m < 0:
-        raise DomainError(
-            "the hypergeometric form is printed for m >= 0 only; "
-            "use b_coeff for signed m")
-    _check_l(p, l)
-    n, n1, n2, m = p.n, p.n1, p.n2, p.m
-    series = _hypergeometric_series(p, l)
-    if series == 0:
-        return RadicalSum.zero()
-    c, d = factorial_root((l + m, n1 + m, n2 + m), (n1, n2, l - m, n - l - 1, n + l))
-    fi = default_table().factorial_int
-    scale = series * Fraction(fi(n - m - 1), fi(m)) * _neg1(l - m)
-    return RadicalSum.from_sqrt(2 * l + 1) * RadicalSum({d: c * scale})
-
-
-B_SPECIAL_CASES = ("l-eq-m", "n-1", "n-2")
-
-
-def b_special(p: ParabolicLabel, which: str) -> RadicalSum:
-    """Closed forms for B at l = m, l = n-1 and l = n-2 (m >= 0).
-
-    The selected case fixes l; inconsistent selections raise DomainError.
-    Signs follow the closed forms as published; squares agree with b_coeff.
-    """
-    if which not in B_SPECIAL_CASES:
-        raise DomainError(f"which must be one of {B_SPECIAL_CASES}, got {which!r}")
-    if p.m < 0:
-        raise DomainError("the closed forms are printed for m >= 0 only")
-    n, n1, n2, m = p.n, p.n1, p.n2, p.m
-    fi = default_table().factorial_int
-    if which == "l-eq-m":
-        l = m
-        _check_l(p, l)
-        c, d = factorial_root((2 * l + 1, n1 + l, n2 + l, n - l - 1), (n1, n2, n + l))
-        return RadicalSum({d: c / fi(l)})
-    if which == "n-1":
-        l = n - 1
-        _check_l(p, l)
-        c, d = factorial_root((n1 + n2, n1 + n2 + 2 * m),
-                              (n1, n2, 2 * n - 2, n1 + m, n2 + m))
-        return RadicalSum({d: c * fi(n - 1) * _neg1(n2)})
-    # which == "n-2"
-    l = n - 2
-    if n1 + n2 < 1:
-        raise DomainError(f"l = n-2 lies outside the manifold of {p}")
-    _check_l(p, l)
-    if n1 == n2:
-        return RadicalSum.zero()
-    c, d = factorial_root((n1 + n2 - 1, n1 + n2 + 2 * m - 1),
-                          (n1, n2, 2 * n - 2, n1 + m, n2 + m))
-    scale = (n1 - n2) * fi(n - 1) * _neg1(n2)
-    return RadicalSum.from_sqrt(2 * n - 3) * RadicalSum({d: c * scale})
-
-
-def b_squared_asymptotic(n: int, l: int) -> float:
-    """(2l+1)/n * exp(-l(l+1)/n): the m = 0 large-n, l << n approximation.
-
-    Diagnostic only; exact paths never consult it. The approximated quantity
-    is the l-distribution of the extremal-q parabolic states (see tests).
-    """
-    _check_n(n)
-    if not (_is_int(l) and 0 <= l <= n - 1):
-        raise DomainError(f"need an int 0 <= l <= n-1, got l = {l!r}, n = {n}")
-    return (2 * l + 1) / n * exp(-l * (l + 1) / n)
 
 
 # -- whole-manifold transforms -----------------------------------------
@@ -615,27 +509,3 @@ def to_parabolic(state: ManifoldState) -> ManifoldState:
     B = b_matrix(state.n, state.m)
     out = tuple(dot(state.coeffs, row) for row in B)
     return ManifoldState("parabolic", state.n, state.m, out)
-
-
-def hypergeometric_sign_survey(n_max: int) -> dict:
-    """Measure sign(b_coeff / b_coeff_3f2) over all m >= 0 manifolds, n <= n_max.
-
-    Returns the sample count and whether the ratio equals (-1)^(n1+n2)
-    throughout; the relation is measured, never assumed.
-    """
-    samples = 0
-    matches = True
-    for n in range(1, n_max + 1):
-        for m in range(0, n):
-            upper = n - m - 1
-            for n1 in range(upper + 1):
-                p = ParabolicLabel(n1, upper - n1, m)
-                for l in spherical_ls(n, m):
-                    direct = b_coeff(p, l)
-                    hyper = b_coeff_3f2(p, l)
-                    if direct.is_zero:
-                        continue
-                    samples += 1
-                    if direct != hyper * _neg1(n1 + upper - n1):
-                        matches = False
-    return {"samples": samples, "ratio_is_neg1_pow_n1_plus_n2": matches}

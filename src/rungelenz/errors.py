@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the factorial-table bound
+that FactorialLimitError's hint names."""
 
 
 class DomainError(ValueError):
     """An argument lies outside the domain an operation is defined on."""
+
+
+# The largest limit RUNGELENZ_FACTORIAL_LIMIT may set. The table holds every
+# k! up to its limit, about L^2 log L bits: 16 MiB, built in 0.05 s, at 4096.
+MAX_FACTORIAL_LIMIT = 4096
 
 
 class FactorialLimitError(DomainError):
@@ -11,18 +17,17 @@ class FactorialLimitError(DomainError):
     def __init__(self, needed: int, limit: int):
         self.needed = needed
         self.limit = limit
+        hint = (f"set RUNGELENZ_FACTORIAL_LIMIT >= {needed}"
+                if needed <= MAX_FACTORIAL_LIMIT else
+                f"RUNGELENZ_FACTORIAL_LIMIT is at most {MAX_FACTORIAL_LIMIT}")
         super().__init__(
             f"factorial table limit exceeded: need {needed}!, table was built "
-            f"with limit {limit} (set RUNGELENZ_FACTORIAL_LIMIT >= {needed})"
+            f"with limit {limit} ({hint})"
         )
 
     def __reduce__(self):
         # rebuilt from (needed, limit), so it survives a --jobs worker's pickle
         return type(self), (self.needed, self.limit)
-
-
-class ReggeInadmissibleError(DomainError):
-    """The Regge transform of the given arguments is not a valid symbol."""
 
 
 class ExactParseError(ValueError):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .basis import (ManifoldState, ParabolicLabel, SphericalLabel, _is_int,
+from .basis import (ManifoldState, ParabolicLabel, _is_int,
                     b_block, beta_squared, block_state, check_block,
                     spherical_ls)
 from .errors import DomainError, InternalConsistencyError
@@ -318,11 +318,6 @@ def expression_expectation(expr: OperatorExpression, p: ParabolicLabel) -> Radic
     return RadicalSum(_images(expr, p.n, p.m, [p.n1]).get((p.m, p.n1, p.n1)))
 
 
-def az_expression() -> OperatorExpression:
-    """A_z = j1z - j2z."""
-    return OperatorExpression.build((1, ("j1z",)), (-1, ("j2z",)))
-
-
 def l_squared_expression() -> OperatorExpression:
     """L^2 = j1^2 + j2^2 + 2 j1.j2 spelled out over the seven generators.
 
@@ -335,8 +330,3 @@ def l_squared_expression() -> OperatorExpression:
         (1, ("j2z", "j2z")), (half, ("j2plus", "j2minus")), (half, ("j2minus", "j2plus")),
         (2, ("j1z", "j2z")), (1, ("j1plus", "j2minus")), (1, ("j1minus", "j2plus")),
     )
-
-
-def a_squared_expectation(s: SphericalLabel) -> Fraction:
-    """<n l m| A^2 |n l m> = n^2 - 1 - l(l+1)."""
-    return Fraction(s.n * s.n - 1 - s.l * (s.l + 1))

@@ -11,9 +11,11 @@ import os
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, FactorialLimitError
+from .errors import MAX_FACTORIAL_LIMIT, DomainError, FactorialLimitError
 
-# Default limit corresponds to 4*n_max + 2 with n_max = 64.
+# The default covers (2n-1)! for n <= 129, which a B/C block of n needs (so
+# b_coeff, verify and p_table), and (3n-2)! for n <= 86, which P-bar's 6j route
+# needs (pbar_table). No route needs (4n+2)!.
 DEFAULT_FACTORIAL_LIMIT = 258
 _ENV_LIMIT = "RUNGELENZ_FACTORIAL_LIMIT"
 
@@ -113,9 +115,13 @@ def _limit_from_env() -> int:
     if raw is None:
         return DEFAULT_FACTORIAL_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError as exc:
         raise DomainError(f"{_ENV_LIMIT} must be an integer, got {raw!r}") from exc
+    if limit > MAX_FACTORIAL_LIMIT:  # checked before the table is built
+        raise DomainError(f"{_ENV_LIMIT} = {limit} exceeds the bound "
+                          f"{MAX_FACTORIAL_LIMIT}")
+    return limit
 
 
 _default_table: FactorialTable | None = None

@@ -33,8 +33,8 @@ class RadicalSum:
     def __init__(self, terms: dict[int, Fraction] | None = None):
         clean: dict[int, Fraction] = {}
         for d, c in (terms or {}).items():
-            if d <= 0:
-                raise DomainError(f"radicand {d} must be positive")
+            if type(d) is not int or d <= 0:  # a bool or a float is no radicand
+                raise DomainError(f"radicand {d!r} must be a positive int")
             if d != 1 and _split_radicand(d)[0] != 1:
                 raise DomainError(f"radicand {d} is not squarefree")
             c = Fraction(c)

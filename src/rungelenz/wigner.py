@@ -1,4 +1,4 @@
-"""Exact Wigner 3jm and 6j symbols, Clebsch-Gordan conversion, Regge transform.
+"""Exact Wigner 3jm and 6j symbols and Clebsch-Gordan conversion.
 
 Evaluation uses the Racah single-sum formulas: the square-root prefactor is
 joined from the factorial table's split roots sqrt(k!) = r sqrt(s) by
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ReggeInadmissibleError
+from .errors import DomainError
 from .pfrational import default_table, factorial_root
 from .radical import RadicalSum
 
@@ -44,17 +44,14 @@ def twice(value) -> int:
     text = isinstance(value, str)
     try:
         fr = Fraction(value.strip() if text else value)
+    except TypeError as exc:  # None, a complex, a list, bytes
+        raise DomainError(f"{value!r} is not an int, Fraction, float or string") from exc
     except (ValueError, ZeroDivisionError, OverflowError) as exc:  # NaN, +-inf
         raise DomainError(f"cannot parse half-integer from {value!r}" if text
                           else f"{value!r} is not finite") from exc
     if fr.denominator not in (1, 2):
         raise DomainError(f"{value!r} is not an integer or half-integer")
     return 2 * fr.numerator // fr.denominator
-
-
-def triangle_ok(a, b, c) -> bool:
-    """Triangle rule |a-b| <= c <= a+b with integer perimeter."""
-    return _tri_ok_t(twice(a), twice(b), twice(c))
 
 
 @dataclass(frozen=True)
@@ -290,28 +287,3 @@ def _sixj_squared(ta: int, tb: int, tc: int, tj: int) -> Fraction:
         cached = Fraction(num, div)
         _CACHE_6J_SQ[key] = cached
     return cached
-
-
-def regge_transform(args: ThreeJmArgs) -> ThreeJmArgs:
-    """The Regge symmetry map fixing column 1.
-
-    (j1 j2 j3; m1 m2 m3) -> (j1, (j2+j3+m1)/2, (j2+j3-m1)/2;
-                             j2-j3, (j3-j2+m1)/2 + m2, (j3-j2+m1)/2 + m3)
-    The transformed symbol has the same exact value. Arguments whose image is
-    not a valid symbol (negative j or broken parity) raise
-    ReggeInadmissibleError.
-    """
-    tj1, tj2, tj3, tm1, tm2, tm3 = args.twices()
-    if (tj2 + tj3 + tm1) % 2:
-        raise ReggeInadmissibleError(
-            "transform needs j2 + j3 + m1 to be an integer")
-    tj2p = (tj2 + tj3 + tm1) // 2
-    tj3p = (tj2 + tj3 - tm1) // 2
-    shift = (tj3 - tj2 + tm1) // 2
-    new = (tj1, tj2p, tj3p, tj2 - tj3, shift + tm2, shift + tm3)
-    if tj2p < 0 or tj3p < 0:
-        raise ReggeInadmissibleError(f"transform of {args} has negative j")
-    try:
-        return ThreeJmArgs(*(Fraction(t, 2) for t in new))
-    except DomainError as exc:
-        raise ReggeInadmissibleError(str(exc)) from exc

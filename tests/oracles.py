@@ -4,8 +4,8 @@ Everything here is plain Fraction arithmetic over math.factorial: no prime
 factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
 
-There are ten exceptions, all former package routes kept as the reference for
-what replaced them: the dense generator walk, which works on the package's
+The exceptions are former package routes. Ten are kept as the reference
+for what replaced them: the dense generator walk, which works on the package's
 ManifoldState and RadicalSum but spells out its own (m, q) shifts, signs and
 ladder radicands (the generator engine's per-generator loop over dense
 coefficient vectors, replaced by the basis-state walk on the two spins), the
@@ -21,10 +21,16 @@ floats rounded from integers in the block), P(l, l'; chi) by the literal
 quadruple cosine sum over the C floats (replaced by the factored C route in
 stark), the B/C block with a Racah sum per entry and every row joined
 (replaced by the block that builds the rows q <= 0 and mirrors the rest), and
-at the end the report and matrix serialisers over RadicalSum and json.dumps
+the report and matrix serialisers over RadicalSum and json.dumps
 (replaced by JSON text written directly, from integers for the reports). The
 block's monomials now come from the same integer pass as its floats, so the
 float tests also round B and C from the single-3jm route above.
+
+The rest left the package because no package path ran them: B by its Regge
+partner (equal to the block), by the terminating 3F2 and by the closed forms
+at l = m, n-1, n-2 (equal in square), the 3F2 sign survey, the large-n form of
+B^2, the triangle rule, the Regge map of 3jm arguments, A_z as a generator
+expression and <A^2> in closed form.
 """
 from fractions import Fraction
 from math import factorial
@@ -112,13 +118,6 @@ def b_sq(n, n1, n2, m, l):
     return sign * neg1(n2 + (m - abs(m)) // 2 + l), sq * (2 * l + 1)
 
 
-def beta_sq(n, l, m):
-    num = (n * n - l * l) * (l * l - m * m)
-    if num <= 0:
-        return Fraction(0)
-    return Fraction(num, 4 * l * l - 1)
-
-
 def pbar_double(n, l, lp):
     """P-bar by the C^2 double sum, exact."""
     total = Fraction(0)
@@ -132,18 +131,6 @@ def pbar_double(n, l, lp):
             _, b = threejm_sq(n - 1, n - 1, 2 * lp, m - q, m + q, -2 * m)
             total += a * b
     return (2 * lp + 1) * total
-
-
-def pair_value_sq(pairs):
-    """(sign, square) of a product of (sign, square) factors."""
-    sign = 1
-    sq = Fraction(1)
-    for s, q in pairs:
-        if s == 0 or q == 0:
-            return 0, Fraction(0)
-        sign *= s
-        sq *= q
-    return sign, sq
 
 
 # -- dense generator walk ----------------------------------------------
@@ -176,9 +163,7 @@ def dense_generator_apply(gen, state):
     per step, with its own (m, q) shifts, signs and ladder radicands; only
     the generator names come from rungelenz.operators."""
     from rungelenz import operators
-    from rungelenz.basis import ManifoldState
-    from rungelenz.errors import DomainError, InternalConsistencyError
-    from rungelenz.radical import RadicalSum
+    from rungelenz.errors import InternalConsistencyError
 
     if state.basis != "parabolic":
         raise DomainError("generator_apply expects a parabolic-basis state")
@@ -237,10 +222,6 @@ def dense_word_apply(word, state):
 
 
 def dense_expression_apply(expr, state):
-    from rungelenz.basis import ManifoldState
-    from rungelenz.errors import DomainError
-    from rungelenz.radical import RadicalSum
-
     blocks = {}
     for coeff, word in expr.terms:
         res = dense_word_apply(word, state)
@@ -380,7 +361,8 @@ def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, 
                     return None, (f"term (l={l} -> l'={lp}) has a negative "
                                   f"radicand as printed")
                 lhs = lhs + pair * weight * ratio
-        elif power == 3:
+            continue
+        if power == 3:
             pieces = [
                 (l - 3, [2 * l + 1, 2 * l - 5], chain(l - 2, l - 1, l)),
                 (l - 1, [4 * l * l - 1],
@@ -389,17 +371,6 @@ def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, 
                  chain(l + 1) * (bsq(l) + bsq(l + 1) + bsq(l + 2))),
                 (l + 3, [2 * l + 1, 2 * l + 7], chain(l + 1, l + 2, l + 3)),
             ]
-            for lp, wfac, betas in pieces:
-                if betas.is_zero:
-                    continue
-                pair = _threejm_pair(p, l, lp)
-                if pair.is_zero:
-                    continue
-                weight = _sqrt_of_int_product(wfac)
-                if weight is None:
-                    return None, (f"term (l={l} -> l'={lp}) has a negative "
-                                  f"weight radicand as printed")
-                lhs = lhs + pair * weight * betas
         else:
             diag = (bsq(l + 1) * (bsq(l) + bsq(l + 1) + bsq(l + 2))
                     + bsq(l) * (bsq(l - 1) + bsq(l) + bsq(l + 1)))
@@ -413,38 +384,49 @@ def _printed_az_form(p: ParabolicLabel, power: int) -> tuple[RadicalSum | None, 
                  chain(l + 1, l + 2) * (bsq(l) + bsq(l + 1) + bsq(l + 2) + bsq(l + 3))),
                 (l + 4, [2 * l + 1, 2 * l + 9], chain(l + 1, l + 2, l + 3, l + 4)),
             ]
-            for lp, wfac, betas in pieces:
-                if betas.is_zero:
-                    continue
-                pair = _threejm_pair(p, l, lp)
-                if pair.is_zero:
-                    continue
-                weight = _sqrt_of_int_product(wfac)
-                if weight is None:
-                    return None, (f"term (l={l} -> l'={lp}) has a negative "
-                                  f"weight radicand as printed")
-                lhs = lhs + pair * weight * betas
+        for lp, wfac, betas in pieces:
+            if betas.is_zero:
+                continue
+            pair = _threejm_pair(p, l, lp)
+            if pair.is_zero:
+                continue
+            weight = _sqrt_of_int_product(wfac)
+            if weight is None:
+                return None, (f"term (l={l} -> l'={lp}) has a negative "
+                              f"weight radicand as printed")
+            lhs = lhs + pair * weight * betas
     return lhs, None
 
 
-# -- B(l) by its single-3jm definition -------------------------------------
+# -- B(l) by its single-3jm definition and by its Regge partner -------------
 #
 # The package's B(l) route as it stood before every B and C moved to one
 # rational block per (n, m), kept verbatim (only its package imports are
-# spelled out) as the reference each block entry must equal.
+# spelled out) as the reference each block entry must equal; the former
+# package route b_coeff_regge reads the same phase and sqrt(2l+1) off the
+# Regge-partner 3jm.
 
 from rungelenz.basis import _check_l  # noqa: E402
 from rungelenz.wigner import _neg1, _threejm_twice  # noqa: E402
 
 
-def b_coeff(p: ParabolicLabel, l: int) -> RadicalSum:
-    """B(l): <n l m | n1 n2 m> via the single-3jm definition."""
+def b_coeff(p: ParabolicLabel, l: int, regge: bool = False) -> RadicalSum:
+    """B(l): <n l m | n1 n2 m> via the single-3jm definition, or via its
+    Regge partner with m3 = 0 when regge is set; the two are equal exactly."""
     _check_l(p, l)
     n, m, q = p.n, p.m, p.q
-    sym = _threejm_twice(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
+    if regge:
+        sym = _threejm_twice(n - 1 + m, n - 1 - m, 2 * l, -q, q, 0)
+    else:
+        sym = _threejm_twice(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
     phase = _neg1(p.n2 + (m - abs(m)) // 2 + l)
     root = RadicalSum.from_sqrt(2 * l + 1)
     return sym * root * phase
+
+
+def b_coeff_regge(p: ParabolicLabel, l: int) -> RadicalSum:
+    """B(l) through the Regge-partner 3jm with m3 = 0; equals b_coeff exactly."""
+    return b_coeff(p, l, regge=True)
 
 
 # -- A_z^k as dense products of the beta tridiagonal matrix -------------------
@@ -919,3 +901,164 @@ def matrix_json(mat) -> str:
         "q": mat.qs(),
         "entries": [[render_exact(x) for x in row] for row in mat.entries],
     }, indent=2)
+
+
+# -- B by the terminating 3F2 and the closed forms at l = m, n-1, n-2 --------
+#
+# Former package routes (m >= 0 only, as published), with the 3F2 sign survey
+# and the large-n form of B^2; k! is math.factorial.
+
+from math import exp  # noqa: E402
+
+from rungelenz import basis  # noqa: E402
+from rungelenz.basis import _check_n, _is_int  # noqa: E402
+
+
+def b_coeff_3f2(p: ParabolicLabel, l: int) -> RadicalSum:
+    """B(l) = 3F2[{l+m+1, -(l-m), -n1}; {m+1, -(n-m-1)}; 1] times
+    (-1)^(l-m) (n-m-1)!/m! sqrt[(2l+1) (l+m)! (n1+m)! (n2+m)! / (n1! n2!
+    (l-m)! (n-l-1)! (n+l)!)], the prefactor fixed by B^2 agreement (the
+    printed one fails normalization); (-1)^(n1+n2) times the block's sign."""
+    if p.m < 0:
+        raise DomainError(
+            "the hypergeometric form is printed for m >= 0 only; "
+            "use b_coeff for signed m")
+    _check_l(p, l)
+    n, n1, n2, m = p.n, p.n1, p.n2, p.m
+    term = series = Fraction(1)  # the terminating series, exact
+    for k in range(min(l - m, n1)):
+        term *= Fraction((l + m + 1 + k) * (-(l - m) + k) * (-n1 + k),
+                         (m + 1 + k) * (-(n - m - 1) + k) * (k + 1))
+        series += term
+    if series == 0:
+        return RadicalSum.zero()
+    c, d = factorial_root((l + m, n1 + m, n2 + m), (n1, n2, l - m, n - l - 1, n + l))
+    scale = series * Fraction(factorial(n - m - 1), factorial(m)) * _neg1(l - m)
+    return RadicalSum.from_sqrt(2 * l + 1) * RadicalSum({d: c * scale})
+
+
+B_SPECIAL_CASES = ("l-eq-m", "n-1", "n-2")
+
+
+def b_special(p: ParabolicLabel, which: str) -> RadicalSum:
+    """Closed forms for B at l = m, n-1, n-2 (m >= 0), signed as published;
+    the case fixes l, and an inconsistent one raises DomainError."""
+    if which not in B_SPECIAL_CASES:
+        raise DomainError(f"which must be one of {B_SPECIAL_CASES}, got {which!r}")
+    if p.m < 0:
+        raise DomainError("the closed forms are printed for m >= 0 only")
+    n, n1, n2, m = p.n, p.n1, p.n2, p.m
+    if which == "l-eq-m":
+        l = m
+        _check_l(p, l)
+        c, d = factorial_root((2 * l + 1, n1 + l, n2 + l, n - l - 1), (n1, n2, n + l))
+        return RadicalSum({d: c / factorial(l)})
+    if which == "n-1":
+        l = n - 1
+        _check_l(p, l)
+        c, d = factorial_root((n1 + n2, n1 + n2 + 2 * m),
+                              (n1, n2, 2 * n - 2, n1 + m, n2 + m))
+        return RadicalSum({d: c * factorial(n - 1) * _neg1(n2)})
+    # which == "n-2"
+    l = n - 2
+    if n1 + n2 < 1:
+        raise DomainError(f"l = n-2 lies outside the manifold of {p}")
+    _check_l(p, l)
+    if n1 == n2:
+        return RadicalSum.zero()
+    c, d = factorial_root((n1 + n2 - 1, n1 + n2 + 2 * m - 1),
+                          (n1, n2, 2 * n - 2, n1 + m, n2 + m))
+    scale = (n1 - n2) * factorial(n - 1) * _neg1(n2)
+    return RadicalSum.from_sqrt(2 * n - 3) * RadicalSum({d: c * scale})
+
+
+def hypergeometric_sign_survey(n_max: int) -> dict:
+    """The sample count of B / b_coeff_3f2 (B the package's block route) over
+    every m >= 0 block with n <= n_max, and whether it is (-1)^(n1+n2) on all."""
+    pairs = [(basis.b_coeff(p, l), b_coeff_3f2(p, l) * _neg1(p.n1 + p.n2))
+             for n in range(1, n_max + 1) for m in range(n)
+             for p in (ParabolicLabel(n1, n - m - 1 - n1, m) for n1 in range(n - m))
+             for l in spherical_ls(n, m)]
+    pairs = [(direct, hyper) for direct, hyper in pairs if not direct.is_zero]
+    return {"samples": len(pairs),
+            "ratio_is_neg1_pow_n1_plus_n2": all(d == h for d, h in pairs)}
+
+
+def b_squared_asymptotic(n: int, l: int) -> float:
+    """(2l+1)/n exp(-l(l+1)/n): B^2 of the extremal-q state, m = 0, l << n."""
+    _check_n(n)
+    if not (_is_int(l) and 0 <= l <= n - 1):
+        raise DomainError(f"need an int 0 <= l <= n-1, got l = {l!r}, n = {n}")
+    return (2 * l + 1) / n * exp(-l * (l + 1) / n)
+
+
+# -- the triangle rule and the Regge map of 3jm arguments ---------------------
+#
+# Former package routes, with the error the map raised.
+
+from rungelenz.wigner import ThreeJmArgs, twice  # noqa: E402
+
+
+class ReggeInadmissibleError(DomainError):
+    """The Regge transform of the given arguments is not a valid symbol."""
+
+
+def triangle_ok(a, b, c) -> bool:
+    """Triangle rule |a-b| <= c <= a+b with integer perimeter."""
+    return tri_ok(twice(a), twice(b), twice(c))
+
+
+def regge_transform(args: ThreeJmArgs) -> ThreeJmArgs:
+    """(j1 j2 j3; m1 m2 m3) -> (j1, (j2+j3+m1)/2, (j2+j3-m1)/2; j2-j3,
+    (j3-j2+m1)/2 + m2, (j3-j2+m1)/2 + m3), the Regge map fixing column 1; an
+    image that is no valid symbol raises ReggeInadmissibleError."""
+    tj1, tj2, tj3, tm1, tm2, tm3 = args.twices()
+    if (tj2 + tj3 + tm1) % 2:
+        raise ReggeInadmissibleError(
+            "transform needs j2 + j3 + m1 to be an integer")
+    tj2p = (tj2 + tj3 + tm1) // 2
+    tj3p = (tj2 + tj3 - tm1) // 2
+    shift = (tj3 - tj2 + tm1) // 2
+    new = (tj1, tj2p, tj3p, tj2 - tj3, shift + tm2, shift + tm3)
+    if tj2p < 0 or tj3p < 0:
+        raise ReggeInadmissibleError(f"transform of {args} has negative j")
+    try:
+        return ThreeJmArgs(*(Fraction(t, 2) for t in new))
+    except DomainError as exc:
+        raise ReggeInadmissibleError(str(exc)) from exc
+
+
+# -- A_z as a generator expression and <A^2> in closed form ------------------
+#
+# Former package routes.
+
+from rungelenz.basis import SphericalLabel  # noqa: E402
+from rungelenz.operators import OperatorExpression  # noqa: E402
+
+
+def az_expression() -> OperatorExpression:
+    """A_z = j1z - j2z."""
+    return OperatorExpression.build((1, ("j1z",)), (-1, ("j2z",)))
+
+
+def a_squared_expectation(s: SphericalLabel) -> Fraction:
+    """<n l m| A^2 |n l m> = n^2 - 1 - l(l+1)."""
+    return Fraction(s.n * s.n - 1 - s.l * (s.l + 1))
+
+
+# -- helpers the test modules share -------------------------------------------
+
+def all_labels(n):
+    """Every parabolic label |n1 n2 m> of the n-manifold."""
+    for m in range(-(n - 1), n):
+        upper = n - abs(m) - 1
+        for n1 in range(upper + 1):
+            yield ParabolicLabel(n1, upper - n1, m)
+
+
+def sign_square(value):
+    """(sign, square) of a one-term radical, for oracle comparison."""
+    if value.is_zero:
+        return 0, Fraction(0)
+    (d, c), = value.terms()
+    return (1 if c > 0 else -1), c * c * d

@@ -11,11 +11,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import b_coeff_3f2, b_coeff_regge, b_squared_asymptotic
 from rungelenz.basis import (
     ParabolicLabel,
     b_coeff,
-    b_coeff_3f2,
-    b_coeff_regge,
     b_matrix,
     spherical_ls,
     to_parabolic,
@@ -27,7 +26,6 @@ from rungelenz.radical import RadicalSum
 from rungelenz import basis, sumrules
 from rungelenz.stark import c_coefficient, closed_form_report, p_bar, p_transition
 from rungelenz.sumrules import az_moment_generic, sum_rule_az, sum_rule_l2
-from rungelenz.basis import b_squared_asymptotic
 
 
 def note(label: str, text: str) -> None:

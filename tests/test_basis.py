@@ -6,20 +6,24 @@ from math import exp
 import pytest
 
 import oracles
+from oracles import (
+    all_labels,
+    b_coeff_3f2,
+    b_coeff_regge,
+    b_special,
+    b_squared_asymptotic,
+    hypergeometric_sign_survey,
+    sign_square,
+)
 from rungelenz.basis import (
     ManifoldState,
     ParabolicLabel,
     SphericalLabel,
     b_block,
     b_coeff,
-    b_coeff_3f2,
-    b_coeff_regge,
     b_matrix,
-    b_special,
-    b_squared_asymptotic,
     q_values,
     spherical_ls,
-    hypergeometric_sign_survey,
     to_parabolic,
     to_spherical,
     unit_parabolic,
@@ -29,20 +33,6 @@ from rungelenz.errors import DomainError, FactorialLimitError
 from rungelenz.radical import RadicalSum
 from rungelenz.stark import c_coefficient
 from rungelenz.wigner import _threejm_twice
-
-
-def sign_square(value):
-    if value.is_zero:
-        return 0, Fraction(0)
-    (d, c), = value.terms()
-    return (1 if c > 0 else -1), c * c * d
-
-
-def all_labels(n):
-    for m in range(-(n - 1), n):
-        upper = n - abs(m) - 1
-        for n1 in range(upper + 1):
-            yield ParabolicLabel(n1, upper - n1, m)
 
 
 class TestLabels:

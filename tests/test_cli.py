@@ -341,6 +341,24 @@ class TestEnvironment:
         assert proc.returncode != 0
         assert "RUNGELENZ_FACTORIAL_LIMIT" in proc.stderr
 
+    def test_factorial_limit_above_the_bound_is_usage_error(self):
+        # checked before any table is built; a table of 10^9 factorials would
+        # hit the child's 512 MiB address space at once
+        import resource
+        from rungelenz.errors import MAX_FACTORIAL_LIMIT
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "rungelenz", "compute", "3j",
+             "3", "3", "4", "1", "-1", "0"],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap,
+            env=child_env(RUNGELENZ_FACTORIAL_LIMIT=str(10 ** 9)))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert f"exceeds the bound {MAX_FACTORIAL_LIMIT}" in proc.stderr
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_factorial_limit_in_verify_is_usage_error(self, jobs):
         proc = subprocess.run(

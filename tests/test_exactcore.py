@@ -13,7 +13,9 @@ from rungelenz.basis import ManifoldState, b_matrix
 from rungelenz.diamagnetic import h2_matrix
 from rungelenz.errors import DomainError, ExactParseError, FactorialLimitError
 from rungelenz.pfrational import (
+    MAX_FACTORIAL_LIMIT,
     FactorialTable,
+    _limit_from_env,
     default_table,
     factorial_root,
     factorize,
@@ -77,6 +79,20 @@ class TestPFFactorial:
         assert err.value.needed == 11
         assert err.value.limit == 10
         assert "11" in str(err.value)
+
+    def test_env_limit_is_bounded_before_any_table_is_built(self, monkeypatch):
+        monkeypatch.setenv("RUNGELENZ_FACTORIAL_LIMIT", str(MAX_FACTORIAL_LIMIT))
+        assert _limit_from_env() == MAX_FACTORIAL_LIMIT >= 258
+        for raw in (MAX_FACTORIAL_LIMIT + 1, 10 ** 12):
+            monkeypatch.setenv("RUNGELENZ_FACTORIAL_LIMIT", str(raw))
+            with pytest.raises(DomainError, match=f"exceeds the bound {MAX_FACTORIAL_LIMIT}$"):
+                _limit_from_env()
+
+    def test_limit_hint_stays_within_the_bound(self):
+        assert "set RUNGELENZ_FACTORIAL_LIMIT >= 300" in str(FactorialLimitError(300, 258))
+        text = str(FactorialLimitError(MAX_FACTORIAL_LIMIT + 1, 258))
+        assert f"RUNGELENZ_FACTORIAL_LIMIT is at most {MAX_FACTORIAL_LIMIT}" in text
+        assert ">=" not in text
 
     def test_factorial_ints_checks_both_ends(self):
         table = FactorialTable(limit=5)
@@ -228,6 +244,13 @@ class TestRadicalSum:
     def test_constructor_rejects_radicand_that_is_not_squarefree(self, d):
         with pytest.raises(DomainError, match="not squarefree"):
             RadicalSum({d: 1})
+
+    def test_constructor_rejects_radicand_that_is_not_a_positive_int(self):
+        for d in (2.0, Fraction(3, 2), "a", None, True, 0, -2):
+            with pytest.raises(DomainError, match="must be a positive int"):
+                RadicalSum({d: 1})
+        with pytest.raises(ExactParseError, match="must be a positive int"):
+            parse_exact("(1/2)*sqrt(0)")
 
     def test_add_cancellation(self):
         assert root(2) + root(2, -1) == RadicalSum.zero()

@@ -8,7 +8,8 @@ from itertools import product
 
 import pytest
 
-from rungelenz.basis import B_SPECIAL_CASES, ParabolicLabel, b_coeff_3f2, b_special
+from oracles import B_SPECIAL_CASES, b_coeff_3f2, b_special
+from rungelenz.basis import ParabolicLabel
 from rungelenz.diamagnetic import h1_matrix, h2_matrix, h2_symmetry_report
 from rungelenz.errors import DomainError
 from rungelenz.operators import az_power_matrix

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 import oracles
+from oracles import a_squared_expectation, all_labels, az_expression
 from rungelenz.basis import (
     ManifoldState,
     ParabolicLabel,
@@ -30,8 +31,6 @@ from rungelenz.operators import (
     GENERATORS,
     GeneratorWord,
     OperatorExpression,
-    a_squared_expectation,
-    az_expression,
     az_power_matrix,
     beta,
     beta_squared,
@@ -42,13 +41,6 @@ from rungelenz.operators import (
     word_apply,
 )
 from rungelenz.radical import RadicalSum
-
-
-def all_labels(n):
-    for m in range(-(n - 1), n):
-        upper = n - abs(m) - 1
-        for n1 in range(upper + 1):
-            yield ParabolicLabel(n1, upper - n1, m)
 
 
 class TestBeta:

@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import sign_square
 from rungelenz import basis, stark, wigner
-from rungelenz.errors import DomainError, InternalConsistencyError
+from rungelenz.errors import DomainError, FactorialLimitError, InternalConsistencyError
 from rungelenz.radical import parse_exact
 from rungelenz.stark import (
     TransitionTable,
@@ -25,13 +26,6 @@ from rungelenz.stark import (
     p_transition,
     pbar_table,
 )
-
-
-def sign_square(value):
-    if value.is_zero:
-        return 0, Fraction(0)
-    (d, c), = value.terms()
-    return (1 if c > 0 else -1), c * c * d
 
 
 class TestCCoefficient:
@@ -100,6 +94,12 @@ class TestPBar:
             for l in range(n):
                 for lp in range(n):
                     assert p_bar(n, l, lp) == oracles.pbar_double(n, l, lp)
+
+    def test_6j_route_needs_factorials_to_3n_minus_2(self):
+        # {l l' j; J J J} at l = l' = n-1 reads (3n-2)!: limit 258 reaches n = 86
+        assert p_bar_6j_terms(86, 85, 85)
+        with pytest.raises(FactorialLimitError, match="need 259!"):
+            p_bar_6j_terms(87, 86, 86)
 
     def test_uniform_row_from_s_states(self):
         for n in range(2, 13):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import all_labels
 from rungelenz import basis, stark, sumrules
 from rungelenz.basis import ParabolicLabel, b_matrix, q_values, spherical_ls
 from rungelenz.cli import main
@@ -21,13 +22,6 @@ from rungelenz.sumrules import (
 )
 
 TABLE1 = ParabolicLabel(3, 1, 4)  # n = 9, q = 2
-
-
-def all_labels(n):
-    for m in range(-(n - 1), n):
-        upper = n - abs(m) - 1
-        for n1 in range(upper + 1):
-            yield ParabolicLabel(n1, upper - n1, m)
 
 
 def beta_chains(n, m, power):

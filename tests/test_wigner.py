@@ -6,26 +6,17 @@ from itertools import product
 import pytest
 
 import oracles
+from oracles import ReggeInadmissibleError, regge_transform, sign_square, triangle_ok
 from rungelenz import wigner
-from rungelenz.errors import DomainError, ReggeInadmissibleError
+from rungelenz.errors import DomainError
 from rungelenz.radical import RadicalSum
 from rungelenz.wigner import (
     ThreeJmArgs,
     clear_caches,
     clebsch_gordan,
-    regge_transform,
-    triangle_ok,
     wigner_3jm,
     wigner_6j,
 )
-
-
-def sign_square(value: RadicalSum):
-    """(sign, square) of a one-term radical, for oracle comparison."""
-    if value.is_zero:
-        return 0, Fraction(0)
-    (d, c), = value.terms()
-    return (1 if c > 0 else -1), c * c * d
 
 
 class TestTriangle:
@@ -40,6 +31,17 @@ class TestTriangle:
                 for tc in range(0, 9):
                     assert triangle_ok(Fraction(ta, 2), Fraction(tb, 2),
                                        Fraction(tc, 2)) == oracles.tri_ok(ta, tb, tc)
+
+
+@pytest.mark.parametrize("value", [None, 1j, [1], b"1"])
+def test_non_numbers_rejected_as_half_integers(value):
+    # Fraction raises TypeError on these; every entry point makes it a DomainError
+    for call in (lambda: wigner.twice(value),
+                 lambda: wigner_3jm(value, 1, 1, 0, 0, 0),
+                 lambda: wigner_6j(value, 1, 1, 1, 1, 1),
+                 lambda: clebsch_gordan(value, 0, 1, 0, 1, 0)):
+        with pytest.raises(DomainError, match="is not an int, Fraction, float or string"):
+            call()
 
 
 def test_bools_rejected_as_half_integers():
