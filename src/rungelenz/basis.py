@@ -26,7 +26,6 @@ partner, the terminating 3F2 and the fixed-l closed forms are test oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isfinite, lcm, prod, sqrt
@@ -36,11 +35,11 @@ from operator import add, mul
 from .errors import DomainError, InternalConsistencyError
 from .pfrational import _join, default_table, factorial_root
 from .radical import RadicalSum, _combine_radicands, _split_radicand, dot
+from .record import Record
 from .wigner import _neg1, _racah_sum
 
 
-@dataclass(frozen=True)
-class SphericalLabel:
+class SphericalLabel(Record):
     """|n l m> with |m| <= l <= n-1, all ints (not bools)."""
 
     n: int
@@ -55,8 +54,7 @@ class SphericalLabel:
             raise DomainError(f"need |m| <= l <= n-1, got {self}")
 
 
-@dataclass(frozen=True)
-class ParabolicLabel:
+class ParabolicLabel(Record):
     """|n1 n2 m> with n = n1 + n2 + |m| + 1; q = n1 - n2 is the A_z eigenvalue."""
 
     n1: int
@@ -118,8 +116,7 @@ def q_values(n: int, m: int) -> range:
     return range(-upper, upper + 1, 2)
 
 
-@dataclass(frozen=True)
-class ManifoldState:
+class ManifoldState(Record):
     """A coefficient vector over one basis of a fixed (n, m) block.
 
     Spherical coefficients are indexed by l - |m|; parabolic coefficients by
@@ -206,8 +203,7 @@ def beta_squared(n: int, l: int, m: int) -> Fraction:
 
 # -- the B/C block of one (n, m) ----------------------------------------
 
-@dataclass(frozen=True)
-class BBlock:
+class BBlock(Record):
     """B and its bare 3jm C over one (n, |m|) block, in a rational gauge.
 
     C(q, l, m) = 3jm((n-1)/2 (n-1)/2 l; (m-q)/2 (m+q)/2 -m)

@@ -26,11 +26,15 @@ When the main process dies its pipes close, and each child's next write
 fails and ends it; on any early exit (closed stdout, an error, Ctrl-C) the
 main process kills and reaps every child. Nothing imports concurrent.futures
 or multiprocessing.
+
+Modules that only some runs need are imported where they are used, not at
+module level: csv in _report_csv (verify --format csv), signal in
+_forked_shards (--jobs N > 1) and pickle where a worker's exception crosses
+its pipe. So a serial text or JSON run imports none of them.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import marshal
@@ -161,6 +165,8 @@ def _report_json(reports) -> str:
 
 
 def _report_csv(reports) -> str:
+    import csv  # not at module level: only a --format csv run pays its import
+
     buf = io.StringIO()
     csv.writer(buf).writerows(
         [r.rule, r.n, r.m, r.n1, r.n2, r.power, r.lhs_text(), r.rhs_text(),

@@ -15,7 +15,6 @@ rows once, for m and -m both.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isfinite
@@ -24,10 +23,10 @@ from .basis import _check_n, _finite_real, check_block, q_values
 from .errors import DomainError, InternalConsistencyError
 from .operators import OperatorExpression, _expression_matrix, l_squared_expression
 from .radical import RadicalSum, _json_array, _json_object, _json_str, render_exact
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DiamagneticParams:
+class DiamagneticParams(Record):
     """gamma = cyclotron frequency / Rydberg constant; the manifold's n.
 
     The constructor raises DomainError unless both scales are finite floats,
@@ -145,8 +144,7 @@ class _Entries(tuple):
                                         "    ") for row in self], "  ")
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(Record):
     """An exact matrix over the parabolic index of one (n, m) block.
 
     Rows/columns are ordered by q increasing; scale_text names the symbolic

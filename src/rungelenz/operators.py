@@ -21,7 +21,6 @@ expression_expectation reads one diagonal cell. az_power_matrix walks no words.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -31,6 +30,7 @@ from .basis import (ManifoldState, ParabolicLabel, _is_int,
                     spherical_ls)
 from .errors import DomainError, InternalConsistencyError
 from .radical import RadicalSum, _combine_radicands, _split_radicand
+from .record import Record
 
 
 def _check_ints(what: str, *args) -> None:
@@ -230,8 +230,7 @@ def _rational(value, what: str) -> Fraction:
         raise DomainError(f"{what} must be a finite rational, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
+class GeneratorWord(Record):
     """An ordered product of generators (rightmost acts first); its
     coefficient lives on the OperatorExpression term."""
 
@@ -247,8 +246,7 @@ class GeneratorWord:
                 raise DomainError(f"unknown generator {g!r}")
 
 
-@dataclass(frozen=True)
-class OperatorExpression:
+class OperatorExpression(Record):
     """A rational linear combination of generator words."""
 
     terms: tuple[tuple[Fraction, GeneratorWord], ...]

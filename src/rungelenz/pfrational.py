@@ -118,6 +118,8 @@ def _limit_from_env() -> int:
         limit = int(raw)
     except ValueError as exc:
         raise DomainError(f"{_ENV_LIMIT} must be an integer, got {raw!r}") from exc
+    if limit < 0:
+        raise DomainError(f"{_ENV_LIMIT} = {limit} must be >= 0")
     if limit > MAX_FACTORIAL_LIMIT:  # checked before the table is built
         raise DomainError(f"{_ENV_LIMIT} = {limit} exceeds the bound "
                           f"{MAX_FACTORIAL_LIMIT}")

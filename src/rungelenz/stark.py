@@ -21,20 +21,20 @@ pair; p_transition: one): each |m| block gives a pair the spectral
 |sum_q C_l C_l' e^(i q chi)|^2, the printed quadruple cosine sum factored by
 cos(a - b) = cos a cos b + sin a sin b. n must be an int >= 1, l and l' ints
 in 0..n-1 and chi a real with chi*(n-1) a finite float; anything else is a
-DomainError.
+DomainError. csv is imported inside TransitionTable.to_csv, so importing the
+package, or writing a table as JSON, does not pay for it.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, sin
 
 from .basis import _check_n, _finite_real, _is_int, b_block, q_values
 from .errors import DomainError, InternalConsistencyError
 from .radical import RadicalSum, render_exact
+from .record import Record
 from .wigner import _sixj_squared
 
 P_AGREEMENT_TOL = 1e-12
@@ -159,8 +159,7 @@ def chi_from_time(n: int, t: float) -> float:
     return 1.5 * n * t
 
 
-@dataclass(frozen=True)
-class TransitionTable:
+class TransitionTable(Record):
     """P or P-bar over one manifold: rows l, columns l'.
 
     kind "pbar" holds exact Fractions (or ints, not bools); kind "p" holds
@@ -199,6 +198,8 @@ class TransitionTable:
                     raise DomainError(f"entry {x} outside [0, 1]")
 
     def to_csv(self) -> str:
+        import csv  # not at module level: only a CSV table pays its import
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["l"] + [f"lp{lp}" for lp in range(self.n)])

@@ -20,12 +20,12 @@ repeat work.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .pfrational import default_table, factorial_root
 from .radical import RadicalSum
+from .record import Record
 
 
 def _neg1(k: int) -> int:
@@ -54,8 +54,7 @@ def twice(value) -> int:
     return 2 * fr.numerator // fr.denominator
 
 
-@dataclass(frozen=True)
-class ThreeJmArgs:
+class ThreeJmArgs(Record):
     """Arguments of a 3jm symbol as Fractions; j-valued entries with matching
     m parities."""
 

@@ -359,6 +359,32 @@ class TestEnvironment:
         assert proc.stdout == ""
         assert f"exceeds the bound {MAX_FACTORIAL_LIMIT}" in proc.stderr
 
+    def test_import_surface(self):
+        # the modules a fresh -I interpreter gains from importing the package,
+        # then its CLI, over those it held before (site's included)
+        src = str(Path(rungelenz.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, %r); before = set(sys.modules); "
+                "import rungelenz; pkg = set(sys.modules); import rungelenz.cli; "
+                "print(*sorted(pkg - before)); print(*sorted(set(sys.modules) - pkg))"
+                % src)
+        proc = subprocess.run([sys.executable, "-I", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        package, cli = (set(line.split()) for line in proc.stdout.splitlines())
+        assert "rungelenz.basis" in package and "rungelenz.cli" in cli
+        assert not package & {"dataclasses", "inspect", "csv", "argparse"}
+        assert "csv" not in cli
+
+    def test_negative_factorial_limit_is_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rungelenz", "compute", "3j",
+             "3", "3", "4", "1", "-1", "0"],
+            capture_output=True, text=True, timeout=60,
+            env=child_env(RUNGELENZ_FACTORIAL_LIMIT="-1"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "RUNGELENZ_FACTORIAL_LIMIT = -1 must be >= 0" in proc.stderr
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_factorial_limit_in_verify_is_usage_error(self, jobs):
         proc = subprocess.run(

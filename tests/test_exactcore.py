@@ -88,6 +88,12 @@ class TestPFFactorial:
             with pytest.raises(DomainError, match=f"exceeds the bound {MAX_FACTORIAL_LIMIT}$"):
                 _limit_from_env()
 
+    @pytest.mark.parametrize("raw", ["-1", "-258"])
+    def test_negative_env_limit_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("RUNGELENZ_FACTORIAL_LIMIT", raw)
+        with pytest.raises(DomainError, match=f"^RUNGELENZ_FACTORIAL_LIMIT = {raw} must be >= 0$"):
+            _limit_from_env()
+
     def test_limit_hint_stays_within_the_bound(self):
         assert "set RUNGELENZ_FACTORIAL_LIMIT >= 300" in str(FactorialLimitError(300, 258))
         text = str(FactorialLimitError(MAX_FACTORIAL_LIMIT + 1, 258))

@@ -1,6 +1,5 @@
 """Stark transfer probabilities: exact P-bar, floating P, closed forms, tables."""
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -369,7 +368,7 @@ class TestPTable:
 
         def edited(n, m):
             blk = real(n, m)
-            copy = dataclasses.replace(blk)
+            copy = blk._replace()
             b, c = ([list(row) for row in rows] for rows in blk._float_tables)
             edit(m, b, c)
             copy.__dict__["_float_tables"] = tuple(tuple(map(tuple, rows))
@@ -420,8 +419,7 @@ class TestPTable:
 
         def counted(n, m):
             blk = real(n, m)
-            return Counted(**{f.name: getattr(blk, f.name)
-                              for f in dataclasses.fields(blk)})
+            return Counted(**{name: getattr(blk, name) for name in blk._fields})
 
         monkeypatch.setattr(stark, "b_block", counted)
         return calls

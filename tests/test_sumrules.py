@@ -1,5 +1,4 @@
 """Sum-rule evaluations, generic moments, and printed-form discrepancy reports."""
-import dataclasses
 import json
 import os
 from fractions import Fraction
@@ -298,7 +297,7 @@ class TestRationalGauge:
             g = real(n, m)
             up = list(g.up)
             up[1] += 1  # J[1, 2] off by 1/Delta, the least step of the band
-            return dataclasses.replace(g, up=tuple(up))
+            return g._replace(up=tuple(up))
 
         monkeypatch.setattr(basis, "_block_entries", perturbed)
         with pytest.raises(InternalConsistencyError, match=r"gauge J\[1, 2\]"):
@@ -311,7 +310,7 @@ class TestRationalGauge:
             g = real(n, m)
             down = list(g.down)
             down[0] -= 1  # J[1, 0] off by 1/Delta
-            return dataclasses.replace(g, down=tuple(down))
+            return g._replace(down=tuple(down))
 
         monkeypatch.setattr(basis, "_block_entries", perturbed)
         with pytest.raises(InternalConsistencyError, match=r"gauge J\[0, 1\]"):
@@ -324,7 +323,7 @@ class TestRationalGauge:
             g = real(n, m)
             b_num = list(g.b_num)
             b_num[2] *= 2
-            return dataclasses.replace(g, b_num=tuple(b_num))
+            return g._replace(b_num=tuple(b_num))
 
         monkeypatch.setattr(basis, "_block_entries", scaled)
         with pytest.raises(InternalConsistencyError, match="squared norm"):
@@ -374,7 +373,7 @@ class TestRationalGauge:
             rows = g.rho_num[:half] + tuple(
                 tuple(-x if (n - 1 + l) & 1 else x for l, x in zip(spherical_ls(n, m), row))
                 for row in g.rho_num[half:])
-            return dataclasses.replace(g, rho_num=rows)
+            return g._replace(rho_num=rows)
 
         monkeypatch.setattr(basis, "_block_entries", unsigned)
         mirrored = 0
