@@ -4,7 +4,8 @@ Exit codes: 0 all canonical checks passed, 1 at least one mismatch,
 2 usage error, 141 (128 + SIGPIPE) stdout closed by its reader before the
 output was written, which ends the run quietly. Printed-form discrepancies
 are warnings and never affect the exit status. Sweeps are merged in
-parameter order regardless of how many worker processes ran them.
+parameter order regardless of how many worker processes ran them. A verify
+--max-n whose blocks need a factorial past the table's limit exits 2 at once.
 
 A verify report reaches stdout as text made where it is computed: each sweep
 tuple's reports become one finished text in the chosen format (JSON from the

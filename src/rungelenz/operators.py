@@ -252,8 +252,17 @@ class OperatorExpression(Record):
     terms: tuple[tuple[Fraction, GeneratorWord], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(
-            (_rational(c, "coefficient"), w) for c, w in self.terms))
+        terms = []
+        for term in self.terms:
+            try:
+                c, w = term
+            except (TypeError, ValueError):
+                w = None
+            if not isinstance(w, GeneratorWord):
+                raise DomainError(f"an expression term must be a (coefficient, "
+                                  f"GeneratorWord) pair, got {term!r}")
+            terms.append((_rational(c, "coefficient"), w))
+        object.__setattr__(self, "terms", tuple(terms))
 
     @classmethod
     def build(cls, *terms) -> "OperatorExpression":

@@ -1,23 +1,22 @@
-"""Factorials up to a fixed limit, as integers and as split square roots.
+"""Factorials up to a fixed bound, as integers and as split square roots.
 
-Next to k!, the table keeps sqrt(k!) = r sqrt(s) with s squarefree, built once
+Next to k!, the table keeps sqrt(k!) = r sqrt(s) with s squarefree, built
 from factorize(k). factorial_root joins table entries by gcd, so the square
 root of every coupling coefficient (a ratio of factorials) is split without
-factoring anything.
+factoring anything. The table builds nothing up front: each request extends
+it to the k it asks for, up to the table's limit.
 """
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd
 
-from .errors import MAX_FACTORIAL_LIMIT, DomainError, FactorialLimitError
+from .errors import DomainError, FactorialLimitError
 
-# The default covers (2n-1)! for n <= 129, which a B/C block of n needs (so
-# b_coeff, verify and p_table), and (3n-2)! for n <= 86, which P-bar's 6j route
-# needs (pbar_table). No route needs (4n+2)!.
-DEFAULT_FACTORIAL_LIMIT = 258
-_ENV_LIMIT = "RUNGELENZ_FACTORIAL_LIMIT"
+# The default table's limit. Filled up to L, the table holds about L^2 log L
+# bits: 17 MiB at 4096, which covers (2n-1)! for n <= 2048 (a B/C block of n,
+# so b_coeff, verify and p_table) and (3n-2)! for n <= 1366 (P-bar's 6j route).
+MAX_FACTORIAL_LIMIT = 4096
 
 
 def factorize(k: int) -> dict[int, int]:
@@ -39,54 +38,60 @@ def factorize(k: int) -> dict[int, int]:
 class FactorialTable:
     """k! and sqrt(k!) = r sqrt(s), s squarefree, for k up to a fixed limit.
 
-    The limit is set at construction and never extended: requests beyond it
-    raise FactorialLimitError naming the needed limit. The whole table is
-    built eagerly, so instances are read-only afterwards and safe to share
-    across threads.
+    Entries are built on first use: a request for k extends both lists up to
+    k. A request beyond the limit raises FactorialLimitError naming the
+    needed limit, before anything is built. A growth builds new lists and
+    rebinds them as one attribute, so a list a caller already holds never
+    changes, and threads that race at worst build the same entries twice.
     """
 
-    def __init__(self, limit: int = DEFAULT_FACTORIAL_LIMIT):
-        if limit < 0:
-            raise DomainError("factorial table limit must be >= 0")
+    def __init__(self, limit: int = MAX_FACTORIAL_LIMIT):
+        if type(limit) is not int or limit < 0:  # a bool or a float is no limit
+            raise DomainError(f"factorial table limit must be an int >= 0, "
+                              f"got {limit!r}")
         self.limit = limit
-        self._int: list[int] = [1]
-        self._root: list[tuple[int, int]] = [(1, 1)]
-        for j in range(1, limit + 1):
-            self._int.append(self._int[-1] * j)
-            r, s = self._root[-1]
+        self._built: tuple[list[int], list[tuple[int, int]]] = ([1], [(1, 1)])
+
+    def _lists(self, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
+        """(k! by k, (r, s) by k), built up to hi at least, for callers that
+        read k in lo..hi."""
+        built = self._built
+        if lo < 0:
+            raise DomainError(f"factorial of negative integer {lo}")
+        if hi < len(built[0]):
+            return built
+        if hi > self.limit:
+            raise FactorialLimitError(needed=hi, limit=self.limit)
+        ints, roots = list(built[0]), list(built[1])
+        r, s = roots[-1]
+        for j in range(len(ints), hi + 1):
+            ints.append(ints[-1] * j)
             # sqrt(j!) = sqrt((j-1)!) sqrt(j): each p^e of j moves p^(e//2)
             # into r and, for odd e, flips p in or out of s
             for p, e in factorize(j).items():
                 r *= p ** (e // 2)
                 if e & 1:
                     r, s = (r * p, s // p) if s % p == 0 else (r, s * p)
-            self._root.append((r, s))
-
-    def _check(self, k: int) -> None:
-        if k < 0:
-            raise DomainError(f"factorial of negative integer {k}")
-        if k > self.limit:
-            raise FactorialLimitError(needed=k, limit=self.limit)
+            roots.append((r, s))
+        self._built = built = (ints, roots)
+        return built
 
     def factorial(self, k: int) -> tuple[int, int]:
         """(r, s) with sqrt(k!) = r sqrt(s) and s squarefree."""
-        self._check(k)
-        return self._root[k]
+        return self._lists(k, k)[1][k]
 
     def factorial_int(self, k: int) -> int:
         """k! as a plain integer (for rational summation kernels)."""
-        self._check(k)
-        return self._int[k]
+        return self._lists(k, k)[0][k]
 
     def factorial_ints(self, lo: int, hi: int) -> list[int]:
         """The list of k! by k, once lo and hi pass factorial_int's checks.
 
-        A summation kernel checks the smallest and largest k it will read and
-        then indexes the list itself, in place of one checked call per k.
+        A summation kernel checks the smallest and largest k it will read
+        (lo <= hi) and then indexes the list itself, in place of one checked
+        call per k.
         """
-        self._check(lo)
-        self._check(hi)
-        return self._int
+        return self._lists(lo, hi)[0]
 
 
 def _join(table: FactorialTable, ks) -> tuple[int, int]:
@@ -110,28 +115,9 @@ def factorial_root(nums, dens=()) -> tuple[Fraction, int]:
     return Fraction(rn * g, rd * sd), (sn // g) * (sd // g)
 
 
-def _limit_from_env() -> int:
-    raw = os.environ.get(_ENV_LIMIT)
-    if raw is None:
-        return DEFAULT_FACTORIAL_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{_ENV_LIMIT} must be an integer, got {raw!r}") from exc
-    if limit < 0:
-        raise DomainError(f"{_ENV_LIMIT} = {limit} must be >= 0")
-    if limit > MAX_FACTORIAL_LIMIT:  # checked before the table is built
-        raise DomainError(f"{_ENV_LIMIT} = {limit} exceeds the bound "
-                          f"{MAX_FACTORIAL_LIMIT}")
-    return limit
-
-
-_default_table: FactorialTable | None = None
+_default_table = FactorialTable()
 
 
 def default_table() -> FactorialTable:
-    """The process-wide table; its limit honours RUNGELENZ_FACTORIAL_LIMIT."""
-    global _default_table
-    if _default_table is None:
-        _default_table = FactorialTable(_limit_from_env())
+    """The process-wide table, with limit MAX_FACTORIAL_LIMIT."""
     return _default_table

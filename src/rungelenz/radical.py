@@ -37,7 +37,11 @@ class RadicalSum:
                 raise DomainError(f"radicand {d!r} must be a positive int")
             if d != 1 and _split_radicand(d)[0] != 1:
                 raise DomainError(f"radicand {d} is not squarefree")
-            c = Fraction(c)
+            try:
+                c = Fraction(c)
+            except (TypeError, ValueError, OverflowError):
+                raise DomainError(f"coefficient {c!r} of sqrt({d}) must be a "
+                                  f"finite rational") from None
             if c != 0:
                 clean[d] = c
         object.__setattr__(self, "_terms", clean)
@@ -58,7 +62,7 @@ class RadicalSum:
 
     @classmethod
     def from_rational(cls, value) -> "RadicalSum":
-        return cls({1: Fraction(value)})
+        return cls({1: value})
 
     @classmethod
     def from_sqrt(cls, value, sign: int = 1) -> "RadicalSum":
@@ -71,7 +75,12 @@ class RadicalSum:
         """
         if sign not in (-1, 0, 1):
             raise DomainError(f"sign must be -1, 0 or 1, got {sign}")
-        value = Fraction(value)
+        if isinstance(value, bool):
+            raise DomainError(f"radicand {value!r} is a bool, not a number")
+        try:
+            value = Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"radicand {value!r} must be a finite rational") from None
         if value < 0:
             raise DomainError("radicand must be nonnegative")
         if value == 0 or sign == 0:
@@ -207,6 +216,8 @@ def render_exact(value) -> str:
     if isinstance(value, (int, Fraction)):
         value = Fraction(value)
         return f"{value.numerator}/{value.denominator}"
+    if not isinstance(value, RadicalSum):
+        raise DomainError(f"cannot render {value!r}: not an int, Fraction or RadicalSum")
     terms = value._terms
     if len(terms) == 1 and 1 in terms:
         c = terms[1]
@@ -309,6 +320,8 @@ def _split_radicand(k: int) -> tuple[int, int]:
 def parse_exact(text: str) -> RadicalSum:
     """Parse the exact-value grammar back into a RadicalSum; any other
     spelling of a value, even an equal one, raises ExactParseError."""
+    if not isinstance(text, str):
+        raise ExactParseError(f"an exact value is a str, got {text!r}")
     s = text.strip()
     if not s:
         raise ExactParseError("empty exact-value string")

@@ -15,6 +15,7 @@ from oracles import (
     hypergeometric_sign_survey,
     sign_square,
 )
+from rungelenz import pfrational
 from rungelenz.basis import (
     ManifoldState,
     ParabolicLabel,
@@ -30,6 +31,7 @@ from rungelenz.basis import (
     unit_spherical,
 )
 from rungelenz.errors import DomainError, FactorialLimitError
+from rungelenz.pfrational import FactorialTable
 from rungelenz.radical import RadicalSum
 from rungelenz.stark import c_coefficient
 from rungelenz.wigner import _threejm_twice
@@ -128,8 +130,9 @@ class TestBCoeff:
                 for l in spherical_ls(n, p.m):
                     assert row[l - abs(p.m)] == oracles.b_coeff(p, l), (p, l)
 
-    def test_block_needs_factorials_to_2n_minus_1(self):
+    def test_block_needs_factorials_to_2n_minus_1(self, monkeypatch):
         # one 3jm entry needs only (n+l)!, the whole n = 130 block 259!
+        monkeypatch.setattr(pfrational, "_default_table", FactorialTable(258))
         p = ParabolicLabel(0, 128, 1)
         with pytest.raises(FactorialLimitError, match="need 259!"):
             b_coeff(p, 1)

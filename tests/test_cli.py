@@ -35,6 +35,19 @@ def child_env(**extra):
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
 
 
+def verify_with_table(limit, *argv):
+    """`verify argv` in a child whose default factorial table has this limit
+    (None keeps the default table)."""
+    table = ("" if limit is None else
+             f"pfrational._default_table = pfrational.FactorialTable({limit}); ")
+    code = ("import os, sys; os.cpu_count = lambda: 2; "
+            "from rungelenz import pfrational; " + table +
+            "from rungelenz.cli import main; sys.exit(main())")
+    return subprocess.run([sys.executable, "-c", code, "verify", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=child_env())
+
+
 class TestTable1:
     def test_values_and_exit(self, capsys):
         code, out = run_cli(capsys, "table1")
@@ -332,32 +345,25 @@ class TestCompute:
 
 
 class TestEnvironment:
-    def test_factorial_limit_env_override(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "rungelenz.cli", "compute", "3j",
-             "3", "3", "4", "1", "-1", "0"],
-            capture_output=True, text=True,
-            env=child_env(RUNGELENZ_FACTORIAL_LIMIT="4"))
-        assert proc.returncode != 0
-        assert "RUNGELENZ_FACTORIAL_LIMIT" in proc.stderr
-
     def test_factorial_limit_above_the_bound_is_usage_error(self):
-        # checked before any table is built; a table of 10^9 factorials would
+        # checked before any entry is built; a table of 10^9 factorials would
         # hit the child's 512 MiB address space at once
         import resource
-        from rungelenz.errors import MAX_FACTORIAL_LIMIT
+        from rungelenz.pfrational import MAX_FACTORIAL_LIMIT
 
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
+        big = str(10 ** 9)
         proc = subprocess.run(
             [sys.executable, "-m", "rungelenz", "compute", "3j",
-             "3", "3", "4", "1", "-1", "0"],
+             big, big, big, "0", "0", "0"],
             capture_output=True, text=True, timeout=60, preexec_fn=cap,
-            env=child_env(RUNGELENZ_FACTORIAL_LIMIT=str(10 ** 9)))
+            env=child_env())
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
-        assert f"exceeds the bound {MAX_FACTORIAL_LIMIT}" in proc.stderr
+        assert f"need {big}!" in proc.stderr
+        assert f"limit {MAX_FACTORIAL_LIMIT} exceeded" in proc.stderr
 
     def test_import_surface(self):
         # the modules a fresh -I interpreter gains from importing the package,
@@ -375,24 +381,10 @@ class TestEnvironment:
         assert not package & {"dataclasses", "inspect", "csv", "argparse"}
         assert "csv" not in cli
 
-    def test_negative_factorial_limit_is_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "rungelenz", "compute", "3j",
-             "3", "3", "4", "1", "-1", "0"],
-            capture_output=True, text=True, timeout=60,
-            env=child_env(RUNGELENZ_FACTORIAL_LIMIT="-1"))
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == ""
-        assert "RUNGELENZ_FACTORIAL_LIMIT = -1 must be >= 0" in proc.stderr
-
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_factorial_limit_in_verify_is_usage_error(self, jobs):
-        proc = subprocess.run(
-            [sys.executable, "-m", "rungelenz", "verify", "--max-n", "12",
-             "--min-n", "12", "--m", "0", "--n1", "0", "--powers", "1",
-             "--jobs", jobs],
-            capture_output=True, text=True,
-            env=child_env(RUNGELENZ_FACTORIAL_LIMIT="20"))
+        proc = verify_with_table(20, "--max-n", "12", "--min-n", "12", "--m", "0",
+                                 "--n1", "0", "--powers", "1", "--jobs", jobs)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert "need 23!" in proc.stderr and "Traceback" not in proc.stderr
@@ -400,17 +392,11 @@ class TestEnvironment:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_factorial_limit_checked_before_the_sweep(self, jobs):
         """(2n-1)! is the largest factorial a block of n needs: with limit 21
-        the n <= 11 sweep runs, and n <= 12 fails before any report."""
-        def verify(max_n, **env):
-            return subprocess.run(
-                [sys.executable, "-m", "rungelenz", "verify", "--max-n", max_n,
-                 "--jobs", jobs],
-                capture_output=True, text=True, timeout=60, env=child_env(**env))
-
-        assert verify("11", RUNGELENZ_FACTORIAL_LIMIT="21").returncode == 0
-        for max_n, need, env in (("12", 23, {"RUNGELENZ_FACTORIAL_LIMIT": "21"}),
-                                 ("130", 259, {})):
-            proc = verify(max_n, **env)
+        the n <= 11 sweep runs, and n <= 12 fails before any report; so does
+        n <= 2049 against the default table's bound."""
+        assert verify_with_table(21, "--max-n", "11", "--jobs", jobs).returncode == 0
+        for max_n, need, limit in (("12", 23, 21), ("2049", 4097, None)):
+            proc = verify_with_table(limit, "--max-n", max_n, "--jobs", jobs)
             assert proc.returncode == 2, proc.stderr
             assert proc.stdout == ""
             assert f"need {need}!" in proc.stderr and "Traceback" not in proc.stderr

@@ -2,6 +2,7 @@
 import copy
 import math
 import pickle
+import sys
 import threading
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from rungelenz.errors import DomainError, ExactParseError, FactorialLimitError
 from rungelenz.pfrational import (
     MAX_FACTORIAL_LIMIT,
     FactorialTable,
-    _limit_from_env,
     default_table,
     factorial_root,
     factorize,
@@ -80,25 +80,74 @@ class TestPFFactorial:
         assert err.value.limit == 10
         assert "11" in str(err.value)
 
-    def test_env_limit_is_bounded_before_any_table_is_built(self, monkeypatch):
-        monkeypatch.setenv("RUNGELENZ_FACTORIAL_LIMIT", str(MAX_FACTORIAL_LIMIT))
-        assert _limit_from_env() == MAX_FACTORIAL_LIMIT >= 258
-        for raw in (MAX_FACTORIAL_LIMIT + 1, 10 ** 12):
-            monkeypatch.setenv("RUNGELENZ_FACTORIAL_LIMIT", str(raw))
-            with pytest.raises(DomainError, match=f"exceeds the bound {MAX_FACTORIAL_LIMIT}$"):
-                _limit_from_env()
+    def test_construction_builds_nothing(self, monkeypatch):
+        from rungelenz import pfrational
+        built = []
 
-    @pytest.mark.parametrize("raw", ["-1", "-258"])
-    def test_negative_env_limit_names_the_variable(self, monkeypatch, raw):
-        monkeypatch.setenv("RUNGELENZ_FACTORIAL_LIMIT", raw)
-        with pytest.raises(DomainError, match=f"^RUNGELENZ_FACTORIAL_LIMIT = {raw} must be >= 0$"):
-            _limit_from_env()
+        def counted(k):
+            built.append(k)
+            return factorize(k)
 
-    def test_limit_hint_stays_within_the_bound(self):
-        assert "set RUNGELENZ_FACTORIAL_LIMIT >= 300" in str(FactorialLimitError(300, 258))
-        text = str(FactorialLimitError(MAX_FACTORIAL_LIMIT + 1, 258))
-        assert f"RUNGELENZ_FACTORIAL_LIMIT is at most {MAX_FACTORIAL_LIMIT}" in text
-        assert ">=" not in text
+        monkeypatch.setattr(pfrational, "factorize", counted)
+        table = FactorialTable()
+        assert table.limit == MAX_FACTORIAL_LIMIT and built == []
+        assert table.factorial_int(10) == math.factorial(10)
+        assert built == list(range(1, 11))
+        assert table.factorial(7) == (12, 35)  # 7! = 12^2 35
+        assert built == list(range(1, 11))
+
+    def test_past_the_limit_builds_nothing(self, monkeypatch):
+        from rungelenz import pfrational
+        monkeypatch.setattr(pfrational, "factorize", None)  # any call fails
+        table = FactorialTable(100)
+        for call in (table.factorial, table.factorial_int):
+            with pytest.raises(FactorialLimitError) as err:
+                call(101)
+            assert (err.value.needed, err.value.limit) == (101, 100)
+        with pytest.raises(FactorialLimitError):
+            table.factorial_ints(0, 101)
+        assert table._built == ([1], [(1, 1)])
+
+    @pytest.mark.parametrize("limit", [-1, 2.5, True, "8"])
+    def test_limit_must_be_a_nonnegative_int(self, limit):
+        with pytest.raises(DomainError, match="factorial table limit must be"):
+            FactorialTable(limit)
+
+    def test_growth_leaves_a_held_list_unchanged(self):
+        table = FactorialTable(40)
+        held = table.factorial_ints(0, 5)
+        before = list(held)
+        assert table.factorial_ints(0, 40)[40] == math.factorial(40)
+        assert held == before and len(held) == 6
+
+    def test_threads_share_one_fresh_table(self):
+        """Eight threads grow one table at once, switching often: each
+        growth rebinds new lists, so no read sees a half-built entry."""
+        table = FactorialTable(600)
+        barrier = threading.Barrier(8)
+        bad = []
+
+        def read(offset):
+            barrier.wait()
+            for k in range(offset, 601, 8):
+                r, s = table.factorial(k)
+                if not r * r * s == table.factorial_int(k) == math.factorial(k):
+                    bad.append(k)
+                if table.factorial_ints(0, k)[k] != math.factorial(k):
+                    bad.append(k)
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
     def test_factorial_ints_checks_both_ends(self):
         table = FactorialTable(limit=5)
@@ -140,9 +189,9 @@ class TestPFFactorial:
         assert not isinstance(err.value, FactorialLimitError)
 
     def test_factorial_int_matches_pf(self):
-        # r^2 s = k! with s squarefree, for every k up to the limit
+        # r^2 s = k! with s squarefree, for every k up to 258
         table = default_table()
-        for k in range(table.limit + 1):
+        for k in range(259):
             r, s = table.factorial(k)
             assert r * r * s == table.factorial_int(k) == math.factorial(k)
             assert squarefree(s), k
@@ -236,6 +285,15 @@ class TestFromSqrt:
             with pytest.raises(DomainError):
                 RadicalSum.from_sqrt(value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "x", None, True, False])
+    def test_unconvertible_radicand_names_the_value(self, value):
+        with pytest.raises(DomainError, match=f"radicand {value!r} "):
+            RadicalSum.from_sqrt(value)
+
+    def test_convertible_radicands_keep_their_result(self):
+        assert RadicalSum.from_sqrt(2.25) == rs(Fraction(3, 2))
+        assert RadicalSum.from_sqrt("8") == RadicalSum.from_sqrt(8)
+
 
 def rs(x):
     return RadicalSum.from_rational(x)
@@ -257,6 +315,17 @@ class TestRadicalSum:
                 RadicalSum({d: 1})
         with pytest.raises(ExactParseError, match="must be a positive int"):
             parse_exact("(1/2)*sqrt(0)")
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, "x", None])
+    def test_unconvertible_coefficient_names_the_value(self, c):
+        with pytest.raises(DomainError, match=f"coefficient {c!r} of sqrt"):
+            RadicalSum({2: c})
+        with pytest.raises(DomainError, match=f"coefficient {c!r} of sqrt"):
+            RadicalSum.from_rational(c)
+
+    def test_convertible_coefficients_keep_their_result(self):
+        assert RadicalSum({1: "1/2"}) == rs(Fraction(1, 2)) == rs(0.5)
+        assert RadicalSum({3: 0.25}).terms() == [(3, Fraction(1, 4))]
 
     def test_add_cancellation(self):
         assert root(2) + root(2, -1) == RadicalSum.zero()
@@ -465,6 +534,16 @@ class TestExactGrammar:
     def test_parse_rejects_non_canonical_spellings(self, bad):
         with pytest.raises(ExactParseError):
             parse_exact(bad)
+
+    @pytest.mark.parametrize("value", [None, 1, b"1/2"])
+    def test_parse_rejects_a_non_string(self, value):
+        with pytest.raises(ExactParseError, match="is a str"):
+            parse_exact(value)
+
+    @pytest.mark.parametrize("value", [1.5, None, "1/2"])
+    def test_render_rejects_a_non_value(self, value):
+        with pytest.raises(DomainError, match=f"cannot render {value!r}"):
+            render_exact(value)
 
     def test_parse_rejects_numbers_beyond_the_int_digit_limit(self):
         digits = "1" + "0" * 5000

@@ -323,6 +323,14 @@ class TestGenerators:
         with pytest.raises(DomainError, match="tuple of generator names"):
             OperatorExpression.build((1, "j1z"))
 
+    @pytest.mark.parametrize("terms", [((1, ("j1z",)),), ((1,),), (5,),
+                                       ((1, GeneratorWord(()), 2),)])
+    def test_term_that_is_not_a_word_pair_rejected(self, terms):
+        with pytest.raises(DomainError, match="GeneratorWord\\) pair"):
+            OperatorExpression(terms)
+        assert OperatorExpression.build((1, ("j1z",))).terms == (
+            (Fraction(1), GeneratorWord(("j1z",))),)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_scales_rejected(self, bad):
         with pytest.raises(DomainError, match="finite rational"):

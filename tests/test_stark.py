@@ -10,8 +10,9 @@ import pytest
 
 import oracles
 from oracles import sign_square
-from rungelenz import basis, stark, wigner
+from rungelenz import basis, pfrational, stark, wigner
 from rungelenz.errors import DomainError, FactorialLimitError, InternalConsistencyError
+from rungelenz.pfrational import FactorialTable
 from rungelenz.radical import parse_exact
 from rungelenz.stark import (
     TransitionTable,
@@ -94,8 +95,9 @@ class TestPBar:
                 for lp in range(n):
                     assert p_bar(n, l, lp) == oracles.pbar_double(n, l, lp)
 
-    def test_6j_route_needs_factorials_to_3n_minus_2(self):
+    def test_6j_route_needs_factorials_to_3n_minus_2(self, monkeypatch):
         # {l l' j; J J J} at l = l' = n-1 reads (3n-2)!: limit 258 reaches n = 86
+        monkeypatch.setattr(pfrational, "_default_table", FactorialTable(258))
         assert p_bar_6j_terms(86, 85, 85)
         with pytest.raises(FactorialLimitError, match="need 259!"):
             p_bar_6j_terms(87, 86, 86)
