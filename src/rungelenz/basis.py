@@ -1,12 +1,14 @@
 """Parabolic <-> spherical basis machinery within one hydrogenic n-manifold.
 
 B(l) = <n l m | n1 n2 m> and its bare 3jm C are read from one cached block per
-(n, |m|), built over Q from the Racah sums of that 3jm (b_block), which also
-holds A_z in that rational gauge (J); b_coeff, b_matrix, the Stark module's C
-and float tables, every sum rule and az_power_matrix read it. C is even in m,
-and B(n, -m) = (-1)^m B(n, m). C's 3jm couples two equal spins (n-1)/2, and
-swapping them (q -> -q) multiplies it by (-1)^(n-1+l), so the Racah sums run
-for the rows q <= 0 only and the rows q > 0 of rho are their mirror images,
+(n, |m|), built over Q from one row of Racah sums of that 3jm and L^2's
+three-term recurrence in q (b_block), which also holds A_z in that rational
+gauge (J); b_coeff, b_matrix, the Stark module's C and float tables, every
+sum rule and az_power_matrix read it. C is even in m, and B(n, -m) = (-1)^m
+B(n, m). Only the rows q <= 0 are built: the stretched row n1 = 0 from Racah
+sums of one term each, every later one in integers from the two before it.
+C's 3jm couples two equal spins (n-1)/2, and swapping them (q -> -q)
+multiplies it by (-1)^(n-1+l), so the rows q > 0 of rho are mirror images,
 with the a, D and R^2 of their sources; that mirror and its sign are made
 once, in the stored rows, which every B and C entry reads. The square roots of
 the block are ratios of factorials, split by pfrational.factorial_root
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isfinite, lcm, prod, sqrt
+from math import gcd, isfinite, lcm, prod, sqrt
 from numbers import Real
 from operator import add, mul
 
@@ -219,8 +221,21 @@ class BBlock(Record):
     A_z in this gauge is J = D^-1 A_z D, D = diag(sqrt b): rational,
     tridiagonal.
 
-    Only the first ceil(rows/2) rows, q <= 0, come from Racah sums. Swapping
-    the two spins of C's 3jm maps q to -q and multiplies it by
+    Only the first ceil(rows/2) rows, q <= 0, are built. Row n1 = 0 is the
+    stretched state (m - q)/2 = (n-1)/2, where each Racah sum has one term.
+    L^2 is diagonal in l and tridiagonal in q, so every column of rho obeys
+    its three-term recurrence, with t = n-1 and a row outside the block
+    counting as 0:
+
+        C+(q) rho(q+2) = [4l(l+1) - 2t(t+2) - 2(m^2-q^2)] rho(q) - C-(q) rho(q-2),
+        C-(q) = (t+m-q+2)(t-m-q+2),  C+(q) = (t-m+q+2)(t+m+q+2) > 0,
+
+    which builds the rows n1 = 1 .. ceil(rows/2) - 1 from the seed, each over
+    its own reduced D exactly as the Racah sums give it. The recurrence is
+    L^2's, not A_z's, so the row identity J rho = q rho stays an independent
+    check of every row the recurrence builds.
+
+    Swapping the two spins of C's 3jm maps q to -q and multiplies it by
     (-1)^(2(n-1)/2 + l) = (-1)^(n-1+l), and permutes a's four m-factorials, so
     row upper - n1 is row n1 with rho times (-1)^(n-1+l) and the same a and D.
     The norm guard of b_block reads a, D and R^2 only, which a mirrored row
@@ -405,17 +420,33 @@ def _block_entries(n: int, m: int) -> BBlock:
         u, e = factorial_root((n - 1 - l, l, l, l + m, l - m), (n + l,))
         b.append(u * u * e * (2 * l + 1))
         roots.append((u, e))
-    a, rho_num, rho_den = [], [], []
     # the m-factorials run from 0 at q = +-(n - |m| - 1) up to n - 1
     f = default_table().factorial_ints(0, n - 1)
     qs = q_values(n, m)
     half = (len(qs) + 1) // 2
-    for q in qs[:half]:  # q <= 0
-        a.append(prod(f[k] for k in _a_factorials(n, m, q)))
-        r, d = _over_lcm([_racah_sum(n - 1, n - 1, 2 * l, m - q, m + q, -2 * m)
-                          for l in ls])
-        rho_num.append(tuple(-x if l & 1 else x for l, x in zip(ls, r)))  # (-1)^l r
-        rho_den.append(d)
+    a = [prod(f[k] for k in _a_factorials(n, m, q)) for q in qs[:half]]
+    # the stretched row n1 = 0, one Racah term per l: rho = (-1)^l r
+    q, t = qs[0], n - 1
+    r, d = _over_lcm([_racah_sum(t, t, 2 * l, m - q, m + q, -2 * m) for l in ls])
+    rho_num = [tuple(-x if l & 1 else x for l, x in zip(ls, r))]
+    rho_den = [d]
+    # the rows q <= 0 after it from L^2's recurrence in q (see BBlock), each
+    # over lcm(D(q), D(q-2)) and C+(q), reduced to its canonical R over D
+    prev, prev_d = (0,) * len(ls), 1
+    for q in qs[:half - 1]:
+        row, d = rho_num[-1], rho_den[-1]
+        c_minus = (t + m - q + 2) * (t - m - q + 2)
+        c_plus = (t - m + q + 2) * (t + m + q + 2)
+        big_l = lcm(d, prev_d)
+        s, s_prev = big_l // d, c_minus * (big_l // prev_d)
+        shift = 2 * t * (t + 2) + 2 * (m * m - q * q)
+        nums = [(4 * l * (l + 1) - shift) * s * x - s_prev * y
+                for l, x, y in zip(ls, row, prev)]
+        den = c_plus * big_l
+        g = gcd(den, *nums)  # D is the lcm of the row's reduced denominators
+        prev, prev_d = row, d
+        rho_num.append(tuple(x // g for x in nums))
+        rho_den.append(den // g)
     # q -> -q swaps the two equal spins of C's 3jm, a factor (-1)^(n-1+l), and
     # permutes a's four m-factorials: row upper - n1 is that sign times row n1
     for n1 in range(len(qs) - half - 1, -1, -1):
@@ -434,13 +465,15 @@ def _block_entries(n: int, m: int) -> BBlock:
 def b_block(n: int, m: int) -> BBlock:
     """The checked block of (n, |m|); needs the factorial table up to (2n-1)!.
 
-    Every B row must have a sum_l b rho^2 = 1, which ties a, b and the Racah
-    sums to B and C, and J[l, l+1] J[l+1, l] must equal beta^2(n, l+1, m),
-    which ties J's closed form and b's factorials to A_z; a failure halts with
+    Every B row must have a sum_l b rho^2 = 1, which ties a, b, the Racah
+    row and the rows L^2's recurrence builds from it to B and C, and
+    J[l, l+1] J[l+1, l] must equal beta^2(n, l+1, m), which ties J's closed
+    form and b's factorials to A_z; a failure halts with
     InternalConsistencyError. Both run on the integer fields: a sum_l N R^2
     = b_den D^2 per row, and U W den(beta^2) = num(beta^2) Delta^2 per band.
     The third guard, J rho = q rho per row, is the block's az_eigenvalues,
-    which halts the same way on the sum rules' first read.
+    which halts the same way on the sum rules' first read; it is A_z's
+    identity, not L^2's, so no row passes it by construction.
     """
     check_block(n, m)
     if m < 0:

@@ -5,7 +5,8 @@ Exit codes: 0 all canonical checks passed, 1 at least one mismatch,
 output was written, which ends the run quietly. Printed-form discrepancies
 are warnings and never affect the exit status. Sweeps are merged in
 parameter order regardless of how many worker processes ran them. A verify
---max-n whose blocks need a factorial past the table's limit exits 2 at once.
+--max-n whose blocks need a factorial past the table's limit exits 2 at once,
+and so does a compute pbar row whose last entry would read one.
 
 A verify report reaches stdout as text made where it is computed: each sweep
 tuple's reports become one finished text in the chosen format (JSON from the
@@ -46,11 +47,11 @@ from fractions import Fraction
 
 from .basis import ParabolicLabel, b_coeff, check_block
 from .diamagnetic import h1_matrix, h2_matrix
-from .errors import DomainError, FactorialLimitError
+from .errors import DomainError
 from .operators import beta
 from .pfrational import default_table
 from .radical import _json_array, _json_object, render_exact
-from .stark import p_bar, p_transition
+from .stark import _check_pbar, p_bar, p_transition
 from .sumrules import az_moment_generic, sum_rule_az, sum_rule_l2
 from .wigner import ThreeJmArgs, clebsch_gordan, twice, wigner_3jm, wigner_6j
 
@@ -136,9 +137,7 @@ def _sweep_tuples(args, parser) -> list[tuple]:
         parser.error(f"--jobs {args.jobs} forks worker processes, and this "
                      "platform has no os.fork; use --jobs 1")
     # (2n-1)! is the largest factorial a block of n needs: fail before the sweep
-    limit = default_table().limit
-    if 2 * args.max_n - 1 > limit:
-        raise FactorialLimitError(needed=2 * args.max_n - 1, limit=limit)
+    default_table().require(2 * args.max_n - 1)
     tuples = []
     for n in range(args.min_n, args.max_n + 1):
         for m in range(-(n - 1), n):
@@ -367,6 +366,8 @@ def _cmd_compute(args, parser) -> int:
     elif kind == "pbar":
         if args.n < 1:
             raise DomainError(f"n = {args.n} must be positive")
+        # the row's last entry, l' = n-1, reads the largest factorial
+        _check_pbar(args.n, args.l_init, args.n - 1)
         row = [p_bar(args.n, args.l_init, lp) for lp in range(args.n)]
         if args.format == "json":
             print(json.dumps({"kind": kind, "n": args.n, "l_init": args.l_init,

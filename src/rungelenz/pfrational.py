@@ -52,6 +52,15 @@ class FactorialTable:
         self.limit = limit
         self._built: tuple[list[int], list[tuple[int, int]]] = ([1], [(1, 1)])
 
+    def require(self, k: int) -> None:
+        """FactorialLimitError unless k! is within the limit; builds nothing.
+
+        A route calls it with the largest k! it will read, before its first
+        entry, so a request past the limit fails before any work.
+        """
+        if k > self.limit:
+            raise FactorialLimitError(needed=k, limit=self.limit)
+
     def _lists(self, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
         """(k! by k, (r, s) by k), built up to hi at least, for callers that
         read k in lo..hi."""
@@ -60,8 +69,7 @@ class FactorialTable:
             raise DomainError(f"factorial of negative integer {lo}")
         if hi < len(built[0]):
             return built
-        if hi > self.limit:
-            raise FactorialLimitError(needed=hi, limit=self.limit)
+        self.require(hi)
         ints, roots = list(built[0]), list(built[1])
         r, s = roots[-1]
         for j in range(len(ints), hi + 1):

@@ -21,8 +21,11 @@ pair; p_transition: one): each |m| block gives a pair the spectral
 |sum_q C_l C_l' e^(i q chi)|^2, the printed quadruple cosine sum factored by
 cos(a - b) = cos a cos b + sin a sin b. n must be an int >= 1, l and l' ints
 in 0..n-1 and chi a real with chi*(n-1) a finite float; anything else is a
-DomainError. csv is imported inside TransitionTable.to_csv, so importing the
-package, or writing a table as JSON, does not pay for it.
+DomainError. The P-bar routes check the largest k! they read against the
+factorial table's limit before they build any block or series: (2n-1)! for
+the blocks, (n+l+l')! for the 6j series, so (3n-2)! for pbar_table. csv is
+imported inside TransitionTable.to_csv, so importing the package, or writing
+a table as JSON, does not pay for it.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ from math import cos, sin
 
 from .basis import _check_n, _finite_real, _is_int, b_block, q_values
 from .errors import DomainError, InternalConsistencyError
+from .pfrational import default_table
 from .radical import RadicalSum, render_exact
 from .record import Record
 from .wigner import _sixj_squared
@@ -46,6 +50,14 @@ def _check_l(n: int, *ls: int) -> None:
     for l in ls:
         if not _is_int(l) or not 0 <= l <= n - 1:
             raise DomainError(f"need int 0 <= l <= n-1, got l = {l!r}, n = {n}")
+
+
+def _check_pbar(n: int, l: int, lp: int) -> None:
+    """_check_l, then FactorialLimitError unless the default table reaches
+    the largest k! that P-bar(l, l') reads, before any block or series is
+    built: (2n-1)! for the blocks of n and (n+l+l')! for the 6j series."""
+    _check_l(n, l, lp)
+    default_table().require(max(2 * n - 1, n + l + lp))
 
 
 def c_coefficient(n: int, q: int, l: int, m: int) -> RadicalSum:
@@ -86,6 +98,7 @@ def p_bar_6j_terms(n: int, l: int, lp: int) -> dict[int, Fraction]:
     lie in the manifold (DomainError otherwise).
     """
     _check_l(n, l, lp)
+    default_table().require(n + l + lp)  # the largest k! of the series
     tJ = n - 1
     return {tj // 2: _sixj_squared(2 * l, 2 * lp, tj, tJ)
             for tj in range(2 * abs(l - lp), 2 * min(l + lp, n - 1) + 1, 2)}
@@ -98,7 +111,7 @@ def p_bar(n: int, l: int, lp: int) -> Fraction:
     squared-6j sum; the two must agree exactly (InternalConsistencyError
     otherwise).
     """
-    _check_l(n, l, lp)
+    _check_pbar(n, l, lp)
     double = _pbar_double_sum(n, l, lp)
     sixj = (2 * lp + 1) * sum(p_bar_6j_terms(n, l, lp).values(), Fraction(0))
     if double != sixj:
@@ -231,6 +244,7 @@ def pbar_table(n: int) -> TransitionTable:
     the 6j symbol {l l' j; J J J} is symmetric under l <-> l'.
     """
     _check_n(n)
+    default_table().require(3 * n - 2)  # P-bar(n-1, n-1)'s, the largest k!
     rows = [[Fraction(0)] * n for _ in range(n)]
     for l in range(n):
         for lp in range(l, n):

@@ -345,6 +345,19 @@ class TestCompute:
 
 
 class TestEnvironment:
+    def test_pbar_row_past_the_bound_is_usage_error_at_once(self, monkeypatch, capsys):
+        # the row's entry l' = n-1 reads (2n-1+l_init)!, here 4099!: exit 2
+        # before any block or 6j series is built
+        from rungelenz import stark
+
+        calls = []
+        monkeypatch.setattr(stark, "b_block", lambda *a: calls.append(a))
+        monkeypatch.setattr(stark, "_sixj_squared", lambda *a: calls.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "pbar", "1367", "--l-init", "1366"])
+        assert exc.value.code == 2 and calls == []
+        assert "need 4099!" in capsys.readouterr().err
+
     def test_factorial_limit_above_the_bound_is_usage_error(self):
         # checked before any entry is built; a table of 10^9 factorials would
         # hit the child's 512 MiB address space at once

@@ -16,6 +16,11 @@ table's n <= 64.
   recorded before the B and C entries were joined from every stored row in
   place of mirroring the rows q <= 0.
 
+- blocks: b_block of every (n, m) with 25 <= n <= 64 and m >= 0 against
+  oracles.every_row_block, one Racah sum per (q, l): a, rho_num, rho_den and
+  c_gram. Tier-1 compares them for n <= 24 only, and at n = 64 the package's
+  L^2 recurrence carries big-int rows across up to 32 steps.
+
 Skipped unless RUNGELENZ_LARGE_N=1; the four sweeps take a few minutes:
 
     RUNGELENZ_LARGE_N=1 PYTHONPATH=src python -m pytest -q tests/test_large_n.py
@@ -28,8 +33,10 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import rungelenz
 from rungelenz import diamagnetic, stark
+from rungelenz.basis import b_block
 
 pytestmark = pytest.mark.skipif(os.environ.get("RUNGELENZ_LARGE_N") != "1",
                                 reason="set RUNGELENZ_LARGE_N=1 to run the large-n sweeps")
@@ -97,3 +104,12 @@ def test_diamagnetic_digest():
     parts = [matrix(n, m).to_json() for n in range(1, 41) for m in range(1 - n, n)
              for matrix in (diamagnetic.h1_matrix, diamagnetic.h2_matrix)]
     assert _sha256("\n".join(parts)) == H1_H2_N40
+
+
+def test_blocks_equal_the_every_row_route():
+    for n in range(25, 65):
+        for m in range(n):
+            blk, want = b_block(n, m), oracles.every_row_block(n, m)
+            assert (blk.a, blk.rho_num, blk.rho_den) \
+                == (want.a, want.rho_num, want.rho_den), (n, m)
+            assert blk.c_gram == want.c_gram, (n, m)

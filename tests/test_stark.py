@@ -102,6 +102,33 @@ class TestPBar:
         with pytest.raises(FactorialLimitError, match="need 259!"):
             p_bar_6j_terms(87, 86, 86)
 
+    def test_routes_check_their_factorials_first(self, monkeypatch, fresh_block):
+        # past the bound each route names its largest k! before it builds a
+        # block or a 6j series: pbar_table(n) reads (3n-2)!, p_bar (2n-1)!
+        # and (n+l+l')!, p_bar_6j_terms (n+l+l')!
+        monkeypatch.setattr(pfrational, "_default_table", FactorialTable(258))
+        calls = []
+        monkeypatch.setattr(stark, "b_block", lambda *a: calls.append(a))
+        monkeypatch.setattr(stark, "_sixj_squared", lambda *a: calls.append(a))
+        for route, args in ((pbar_table, (87,)), (p_bar, (87, 86, 86)),
+                            (p_bar, (130, 0, 0)), (p_bar_6j_terms, (87, 86, 86))):
+            with pytest.raises(FactorialLimitError, match="need 259!"):
+                route(*args)
+        assert calls == []
+
+    @pytest.mark.parametrize("route, args, need", [
+        (pbar_table, (5,), 13), (p_bar, (5, 2, 4), 11), (p_bar, (6, 0, 1), 11),
+        (p_bar_6j_terms, (5, 2, 4), 11)])
+    def test_routes_run_at_exactly_their_need(self, monkeypatch, fresh_block,
+                                              route, args, need):
+        # with cold caches, so the route reads the injected table itself
+        wigner.clear_caches()
+        monkeypatch.setattr(pfrational, "_default_table", FactorialTable(need))
+        assert route(*args)
+        monkeypatch.setattr(pfrational, "_default_table", FactorialTable(need - 1))
+        with pytest.raises(FactorialLimitError, match=f"need {need}!"):
+            route(*args)
+
     def test_uniform_row_from_s_states(self):
         for n in range(2, 13):
             for lp in range(n):
@@ -556,7 +583,7 @@ class TestOneBlock:
 
         def doubled(*t):
             value = real(*t)
-            return 2 * value if t == (3, 3, 2, 1, -1, 0) else value
+            return 2 * value if t == (3, 3, 2, 3, -3, 0) else value
 
         monkeypatch.setattr(basis, "_racah_sum", doubled)
         with pytest.raises(InternalConsistencyError, match="squared norm"):

@@ -278,10 +278,10 @@ class TestRationalGauge:
         monkeypatch.setattr(basis, "_racah_sum",
                             lambda *t: calls.append(t) or real(*t))
         basis.b_block(4, 1)
-        assert len(calls) == 6  # one per l of the 2 rows q <= 0 of the 3 x 3 block
+        assert len(calls) == 3  # one per l of the seed row n1 = 0 of the 3 x 3 block
         calls.clear()
         basis.b_block(4, 0)
-        assert len(calls) == 8  # one per l of the 2 rows q < 0 of the 4 x 4 block
+        assert len(calls) == 4  # one per l of the seed row n1 = 0 of the 4 x 4 block
 
     def test_negative_m_reads_the_block_of_abs_m(self, monkeypatch, fresh_gauge):
         blk = basis.b_block(5, 2)
@@ -331,12 +331,13 @@ class TestRationalGauge:
 
     @staticmethod
     def perturb_racah(monkeypatch, factor):
-        """Scale the Racah sum at l = 1 of the (n, m) = (4, 0), n1 = 1 row."""
+        """Scale the Racah sum at l = 1 of the (n, m) = (4, 0), n1 = 0 row,
+        the seed of the block's other rows."""
         real = basis._racah_sum
 
         def perturbed(*t):
             value = real(*t)
-            return value * factor if t == (3, 3, 2, 1, -1, 0) else value
+            return value * factor if t == (3, 3, 2, 3, -3, 0) else value
 
         monkeypatch.setattr(basis, "_racah_sum", perturbed)
 
@@ -349,7 +350,7 @@ class TestRationalGauge:
         self.perturb_racah(monkeypatch, -1)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with pytest.raises(InternalConsistencyError,
-                           match=r"B row n1=1 of \(n=4, m=0\) .* q=-1:"):
+                           match=r"B row n1=0 of \(n=4, m=0\) .* q=-3:"):
             main(["verify", "--max-n", "4", "--min-n", "4", "--m", "0",
                   "--n1", "1", "--powers", "1,2,3,4", "--format", "json",
                   "--jobs", jobs])
@@ -396,7 +397,7 @@ class TestRationalGauge:
     def test_scaled_racah_entry_trips_the_normalisation(self, monkeypatch,
                                                         fresh_gauge):
         self.perturb_racah(monkeypatch, 2)
-        with pytest.raises(InternalConsistencyError, match="B row n1=1 of"):
+        with pytest.raises(InternalConsistencyError, match="B row n1=0 of"):
             sum_rule_l2(ParabolicLabel(1, 2, 0))
 
     def test_powers_beyond_the_default_bound(self):
