@@ -249,7 +249,13 @@ class BBlock(Record):
     The gauge is stored as integers over a few denominators: row n1 of rho as
     R = rho_num[n1] over D = rho_den[n1], the lcm of that row's denominators;
     b as N = b_num over b_den; J's bands as U = up and W = down over one
-    j_den (Delta), so J^k carries Delta^k. Only j_transpose reads the bands,
+    j_den (Delta), so J^k carries Delta^k. b, U and W are formed in
+    integers, each entry a reduced (num, den) pair, then put over the lcm of
+    their denominators: b(l) = (2l+1) u^2 e from the root u sqrt(e) that
+    pfrational.factorial_root splits, so the norm and beta guards on b also
+    see the roots the entries read; U = (l+1)((l+1)^2 - m^2)/(2l+1); and
+    W = U b(l)/b(l+1), taken from b, so the beta guard ties b's factorials to
+    A_z. Only j_transpose reads the bands,
     one step per power: the row identity of az_eigenvalues, and the columns
     of b J^k (b_j_power) that az_power_matrix and the printed forms read.
     az_eigenvalues is checked once per block, on first read, by the sum
@@ -402,8 +408,14 @@ class BBlock(Record):
 
 def _over_lcm(xs: list) -> tuple[tuple[int, ...], int]:
     """Rationals xs as integer numerators over one denominator, the lcm of theirs."""
-    den = lcm(*(x.denominator for x in xs))
-    return tuple(x.numerator * (den // x.denominator) for x in xs), den
+    return _pairs_over_lcm([x.as_integer_ratio() for x in xs])
+
+
+def _pairs_over_lcm(pairs: list) -> tuple[tuple[int, ...], int]:
+    """Reduced (num, den) pairs as integer numerators over one denominator,
+    the lcm of theirs."""
+    den = lcm(*(d for _, d in pairs))
+    return tuple(x * (den // d) for x, d in pairs), den
 
 
 def _a_factorials(n: int, m: int, q: int) -> tuple[int, int, int, int]:
@@ -413,13 +425,19 @@ def _a_factorials(n: int, m: int, q: int) -> tuple[int, int, int, int]:
 
 
 def _block_entries(n: int, m: int) -> BBlock:
-    """The block of (n, m), unchecked."""
+    """The block of (n, m), unchecked: a, rho and the gauge of BBlock in
+    integers, with no Fraction arithmetic past the Racah sums and the roots."""
     ls = spherical_ls(n, m)
     b, roots = [], []
     for l in ls:
         u, e = factorial_root((n - 1 - l, l, l, l + m, l - m), (n + l,))
-        b.append(u * u * e * (2 * l + 1))
         roots.append((u, e))
+        # b(l) = (2l+1) u^2 e as a reduced (num, den): u = r/s is reduced, so
+        # only (2l+1) e and s^2 can share a factor
+        r, s = u.as_integer_ratio()
+        k, den = (2 * l + 1) * e, s * s
+        g = gcd(k, den)
+        b.append((r * r * (k // g), den // g))
     # the m-factorials run from 0 at q = +-(n - |m| - 1) up to n - 1
     f = default_table().factorial_ints(0, n - 1)
     qs = q_values(n, m)
@@ -454,10 +472,17 @@ def _block_entries(n: int, m: int) -> BBlock:
         rho_num.append(tuple(-x if (n - 1 + l) & 1 else x
                              for l, x in zip(ls, rho_num[n1])))
         rho_den.append(rho_den[n1])
-    up = [Fraction((l + 1) * ((l + 1) ** 2 - m * m), 2 * l + 1) for l in ls[:-1]]
-    down = [j * b[i] / b[i + 1] for i, j in enumerate(up)]
-    bands, j_den = _over_lcm(up + down)
-    return BBlock(n, m, tuple(a), *_over_lcm(b), tuple(roots), tuple(rho_num),
+    # J's bands U and W (see BBlock), each entry a reduced (num, den)
+    up, down = [], []
+    for l, (bn, bd), (bn1, bd1) in zip(ls, b, b[1:]):
+        num, den = (l + 1) * ((l + 1) ** 2 - m * m), 2 * l + 1
+        g = gcd(num, den)
+        up.append((num // g, den // g))
+        num, den = num * bn * bd1, den * bd * bn1
+        g = gcd(num, den)
+        down.append((num // g, den // g))
+    bands, j_den = _pairs_over_lcm(up + down)
+    return BBlock(n, m, tuple(a), *_pairs_over_lcm(b), tuple(roots), tuple(rho_num),
                   tuple(rho_den), bands[:len(up)], bands[len(up):], j_den)
 
 

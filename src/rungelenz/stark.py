@@ -11,28 +11,30 @@ sum over m reads each block once per |m|. The time-averaged table P-bar is fully
 rational: its C^2 double sum is one entry of each block's Gram matrix, the
 |m| > 0 entries counted twice, and it is checked entry by entry against the
 sum of squared 6j symbols {l l' j; J J J}^2, each one Fraction of integers
-(wigner._sixj_squared). pbar_table runs both routes for l <= l' only: the 6j
-symbol is symmetric under l <-> l', so (2l+1) P-bar(l, l') = (2l'+1)
-P-bar(l', l) exactly, and the entries l > l' are filled from it. The
+(wigner._sixj_squared). Each route is summed as one integer numerator over
+the lcm of its terms' denominators, the two are compared by cross-multiplying,
+and one Fraction is built for the entry. pbar_table runs both routes for
+l <= l' only: the 6j symbol is symmetric under l <-> l', so (2l+1) P-bar(l, l')
+= (2l'+1) P-bar(l', l) exactly, and the entries l > l' are filled from it. The
 oscillatory P at given chi, the only floating output, comes from one kernel
-over a set of (l, l') pairs (p_table: every
-pair; p_transition: one): each |m| block gives a pair the spectral
-|sum_q B_l' B_l e^(i q chi)|^2 and, as its guard, the C route
-|sum_q C_l C_l' e^(i q chi)|^2, the printed quadruple cosine sum factored by
-cos(a - b) = cos a cos b + sin a sin b. n must be an int >= 1, l and l' ints
-in 0..n-1 and chi a real with chi*(n-1) a finite float; anything else is a
-DomainError. The P-bar routes check the largest k! they read against the
-factorial table's limit before they build any block or series: (2n-1)! for
-the blocks, (n+l+l')! for the 6j series, so (3n-2)! for pbar_table. csv is
-imported inside TransitionTable.to_csv, so importing the package, or writing
-a table as JSON, does not pay for it.
+over a set of (l, l') pairs (p_table: every pair; p_transition: one): each |m|
+block gives a pair the spectral |sum_q B_l' B_l e^(i q chi)|^2 and, as its
+guard, the C route |sum_q C_l C_l' e^(i q chi)|^2, the printed quadruple
+cosine sum factored by cos(a - b) = cos a cos b + sin a sin b; both come from
+one pass over q per pair, each of the four float sums in q order. n must be an
+int >= 1, l and l' ints in 0..n-1 and chi a real with chi*(n-1) a finite
+float; anything else is a DomainError. The P-bar routes check the largest k!
+they read against the factorial table's limit before they build any block or
+series: (2n-1)! for the blocks, (n+l+l')! for the 6j series, so (3n-2)! for
+pbar_table. csv is imported inside TransitionTable.to_csv, so importing the
+package, or writing a table as JSON, does not pay for it.
 """
 from __future__ import annotations
 
 import io
 import json
 from fractions import Fraction
-from math import cos, sin
+from math import cos, lcm, sin
 
 from .basis import _check_n, _finite_real, _is_int, b_block, q_values
 from .errors import DomainError, InternalConsistencyError
@@ -77,16 +79,16 @@ def c_coefficient(n: int, q: int, l: int, m: int) -> RadicalSum:
     return RadicalSum({d: c})
 
 
-def _pbar_double_sum(n: int, l: int, lp: int) -> Fraction:
-    """(2l'+1) sum_m sum_q C^2(q l m) C^2(q l' m), one Gram entry per block.
+def _pbar_double_sum(n: int, l: int, lp: int) -> tuple[int, int]:
+    """sum_m sum_q C^2(q l m) C^2(q l' m) as (num, den), one Gram entry per
+    block, over den the lcm of the blocks' Gram denominators; not reduced.
 
     Blocks m and -m are one block, so the |m| > 0 entries count twice.
     """
-    total = Fraction(0)
-    for am in range(min(l, lp) + 1):
-        gram, den = b_block(n, am).c_gram
-        total += Fraction(gram[l - am][lp - am] * (2 if am else 1), den)
-    return (2 * lp + 1) * total
+    grams = [b_block(n, am).c_gram for am in range(min(l, lp) + 1)]
+    den = lcm(*(d for _, d in grams))
+    return sum(g[l - am][lp - am] * (2 if am else 1) * (den // d)
+               for am, (g, d) in enumerate(grams)), den
 
 
 def p_bar_6j_terms(n: int, l: int, lp: int) -> dict[int, Fraction]:
@@ -108,17 +110,22 @@ def p_bar(n: int, l: int, lp: int) -> Fraction:
     """Time-averaged l -> l' transfer probability, exact.
 
     Computed by the C^2 double sum (one Gram entry per m-block) and by the
-    squared-6j sum; the two must agree exactly (InternalConsistencyError
-    otherwise).
+    squared-6j sum, each as one integer numerator over the lcm of its terms'
+    denominators; the two must agree exactly, compared by cross-multiplying
+    (InternalConsistencyError otherwise). Both carry the factor 2l'+1, which
+    the comparison leaves out and the one Fraction built applies.
     """
     _check_pbar(n, l, lp)
-    double = _pbar_double_sum(n, l, lp)
-    sixj = (2 * lp + 1) * sum(p_bar_6j_terms(n, l, lp).values(), Fraction(0))
-    if double != sixj:
+    num, den = _pbar_double_sum(n, l, lp)
+    terms = p_bar_6j_terms(n, l, lp).values()
+    den6 = lcm(*(x.denominator for x in terms))
+    num6 = sum(x.numerator * (den6 // x.denominator) for x in terms)
+    if num * den6 != num6 * den:
         raise InternalConsistencyError(
             f"P-bar({l},{lp}) routes disagree at n={n}: "
-            f"double-sum {double} vs 6j {sixj}")
-    return double
+            f"double-sum {Fraction((2 * lp + 1) * num, den)} "
+            f"vs 6j {Fraction((2 * lp + 1) * num6, den6)}")
+    return Fraction((2 * lp + 1) * num, den)
 
 
 def p_bar_closed(n: int, lp: int, l_init: int) -> Fraction:
@@ -262,17 +269,6 @@ def _phases(n: int, chi: float) -> dict[int, tuple[float, float]]:
     return {q: (cos(chi * q), sin(chi * q)) for q in range(1 - n, n)}
 
 
-def _phase_norm(a, b, cosq, sinq) -> float:
-    """|sum_q a_q b_q e^(i q chi)|^2, summed in q order."""
-    re = im = 0.0
-    for x, y, c, s in zip(a, b, cosq, sinq):
-        w = x * y
-        if w != 0.0:
-            re += w * c
-            im += w * s
-    return re * re + im * im
-
-
 def _p_block(n: int, am: int, phase: dict, pairs) -> list[tuple]:
     """(l, l', |U_m[l, l']|^2, C-route term) of the block |m| = am, for each
     (l, l') of pairs with am <= l <= l'.
@@ -280,14 +276,31 @@ def _p_block(n: int, am: int, phase: dict, pairs) -> list[tuple]:
     U_m = B^T diag(e^(i q chi)) B. B's floats are those of |m| and q_values
     is the same set for +-m, so both terms are the same for m and -m.
     x * y == y * x in binary64, so U_m is symmetric to the last bit and one
-    pair serves both entries.
+    pair serves both entries. Both routes share one pass over q, each sum
+    taken in q order: |sum_q B_l' B_l e^(i q chi)|^2 and, as its guard,
+    |sum_q C_l C_l' e^(i q chi)|^2. A zero weight w is added, not skipped:
+    adding +-0.0 leaves a nonzero sum as it is, and a sum that starts at
+    +0.0 is never -0.0 (x + y rounds to -0.0 only when both are -0.0), so
+    each sum equals the one that skips w == 0.
     """
     cosq, sinq = zip(*(phase[q] for q in q_values(n, am)))
     blk = b_block(n, am)
     b, c = list(zip(*blk.b_floats)), list(zip(*blk.c_floats))
-    return [(l, lp, _phase_norm(b[lp - am], b[l - am], cosq, sinq),
-             _phase_norm(c[l - am], c[lp - am], cosq, sinq))
-            for l, lp in pairs if l >= am]
+    out = []
+    for l, lp in pairs:
+        if l < am:
+            continue
+        re_b = im_b = re_c = im_c = 0.0
+        for x, y, u, v, co, si in zip(b[lp - am], b[l - am], c[l - am], c[lp - am],
+                                      cosq, sinq):
+            w = x * y
+            re_b += w * co
+            im_b += w * si
+            w = u * v
+            re_c += w * co
+            im_c += w * si
+        out.append((l, lp, re_b * re_b + im_b * im_b, re_c * re_c + im_c * im_c))
+    return out
 
 
 def _p_entries(n: int, chi: float, blocks: list, wanted) -> list[float]:

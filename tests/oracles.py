@@ -4,7 +4,7 @@ Everything here is plain Fraction arithmetic over math.factorial: no prime
 factorization, no RadicalSum, no imports from the package. Values are carried
 as (sign, square) pairs so irrational symbols stay exactly comparable.
 
-The exceptions are former package routes. Ten are kept as the reference
+The exceptions are former package routes. Eleven are kept as the reference
 for what replaced them: the dense generator walk, which works on the package's
 ManifoldState and RadicalSum but spells out its own (m, q) shifts, signs and
 ladder radicands (the generator engine's per-generator loop over dense
@@ -19,7 +19,8 @@ Fraction (replaced by integers over a few denominators in the block and in
 sumrules), the B and C floats rounded from the block's monomials (replaced by
 floats rounded from integers in the block), P(l, l'; chi) by the literal
 quadruple cosine sum over the C floats (replaced by the factored C route in
-stark), the B/C block with a Racah sum per entry and every row joined
+stark), P's per-pair kernel with one pass over q per route (replaced by one
+pass for both), the B/C block with a Racah sum per entry and every row joined
 (replaced by the block that builds the rows q <= 0 and mirrors the rest), and
 the report and matrix serialisers over RadicalSum and json.dumps
 (replaced by JSON text written directly, from integers for the reports). The
@@ -838,6 +839,50 @@ def p_herrick(n: int, l: int, lp: int, chi: float) -> float:
                 if w != 0.0:
                     total += w * cos(chi * (q - qp))
     return (2 * lp + 1) * total
+
+
+# -- P(l, l'; chi) with one pass over q per route ----------------------------
+#
+# The package's P kernel before B's and C's sums shared one pass over q, kept
+# verbatim but for the phases, which it forms itself: _phase_norm twice per
+# (pair, |m| block), zero weights skipped, and the spectral terms added for m
+# ascending and divided by 2l+1.
+
+from math import sin  # noqa: E402
+
+
+def _phase_norm(a, b, cosq, sinq) -> float:
+    """|sum_q a_q b_q e^(i q chi)|^2, summed in q order."""
+    re = im = 0.0
+    for x, y, c, s in zip(a, b, cosq, sinq):
+        w = x * y
+        if w != 0.0:
+            re += w * c
+            im += w * s
+    return re * re + im * im
+
+
+def p_block_two_pass(n: int, am: int, chi: float, pairs) -> list[tuple]:
+    """(l, l', spectral term, C-route term) of the block |m| = am."""
+    qs = q_values(n, am)
+    cosq, sinq = [cos(chi * q) for q in qs], [sin(chi * q) for q in qs]
+    blk = b_block(n, am)
+    b, c = list(zip(*blk.b_floats)), list(zip(*blk.c_floats))
+    return [(l, lp, _phase_norm(b[lp - am], b[l - am], cosq, sinq),
+             _phase_norm(c[l - am], c[lp - am], cosq, sinq))
+            for l, lp in pairs if l >= am]
+
+
+def p_table_two_pass(n: int, chi: float) -> tuple[tuple[float, ...], ...]:
+    """P(l, l'; chi) for every l, l' of the manifold, rows l."""
+    pairs = [(l, lp) for l in range(n) for lp in range(l, n)]
+    blocks = [p_block_two_pass(n, am, chi, pairs) for am in range(n)]
+    spectral = [[0.0] * n for _ in range(n)]
+    for m in range(1 - n, n):
+        for l, lp, u, _ in blocks[abs(m)]:
+            spectral[l][lp] += u
+    return tuple(tuple(spectral[min(l, lp)][max(l, lp)] / (2 * l + 1)
+                       for lp in range(n)) for l in range(n))
 
 
 # -- the report and matrix serialisers before they wrote text directly ------

@@ -286,6 +286,9 @@ class TestHalfBuiltBlock:
                 assert (blk.a, blk.rho_num, blk.rho_den) \
                     == (want.a, want.rho_num, want.rho_den), (n, m)
                 assert blk.c_gram == want.c_gram, (n, m)
+                assert (blk.b_num, blk.b_den, blk.roots) \
+                    == (want.b_num, want.b_den, want.roots), (n, m)
+                assert (blk.up, blk.down, blk.j_den) == (want.up, want.down, want.j_den), (n, m)
                 assert blk.c_monomials == want.c_monomials, (n, m)
                 assert _bits(blk.b_floats) == _bits(want.b_floats), (n, m)
                 assert _bits(blk.c_floats) == _bits(want.c_floats), (n, m)

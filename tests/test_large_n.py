@@ -17,8 +17,9 @@ table's n <= 64.
   place of mirroring the rows q <= 0.
 
 - blocks: b_block of every (n, m) with 25 <= n <= 64 and m >= 0 against
-  oracles.every_row_block, one Racah sum per (q, l): a, rho_num, rho_den and
-  c_gram. Tier-1 compares them for n <= 24 only, and at n = 64 the package's
+  oracles.every_row_block, one Racah sum per (q, l) and b and J's bands as
+  Fractions: a, rho_num, rho_den, c_gram, b_num, b_den, roots, up, down and
+  j_den. Tier-1 compares them for n <= 24 only, and at n = 64 the package's
   L^2 recurrence carries big-int rows across up to 32 steps.
 
 Skipped unless RUNGELENZ_LARGE_N=1; the four sweeps take a few minutes:
@@ -113,3 +114,6 @@ def test_blocks_equal_the_every_row_route():
             assert (blk.a, blk.rho_num, blk.rho_den) \
                 == (want.a, want.rho_num, want.rho_den), (n, m)
             assert blk.c_gram == want.c_gram, (n, m)
+            assert (blk.b_num, blk.b_den, blk.roots) \
+                == (want.b_num, want.b_den, want.roots), (n, m)
+            assert (blk.up, blk.down, blk.j_den) == (want.up, want.down, want.j_den), (n, m)

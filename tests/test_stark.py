@@ -384,6 +384,27 @@ class TestPTable:
                     want = oracles.p_herrick(n, l, lp, chi)
                     assert abs(entries[l][lp] - want) <= 1e-12, (n, l, lp)
 
+    @pytest.mark.parametrize("chi", [0.0, 1e-9, 0.7, math.pi / 2, math.pi, 2 * math.pi,
+                                     -3.3, 1e6])
+    def test_equal_the_two_pass_kernel_bit_for_bit(self, chi):
+        # B's and C's sums share one pass over q, each still in q order with
+        # the same operations: every term of both routes, and so every entry,
+        # is the two-pass kernel's to the bit; hex tells -0.0 from 0.0
+        def bits(rows):
+            return [[x if isinstance(x, int) else x.hex() for x in row] for row in rows]
+
+        for n in range(1, 13):
+            want = oracles.p_table_two_pass(n, chi)
+            assert bits(p_table(n, chi).entries) == bits(want), n
+            for l in range(n):
+                for lp in range(n):
+                    assert p_transition(n, l, lp, chi).hex() == want[l][lp].hex(), (n, l, lp)
+            phase = stark._phases(n, chi)
+            pairs = [(l, lp) for l in range(n) for lp in range(l, n)]
+            for am in range(n):
+                assert bits(stark._p_block(n, am, phase, pairs)) \
+                    == bits(oracles.p_block_two_pass(n, am, chi, pairs)), (n, am)
+
     def test_rows_sum_to_one_at_larger_n(self):
         table = p_table(20, 2.9)
         for row in table.entries:
