@@ -51,7 +51,7 @@ from .errors import DomainError
 from .operators import beta
 from .pfrational import default_table
 from .radical import _json_array, _json_object, render_exact
-from .stark import _check_pbar, p_bar, p_transition
+from .stark import _check_pbar, _p_bar_pair, p_transition
 from .sumrules import az_moment_generic, sum_rule_az, sum_rule_l2
 from .wigner import ThreeJmArgs, clebsch_gordan, twice, wigner_3jm, wigner_6j
 
@@ -366,9 +366,11 @@ def _cmd_compute(args, parser) -> int:
     elif kind == "pbar":
         if args.n < 1:
             raise DomainError(f"n = {args.n} must be positive")
-        # the row's last entry, l' = n-1, reads the largest factorial
-        _check_pbar(args.n, args.l_init, args.n - 1)
-        row = [p_bar(args.n, args.l_init, lp) for lp in range(args.n)]
+        _check_pbar(args.n, args.l_init)  # once for the row
+        row = []
+        for lp in range(args.n):
+            num, den = _p_bar_pair(args.n, args.l_init, lp)
+            row.append(Fraction((2 * lp + 1) * num, den))
         if args.format == "json":
             print(json.dumps({"kind": kind, "n": args.n, "l_init": args.l_init,
                               "row": [render_exact(x) for x in row]}))

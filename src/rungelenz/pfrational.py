@@ -14,8 +14,8 @@ from math import gcd
 from .errors import DomainError, FactorialLimitError
 
 # The default table's limit. Filled up to L, the table holds about L^2 log L
-# bits: 17 MiB at 4096, which covers (2n-1)! for n <= 2048 (a B/C block of n,
-# so b_coeff, verify and p_table) and (3n-2)! for n <= 1366 (P-bar's 6j route).
+# bits: 17 MiB at 4096, which covers (2n-1)! for n <= 2048: a B/C block of n,
+# the largest k! that every route reads (b_coeff, verify, p_table, P-bar).
 MAX_FACTORIAL_LIMIT = 4096
 
 

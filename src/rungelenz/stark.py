@@ -7,26 +7,36 @@ Gram matrix of C^2 are all read from the B/C block of basis.b_block, each
 float rounded once from integers; _p_block reads the block's b_floats and
 c_floats directly, so B's floats carry the sign of the block's stored rows,
 the one its az_eigenvalues checks. Blocks m and -m are one block, so every
-sum over m reads each block once per |m|. The time-averaged table P-bar is fully
-rational: its C^2 double sum is one entry of each block's Gram matrix, the
-|m| > 0 entries counted twice, and it is checked entry by entry against the
-sum of squared 6j symbols {l l' j; J J J}^2, each one Fraction of integers
-(wigner._sixj_squared). Each route is summed as one integer numerator over
-the lcm of its terms' denominators, the two are compared by cross-multiplying,
-and one Fraction is built for the entry. pbar_table runs both routes for
-l <= l' only: the 6j symbol is symmetric under l <-> l', so (2l+1) P-bar(l, l')
-= (2l'+1) P-bar(l', l) exactly, and the entries l > l' are filled from it. The
-oscillatory P at given chi, the only floating output, comes from one kernel
-over a set of (l, l') pairs (p_table: every pair; p_transition: one): each |m|
-block gives a pair the spectral |sum_q B_l' B_l e^(i q chi)|^2 and, as its
-guard, the C route |sum_q C_l C_l' e^(i q chi)|^2, the printed quadruple
-cosine sum factored by cos(a - b) = cos a cos b + sin a sin b; both come from
-one pass over q per pair, each of the four float sums in q order. n must be an
-int >= 1, l and l' ints in 0..n-1 and chi a real with chi*(n-1) a finite
-float; anything else is a DomainError. The P-bar routes check the largest k!
-they read against the factorial table's limit before they build any block or
-series: (2n-1)! for the blocks, (n+l+l')! for the 6j series, so (3n-2)! for
-pbar_table. csv is imported inside TransitionTable.to_csv, so importing the
+sum over m reads each block once per |m|. The time-averaged table P-bar is
+fully rational: its C^2 double sum is one entry of each block's Gram matrix,
+the |m| > 0 entries counted twice, and it is checked entry by entry against
+sum_j X(j)^2, X(j) = {l l' j; J J J}, J = (n-1)/2, j from |l-l'| to
+j_max = min(l+l', n-1). Schulten and Gordon's recurrence in j (J. Math.
+Phys. 16, 1961 (1975)) gives X(j)^2 = y(j)^2 H(j) / (n sum_j (2j+1) y(j)^2
+H(j)), run in integers down from y(j_max+1) = 0 and y(j_max) = 1:
+
+    g(j) = (j^2 - (l-l')^2) ((l+l'+1)^2 - j^2) (n^2 - j^2)
+    y(j-1) = -g(j+1) y(j+1) - (2j+1) (l(l+1) + l'(l'+1) - j(j+1)) y(j)
+    H(j) = g(|l-l'|+1) g(|l-l'|+2) ... g(j), each g > 0
+
+and seeded by 6j orthogonality, sum_j (2j+1) n X(j)^2 = 1. So the 6j side
+reads no factorial and shares nothing with the Gram route, whose blocks come
+from a 3jm seed and L^2's recurrence in q: a wrong coefficient or scale on
+either side moves its sum and trips the guard. Each route is one integer
+pair (num, den), compared by cross-multiplying, and one Fraction is built
+per entry. pbar_table runs both routes for l <= l' only: the 6j symbol is
+symmetric under l <-> l', so (2l+1) P-bar(l, l') = (2l'+1) P-bar(l', l)
+exactly, and one pair gives both entries. The oscillatory P at given chi,
+the only floating output, comes from one kernel over a set of (l, l') pairs
+(p_table: every pair; p_transition: one): each |m| block gives a pair the
+spectral |sum_q B_l' B_l e^(i q chi)|^2 and, as its guard, the C route
+|sum_q C_l C_l' e^(i q chi)|^2, the printed quadruple cosine sum factored by
+cos(a - b) = cos a cos b + sin a sin b; both come from one pass over q per
+pair, each of the four float sums in q order. n must be an int >= 1, l and
+l' ints in 0..n-1 and chi a real with chi*(n-1) a finite float; anything
+else is a DomainError. The P-bar routes check the blocks' (2n-1)!, the
+largest k! they read, against the factorial table's limit before they build
+any block. csv is imported inside TransitionTable.to_csv, so importing the
 package, or writing a table as JSON, does not pay for it.
 """
 from __future__ import annotations
@@ -34,14 +44,15 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
+from itertools import accumulate
 from math import cos, lcm, sin
+from operator import mul
 
 from .basis import _check_n, _finite_real, _is_int, b_block, q_values
 from .errors import DomainError, InternalConsistencyError
 from .pfrational import default_table
 from .radical import RadicalSum, render_exact
 from .record import Record
-from .wigner import _sixj_squared
 
 P_AGREEMENT_TOL = 1e-12
 
@@ -54,12 +65,12 @@ def _check_l(n: int, *ls: int) -> None:
             raise DomainError(f"need int 0 <= l <= n-1, got l = {l!r}, n = {n}")
 
 
-def _check_pbar(n: int, l: int, lp: int) -> None:
+def _check_pbar(n: int, *ls: int) -> None:
     """_check_l, then FactorialLimitError unless the default table reaches
-    the largest k! that P-bar(l, l') reads, before any block or series is
-    built: (2n-1)! for the blocks of n and (n+l+l')! for the 6j series."""
-    _check_l(n, l, lp)
-    default_table().require(max(2 * n - 1, n + l + lp))
+    (2n-1)!, the largest k! that P-bar reads (the blocks of n), before any
+    block is built."""
+    _check_l(n, *ls)
+    default_table().require(2 * n - 1)
 
 
 def c_coefficient(n: int, q: int, l: int, m: int) -> RadicalSum:
@@ -79,52 +90,63 @@ def c_coefficient(n: int, q: int, l: int, m: int) -> RadicalSum:
     return RadicalSum({d: c})
 
 
-def _pbar_double_sum(n: int, l: int, lp: int) -> tuple[int, int]:
-    """sum_m sum_q C^2(q l m) C^2(q l' m) as (num, den), one Gram entry per
-    block, over den the lcm of the blocks' Gram denominators; not reduced.
-
-    Blocks m and -m are one block, so the |m| > 0 entries count twice.
-    """
-    grams = [b_block(n, am).c_gram for am in range(min(l, lp) + 1)]
-    den = lcm(*(d for _, d in grams))
-    return sum(g[l - am][lp - am] * (2 if am else 1) * (den // d)
-               for am, (g, d) in enumerate(grams)), den
+def _sixj_squares(n: int, l: int, lp: int) -> tuple[list[int], int]:
+    """([y(j)^2 H(j) for j = |l-l'|..j_max], n sum_j (2j+1) y(j)^2 H(j)):
+    the squares X(j)^2 over one den, by the module docstring's recurrence;
+    arguments unchecked."""
+    lo, hi = abs(l - lp), min(l + lp, n - 1)
+    s, top, nn, mid = lo * lo, (l + lp + 1) ** 2, n * n, l * (l + 1) + lp * (lp + 1)
+    g = [(j * j - s) * (top - j * j) * (nn - j * j) for j in range(lo, hi + 2)]
+    y = [0] * (hi - lo + 2)  # y(j) at y[j - lo]; g(hi + 1) = 0 = y(hi + 1)
+    y[hi - lo] = 1
+    for j in range(hi, lo, -1):
+        i = j - lo
+        y[i - 1] = -g[i + 1] * y[i + 1] - (2 * j + 1) * (mid - j * (j + 1)) * y[i]
+    w = [x * x * h for x, h in zip(y, accumulate(g[1:-1], mul, initial=1))]
+    return w, n * sum((2 * j + 1) * x for j, x in enumerate(w, lo))
 
 
 def p_bar_6j_terms(n: int, l: int, lp: int) -> dict[int, Fraction]:
     """Squared-6j contributions {l l' j; J J J}^2 to P-bar by recoupling rank j,
-    J = (n-1)/2.
+    J = (n-1)/2, from the recurrence in j of the module docstring.
 
     j runs over every triangle-admissible value, not only 0..l-l': the extra
     terms do not vanish (callers can inspect this directly). l and l' must
     lie in the manifold (DomainError otherwise).
     """
     _check_l(n, l, lp)
-    default_table().require(n + l + lp)  # the largest k! of the series
-    tJ = n - 1
-    return {tj // 2: _sixj_squared(2 * l, 2 * lp, tj, tJ)
-            for tj in range(2 * abs(l - lp), 2 * min(l + lp, n - 1) + 1, 2)}
+    w, den = _sixj_squares(n, l, lp)
+    return {j: Fraction(x, den) for j, x in enumerate(w, abs(l - lp))}
 
 
-def p_bar(n: int, l: int, lp: int) -> Fraction:
-    """Time-averaged l -> l' transfer probability, exact.
-
-    Computed by the C^2 double sum (one Gram entry per m-block) and by the
-    squared-6j sum, each as one integer numerator over the lcm of its terms'
-    denominators; the two must agree exactly, compared by cross-multiplying
-    (InternalConsistencyError otherwise). Both carry the factor 2l'+1, which
-    the comparison leaves out and the one Fraction built applies.
+def _p_bar_pair(n: int, l: int, lp: int) -> tuple[int, int]:
+    """P-bar(l, l') / (2l'+1), symmetric in l <-> l', as (num, den), not
+    reduced: sum_m sum_q C^2(q l m) C^2(q l' m), one Gram entry per block |m|
+    (counted twice for |m| > 0) over the lcm of their denominators, once the
+    6j sum equals it (InternalConsistencyError otherwise); arguments unchecked.
     """
-    _check_pbar(n, l, lp)
-    num, den = _pbar_double_sum(n, l, lp)
-    terms = p_bar_6j_terms(n, l, lp).values()
-    den6 = lcm(*(x.denominator for x in terms))
-    num6 = sum(x.numerator * (den6 // x.denominator) for x in terms)
+    grams = [b_block(n, am).c_gram for am in range(min(l, lp) + 1)]
+    den = lcm(*(d for _, d in grams))
+    num = sum(g[l - am][lp - am] * (2 if am else 1) * (den // d)
+              for am, (g, d) in enumerate(grams))
+    w, den6 = _sixj_squares(n, l, lp)
+    num6 = sum(w)
     if num * den6 != num6 * den:
         raise InternalConsistencyError(
             f"P-bar({l},{lp}) routes disagree at n={n}: "
             f"double-sum {Fraction((2 * lp + 1) * num, den)} "
             f"vs 6j {Fraction((2 * lp + 1) * num6, den6)}")
+    return num, den
+
+
+def p_bar(n: int, l: int, lp: int) -> Fraction:
+    """Time-averaged l -> l' transfer probability, exact.
+
+    The C^2 double sum (one Gram entry per m-block) must equal the
+    squared-6j sum exactly (InternalConsistencyError otherwise).
+    """
+    _check_pbar(n, l, lp)
+    num, den = _p_bar_pair(n, l, lp)
     return Fraction((2 * lp + 1) * num, den)
 
 
@@ -185,8 +207,8 @@ class TransitionTable(Record):
     kind "pbar" holds exact Fractions (or ints, not bools); kind "p" holds
     floats at the stored chi, which must be a finite real, not a bool. n
     must be an int >= 1 and entries an n x n tuple of rows. Every entry lies
-    in [0, 1]; rows of "p" tables sum to 1 to within 1e-12 (exactly, for
-    "pbar").
+    in [0, 1], and every row of a "pbar" table sums to 1 exactly
+    (DomainError otherwise).
     """
 
     n: int
@@ -212,10 +234,16 @@ class TransitionTable(Record):
             raise DomainError(f"entries of a {self.kind!r} table with n = {n} must "
                               f"be a {n} x {n} tuple of rows of {what}")
         slack = 0 if self.kind == "pbar" else 1e-12  # float rounding headroom
-        for row in self.entries:
+        for l, row in enumerate(e):
             for x in row:
                 if not -slack <= x <= 1 + slack:
                     raise DomainError(f"entry {x} outside [0, 1]")
+            if self.kind == "pbar":
+                den = lcm(*(x.denominator for x in row))
+                num = sum(x.numerator * (den // x.denominator) for x in row)
+                if num != den:
+                    raise DomainError(f"row l={l} of a 'pbar' table sums to "
+                                      f"{Fraction(num, den)}, not 1")
 
     def to_csv(self) -> str:
         import csv  # not at module level: only a CSV table pays its import
@@ -245,18 +273,19 @@ class TransitionTable(Record):
 def pbar_table(n: int) -> TransitionTable:
     """P-bar(l, l') for every l, l' of the manifold, exact.
 
-    p_bar, both routes and their guard, runs for l <= l' only, n(n+1)/2
-    calls; each entry below the diagonal is filled by detailed balance,
-    P-bar(l', l) = (2l+1)/(2l'+1) P-bar(l, l'), which holds exactly because
-    the 6j symbol {l l' j; J J J} is symmetric under l <-> l'.
+    n and the factorial bound are checked once. Both routes and their guard
+    run for l <= l' only, n(n+1)/2 pairs; each pair (num, den) gives both
+    P-bar(l, l') = (2l'+1) num/den and, by detailed balance, P-bar(l', l) =
+    (2l+1) num/den, which holds exactly because the 6j symbol
+    {l l' j; J J J} is symmetric under l <-> l'.
     """
-    _check_n(n)
-    default_table().require(3 * n - 2)  # P-bar(n-1, n-1)'s, the largest k!
+    _check_pbar(n)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for l in range(n):
         for lp in range(l, n):
-            rows[l][lp] = x = p_bar(n, l, lp)
-            rows[lp][l] = x * Fraction(2 * l + 1, 2 * lp + 1)
+            num, den = _p_bar_pair(n, l, lp)
+            rows[l][lp] = Fraction((2 * lp + 1) * num, den)
+            rows[lp][l] = Fraction((2 * l + 1) * num, den)
     return TransitionTable(n, "pbar", tuple(map(tuple, rows)))
 
 

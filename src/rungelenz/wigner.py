@@ -7,16 +7,15 @@ alternating sum, 3jm and 6j alike, is summed in integers over one
 common factorial denominator into an exact Fraction: consecutive terms differ
 by a rational factor, so each term is an integer over that denominator. Every
 value has the shape (rational) * sqrt(rational) and is returned as a one-term
-RadicalSum. Where only the square of {a b c; J J J} is needed (the Stark
-P-bar), _sixj_squared finishes the same series without a root: the triangle
-factorials times the squared sum, one Fraction.
+RadicalSum. The 6j series serves wigner_6j only, which the tests read as the
+reference for the Stark P-bar's squares {l l' j; J J J}^2: stark builds those
+from a recurrence in j, with no factorial and no series.
 
 Half-integer arguments are parsed once, by twice(), into twice their value;
 ThreeJmArgs keeps them as Fractions. The 3jm memo keys on the smallest of
-the symbol's 12 images, the 6j memo on its twice-arguments as given, and the
-squared {a b c; J J J} memo on the sorted (a, b, c) and J. Cached entries
-are immutable and recomputation is idempotent, so racing threads at worst
-repeat work.
+the symbol's 12 images, the 6j memo on its twice-arguments as given. Cached
+entries are immutable and recomputation is idempotent, so racing threads at
+worst repeat work.
 """
 from __future__ import annotations
 
@@ -85,13 +84,11 @@ class ThreeJmArgs(Record):
 
 _CACHE_3JM: dict[tuple[int, ...], RadicalSum] = {}
 _CACHE_6J: dict[tuple[int, ...], RadicalSum] = {}
-_CACHE_6J_SQ: dict[tuple[int, ...], Fraction] = {}
 
 
 def clear_caches() -> None:
     _CACHE_3JM.clear()
     _CACHE_6J.clear()
-    _CACHE_6J_SQ.clear()
 
 
 def _tri_ok_t(ta: int, tb: int, tc: int) -> bool:
@@ -220,15 +217,13 @@ def _sixj_twice(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> Radical
     return cached
 
 
-def _racah_6j_sum(ta: int, tb: int, tc: int, td: int, te: int, tf: int):
-    """The Racah 6j series: (total, den, nums, dens) with
-    {6j} = sqrt(prod k! over nums / prod k! over dens) total / den.
+def _racah_6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> RadicalSum:
+    """The Racah 6j formula on twice-valued args; all four triangles must hold.
 
-    nums and dens are the factorials of the four triangle coefficients
-    (s-x)! (s-y)! (s-z)!/(s+1)!, s the triangle's half-perimeter. The series
-    sum_k (-1)^k (k+1)! / [prod (k - low)! prod (high - k)!], k the half-sum
-    and the lows the four half-perimeters, is summed in integers over one
-    denominator; see _racah_sum. All four triangles must hold.
+    {6j} = sqrt(prod of the triangle coefficients (s-x)! (s-y)! (s-z)!/(s+1)!,
+    s a triangle's half-perimeter) times sum_k (-1)^k (k+1)! / [prod (k - low)!
+    prod (high - k)!], the lows the four half-perimeters, summed in integers
+    over one denominator as in _racah_sum.
     """
     triangles = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
     lows = tuple(sum(t) // 2 for t in triangles)
@@ -254,35 +249,8 @@ def _racah_6j_sum(ta: int, tb: int, tc: int, td: int, te: int, tf: int):
         for a in lows:
             div *= k + 1 - a
         term = term * step // div
-    nums = [s - t for s, tri in zip(lows, triangles) for t in tri]
-    return total, den, nums, [s + 1 for s in lows]
-
-
-def _racah_6j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> RadicalSum:
-    total, den, nums, dens = _racah_6j_sum(ta, tb, tc, td, te, tf)
     if total == 0:
         return RadicalSum.zero()
-    c, d = factorial_root(nums, dens)
+    c, d = factorial_root([s - t for s, tri in zip(lows, triangles) for t in tri],
+                          [s + 1 for s in lows])
     return RadicalSum({d: c * Fraction(total, den)})
-
-
-def _sixj_squared(ta: int, tb: int, tc: int, tj: int) -> Fraction:
-    """{a b c; J J J}^2 on twice-valued args, exact; all four triangles must hold.
-
-    The square needs no root split: it is the product of the triangle
-    factorials times the squared series, one Fraction of integers. The three
-    columns swap freely, so the cache key is the sorted (a, b, c) and J.
-    """
-    key = (*sorted((ta, tb, tc)), tj)
-    cached = _CACHE_6J_SQ.get(key)
-    if cached is None:
-        total, den, nums, dens = _racah_6j_sum(*key, tj, tj)
-        f = default_table().factorial_ints(min(nums), max(dens))
-        num, div = total * total, den * den
-        for k in nums:
-            num *= f[k]
-        for k in dens:
-            div *= f[k]
-        cached = Fraction(num, div)
-        _CACHE_6J_SQ[key] = cached
-    return cached

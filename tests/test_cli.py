@@ -346,17 +346,17 @@ class TestCompute:
 
 class TestEnvironment:
     def test_pbar_row_past_the_bound_is_usage_error_at_once(self, monkeypatch, capsys):
-        # the row's entry l' = n-1 reads (2n-1+l_init)!, here 4099!: exit 2
-        # before any block or 6j series is built
+        # the row's blocks read (2n-1)!, here 4097!: exit 2 before any block
+        # is built or the 6j recurrence runs
         from rungelenz import stark
 
         calls = []
         monkeypatch.setattr(stark, "b_block", lambda *a: calls.append(a))
-        monkeypatch.setattr(stark, "_sixj_squared", lambda *a: calls.append(a))
+        monkeypatch.setattr(stark, "_sixj_squares", lambda *a: calls.append(a))
         with pytest.raises(SystemExit) as exc:
-            main(["compute", "pbar", "1367", "--l-init", "1366"])
+            main(["compute", "pbar", "2049"])
         assert exc.value.code == 2 and calls == []
-        assert "need 4099!" in capsys.readouterr().err
+        assert "need 4097!" in capsys.readouterr().err
 
     def test_factorial_limit_above_the_bound_is_usage_error(self):
         # checked before any entry is built; a table of 10^9 factorials would

@@ -160,8 +160,7 @@ class TestPFFactorial:
 
     @pytest.mark.parametrize("kernel,args,needed", [
         ("_racah_sum", (12, 12, 12, 0, 0, 0), 6),
-        ("_racah_6j_sum", (4, 4, 4, 4, 4, 4), 7),
-        ("_sixj_squared", (4, 4, 4, 4), 7),
+        ("_racah_6j", (4, 4, 4, 4, 4, 4), 7),
     ])
     def test_racah_kernels_past_a_small_limit(self, monkeypatch, kernel, args,
                                               needed):
@@ -169,7 +168,6 @@ class TestPFFactorial:
         index, which must still name the limit the call needs."""
         from rungelenz import pfrational, wigner
         monkeypatch.setattr(pfrational, "_default_table", FactorialTable(5))
-        monkeypatch.setattr(wigner, "_CACHE_6J_SQ", {})
         with pytest.raises(FactorialLimitError) as err:
             getattr(wigner, kernel)(*args)
         assert (err.value.needed, err.value.limit) == (needed, 5)
@@ -185,7 +183,7 @@ class TestPFFactorial:
         k1 < k0: a negative index, never read as the list's tail."""
         from rungelenz import wigner
         with pytest.raises(DomainError, match="negative integer -2") as err:
-            wigner._racah_6j_sum(0, 0, 4, 0, 0, 0)
+            wigner._racah_6j(0, 0, 4, 0, 0, 0)
         assert not isinstance(err.value, FactorialLimitError)
 
     def test_factorial_int_matches_pf(self):

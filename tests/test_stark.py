@@ -95,34 +95,29 @@ class TestPBar:
                 for lp in range(n):
                     assert p_bar(n, l, lp) == oracles.pbar_double(n, l, lp)
 
-    def test_6j_route_needs_factorials_to_3n_minus_2(self, monkeypatch):
-        # {l l' j; J J J} at l = l' = n-1 reads (3n-2)!: limit 258 reaches n = 86
-        monkeypatch.setattr(pfrational, "_default_table", FactorialTable(258))
-        assert p_bar_6j_terms(86, 85, 85)
-        with pytest.raises(FactorialLimitError, match="need 259!"):
-            p_bar_6j_terms(87, 86, 86)
+    def test_6j_route_reads_no_factorial(self, monkeypatch):
+        # the recurrence in j reads no k!, so a table holding only 0! serves it
+        monkeypatch.setattr(pfrational, "_default_table", FactorialTable(0))
+        assert p_bar_6j_terms(87, 86, 86)
 
     def test_routes_check_their_factorials_first(self, monkeypatch, fresh_block):
-        # past the bound each route names its largest k! before it builds a
-        # block or a 6j series: pbar_table(n) reads (3n-2)!, p_bar (2n-1)!
-        # and (n+l+l')!, p_bar_6j_terms (n+l+l')!
+        # past the bound each route names its largest k!, the blocks' (2n-1)!,
+        # before it builds a block or runs the 6j recurrence
         monkeypatch.setattr(pfrational, "_default_table", FactorialTable(258))
         calls = []
         monkeypatch.setattr(stark, "b_block", lambda *a: calls.append(a))
-        monkeypatch.setattr(stark, "_sixj_squared", lambda *a: calls.append(a))
-        for route, args in ((pbar_table, (87,)), (p_bar, (87, 86, 86)),
-                            (p_bar, (130, 0, 0)), (p_bar_6j_terms, (87, 86, 86))):
+        monkeypatch.setattr(stark, "_sixj_squares", lambda *a: calls.append(a))
+        for route, args in ((pbar_table, (130,)), (p_bar, (130, 129, 129)),
+                            (p_bar, (130, 0, 0))):
             with pytest.raises(FactorialLimitError, match="need 259!"):
                 route(*args)
         assert calls == []
 
     @pytest.mark.parametrize("route, args, need", [
-        (pbar_table, (5,), 13), (p_bar, (5, 2, 4), 11), (p_bar, (6, 0, 1), 11),
-        (p_bar_6j_terms, (5, 2, 4), 11)])
+        (pbar_table, (7,), 13), (p_bar, (6, 2, 4), 11), (p_bar, (6, 0, 1), 11)])
     def test_routes_run_at_exactly_their_need(self, monkeypatch, fresh_block,
                                               route, args, need):
-        # with cold caches, so the route reads the injected table itself
-        wigner.clear_caches()
+        # with cold blocks, so the route reads the injected table itself
         monkeypatch.setattr(pfrational, "_default_table", FactorialTable(need))
         assert route(*args)
         monkeypatch.setattr(pfrational, "_default_table", FactorialTable(need - 1))
@@ -171,14 +166,13 @@ class TestPBar:
                         assert Fraction(gram[i][j], den) == want, (n, m, i, j)
 
     def test_route_disagreement_is_caught(self, monkeypatch):
-        real = stark.p_bar_6j_terms
+        real = stark._sixj_squares
 
         def shifted(n, l, lp):
-            terms = real(n, l, lp)
-            terms[abs(l - lp)] += Fraction(1, 10**9)
-            return terms
+            w, den = real(n, l, lp)
+            return [w[0] + 1] + w[1:], den
 
-        monkeypatch.setattr(stark, "p_bar_6j_terms", shifted)
+        monkeypatch.setattr(stark, "_sixj_squares", shifted)
         with pytest.raises(InternalConsistencyError,
                            match=r"P-bar\(2,1\) routes disagree at n=4"):
             p_bar(4, 2, 1)
@@ -298,9 +292,10 @@ class TestTables:
             assert pbar_table(n).entries == want, n
 
     def test_pbar_table_calls_p_bar_once_per_pair(self, monkeypatch):
+        # the unchecked kernel, both routes and their guard, once per l <= l'
         calls = []
-        real = stark.p_bar
-        monkeypatch.setattr(stark, "p_bar", lambda *t: calls.append(t) or real(*t))
+        real = stark._p_bar_pair
+        monkeypatch.setattr(stark, "_p_bar_pair", lambda *t: calls.append(t) or real(*t))
         for n in (1, 4, 7):
             calls.clear()
             pbar_table(n)
@@ -334,6 +329,13 @@ class TestTables:
             TransitionTable(2, "pbar", ((Fraction(3, 2), Fraction(0)),) * 2)
         with pytest.raises(DomainError):
             TransitionTable(2, "nope", ((Fraction(1, 2), Fraction(1, 2)),) * 2)
+
+    def test_pbar_rows_must_sum_to_one(self):
+        # every entry lies in [0, 1], but row 1 sums to 1/2
+        half = Fraction(1, 2)
+        with pytest.raises(DomainError, match=r"row l=1 of a 'pbar' table sums to 1/2"):
+            TransitionTable(2, "pbar", ((half, half), (half, Fraction(0))))
+        assert TransitionTable(2, "pbar", ((1, 0), (Fraction(1, 3), Fraction(2, 3))))
 
     @pytest.mark.parametrize("n, kind, entries", [
         pytest.param(2, "pbar", ((Fraction(1),),), id="pbar-1x1-for-n2"),

@@ -10,6 +10,7 @@ from oracles import ReggeInadmissibleError, regge_transform, sign_square, triang
 from rungelenz import wigner
 from rungelenz.errors import DomainError
 from rungelenz.radical import RadicalSum
+from rungelenz.stark import p_bar_6j_terms
 from rungelenz.wigner import (
     ThreeJmArgs,
     clear_caches,
@@ -251,43 +252,17 @@ class TestSixJ:
 
 class TestSixJSquared:
     def test_equals_the_squared_rooted_kernel(self):
-        # every {l l' j; J J J} of a manifold with n <= 20, zeros included
-        for tJ in range(20):
-            for tl in range(0, tJ + 1, 2):
-                for tlp in range(0, tJ + 1, 2):
-                    for tj in range(abs(tl - tlp), min(tl + tlp, tJ) + 1, 2):
-                        value = wigner._sixj_twice(tl, tlp, tj, tJ, tJ, tJ)
-                        want = sign_square(value)[1]
-                        got = wigner._sixj_squared(tl, tlp, tj, tJ)
-                        assert type(got) is Fraction and got == want, \
-                            (tl, tlp, tj, tJ)
-
-    def test_key_ignores_column_order(self):
-        clear_caches()
-        value = wigner._sixj_squared(4, 6, 2, 8)
-        assert wigner._CACHE_6J_SQ == {(2, 4, 6, 8): value}
-        assert wigner._sixj_squared(6, 2, 4, 8) is value
-        assert len(wigner._CACHE_6J_SQ) == 1
-
-    def test_clear_caches_empties_the_squared_cache(self):
-        wigner._sixj_squared(2, 2, 2, 4)
-        clear_caches()
-        assert wigner._CACHE_6J_SQ == {}
-
-    def test_rooted_finish_shares_the_series(self, monkeypatch):
-        # both finishes read the one Racah series helper
-        calls = []
-        real = wigner._racah_6j_sum
-
-        def counted(*t):
-            calls.append(t)
-            return real(*t)
-
-        clear_caches()
-        monkeypatch.setattr(wigner, "_racah_6j_sum", counted)
-        wigner._sixj_squared(2, 4, 6, 6)
-        wigner_6j(1, 2, 3, 3, 3, 3)
-        assert len(calls) == 2
+        # P-bar's recurrence against the Racah series: every {l l' j; J J J}^2
+        # of a manifold with n <= 20, zeros included
+        for n in range(1, 21):
+            J = Fraction(n - 1, 2)
+            for l in range(n):
+                for lp in range(n):
+                    terms = p_bar_6j_terms(n, l, lp)
+                    assert list(terms) == list(range(abs(l - lp), min(l + lp, n - 1) + 1))
+                    for j, got in terms.items():
+                        want = sign_square(wigner_6j(l, lp, j, J, J, J))[1]
+                        assert type(got) is Fraction and got == want, (n, l, lp, j)
 
 
 class TestRegge:
