@@ -418,6 +418,19 @@ def _pairs_over_lcm(pairs: list) -> tuple[tuple[int, ...], int]:
     return tuple(x * (den // d) for x, d in pairs), den
 
 
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with a positive denominator, as an int pair."""
+    g = gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+
+
+def _pair_sum(*pairs: tuple[int, int]) -> tuple[int, int]:
+    """The sum of rationals given as (num, den) int pairs, den != 0, over
+    the positive lcm of the dens; not reduced."""
+    den = lcm(*(q for _, q in pairs))
+    return sum(p * (den // q) for p, q in pairs), den
+
+
 def _a_factorials(n: int, m: int, q: int) -> tuple[int, int, int, int]:
     """The four m-factorials of C's 3jm at q, whose product is a(n1)."""
     return ((n - 1 + m - q) // 2, (n - 1 - m + q) // 2,
@@ -432,12 +445,9 @@ def _block_entries(n: int, m: int) -> BBlock:
     for l in ls:
         u, e = factorial_root((n - 1 - l, l, l, l + m, l - m), (n + l,))
         roots.append((u, e))
-        # b(l) = (2l+1) u^2 e as a reduced (num, den): u = r/s is reduced, so
-        # only (2l+1) e and s^2 can share a factor
+        # b(l) = (2l+1) u^2 e as a reduced (num, den)
         r, s = u.as_integer_ratio()
-        k, den = (2 * l + 1) * e, s * s
-        g = gcd(k, den)
-        b.append((r * r * (k // g), den // g))
+        b.append(_ratio(r * r * (2 * l + 1) * e, s * s))
     # the m-factorials run from 0 at q = +-(n - |m| - 1) up to n - 1
     f = default_table().factorial_ints(0, n - 1)
     qs = q_values(n, m)
@@ -476,11 +486,8 @@ def _block_entries(n: int, m: int) -> BBlock:
     up, down = [], []
     for l, (bn, bd), (bn1, bd1) in zip(ls, b, b[1:]):
         num, den = (l + 1) * ((l + 1) ** 2 - m * m), 2 * l + 1
-        g = gcd(num, den)
-        up.append((num // g, den // g))
-        num, den = num * bn * bd1, den * bd * bn1
-        g = gcd(num, den)
-        down.append((num // g, den // g))
+        up.append(_ratio(num, den))
+        down.append(_ratio(num * bn * bd1, den * bd * bn1))
     bands, j_den = _pairs_over_lcm(up + down)
     return BBlock(n, m, tuple(a), *_pairs_over_lcm(b), tuple(roots), tuple(rho_num),
                   tuple(rho_den), bands[:len(up)], bands[len(up):], j_den)
@@ -501,6 +508,7 @@ def b_block(n: int, m: int) -> BBlock:
     identity, not L^2's, so no row passes it by construction.
     """
     check_block(n, m)
+    default_table().require(2 * n - 1)
     if m < 0:
         return b_block(n, -m)
     blk = _block_entries(n, m)

@@ -12,21 +12,23 @@ A verify report reaches stdout as text made where it is computed: each sweep
 tuple's reports become one finished text in the chosen format (JSON from the
 report's own writer, which lays it out as json.dumps(indent=2) would), with
 the tuple's mismatch and warning counts. One shard holds every tuple of one
-(n, |m|) block, both signs of m, so each block, its printed-form differences
-and its memos are built in one process only. The main process only writes
-those texts in sweep order and the summary. A shard's m > 0 tuples wait for
-the rest of their n, so it holds back at most the m > 0 half of one n.
+signed (n, m), a contiguous run of the sweep; the main process writes each
+shard's texts as they arrive, then the summary, and holds nothing back. The
+(n, -m) shard builds the (n, |m|) block and its printed-form differences, and
+the (n, +m) shard reads both from the memos.
 
 verify --jobs N > 1 forks N children (POSIX only: without os.fork it is a
-usage error). Child w computes the shards k = w (mod N) in sweep order and
-writes each one's results with marshal down its own pipe, or b"E" and the
-pickled exception, which the main process raises when it reaches that shard.
-The main process reads shard k from pipe k mod N, so a child runs at most
-one shard and a pipe's buffer ahead of the output: the pipes' backpressure
-is what bounds the hold-back above. A child leaves only through os._exit.
-When the main process dies its pipes close, and each child's next write
-fails and ends it; on any early exit (closed stdout, an error, Ctrl-C) the
-main process kills and reaps every child. Nothing imports concurrent.futures
+usage error). Block b of the sweep, both its signed shards, belongs to child
+b mod N, so each block is built in one process only. A child computes its
+shards in sweep order and writes each one's results with marshal down its
+own pipe, or b"E" and the pickled exception, which the main process raises
+when it reaches that shard. The main process reads each shard in sweep order
+from its owner's pipe. A child writes its shards in that order, so this
+cannot deadlock, and backpressure keeps it at most one shard and a pipe's
+buffer ahead of the output. A child leaves only through os._exit. When the
+main process dies its pipes close, and each child's next write fails and
+ends it; on any early exit (closed stdout, an error, Ctrl-C) the main
+process kills and reaps every child. Nothing imports concurrent.futures
 or multiprocessing.
 
 Modules that only some runs need are imported where they are used, not at
@@ -44,6 +46,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import groupby
 
 from .basis import ParabolicLabel, b_coeff, check_block
 from .diamagnetic import h1_matrix, h2_matrix
@@ -212,7 +215,7 @@ def _verify_worker(fmt: str, task: tuple) -> tuple[str, int, int]:
 
 
 def _verify_shard(fmt: str, shard: list) -> list:
-    """_verify_worker over one (n, |m|) shard's tuples, in their order."""
+    """_verify_worker over one (n, m) shard's tuples, in their order."""
     return [_verify_worker(fmt, task) for task in shard]
 
 
@@ -247,12 +250,14 @@ def _shard_child(fmt: str, shards: list, write_fd: int, read_ends: list):
 
 
 def _forked_shards(fmt: str, shard_tasks: list, jobs: int):
-    """_verify_shard over every shard, yielded in order, from `jobs` forked
-    children: child w runs the shards k = w (mod jobs) and the main process
-    reads shard k from pipe k mod jobs. Closing the generator kills and
-    reaps every child."""
+    """_verify_shard over every (n, m) shard, yielded in order, from `jobs`
+    forked children: the (n, |m|) block b, both its signed shards, belongs to
+    child b mod jobs. Closing the generator kills and reaps every child."""
     import signal  # not at module level: a serial run would pay its import
 
+    blocks = {}
+    owners = [blocks.setdefault((n, abs(m)), len(blocks)) % jobs
+              for (n, m, *_), *_ in shard_tasks]
     pids, pipes = [], []
     try:
         for w in range(jobs):
@@ -260,14 +265,15 @@ def _forked_shards(fmt: str, shard_tasks: list, jobs: int):
             pipes.append(open(read_fd, "rb"))
             pid = os.fork()
             if pid == 0:
-                _shard_child(fmt, shard_tasks[w::jobs], write_fd, pipes)
+                _shard_child(fmt, [s for s, o in zip(shard_tasks, owners) if o == w],
+                             write_fd, pipes)
             pids.append(pid)
             os.close(write_fd)
-        for k in range(len(shard_tasks)):
+        for k, w in enumerate(owners):
             try:
-                msg = marshal.load(pipes[k % jobs])
+                msg = marshal.load(pipes[w])
             except EOFError:
-                raise RuntimeError(f"--jobs worker {pids[k % jobs]} ended before "
+                raise RuntimeError(f"--jobs worker {pids[w]} ended before "
                                    f"sending shard {k}") from None
             if isinstance(msg, bytes):
                 import pickle
@@ -287,36 +293,26 @@ def _forked_shards(fmt: str, shard_tasks: list, jobs: int):
 def _cmd_verify(args, parser) -> int:
     """Write each tuple's finished text in sweep order, then the summary.
 
-    Nothing is written before the first tuple's text exists, so a sweep whose
-    first shard fails leaves stdout empty.
+    Each (n, m) shard is written as soon as it arrives, so a sweep that fails
+    leaves stdout holding every tuple before the failing shard.
     """
     tasks = _sweep_tuples(args, parser)
-    # the sweep indices of each (n, |m|) block, in order of their first tuple
-    blocks = {}
-    for i, (n, m, *_) in enumerate(tasks):
-        blocks.setdefault((n, abs(m)), []).append(i)
-    shards = list(blocks.values())
-    shard_tasks = [[tasks[i] for i in shard] for shard in shards]
+    shards = [list(run) for _, run in groupby(tasks, key=lambda t: t[:2])]
     _, head, sep = _VERIFY_FORMATS[args.format]
     out = sys.stdout
     mismatches = warnings = 0
-    done, written = {}, 0
     if args.jobs > 1:
-        results = _forked_shards(args.format, shard_tasks, args.jobs)
+        results = _forked_shards(args.format, shards, args.jobs)
     else:
-        results = (_verify_shard(args.format, shard) for shard in shard_tasks)
+        results = (_verify_shard(args.format, shard) for shard in shards)
     try:
-        for shard, texts in zip(shards, results):
-            done.update(zip(shard, texts))
-            # the m > 0 tuples of a shard wait for the m <= 0 rest of their n
-            while written in done:
-                text, bad, warn = done.pop(written)
+        for texts in results:
+            for text, bad, warn in texts:
                 out.write(head)
                 out.write(text)
                 head = sep
                 mismatches += bad
                 warnings += warn
-                written += 1
     finally:
         results.close()
     count = len(tasks) * len(tasks[0][-1])

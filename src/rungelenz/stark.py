@@ -45,10 +45,10 @@ import io
 import json
 from fractions import Fraction
 from itertools import accumulate
-from math import cos, lcm, sin
+from math import cos, sin
 from operator import mul
 
-from .basis import _check_n, _finite_real, _is_int, b_block, q_values
+from .basis import _check_n, _finite_real, _is_int, _pair_sum, b_block, q_values
 from .errors import DomainError, InternalConsistencyError
 from .pfrational import default_table
 from .radical import RadicalSum, render_exact
@@ -126,9 +126,8 @@ def _p_bar_pair(n: int, l: int, lp: int) -> tuple[int, int]:
     6j sum equals it (InternalConsistencyError otherwise); arguments unchecked.
     """
     grams = [b_block(n, am).c_gram for am in range(min(l, lp) + 1)]
-    den = lcm(*(d for _, d in grams))
-    num = sum(g[l - am][lp - am] * (2 if am else 1) * (den // d)
-              for am, (g, d) in enumerate(grams))
+    num, den = _pair_sum(*((g[l - am][lp - am] * (2 if am else 1), d)
+                           for am, (g, d) in enumerate(grams)))
     w, den6 = _sixj_squares(n, l, lp)
     num6 = sum(w)
     if num * den6 != num6 * den:
@@ -239,8 +238,7 @@ class TransitionTable(Record):
                 if not -slack <= x <= 1 + slack:
                     raise DomainError(f"entry {x} outside [0, 1]")
             if self.kind == "pbar":
-                den = lcm(*(x.denominator for x in row))
-                num = sum(x.numerator * (den // x.denominator) for x in row)
+                num, den = _pair_sum(*(x.as_integer_ratio() for x in row))
                 if num != den:
                     raise DomainError(f"row l={l} of a 'pbar' table sums to "
                                       f"{Fraction(num, den)}, not 1")

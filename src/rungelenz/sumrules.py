@@ -41,10 +41,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
-from .basis import (ParabolicLabel, _is_int, _over_lcm, b_block, beta_squared,
-                    spherical_ls, unit_parabolic)
+from .basis import (ParabolicLabel, _is_int, _over_lcm, _pair_sum, _ratio, b_block,
+                    beta_squared, spherical_ls, unit_parabolic)
 from .errors import DomainError, InternalConsistencyError
 from .operators import expression_apply, l_squared_expression
 from .radical import (RadicalSum, _combine_radicands, _joined, _json_object,
@@ -209,19 +209,6 @@ def _az_contraction(p: ParabolicLabel, power: int) -> Fraction:
     read from the block's az_eigenvalues: J rho = q rho and the row's norm
     give it for every power at once."""
     return Fraction(b_block(p.n, p.m).az_eigenvalues[p.n1] ** power)
-
-
-def _ratio(num: int, den: int) -> tuple[int, int]:
-    """num/den in lowest terms with a positive denominator, as an int pair."""
-    g = gcd(num, den)
-    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
-
-
-def _pair_sum(*pairs: tuple[int, int]) -> tuple[int, int]:
-    """The sum of rationals given as (num, den) int pairs, den != 0, over
-    the positive lcm of the dens; not reduced."""
-    den = lcm(*(q for _, q in pairs))
-    return sum(p * (den // q) for p, q in pairs), den
 
 
 def _sqrt_term(scale: tuple[int, int],

@@ -31,9 +31,10 @@ from rungelenz.basis import (
     unit_spherical,
 )
 from rungelenz.errors import DomainError, FactorialLimitError
+from rungelenz.operators import az_power_matrix
 from rungelenz.pfrational import FactorialTable
 from rungelenz.radical import RadicalSum
-from rungelenz.stark import c_coefficient
+from rungelenz.stark import c_coefficient, p_table, p_transition
 from rungelenz.wigner import _threejm_twice
 
 
@@ -136,6 +137,20 @@ class TestBCoeff:
         p = ParabolicLabel(0, 128, 1)
         with pytest.raises(FactorialLimitError, match="need 259!"):
             b_coeff(p, 1)
+
+    @pytest.mark.parametrize("route, args", [
+        (p_table, (200, 0.7)), (p_transition, (200, 0, 1, 0.7)),
+        (b_coeff, (ParabolicLabel(0, 199, 0), 0)), (c_coefficient, (200, 1, 0, 0)),
+        (az_power_matrix, (200, 0, 2))])
+    def test_block_routes_name_2n_minus_1_before_any_work(self, monkeypatch,
+                                                          route, args):
+        # the block of n = 200 needs 399!: each route names it up front and
+        # builds no factorial, not only past the table's limit
+        table = FactorialTable(258)
+        monkeypatch.setattr(pfrational, "_default_table", table)
+        with pytest.raises(FactorialLimitError, match=r"need 399!"):
+            route(*args)
+        assert table._built == ([1], [(1, 1)])
 
     def test_regge_route_identical(self):
         for n in range(1, 9):

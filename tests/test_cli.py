@@ -580,14 +580,16 @@ class TestPoolImport:
 
 
 class TestSharding:
-    """verify maps one task per (n, |m|) block, both signs of m, and writes
-    each tuple's text once every earlier tuple's text is written."""
+    """verify maps one task per signed (n, m), deals out the (n, |m|) blocks,
+    both signs of m, to the workers, and writes each task's texts as soon as
+    every earlier task's texts are written."""
 
+    @pytest.mark.parametrize("jobs", [2, 3])
     def test_each_block_is_one_task_in_sweep_order(self, capsys, monkeypatch,
-                                                   tmp_path):
-        """Under --jobs 2 every tuple of one (n, |m|) block runs in one
-        forked child, never in the main process; child w runs the blocks
-        k = w (mod 2) of the sweep, in sweep order."""
+                                                   tmp_path, jobs):
+        """Under --jobs N every tuple of one (n, |m|) block runs in one forked
+        child, never in the main process; child w runs the blocks k = w
+        (mod N) of the sweep, and runs its tuples in sweep order."""
         import rungelenz.cli as cli
 
         log = tmp_path / "calls"
@@ -595,28 +597,59 @@ class TestSharding:
 
         def logged(fmt, task):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {task[0]} {task[1]}\n")
+                fh.write(f"{os.getpid()} {' '.join(map(str, task[:4]))}\n")
             return real(fmt, task)
 
         monkeypatch.setattr(cli, "_verify_worker", logged)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: jobs)
         argv = ("verify", "--max-n", "6", "--format", "json")
-        code2, parallel = run_cli(capsys, *argv, "--jobs", "2")
+        code2, parallel = run_cli(capsys, *argv, "--jobs", str(jobs))
         calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-        assert len(calls) == sum(n * n for n in range(1, 7))
-        sweep = list(dict.fromkeys((n, abs(m)) for n in range(1, 7)
-                                   for m in range(-(n - 1), n)))
-        runs = {}  # pid -> the blocks it ran, in order
-        for pid, n, m in calls:
-            blocks = runs.setdefault(pid, [])
-            if not blocks or blocks[-1] != (n, abs(m)):
-                blocks.append((n, abs(m)))
-        assert len(runs) == 2 and os.getpid() not in runs
-        assert sorted(runs.values()) == [sweep[0::2], sweep[1::2]]
+        tuples = [(n, m, n1, n - abs(m) - 1 - n1) for n in range(1, 7)
+                  for m in range(-(n - 1), n) for n1 in range(n - abs(m))]
+        assert sorted(call[1:] for call in calls) == sorted(tuples)
+        sweep = list(dict.fromkeys((n, abs(m)) for n, m, *_ in tuples))
+        runs = {}  # pid -> the tuples it ran, in order
+        for pid, *task in calls:
+            runs.setdefault(pid, []).append(tuple(task))
+        assert len(runs) == jobs and os.getpid() not in runs
+        for pid, ran in runs.items():
+            assert ran == sorted(ran, key=tuples.index), pid
+        # the children's block lists are disjoint, so each block ran in one child
+        blocks = [list(dict.fromkeys((n, abs(m)) for n, m, *_ in ran))
+                  for ran in runs.values()]
+        assert sorted(blocks) == sorted(sweep[w::jobs] for w in range(jobs))
         monkeypatch.setattr(cli, "_verify_worker", real)
         code1, serial = run_cli(capsys, *argv)
         assert code1 == code2 == 0
         assert parallel == serial
+
+    def test_serial_sweep_writes_each_shard_before_the_next(self, monkeypatch):
+        """Serially, whenever a tuple starts, stdout holds exactly the text of
+        every tuple before that tuple's (n, m) run: nothing is held back."""
+        import contextlib
+        import rungelenz.cli as cli
+
+        argv = ["verify", "--max-n", "6", "--format", "text"]
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            assert main(argv) == 0
+        lines = buf.getvalue().splitlines(keepends=True)
+        tuples = [(n, m, n1) for n in range(1, 7) for m in range(-(n - 1), n)
+                  for n1 in range(n - abs(m))]
+        real = cli._verify_worker
+        seen = []
+
+        def checked(fmt, task):
+            first = tuples.index((*task[:2], 0))  # the (n, m) run's first tuple
+            seen.append(task[:3])
+            assert out.getvalue() == "".join(lines[:4 * first]), task
+            return real(fmt, task)
+
+        monkeypatch.setattr(cli, "_verify_worker", checked)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert seen == tuples
+        assert out.getvalue() == buf.getvalue()
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("sweep", [
@@ -635,8 +668,8 @@ class TestSharding:
     def test_failure_leaves_the_output_before_its_block(self, capsys,
                                                         monkeypatch, jobs):
         """A tuple with m > 0 fails mid-sweep: the error propagates, and
-        stdout holds exactly the tuples before its block's first (m < 0)
-        tuple, a prefix of the full output that ends at a tuple boundary."""
+        stdout holds exactly the tuples before its (n, m) run, a prefix of
+        the full output that ends at a tuple boundary."""
         import rungelenz.cli as cli
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -657,7 +690,7 @@ class TestSharding:
                   for n1 in range(n - abs(m))]
         lines = full.splitlines(keepends=True)
         assert full.startswith(out)
-        assert out == "".join(lines[:4 * tuples.index((5, -2, 0))])
+        assert out == "".join(lines[:4 * tuples.index((5, 2, 0))])
 
 
     @pytest.mark.parametrize("fault, message", [
